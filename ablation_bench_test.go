@@ -161,7 +161,7 @@ func BenchmarkAblationBatchSize(b *testing.B) {
 						return io.EOF
 					}
 					i++
-					c.Emit(int64(i))
+					sendInt(c, int64(i))
 					return nil
 				})
 			}

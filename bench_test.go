@@ -22,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"briskstream/internal/baseline"
 	"briskstream/internal/engine"
 	"briskstream/internal/experiments"
 	"briskstream/internal/graph"
@@ -151,9 +152,10 @@ func BenchmarkTupleMarshal(b *testing.B) {
 	}
 }
 
-// benchPipeline runs a spout->double->sink pipeline for b.N tuples under
-// the given engine configuration and reports tuples/sec.
-func benchPipeline(b *testing.B, cfg engine.Config) {
+// benchPipeline runs a spout->double->sink pipeline for b.N tuples the
+// way the given system would (nil: the plain engine) and reports
+// tuples/sec.
+func benchPipeline(b *testing.B, sys *baseline.System) {
 	b.Helper()
 	topo := engine.Topology{
 		App: pipelineApp(),
@@ -164,7 +166,7 @@ func benchPipeline(b *testing.B, cfg engine.Config) {
 				if i >= n {
 					return io.EOF
 				}
-				c.Emit(int64(i))
+				sendInt(c, int64(i))
 				i++
 				return nil
 			})
@@ -182,6 +184,10 @@ func benchPipeline(b *testing.B, cfg engine.Config) {
 				return engine.OperatorFunc(func(c engine.Collector, t *tuple.Tuple) error { return nil })
 			},
 		},
+	}
+	cfg := engine.DefaultConfig()
+	if sys != nil {
+		topo, cfg = sys.OnEngine(topo)
 	}
 	e, err := engine.New(topo, cfg)
 	if err != nil {
@@ -214,13 +220,13 @@ func reportTuplesPerInsert(b *testing.B, res *engine.Result) {
 
 // BenchmarkEngineBriskPath measures the BriskStream execution path
 // (pass-by-reference + jumbo tuples).
-func BenchmarkEngineBriskPath(b *testing.B) { benchPipeline(b, engine.DefaultConfig()) }
+func BenchmarkEngineBriskPath(b *testing.B) { benchPipeline(b, nil) }
 
 // BenchmarkEngineStormPath measures the emulated distributed-engine path
 // (per-hop serialization, copies, per-tuple insertions) on the identical
 // topology — the per-tuple gap is the Figure 16 engine factor, live.
 func BenchmarkEngineStormPath(b *testing.B) {
-	cfg := engine.StormLikeConfig()
-	cfg.ExtraWorkNs = 0 // measure the real transport costs only
-	benchPipeline(b, cfg)
+	storm := baseline.Storm()
+	storm.Engine.SpinNs = 0 // measure the real transport costs only
+	benchPipeline(b, &storm)
 }

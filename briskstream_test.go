@@ -8,6 +8,13 @@ import (
 	"time"
 )
 
+// sendInt emits one integer field on the default stream.
+func sendInt(c Collector, v int64) {
+	out := c.Borrow()
+	out.AppendInt(v)
+	c.Send(out)
+}
+
 // buildWC assembles a word-count topology on the public API.
 func buildWC(limit int64) *Topology {
 	var emitted atomic.Int64
@@ -17,14 +24,18 @@ func buildWC(limit int64) *Topology {
 			if emitted.Add(1) > limit {
 				return io.EOF
 			}
-			c.Emit("the quick brown fox jumps over the lazy dog tonight")
+			out := c.Borrow()
+			out.AppendStr("the quick brown fox jumps over the lazy dog tonight")
+			c.Send(out)
 			return nil
 		})
 	})
 	t.Operator("split", func() Operator {
 		return OperatorFunc(func(c Collector, tp *Tuple) error {
 			for _, w := range strings.Fields(tp.Str(0)) {
-				c.Emit(w)
+				out := c.Borrow()
+				out.AppendStr(w)
+				c.Send(out)
 			}
 			return nil
 		})
@@ -39,7 +50,10 @@ func buildWC(limit int64) *Topology {
 				w = strings.Clone(w)
 			}
 			counts[w]++
-			c.Emit(w, counts[w])
+			out := c.Borrow()
+			out.AppendStr(w)
+			out.AppendInt(counts[w])
+			c.Send(out)
 			return nil
 		})
 	}).Subscribe("split", FieldsKey(0)).Parallelism(2)
@@ -218,7 +232,7 @@ func (s *ckptSource) Next(c Collector) error {
 		return io.EOF
 	}
 	s.i++
-	c.Emit(s.i)
+	sendInt(c, s.i)
 	return nil
 }
 

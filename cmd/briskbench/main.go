@@ -19,13 +19,6 @@
 //
 //	briskbench -bench-json 2s -rate 5000 -linger 2ms
 //
-// The columnar batch path is on by default (following BRISK_BATCH);
-// -batch=false forces the scalar path on any real-engine mode, and
-// bench-json additionally re-runs the repl-4 rows scalar for the
-// columnar on/off ablation columns:
-//
-//	briskbench -bench-json 2s -batch=false
-//
 // Fault-tolerance modes:
 //
 //	briskbench -kill-after 1s -app WC            # kill/recover demo
@@ -69,7 +62,6 @@ func main() {
 		pin       = flag.Bool("pin", false, "bench-json: add pinned-executor variants to the GOMAXPROCS x replication matrix (threads bound to their socket's CPUs; skipped where unsupported)")
 		rate      = flag.Float64("rate", 0, "token-bucket cap on spout output (tuples/sec across an app's spout replicas); 0 = unthrottled")
 		linger    = flag.Duration("linger", engine.DefaultConfig().Linger, "partial jumbo-batch flush timeout (0 disables)")
-		batch     = flag.Bool("batch", engine.DefaultConfig().Columnar, "columnar batch path on real-engine runs (default follows BRISK_BATCH; -batch=false forces the scalar path)")
 		killAfter = flag.Duration("kill-after", 0, "fault-tolerance demo: kill the engine after this duration, then restore from the latest checkpoint and resume")
 		appName   = flag.String("app", "WC", "application for -kill-after (WC, FD, SD, LR, TW)")
 		ckptEvery = flag.Duration("checkpoint", 200*time.Millisecond, "checkpoint interval for -kill-after")
@@ -115,7 +107,7 @@ func main() {
 	}
 
 	if *killAfter > 0 {
-		if err := killRecoverDemo(*appName, *killAfter, *ckptEvery, *ckptDir, *batch); err != nil {
+		if err := killRecoverDemo(*appName, *killAfter, *ckptEvery, *ckptDir); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -130,7 +122,7 @@ func main() {
 	}
 
 	if *engineDur > 0 {
-		if err := engineMicrobench(*engineDur, *rate, *linger, *batch); err != nil {
+		if err := engineMicrobench(*engineDur, *rate, *linger); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -138,7 +130,7 @@ func main() {
 	}
 
 	if *benchJSON > 0 {
-		if err := appBenchJSON(*benchJSON, *rate, *linger, *pin, *batch, os.Stdout); err != nil {
+		if err := appBenchJSON(*benchJSON, *rate, *linger, *pin, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -234,7 +226,7 @@ func throttleSpouts(spouts map[string]func() engine.Spout, rate float64) map[str
 // on the real engine at several producer replication levels and prints
 // throughput plus the queue-layer counters, making the SPSC rework's
 // effect observable without `go test -bench`.
-func engineMicrobench(d time.Duration, rate float64, linger time.Duration, batch bool) error {
+func engineMicrobench(d time.Duration, rate float64, linger time.Duration) error {
 	rows := [][]string{}
 	for _, spouts := range []int{1, 2, 4} {
 		g := graph.New("microbench")
@@ -275,7 +267,6 @@ func engineMicrobench(d time.Duration, rate float64, linger time.Duration, batch
 		}
 		cfg := engine.DefaultConfig()
 		cfg.Linger = linger
-		cfg.Columnar = batch
 		e, err := engine.New(topo, cfg)
 		if err != nil {
 			return err
@@ -328,7 +319,7 @@ func engineMicrobench(d time.Duration, rate float64, linger time.Duration, batch
 // periodic aligned checkpoints, kill the engine mid-run the way a crash
 // would, restore the latest completed checkpoint, seek the sources back
 // and resume for another kill-after window.
-func killRecoverDemo(appName string, killAfter, interval time.Duration, dir string, batch bool) error {
+func killRecoverDemo(appName string, killAfter, interval time.Duration, dir string) error {
 	a := apps.ByName(appName)
 	if a == nil {
 		return fmt.Errorf("unknown app %q", appName)
@@ -345,7 +336,6 @@ func killRecoverDemo(appName string, killAfter, interval time.Duration, dir stri
 	cfg := engine.DefaultConfig()
 	cfg.Checkpoint = co
 	cfg.CheckpointInterval = interval
-	cfg.Columnar = batch
 	e, err := engine.New(a.Topology(nil), cfg)
 	if err != nil {
 		return err
@@ -414,15 +404,6 @@ type appBenchRow struct {
 	InputTPSCkpt    float64 `json:"input_tps_ckpt"`
 	CkptOverheadPct float64 `json:"ckpt_overhead_pct"`
 	CkptCompleted   uint64  `json:"ckpt_completed"`
-	// Columnar records whether the vectorized batch path was on for the
-	// row. InputTPSScalar is the same configuration re-run with the
-	// columnar path off (the on/off ablation; measured on the repl-4
-	// unpinned rows, where batch effects are clearest under contention),
-	// and ColumnarGainPct the relative ingest gain ((on-off)/off,
-	// percent).
-	Columnar        bool    `json:"columnar"`
-	InputTPSScalar  float64 `json:"input_tps_scalar,omitempty"`
-	ColumnarGainPct float64 `json:"columnar_gain_pct,omitempty"`
 }
 
 type appBenchReport struct {
@@ -449,7 +430,7 @@ type benchVariant struct {
 // throughput, latency and allocation rows, so the perf trajectory of
 // the data path — including the multicore replication scaling the
 // paper is about — is tracked across PRs (`make bench-json`).
-func appBenchJSON(d time.Duration, rate float64, linger time.Duration, pin, batch bool, w *os.File) error {
+func appBenchJSON(d time.Duration, rate float64, linger time.Duration, pin bool, w *os.File) error {
 	report := appBenchReport{
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
@@ -474,7 +455,6 @@ func appBenchJSON(d time.Duration, rate float64, linger time.Duration, pin, batc
 			cfg := engine.DefaultConfig()
 			cfg.Linger = linger
 			cfg.Pin = v.pinned // overrides BRISK_PIN either way: the row label must be honest
-			cfg.Columnar = batch
 			replication := map[string]int{}
 			for _, n := range a.Graph.Nodes() {
 				replication[n.Name] = v.repl
@@ -505,7 +485,6 @@ func appBenchJSON(d time.Duration, rate float64, linger time.Duration, pin, batc
 			}
 			row := appBenchRow{
 				App:           a.Name,
-				Columnar:      batch,
 				Replication:   v.repl,
 				GOMAXPROCS:    v.gm,
 				Pinned:        v.pinned,
@@ -556,38 +535,6 @@ func appBenchJSON(d time.Duration, rate float64, linger time.Duration, pin, batc
 				row.CkptCompleted = co.Completed()
 				if row.InputTPS > 0 {
 					row.CkptOverheadPct = (row.InputTPS - row.InputTPSCkpt) / row.InputTPS * 100
-				}
-			}
-
-			// Columnar on/off ablation: the same configuration re-run with
-			// the batch path disabled, on the repl-4 unpinned rows. The
-			// InputTPS delta is the end-to-end effect of columnar jumbo
-			// batches + vectorized operators on each app's ingest rate.
-			if batch && v.repl == 4 && !v.pinned {
-				scfg := cfg
-				scfg.Columnar = false
-				stopo := a.Topology(replication)
-				stopo.Spouts = throttleSpouts(a.Spouts, rate)
-				es, err := engine.New(stopo, scfg)
-				if err != nil {
-					return fmt.Errorf("%s x%d scalar: %w", a.Name, v.repl, err)
-				}
-				resS, err := es.Run(d)
-				if err != nil {
-					return fmt.Errorf("%s x%d scalar: %w", a.Name, v.repl, err)
-				}
-				if len(resS.Errors) != 0 {
-					return fmt.Errorf("%s x%d scalar: %v", a.Name, v.repl, resS.Errors[0])
-				}
-				var ingestedS uint64
-				for _, n := range a.Graph.Spouts() {
-					ingestedS += resS.Processed[n.Name]
-				}
-				if s := resS.Duration.Seconds(); s > 0 {
-					row.InputTPSScalar = float64(ingestedS) / s
-				}
-				if row.InputTPSScalar > 0 {
-					row.ColumnarGainPct = (row.InputTPS - row.InputTPSScalar) / row.InputTPSScalar * 100
 				}
 			}
 

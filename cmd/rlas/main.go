@@ -17,6 +17,12 @@
 // against the calibrated baseline and its re-optimization verdict:
 //
 //	rlas -app WC -machine A -live 2s
+//
+// Two modes inspect an application instead of optimizing it:
+//
+//	rlas -describe             # topology + model statistics of all five applications
+//	rlas -describe -app LR     # one application
+//	rlas -app WC -profile 5000 # profile the Go operators in isolation (Section 3.1)
 package main
 
 import (
@@ -36,7 +42,7 @@ import (
 
 func main() {
 	var (
-		appName = flag.String("app", "WC", "application: WC, FD, SD or LR")
+		appName = flag.String("app", "WC", "application: WC, FD, SD, LR or TW")
 		machine = flag.String("machine", "host", "target machine: host (detected topology), A (KunLun) or B (DL980)")
 		sockets = flag.Int("sockets", 8, "number of sockets to enable (1-8)")
 		ratio   = flag.Int("ratio", 5, "execution-graph compress ratio r")
@@ -45,13 +51,34 @@ func main() {
 		trace   = flag.Bool("trace", false, "print the per-iteration scaling trace")
 		live    = flag.Duration("live", 0, "run the plan on the real engine for this duration, live-profile it, and print the advisor's drift/re-optimization verdict")
 		metrics = flag.String("metrics", "", "with -live: serve /metrics with engine series plus observed-vs-baseline drift gauges on this address")
+		desc    = flag.Bool("describe", false, "print the topology and model statistics of -app (of every application when -app is not given) and exit")
+		prof    = flag.Int("profile", 0, "profile -app's operators in isolation over this many sample invocations each, print their median statistics and exit")
 	)
 	flag.Parse()
 
 	a := apps.ByName(*appName)
 	if a == nil {
-		fmt.Fprintf(os.Stderr, "unknown app %q (use WC, FD, SD or LR)\n", *appName)
+		fmt.Fprintf(os.Stderr, "unknown app %q (use WC, FD, SD, LR or TW)\n", *appName)
 		os.Exit(2)
+	}
+	if *desc || *prof > 0 {
+		inspect := func(a *apps.App) error { return profileApp(a, *prof) }
+		which := []*apps.App{a}
+		if *desc {
+			inspect = describe
+			appGiven := false
+			flag.Visit(func(f *flag.Flag) { appGiven = appGiven || f.Name == "app" })
+			if !appGiven {
+				which = apps.Benchmarks()
+			}
+		}
+		for _, a := range which {
+			if err := inspect(a); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
+			}
+		}
+		return
 	}
 	var m *numa.Machine
 	switch *machine {

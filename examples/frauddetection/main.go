@@ -13,19 +13,24 @@ import (
 	"time"
 
 	"briskstream/internal/apps"
+	"briskstream/internal/baseline"
 	"briskstream/internal/engine"
 )
 
-func run(name string, cfg engine.Config) {
+func fdTopology() engine.Topology {
 	fd := apps.ByName("FD")
-	e, err := engine.New(engine.Topology{
+	return engine.Topology{
 		App:       fd.Graph,
 		Spouts:    fd.Spouts,
 		Operators: fd.Operators,
 		Replication: map[string]int{
 			"parser": 1, "predict": 2, "sink": 1,
 		},
-	}, cfg)
+	}
+}
+
+func run(name string, topo engine.Topology, cfg engine.Config) {
+	e, err := engine.New(topo, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,6 +48,7 @@ func run(name string, cfg engine.Config) {
 
 func main() {
 	fmt.Println("fraud detection: BriskStream path vs distributed-engine path")
-	run("briskstream", engine.DefaultConfig())
-	run("storm-like", engine.StormLikeConfig())
+	run("briskstream", fdTopology(), engine.DefaultConfig())
+	topo, cfg := baseline.Storm().OnEngine(fdTopology())
+	run("storm-like", topo, cfg)
 }

@@ -30,7 +30,7 @@ func TestMultiStreamPublicAPI(t *testing.T) {
 				return io.EOF
 			}
 			emitted++
-			c.Emit(int64(emitted))
+			sendInt(c, int64(emitted))
 			return nil
 		})
 	})

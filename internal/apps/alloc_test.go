@@ -23,18 +23,9 @@ type drainCollector struct {
 
 func newDrainCollector() *drainCollector { return &drainCollector{pool: tuple.NewPool()} }
 
-func (d *drainCollector) Emit(values ...tuple.Value) {
-	out := d.pool.Get()
-	for _, v := range values {
-		out.Append(v)
-	}
-	d.Send(out)
-}
-
-func (d *drainCollector) EmitTo(stream string, values ...tuple.Value) { d.Emit(values...) }
-func (d *drainCollector) Borrow() *tuple.Tuple                        { return d.pool.Get() }
-func (d *drainCollector) Send(t *tuple.Tuple)                         { t.Release() }
-func (d *drainCollector) EmitWatermark(wm int64)                      {}
+func (d *drainCollector) Borrow() *tuple.Tuple   { return d.pool.Get() }
+func (d *drainCollector) Send(t *tuple.Tuple)    { t.Release() }
+func (d *drainCollector) EmitWatermark(wm int64) {}
 
 // assertZeroAllocs warms fn, then requires exactly zero allocations per
 // run. Race-instrumented builds skip: the detector's own shadow

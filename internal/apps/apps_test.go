@@ -322,14 +322,6 @@ func TestSpoutsAreDeterministicPerReplica(t *testing.T) {
 
 type captureCollector struct{ out *[]string }
 
-func (c *captureCollector) Emit(values ...tuple.Value) {
-	*c.out = append(*c.out, values[0].(string))
-}
-
-func (c *captureCollector) EmitTo(stream string, values ...tuple.Value) {
-	*c.out = append(*c.out, values[0].(string))
-}
-
 func (c *captureCollector) Borrow() *tuple.Tuple { return tuple.New() }
 
 func (c *captureCollector) EmitWatermark(wm int64) {}

@@ -1,22 +1,36 @@
 package apps
 
 // Batch/scalar equivalence: one bounded, deterministic topology run
-// three ways — scalar path, columnar path (only batch-aware consumers
-// get batches), and forced-columnar path (every edge carries batches,
-// scalar consumers are fed through the engine's row adapter) — must
-// deliver identical sink multisets. WC covers the vectorized
-// filter/tokenize/window-count chain, TW the session/window operators
-// that opt out of batches, FD the plain stateful path; together they
-// pin the columnar dispatch, consume, punctuation-ordering and
-// row-materialization semantics to the scalar baseline.
+// three ways — scalar reference (every operator behind baseline's
+// zero-cost wrapper, which hides ProcessBatch, so every edge passes
+// tuple pointers), the shipped topology (batch-aware consumers get
+// batches), and the shipped topology traced at every tuple (every batch
+// goes through the engine's row adapter) — must deliver identical sink
+// multisets. WC covers the vectorized filter/tokenize/window-count
+// chain, TW the session/window operators that opt out of batches, FD
+// the plain stateful path; together they pin the columnar dispatch,
+// consume, punctuation-ordering and row-materialization semantics to
+// the scalar reference.
 
 import (
 	"testing"
 
+	"briskstream/internal/baseline"
 	"briskstream/internal/engine"
+	"briskstream/internal/obs"
 )
 
-func runBatchMode(t *testing.T, rc recoveryCase, mode func(cfg *engine.Config)) map[string]int64 {
+type batchMode int
+
+const (
+	scalarRef   batchMode = iota // every operator behind the zero-cost wrapper
+	shipped                      // the topology as the app builds it
+	shippedRows                  // shipped, every tuple traced: the row adapter
+)
+
+// runBatchMode runs rc to EOF in the given mode and returns the sink
+// multiset.
+func runBatchMode(t *testing.T, rc recoveryCase, mode batchMode) map[string]int64 {
 	t.Helper()
 	g, inner, operators, repl := rc.mk()
 	sink := newRecordingSink()
@@ -26,16 +40,25 @@ func runBatchMode(t *testing.T, rc recoveryCase, mode func(cfg *engine.Config)) 
 	}
 	ops["sink"] = func() engine.Operator { return sink }
 	repl["spout"] = 1
-	cfg := engine.DefaultConfig()
-	mode(&cfg)
-	e, err := engine.New(engine.Topology{
+	topo := engine.Topology{
 		App:         g,
 		Spouts:      map[string]func() engine.Spout{"spout": func() engine.Spout { return &limitSpout{inner: inner, limit: rc.limit} }},
 		Operators:   ops,
 		Replication: repl,
-	}, cfg)
+	}
+	cfg := engine.DefaultConfig()
+	switch mode {
+	case scalarRef:
+		topo, cfg = baseline.System{}.OnEngine(topo)
+	case shippedRows:
+		cfg.TraceSampleEvery = 1
+	}
+	e, err := engine.New(topo, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if mode == shippedRows {
+		e.RegisterTrace(obs.NewTracer())
 	}
 	res, err := e.Run(0)
 	if err != nil {
@@ -50,14 +73,12 @@ func runBatchMode(t *testing.T, rc recoveryCase, mode func(cfg *engine.Config)) 
 func TestBatchScalarEquivalence(t *testing.T) {
 	for _, rc := range recoveryCases() {
 		t.Run(rc.name, func(t *testing.T) {
-			scalar := runBatchMode(t, rc, func(cfg *engine.Config) { cfg.Columnar = false })
-			columnar := runBatchMode(t, rc, func(cfg *engine.Config) { cfg.Columnar = true })
-			if d := diffMultisets(scalar, columnar); d != "" {
+			scalar := runBatchMode(t, rc, scalarRef)
+			if d := diffMultisets(scalar, runBatchMode(t, rc, shipped)); d != "" {
 				t.Fatalf("columnar output differs from scalar: %s", d)
 			}
-			forced := runBatchMode(t, rc, func(cfg *engine.Config) { cfg.Columnar = true; cfg.ColumnarAll = true })
-			if d := diffMultisets(scalar, forced); d != "" {
-				t.Fatalf("forced-columnar output differs from scalar: %s", d)
+			if d := diffMultisets(scalar, runBatchMode(t, rc, shippedRows)); d != "" {
+				t.Fatalf("row-adapter (traced) output differs from scalar: %s", d)
 			}
 		})
 	}

@@ -3,8 +3,10 @@
 // 1.3.2 and StreamBox. Each system is described by the overhead class of
 // its runtime — instruction footprint, per-tuple communication cost,
 // scheduler contention — and by the placement/replication policy it
-// would apply on a multi-socket machine. The numbers are calibrated from
-// the paper's own measurements:
+// would apply on a multi-socket machine — plus, for Storm and Flink, an
+// EngineClass that runs the same overhead class on the real engine (see
+// OnEngine). The numbers are calibrated from the paper's own
+// measurements:
 //
 //   - Figure 8: Storm's function execution time is 4-20x BriskStream's
 //     (front-end stalls from a large instruction footprint) and its
@@ -38,6 +40,9 @@ type System struct {
 	MultiInputPenaltyNs float64
 	// Strategy picks the placement policy: "os" or "rr".
 	Strategy string
+	// Engine is the system's execution class on the real engine, applied
+	// by OnEngine.
+	Engine EngineClass
 }
 
 // Storm returns the Apache Storm overhead class: heavyweight execution
@@ -53,6 +58,12 @@ func Storm() System {
 			Prefetch:   true,
 		},
 		Strategy: "os",
+		// The queue capacity is raised so the buffering budget in tuples
+		// matches the engine default (64 slots x 64-tuple jumbos):
+		// distributed engines buffer at least as much in their transport
+		// layers, and a smaller buffer would understate their queueing
+		// latency.
+		Engine: EngineClass{Serialize: true, Copy: true, SpinNs: 500, BatchSize: 1, QueueCap: 64 * 64},
 	}
 }
 
@@ -71,6 +82,9 @@ func Flink() System {
 		},
 		MultiInputPenaltyNs: 2500,
 		Strategy:            "rr",
+		// Leaner runtime than Storm, and Flink buffers too, with smaller
+		// effective batches.
+		Engine: EngineClass{Serialize: true, Copy: true, SpinNs: 200, BatchSize: 16, QueueCap: 64 * 64},
 	}
 }
 

@@ -7,12 +7,6 @@
 // the same consumer are combined into a jumbo tuple that shares one
 // header and costs a single queue insertion (Section 5.2).
 //
-// The engine also exposes the knobs the factor analysis (Figure 16)
-// needs to emulate a distributed-engine execution path on the same
-// topology: per-hop (de)serialization, defensive tuple copies instead of
-// reference passing, disabled jumbo tuples, and an artificial extra
-// instruction footprint.
-//
 // # Tuple ownership
 //
 // The steady-state emit→dispatch→process path allocates nothing: tuples
@@ -22,7 +16,6 @@
 // The ownership contract that makes this safe:
 //
 //   - Collector.Borrow hands the operator a pooled tuple; Collector.Send
-//     (and the Emit/EmitTo convenience paths, which Borrow internally)
 //     transfers ownership to the engine.
 //   - dispatch counts, before the first enqueue, how many consumers
 //     receive the tuple by reference and retains it accordingly, so one
@@ -57,21 +50,14 @@ import (
 
 // Collector receives the tuples an operator emits during one invocation.
 //
-// Emit and EmitTo are the convenience surface: they box the variadic
-// values into a pooled tuple's typed slots. The allocation-free surface
-// is Borrow+Send: Borrow returns a pooled tuple whose slot arrays and
-// string arena are reused across emissions, the caller fills fields
-// with the typed AppendInt/AppendFloat/AppendBool/AppendStr/AppendSym
-// methods (and Stream, for named streams — pre-intern with
-// tuple.Intern), and Send transfers ownership back to the engine. After
-// Send the caller must not touch the tuple.
+// Borrow returns a pooled tuple whose slot arrays and string arena are
+// reused across emissions, the caller fills fields with the typed
+// AppendInt/AppendFloat/AppendBool/AppendStr/AppendSym methods (and
+// Stream, for named streams — pre-intern with tuple.Intern; stream names
+// are interned globally and never evicted, so they must come from the
+// topology's fixed set), and Send transfers ownership back to the
+// engine. After Send the caller must not touch the tuple.
 type Collector interface {
-	// Emit sends values on the default stream.
-	Emit(values ...tuple.Value)
-	// EmitTo sends values on a named stream. Stream names are interned
-	// globally and never evicted, so they must come from the topology's
-	// fixed set — never compute a stream name per tuple or per key.
-	EmitTo(stream string, values ...tuple.Value)
 	// Borrow returns an empty pooled tuple on the default stream, owned
 	// by the caller until passed to Send.
 	Borrow() *tuple.Tuple
@@ -120,9 +106,8 @@ func (f OperatorFunc) Process(c Collector, t *tuple.Tuple) error { return f(c, t
 //     punctuations ride between batches exactly as between scalar
 //     jumbos, so event-time and checkpoint semantics are unchanged.
 //
-// Process remains required: it serves the scalar configurations
-// (BRISK_BATCH=0, Storm-like modes) and rows the engine must deliver
-// individually (traced batches, replays through the row adapter).
+// Process remains required: it serves the rows the engine must deliver
+// individually (traced batches, through the row adapter).
 type BatchOperator interface {
 	Operator
 	ProcessBatch(c Collector, b *tuple.Batch) error
@@ -160,8 +145,8 @@ type Config struct {
 	// keeping total buffering close to the single-queue semantics.
 	QueueCapacity int
 	// BatchSize is the jumbo-tuple size: output tuples buffered per
-	// consumer before one queue insertion. Default 64. Ignored (forced
-	// to 1) when JumboTuples is false.
+	// consumer before one queue insertion (Section 5.2). Default 64; 1
+	// is per-tuple queue insertion.
 	BatchSize int
 	// LatencySampleEvery stamps every k-th spout tuple with a timestamp
 	// for end-to-end latency measurement. Default 64; 0 disables.
@@ -172,37 +157,6 @@ type Config struct {
 	// see at most Linger of batching delay instead of stranding tuples
 	// until shutdown. Default 5ms; 0 disables (flush only when full).
 	Linger time.Duration
-
-	// JumboTuples enables batched single-insertion transfers (Section
-	// 5.2). Disabling it emulates per-tuple queue insertions.
-	JumboTuples bool
-	// Columnar carries jumbo batches as columnar tuple.Batch vectors on
-	// edges whose consumer implements BatchOperator (and wants them):
-	// the producer's dispatch appends emitted tuples into kind-tagged
-	// column lanes and the consumer processes the whole batch in one
-	// vectorized invocation. Edges with scalar consumers keep
-	// pointer-passing. Requires the BriskStream path (PassByReference
-	// without Serialize, JumboTuples on); silently inert otherwise.
-	// DefaultConfig turns it on unless the BRISK_BATCH environment
-	// variable is "0" (how `make race` covers both paths).
-	Columnar bool
-	// ColumnarAll forces every edge columnar, including edges whose
-	// consumer is scalar — those are fed through the engine's
-	// row-at-a-time adapter. A debug/test mode: it exercises the
-	// adapter and the columnar punctuation ordering on every topology,
-	// but pays a copy per row where pointer-passing would do.
-	ColumnarAll bool
-	// PassByReference passes tuple pointers between tasks. Disabling it
-	// clones every tuple at every hop, emulating the defensive copies
-	// and duplicate object creation of distributed DSPSs (Section 5.1).
-	PassByReference bool
-	// Serialize marshals and unmarshals every tuple at every hop,
-	// emulating a (de)serialization-based transport.
-	Serialize bool
-	// ExtraWorkNs busy-spins this many nanoseconds per processed tuple,
-	// emulating a larger instruction footprint (condition checking,
-	// exception paths) on the critical path.
-	ExtraWorkNs int
 
 	// Checkpoint enables aligned-barrier checkpointing: the coordinator
 	// tracks each triggered checkpoint and persists it to its store once
@@ -241,16 +195,10 @@ type Config struct {
 	// race`/`make check` enable it suite-wide).
 	ValidateEvery bool
 
-	// Machine and RMAScale emulate the NUMA fetch penalty: when a task
-	// is placed on a different socket than the producing task, the
-	// consumer busy-waits FetchCost(N)*RMAScale nanoseconds per tuple
-	// before processing. Zero scale or nil machine disables emulation.
-	Machine  *numa.Machine
-	RMAScale float64
-	// Placement maps "op#replica" labels to sockets. With Machine set it
-	// drives the RMA emulation; on platforms with affinity support a
-	// placement is also physical — each placed task thread is bound to
-	// its socket's CPUs, exactly as if Pin were on.
+	// Placement maps "op#replica" labels to sockets. On platforms with
+	// affinity support a placement is physical — each placed task thread
+	// is bound to its socket's CPUs, exactly as if Pin were on — and the
+	// jumbo header pools shard by it.
 	Placement map[string]numa.SocketID
 
 	// Pin executes every task goroutine on a locked OS thread bound to
@@ -289,43 +237,16 @@ var pinEnv = sync.OnceValue(func() bool {
 	return os.Getenv("BRISK_PIN") != ""
 })
 
-// batchEnv reads the suite-wide columnar-batch switch once: on by
-// default, BRISK_BATCH=0 falls back to scalar jumbos everywhere.
-var batchEnv = sync.OnceValue(func() bool {
-	return os.Getenv("BRISK_BATCH") != "0"
-})
-
-// DefaultConfig returns the BriskStream-mode configuration.
+// DefaultConfig returns the engine's default configuration.
 func DefaultConfig() Config {
 	return Config{
 		QueueCapacity:      64,
 		BatchSize:          64,
 		LatencySampleEvery: 64,
 		Linger:             5 * time.Millisecond,
-		JumboTuples:        true,
-		PassByReference:    true,
-		Columnar:           batchEnv(),
 		ValidateEvery:      validateEveryEnv(),
 		Pin:                pinEnv(),
 	}
-}
-
-// StormLikeConfig returns a configuration that emulates the overhead
-// class of a distributed DSPS runtime collapsed onto one machine:
-// serialization at every hop, per-tuple queue insertions, defensive
-// copies, and a heavier instruction footprint. The queue capacity is
-// raised so the buffering budget in tuples matches the default
-// configuration (64 slots x 64-tuple jumbos): distributed engines
-// buffer at least as much in their transport layers, and a smaller
-// buffer would understate their queueing latency.
-func StormLikeConfig() Config {
-	c := DefaultConfig()
-	c.JumboTuples = false
-	c.PassByReference = false
-	c.Serialize = true
-	c.ExtraWorkNs = 500
-	c.QueueCapacity = 64 * 64
-	return c
 }
 
 // Topology binds a logical graph to operator implementations.
@@ -393,9 +314,6 @@ type task struct {
 	// rings are disabled). Only this task's goroutine feeds a ring (via
 	// ReleaseTo after Process); only the producer drains it (in Get).
 	rev []*tuple.RecycleRing
-	// mbuf is the reusable marshal buffer for the serialization-emulation
-	// mode (one per task; tasks are single-goroutine).
-	mbuf []byte
 
 	// routing: per logical out-edge, the consumer tasks and partitioning
 	routes []route
@@ -564,14 +482,6 @@ type Engine struct {
 	errs   []error
 	errsMu sync.Mutex
 
-	// ptrSend is true when dispatch enqueues the emitted tuple pointer
-	// itself (the BriskStream path); cloning/serializing modes always
-	// hand consumers a separate object. columnar is the resolved
-	// Config.Columnar — true only on the pointer-passing jumbo path,
-	// where per-edge batches can be built without defensive copies.
-	ptrSend  bool
-	columnar bool
-
 	// jumboPools recycle jumbo tuples (header + batch slice with cap =
 	// BatchSize) between the producer that fills one and the consumer
 	// that drains it, so the steady-state hot path allocates neither
@@ -624,12 +534,7 @@ func New(topo Topology, cfg Config) (*Engine, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 64
 	}
-	if !cfg.JumboTuples {
-		cfg.BatchSize = 1
-	}
 	e := &Engine{cfg: cfg, topo: topo, byOp: map[string][]*task{}, lat: metrics.NewHistogram(0)}
-	e.ptrSend = cfg.PassByReference && !cfg.Serialize
-	e.columnar = cfg.Columnar && e.ptrSend && cfg.JumboTuples
 	e.coord = cfg.Checkpoint
 	if e.coord != nil {
 		// Checkpoint ids must keep ascending across engine lifetimes: the
@@ -772,23 +677,9 @@ func New(topo Topology, cfg Config) (*Engine, error) {
 					}
 					if pt.out[ct.id] == nil {
 						oe := &outEdge{consumer: ct, ring: ct.in.Bind(), idx: len(pt.outList)}
-						if e.columnar {
-							// An edge goes columnar when its consumer
-							// processes batches vectorized (and has not
-							// opted out via BatchGater); ColumnarAll
-							// forces it, feeding scalar consumers through
-							// the row adapter.
-							want := false
-							if bop, ok := ct.operator.(BatchOperator); ok {
-								want = true
-								if g, ok := bop.(BatchGater); ok {
-									want = g.WantsBatches()
-								}
-							}
-							if want || cfg.ColumnarAll {
-								oe.columnar = true
-								oe.colFree = queue.NewFreeRing[*tuple.Batch](max(8, cfg.QueueCapacity))
-							}
+						if wantsBatches(ct.operator) {
+							oe.columnar = true
+							oe.colFree = queue.NewFreeRing[*tuple.Batch](max(8, cfg.QueueCapacity))
 						}
 						pt.out[ct.id] = oe
 						pt.outList = append(pt.outList, oe)
@@ -844,6 +735,19 @@ func New(topo Topology, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
+// wantsBatches reports whether an edge into op is wired columnar: the
+// consumer processes batches vectorized and has not opted out via
+// BatchGater. Every other edge passes tuple pointers.
+func wantsBatches(op Operator) bool {
+	if _, ok := op.(BatchOperator); !ok {
+		return false
+	}
+	if g, ok := op.(BatchGater); ok {
+		return g.WantsBatches()
+	}
+	return true
+}
+
 // ErrStopped is returned by collectors after the engine begins shutdown.
 var ErrStopped = errors.New("engine: stopped")
 
@@ -866,37 +770,6 @@ type collector struct {
 	// stamps per-row context itself via Batch.StampMeta.
 	inBatch bool
 	fail    error
-
-	// lastName/lastID memoize the EmitTo compat path's stream-name
-	// resolution: operators overwhelmingly emit on one stream, so the
-	// common case is a pointer-equal string compare, not a map lookup.
-	lastName string
-	lastID   tuple.StreamID
-}
-
-// Emit implements Collector.
-func (c *collector) Emit(values ...tuple.Value) {
-	if c.fail != nil {
-		return
-	}
-	out := c.t.pool.Get()
-	for _, v := range values {
-		out.Append(v)
-	}
-	c.Send(out)
-}
-
-// EmitTo implements Collector.
-func (c *collector) EmitTo(stream string, values ...tuple.Value) {
-	if c.fail != nil {
-		return
-	}
-	out := c.t.pool.Get()
-	out.Stream = c.streamID(stream)
-	for _, v := range values {
-		out.Append(v)
-	}
-	c.Send(out)
 }
 
 // Borrow implements Collector.
@@ -974,9 +847,8 @@ func (c *collector) Send(out *tuple.Tuple) {
 // batches, skipping the Borrow/CopyRowTo/Send/Append round trip that
 // would otherwise rebuild each pass-through row from lanes into a
 // pooled tuple and straight back into lanes. Anything that needs a
-// real tuple (scalar or still-validating routes, serialize mode, spout
-// tasks) falls back to per-row materialization with identical
-// semantics.
+// real tuple (scalar or still-validating routes, spout tasks) falls back
+// to per-row materialization with identical semantics.
 func (c *collector) ForwardRows(b *tuple.Batch, sel []int32, stream tuple.StreamID) {
 	if c.fail != nil || b == nil {
 		return
@@ -989,7 +861,7 @@ func (c *collector) ForwardRows(b *tuple.Batch, sel []int32, stream tuple.Stream
 		return
 	}
 	t, e := c.t, c.e
-	fast := t.spout == nil && !e.cfg.Serialize
+	fast := t.spout == nil
 	if fast {
 	scan:
 		for ri := range t.routes {
@@ -1116,18 +988,6 @@ func (c *collector) EmitWatermark(wm int64) {
 	}
 }
 
-func (c *collector) streamID(stream string) tuple.StreamID {
-	// The memo's zero value is ("", DefaultStreamID); require a
-	// non-empty hit so EmitTo("") interns like every other name instead
-	// of silently resolving to the default stream.
-	if stream == c.lastName && stream != "" {
-		return c.lastID
-	}
-	id := tuple.Intern(stream)
-	c.lastName, c.lastID = stream, id
-	return id
-}
-
 // dispatch routes one output tuple through the task's partition
 // controller into per-consumer buffers, flushing full jumbo tuples. It
 // consumes the caller's reference: the tuple is handed to its
@@ -1138,8 +998,8 @@ func (c *collector) streamID(stream string) tuple.StreamID {
 // in the common single-consumer case. Phase 1 resolves every
 // destination — all reads of the tuple (stream id, key fields) happen
 // here, before any consumer can see it. Phase 2 enqueues copies first
-// (fan-out and defensive copies read the tuple), then the pointer
-// sends, which only move the pointer: the caller's reference transfers
+// (broadcast fan-out copies read the tuple), then the pointer sends,
+// which only move the pointer: the caller's reference transfers
 // with the last pointer send, extra pointer shares are retained before
 // the first, and after the final send dispatch never touches the tuple
 // again — so a fast consumer's release can never recycle it
@@ -1191,11 +1051,11 @@ func (e *Engine) dispatch(t *task, out *tuple.Tuple) error {
 
 	shares := 0
 	for _, d := range dests {
-		if e.ptrSend && !d.clone {
+		if !d.clone {
 			shares++ // pointer sends go in the second pass
 			continue
 		}
-		if err := e.buffer(t, d.c, out, d.clone); err != nil {
+		if err := e.buffer(t, d.c, out, true); err != nil {
 			out.Release() // not yet pointer-enqueued; drop the caller's reference
 			return err
 		}
@@ -1228,24 +1088,11 @@ func (e *Engine) dispatch(t *task, out *tuple.Tuple) error {
 // construction and flushes it when full.
 func (e *Engine) buffer(t *task, consumer *task, out *tuple.Tuple, copyForFanout bool) error {
 	msg := out
-	if copyForFanout || !e.cfg.PassByReference {
-		// Defensive/fan-out copy into a pooled tuple from the producer's
-		// pool; the consumer releases it like any other input.
+	if copyForFanout {
+		// Fan-out copy into a pooled tuple from the producer's pool; the
+		// consumer releases it like any other input.
 		msg = t.pool.Get()
 		msg.CopyFrom(out)
-	}
-	if e.cfg.Serialize {
-		// Emulate a serialization transport: marshal + unmarshal per
-		// tuple, preserving the timestamp for latency accounting.
-		t.mbuf = tuple.Marshal(msg, t.mbuf[:0])
-		decoded, _, err := tuple.Unmarshal(t.mbuf)
-		if msg != out {
-			msg.Release()
-		}
-		if err != nil {
-			return err
-		}
-		msg = decoded
 	}
 	oe := t.out[consumer.id]
 	if oe.columnar {
@@ -1392,32 +1239,21 @@ func (e *Engine) broadcastPunct(t *task, stream tuple.StreamID, ev int64, ts tim
 	p.Stream = stream
 	p.Event = ev
 	p.Ts = ts
-	if e.ptrSend {
-		// Same single-retain discipline as dispatch fan-out: all
-		// references exist before the first enqueue, so a fast consumer
-		// can never recycle the punctuation mid-broadcast.
-		remaining := len(t.outList)
-		p.RetainN(remaining - 1)
-		for _, oe := range t.outList {
-			if err := e.buffer(t, oe.consumer, p, false); err != nil {
-				// The failing send released the share it carried; drop
-				// only the undelivered remainder.
-				for remaining--; remaining > 0; remaining-- {
-					p.Release()
-				}
-				return err
-			}
-			remaining--
-		}
-	} else {
-		// Clone/serialize modes: buffer copies, the original stays ours.
-		for _, oe := range t.outList {
-			if err := e.buffer(t, oe.consumer, p, false); err != nil {
+	// Same single-retain discipline as dispatch fan-out: all references
+	// exist before the first enqueue, so a fast consumer can never
+	// recycle the punctuation mid-broadcast.
+	remaining := len(t.outList)
+	p.RetainN(remaining - 1)
+	for _, oe := range t.outList {
+		if err := e.buffer(t, oe.consumer, p, false); err != nil {
+			// The failing send released the share it carried; drop only
+			// the undelivered remainder.
+			for remaining--; remaining > 0; remaining-- {
 				p.Release()
-				return err
 			}
+			return err
 		}
-		p.Release()
+		remaining--
 	}
 	e.flushAll(t)
 	return nil
@@ -1871,7 +1707,6 @@ func (e *Engine) runTask(t *task) {
 // barriers to the alignment protocol. It consumes the batch (tuples are
 // released, the header recycled).
 func (e *Engine) consumeJumbo(t *task, c *collector, j *tuple.Jumbo) error {
-	e.chargeRMA(t, j)
 	// Queue-wait attribution: diff the producer's enqueue stamp once per
 	// batch, then charge it once per carried tuple — a 64-tuple jumbo
 	// that waited 1ms represents 64 tuples that each waited 1ms, so the
@@ -1947,9 +1782,6 @@ func (e *Engine) consumeJumbo(t *task, c *collector, j *tuple.Jumbo) error {
 		}
 		c.curTs, c.curEvent = in.Ts, in.Event
 		c.curTrace, c.curOrigin = in.TraceID, in.TraceOrigin
-		if e.cfg.ExtraWorkNs > 0 {
-			spin(e.cfg.ExtraWorkNs)
-		}
 		if t.isSink {
 			e.sink.Inc()
 			if !in.Ts.IsZero() {
@@ -2035,18 +1867,12 @@ func (e *Engine) invokeOperator(t *task, c *collector, in *tuple.Tuple, qwait in
 // stream check. A BatchOperator gets the whole batch in one
 // ProcessBatch call — the vectorized path — unless the batch carries
 // traced rows and tracing is armed, in which case the row adapter runs
-// so per-tuple span semantics stay exact. Scalar operators get each row
-// materialized into a pooled scratch tuple (the adapter), preserving
-// Process semantics bit-for-bit. The drained batch is parked on the
-// producer edge's reverse free ring for reuse.
+// so per-tuple span semantics stay exact: each row is materialized into
+// a pooled scratch tuple and handed to Process. The drained batch is
+// parked on the producer edge's reverse free ring for reuse.
 func (e *Engine) consumeBatch(t *task, c *collector, j *tuple.Jumbo, qwait int64) error {
 	b := j.Batch
 	n := b.Len()
-	if e.cfg.ExtraWorkNs > 0 {
-		for r := 0; r < n; r++ {
-			spin(e.cfg.ExtraWorkNs)
-		}
-	}
 	if t.isSink {
 		for r := 0; r < n; r++ {
 			e.sink.Inc()
@@ -2060,9 +1886,7 @@ func (e *Engine) consumeBatch(t *task, c *collector, j *tuple.Jumbo, qwait int64
 			}
 		}
 	}
-	if t.operator == nil {
-		atomic.AddUint64(&t.processed, uint64(n))
-	} else if bop, ok := t.operator.(BatchOperator); ok && !(b.HasTrace() && t.spans != nil) {
+	if bop, ok := t.operator.(BatchOperator); ok && !(b.HasTrace() && t.spans != nil) {
 		// Vectorized path. Profile sampling covers the whole batch when
 		// the k-th-invocation counter crosses a period boundary inside
 		// it; serviceSamples advances by the row count so the
@@ -2147,31 +1971,6 @@ func (e *Engine) failTask(err error) {
 	e.closeAllQueues()
 }
 
-// chargeRMA emulates the remote-fetch penalty of Formula 2 for a batch.
-func (e *Engine) chargeRMA(t *task, j *tuple.Jumbo) {
-	if e.cfg.Machine == nil || e.cfg.RMAScale <= 0 {
-		return
-	}
-	prod := e.tasks[j.Producer]
-	if prod.socket == t.socket {
-		return
-	}
-	var total float64
-	if b := j.Batch; b != nil {
-		// Columnar payload: charge the mean per-row footprint once per
-		// row, matching what the scalar loop would charge for the same
-		// tuples within rounding.
-		if n := b.Len(); n > 0 {
-			total = e.cfg.Machine.FetchCost(b.Size()/n, prod.socket, t.socket) * float64(n)
-		}
-	} else {
-		for _, in := range j.Tuples {
-			total += e.cfg.Machine.FetchCost(in.Size(), prod.socket, t.socket)
-		}
-	}
-	spin(int(total * e.cfg.RMAScale))
-}
-
 // finishProducing closes this task's private ring into each consumer it
 // feeds. A consumer's inbox reports closed only once every bound ring is
 // closed and drained, so "the last producer closes the queue" needs no
@@ -2236,14 +2035,4 @@ func (e *Engine) recordErr(err error) {
 	e.errsMu.Lock()
 	e.errs = append(e.errs, err)
 	e.errsMu.Unlock()
-}
-
-// spin busy-waits approximately ns nanoseconds.
-func spin(ns int) {
-	if ns <= 0 {
-		return
-	}
-	deadline := time.Now().Add(time.Duration(ns))
-	for time.Now().Before(deadline) {
-	}
 }

@@ -1,14 +1,11 @@
 package engine
 
-// Allocation guards for the emit→dispatch hot path: the BriskStream
-// mode (pass-by-reference, jumbo tuples) must not allocate per emitted
-// tuple in steady state — tuples carry typed slots (string payloads in
+// Allocation guards for the emit→dispatch hot path: it must not
+// allocate per emitted tuple in steady state — tuples carry typed slots (string payloads in
 // pooled arenas, no boxing), jumbo headers are pooled, routing compares
 // interned stream ids, and fields hashing is inline over slots. The
 // bound is exactly zero: the typed slot representation removed the
-// historical ≤1 boxing exemption. The Storm-like emulation mode is
-// exempt: paying per-tuple copy and serialization costs is exactly
-// what it models.
+// historical ≤1 boxing exemption.
 
 import (
 	"io"
@@ -83,27 +80,6 @@ func TestEmitDispatchAllocFreeBriskMode(t *testing.T) {
 		if avg > 0 {
 			t.Errorf("%v: emit->dispatch allocates %.2f/op in BriskStream mode, want 0", part, avg)
 		}
-	}
-}
-
-func TestEmitDispatchAllocsStormModeExempt(t *testing.T) {
-	// Documented contrast, not a ceiling: the Storm-like path clones and
-	// (de)serializes per tuple, so it must allocate. If this ever drops
-	// to zero the emulation stopped emulating.
-	c, drain := allocHarness(t, StormLikeConfig(), 4, graph.Shuffle)
-	emit := func() {
-		out := c.Borrow()
-		out.AppendStr("the quick brown fox")
-		out.AppendInt(100042)
-		c.Send(out)
-		drain()
-	}
-	for i := 0; i < 100; i++ {
-		emit()
-	}
-	avg := testing.AllocsPerRun(2000, emit)
-	if avg < 1 {
-		t.Errorf("storm-like emit allocates %.2f/op; the defensive-copy emulation should allocate", avg)
 	}
 }
 

@@ -1,8 +1,8 @@
 package engine
 
 // Columnar-path guards: edges to batch-aware consumers must actually be
-// wired columnar under the default configuration (the vectorized path
-// is on by default, not an opt-in easter egg), batch gating must honor
+// wired columnar (the vectorized path is what the engine does, not an
+// opt-in easter egg), batch gating must honor
 // WantsBatches, and the emit→dispatch→consume loop over columnar
 // batches must be allocation-free in steady state — the batch arena,
 // the column lanes, the jumbo header and the batch object itself all
@@ -53,38 +53,19 @@ func buildBatchEngine(t *testing.T, cfg Config, mk func() Operator) *Engine {
 func TestColumnarEdgeWiring(t *testing.T) {
 	edgeOf := func(e *Engine) *outEdge { return e.byOp["spout"][0].outList[0] }
 
-	// Batch-aware consumer under the default config: columnar.
+	// An edge is columnar iff its consumer is batch-aware: the engine
+	// observes the operator's type, nothing in Config selects the path.
 	cfg := DefaultConfig()
-	cfg.Columnar = true // immune to BRISK_BATCH=0 in the environment
 	if oe := edgeOf(buildBatchEngine(t, cfg, func() Operator { return batchSink{} })); !oe.columnar || oe.colFree == nil {
-		t.Error("edge to a BatchOperator consumer is not columnar under the default config")
+		t.Error("edge to a BatchOperator consumer is not columnar")
 	}
-	// Scalar consumer: scalar edge.
+	// Scalar consumer: pointer-passing edge.
 	if oe := edgeOf(buildBatchEngine(t, cfg, sinkOp)); oe.columnar {
-		t.Error("edge to a scalar consumer wired columnar without ColumnarAll")
+		t.Error("edge to a scalar consumer wired columnar")
 	}
 	// WantsBatches()==false opts a batch-capable consumer out.
 	if oe := edgeOf(buildBatchEngine(t, cfg, func() Operator { return gatedSink{} })); oe.columnar {
 		t.Error("edge to a WantsBatches()==false consumer wired columnar")
-	}
-	// ColumnarAll overrides both.
-	cfg.ColumnarAll = true
-	if oe := edgeOf(buildBatchEngine(t, cfg, sinkOp)); !oe.columnar {
-		t.Error("ColumnarAll left a scalar-consumer edge scalar")
-	}
-	// Columnar off: nothing is columnar.
-	cfg = DefaultConfig()
-	cfg.Columnar = false
-	cfg.ColumnarAll = false
-	if oe := edgeOf(buildBatchEngine(t, cfg, func() Operator { return batchSink{} })); oe.columnar {
-		t.Error("edge wired columnar with Columnar disabled")
-	}
-	// Columnar requires the BriskStream transport (pass-by-reference
-	// jumbos): the Storm-like emulation stays scalar.
-	storm := StormLikeConfig()
-	storm.Columnar = true
-	if oe := edgeOf(buildBatchEngine(t, storm, func() Operator { return batchSink{} })); oe.columnar {
-		t.Error("edge wired columnar in Storm-like (serialize) mode")
 	}
 }
 
@@ -143,7 +124,6 @@ func columnarHarness(t *testing.T, cfg Config, consumers int, part graph.Partiti
 func TestEmitDispatchAllocFreeColumnar(t *testing.T) {
 	for _, part := range []graph.Partitioning{graph.Shuffle, graph.Fields} {
 		cfg := DefaultConfig()
-		cfg.Columnar = true        // immune to BRISK_BATCH=0 in the environment
 		cfg.LatencySampleEvery = 0 // time.Now stamping is not the measured path
 		c, drain := columnarHarness(t, cfg, 4, part)
 		emit := func() {

@@ -1,51 +1,6 @@
 package engine
 
-import (
-	"testing"
-
-	"briskstream/internal/numa"
-)
-
-// TestRMAEmulationSlowsRemoteConsumers verifies the engine's emulated
-// NUMA penalty: the same pipeline placed across sockets must run
-// measurably slower than collocated, because the consumer busy-waits
-// FetchCost per tuple.
-func TestRMAEmulationSlowsRemoteConsumers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive")
-	}
-	run := func(placement map[string]numa.SocketID) float64 {
-		topo := Topology{
-			App:       pipelineGraph(t),
-			Spouts:    map[string]func() Spout{"spout": boundedSpoutEOF(20000)},
-			Operators: map[string]func() Operator{"double": doubler, "sink": sinkOp},
-		}
-		cfg := DefaultConfig()
-		cfg.Machine = numa.ServerA()
-		cfg.RMAScale = 1
-		cfg.Placement = placement
-		e, err := New(topo, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := e.Run(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.SinkTuples != 40000 {
-			t.Fatalf("sink tuples = %d", res.SinkTuples)
-		}
-		return res.Duration.Seconds()
-	}
-
-	local := run(map[string]numa.SocketID{"spout#0": 0, "double#0": 0, "sink#0": 0})
-	remote := run(map[string]numa.SocketID{"spout#0": 0, "double#0": 4, "sink#0": 0})
-	// Cross-tray fetches at 548ns x 2 cache lines per tuple x 40k hops
-	// should add measurable wall time.
-	if remote <= local {
-		t.Errorf("remote run (%vs) should be slower than local (%vs)", remote, local)
-	}
-}
+import "testing"
 
 // TestJumboBatchSizeAmortizesQueueOps: larger batches mean fewer queue
 // insertions for the same tuple count.

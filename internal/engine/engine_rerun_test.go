@@ -26,7 +26,7 @@ func rewindingSpout(n int) func() Spout {
 				i = 0
 				return ioEOF
 			}
-			c.Emit(int64(i))
+			sendInt(c, int64(i))
 			i++
 			return nil
 		})
@@ -285,7 +285,7 @@ func TestRunTwiceShuffleCursorsReset(t *testing.T) {
 func TestRunTwiceDurationBounded(t *testing.T) {
 	infinite := func() Spout {
 		return SpoutFunc(func(c Collector) error {
-			c.Emit(int64(1))
+			sendInt(c, 1)
 			return nil
 		})
 	}

@@ -89,6 +89,13 @@ func TestPipelineCountsExact(t *testing.T) {
 	}
 }
 
+// sendInt emits one integer field on the default stream.
+func sendInt(c Collector, v int64) {
+	out := c.Borrow()
+	out.AppendInt(v)
+	c.Send(out)
+}
+
 // boundedSpoutEOF emits n tuples then returns io.EOF.
 func boundedSpoutEOF(n int) func() Spout {
 	return func() Spout {
@@ -97,7 +104,7 @@ func boundedSpoutEOF(n int) func() Spout {
 			if i >= n {
 				return ioEOF
 			}
-			c.Emit(int64(i))
+			sendInt(c, int64(i))
 			i++
 			return nil
 		})
@@ -158,7 +165,9 @@ func TestFieldsPartitioningRoutesByKey(t *testing.T) {
 			if i >= 600 {
 				return ioEOF
 			}
-			c.Emit(words[i%len(words)])
+			out := c.Borrow()
+			out.AppendStr(words[i%len(words)])
+			c.Send(out)
 			i++
 			return nil
 		})
@@ -232,7 +241,7 @@ func TestBroadcastDeliversToAllReplicas(t *testing.T) {
 func TestDurationBoundedRunStops(t *testing.T) {
 	infinite := func() Spout {
 		return SpoutFunc(func(c Collector) error {
-			c.Emit(int64(1))
+			sendInt(c, 1)
 			return nil
 		})
 	}
@@ -359,30 +368,6 @@ func TestOperatorPanicIsIsolated(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("pipeline did not survive operator panic")
-	}
-}
-
-func TestStormLikeModeProducesSameResults(t *testing.T) {
-	// The baseline execution path (serialize + copy + no jumbo) must be
-	// functionally identical, just slower.
-	topo := Topology{
-		App:       pipelineGraph(t),
-		Spouts:    map[string]func() Spout{"spout": boundedSpoutEOF(500)},
-		Operators: map[string]func() Operator{"double": doubler, "sink": sinkOp},
-	}
-	e, err := New(topo, StormLikeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Errors) != 0 {
-		t.Fatalf("errors: %v", res.Errors)
-	}
-	if res.SinkTuples != 1000 {
-		t.Fatalf("sink tuples = %d, want 1000", res.SinkTuples)
 	}
 }
 

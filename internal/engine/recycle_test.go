@@ -28,7 +28,7 @@ func (s *cappedSpout) Next(c Collector) error {
 		return ioEOF
 	}
 	s.i++
-	c.Emit(s.i)
+	sendInt(c, s.i)
 	return nil
 }
 

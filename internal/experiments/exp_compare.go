@@ -59,36 +59,34 @@ func fig6(ctx *Context) (*Report, error) {
 	}, nil
 }
 
-// latencySystems are the engine configurations compared by Table 5/Fig 7.
+// onEngine maps an application topology to what one system runs on the
+// real engine.
+type onEngine func(engine.Topology) (engine.Topology, engine.Config)
+
+// latencySystems are the systems compared by Table 5/Fig 7.
 func latencySystems() []struct {
 	name string
-	cfg  engine.Config
+	on   onEngine
 } {
-	brisk := engine.DefaultConfig()
-	storm := engine.StormLikeConfig()
-	flink := engine.StormLikeConfig()
-	flink.ExtraWorkNs = 200 // leaner runtime than Storm
-	flink.JumboTuples = true
-	flink.BatchSize = 16 // Flink buffers too, with smaller effective batches
 	return []struct {
 		name string
-		cfg  engine.Config
+		on   onEngine
 	}{
-		{"BriskStream", brisk},
-		{"Storm", storm},
-		{"Flink", flink},
+		{"BriskStream", func(t engine.Topology) (engine.Topology, engine.Config) { return t, engine.DefaultConfig() }},
+		{"Storm", baseline.Storm().OnEngine},
+		{"Flink", baseline.Flink().OnEngine},
 	}
 }
 
-// runLatency executes app a on the real engine under cfg and returns the
-// latency histogram result.
-func runLatency(ctx *Context, a *apps.App, cfg engine.Config) (*engine.Result, error) {
+// runLatency executes app a on the real engine as the given system
+// would run it and returns the latency histogram result.
+func runLatency(ctx *Context, a *apps.App, on onEngine) (*engine.Result, error) {
 	d := 400 * time.Millisecond
 	if ctx.Quick {
 		d = 120 * time.Millisecond
 	}
+	topo, cfg := on(engine.Topology{App: a.Graph, Spouts: a.Spouts, Operators: a.Operators})
 	cfg.LatencySampleEvery = 32
-	topo := engine.Topology{App: a.Graph, Spouts: a.Spouts, Operators: a.Operators}
 	e, err := engine.New(topo, cfg)
 	if err != nil {
 		return nil, err
@@ -108,7 +106,7 @@ func table5(ctx *Context) (*Report, error) {
 	for _, a := range apps.All() {
 		row := []string{a.Name}
 		for _, sys := range latencySystems() {
-			res, err := runLatency(ctx, a, sys.cfg)
+			res, err := runLatency(ctx, a, sys.on)
 			if err != nil {
 				return nil, err
 			}
@@ -135,7 +133,7 @@ func fig7(ctx *Context) (*Report, error) {
 	wc := apps.ByName("WC")
 	rows := [][]string{}
 	for _, sys := range latencySystems() {
-		res, err := runLatency(ctx, wc, sys.cfg)
+		res, err := runLatency(ctx, wc, sys.on)
 		if err != nil {
 			return nil, err
 		}

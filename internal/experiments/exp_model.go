@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"briskstream/internal/apps"
-	"briskstream/internal/engine"
 	"briskstream/internal/metrics"
 	"briskstream/internal/model"
 	"briskstream/internal/numa"
@@ -113,93 +112,18 @@ func table4(ctx *Context) (*Report, error) {
 // fig3 profiles the real Go implementations of WC's operators on sample
 // input (isolated, local memory) and reports their execution-time CDFs.
 func fig3(ctx *Context) (*Report, error) {
-	wc := apps.ByName("WC")
 	samplesPer := 2000
 	if ctx.Quick {
 		samplesPer = 400
 	}
-
-	// Sample inputs per operator, prepared by pre-executing upstream
-	// operators exactly as Section 3.1 describes.
-	sentences := make([]*tuple.Tuple, 0, samplesPer)
-	spout := wc.Spouts["spout"]()
-	cap1 := &capture{}
-	for len(sentences) < samplesPer {
-		if err := spout.Next(cap1); err != nil {
-			return nil, err
-		}
-		sentences = append(sentences, cap1.take()...)
-		if len(sentences) > samplesPer {
-			sentences = sentences[:samplesPer]
-		}
-	}
-	words := make([]*tuple.Tuple, 0, samplesPer)
-	split := wc.Operators["splitter"]()
-	for _, s := range sentences {
-		if len(words) >= samplesPer {
-			break
-		}
-		if err := split.Process(cap1, s); err != nil {
-			return nil, err
-		}
-		words = append(words, cap1.take()...)
-	}
-	if len(words) > samplesPer {
-		words = words[:samplesPer]
-	}
-	counts := make([]*tuple.Tuple, 0, samplesPer)
-	cnt := wc.Operators["counter"]()
-	for _, w := range words {
-		if err := cnt.Process(cap1, w); err != nil {
-			return nil, err
-		}
-		counts = append(counts, cap1.take()...)
-	}
-	// The windowed counter emits on window close, not per tuple: drain
-	// its open windows so the sink has inputs to be profiled on.
-	if f, ok := cnt.(window.Flusher); ok {
-		if err := f.FlushOpen(cap1); err != nil {
-			return nil, err
-		}
-		counts = append(counts, cap1.take()...)
-	}
-
-	profiles := []struct {
-		name   string
-		op     engine.Operator
-		inputs []*tuple.Tuple
-	}{
-		{"parser", wc.Operators["parser"](), sentences},
-		{"splitter", wc.Operators["splitter"](), sentences},
-		{"counter", wc.Operators["counter"](), words},
-		{"sink", wc.Operators["sink"](), counts},
+	profs, err := ProfileIsolated(apps.ByName("WC"), samplesPer)
+	if err != nil {
+		return nil, err
 	}
 	quantiles := []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.99}
 	rows := [][]string{}
-
-	// Spout profile: cost of Next itself.
-	{
-		var p profile.Profiler
-		sp := wc.Spouts["spout"]()
-		for i := 0; i < samplesPer; i++ {
-			t0 := time.Now()
-			if err := sp.Next(cap1); err != nil {
-				return nil, err
-			}
-			p.Record(profile.Sample{Duration: time.Since(t0), OutCount: len(cap1.take())})
-		}
-		rows = append(rows, cdfRow("spout", &p, quantiles))
-	}
-	for _, pr := range profiles {
-		var p profile.Profiler
-		for _, in := range pr.inputs {
-			t0 := time.Now()
-			if err := pr.op.Process(cap1, in); err != nil {
-				return nil, err
-			}
-			p.Record(profile.Sample{Duration: time.Since(t0), InBytes: in.Size(), OutCount: len(cap1.take())})
-		}
-		rows = append(rows, cdfRow(pr.name, &p, quantiles))
+	for i := range profs {
+		rows = append(rows, cdfRow(profs[i].Op, &profs[i].Profiler, quantiles))
 	}
 	return &Report{
 		ID: "fig3", Title: Title("fig3"),
@@ -209,6 +133,71 @@ func fig3(ctx *Context) (*Report, error) {
 			"1.2 GHz Xeon; the takeaway holds: distributions are stable and the 50th " +
 			"percentile is a usable model input.",
 	}, nil
+}
+
+// OpProfile is one operator's isolated measurements.
+type OpProfile struct {
+	Op string
+	profile.Profiler
+}
+
+// ProfileIsolated is the paper's model-instantiation step (Section
+// 3.1): every operator of a runs alone, in topological order, on up to
+// `samples` input tuples prepared by the operators upstream of it
+// (spouts are timed over `samples` Next calls), and each invocation's
+// duration, input size and output count is recorded. An operator no
+// sample input reaches comes back with an empty profile.
+func ProfileIsolated(a *apps.App, samples int) ([]OpProfile, error) {
+	order, err := a.Graph.TopoSort()
+	if err != nil {
+		return nil, err
+	}
+	inputs := map[string][]*tuple.Tuple{}
+	c := &capture{}
+	profs := make([]OpProfile, len(order))
+	for i, op := range order {
+		p := &profs[i]
+		p.Op = op
+		c.buf = nil
+		if a.Graph.Node(op).IsSpout {
+			sp := a.Spouts[op]()
+			for range samples {
+				n0, t0 := len(c.buf), time.Now()
+				if err := sp.Next(c); err != nil {
+					break
+				}
+				p.Record(profile.Sample{Duration: time.Since(t0), OutCount: len(c.buf) - n0})
+			}
+		} else {
+			impl := a.Operators[op]()
+			for _, in := range inputs[op] {
+				n0, t0 := len(c.buf), time.Now()
+				if err := impl.Process(c, in); err != nil {
+					return nil, fmt.Errorf("%s: %w", op, err)
+				}
+				p.Record(profile.Sample{Duration: time.Since(t0), InBytes: in.Size(), OutCount: len(c.buf) - n0})
+			}
+			// Window operators emit on window close, not per tuple:
+			// drain open windows so downstream operators get inputs.
+			if f, ok := impl.(window.Flusher); ok {
+				if err := f.FlushOpen(c); err != nil {
+					return nil, fmt.Errorf("%s: %w", op, err)
+				}
+			}
+		}
+		produced := c.buf[:min(len(c.buf), samples)]
+		// Feed each consumer's input pool, honoring its stream
+		// subscription.
+		for _, e := range a.Graph.Out(op) {
+			sid := tuple.Intern(e.Stream)
+			for _, t := range produced {
+				if t.Stream == sid {
+					inputs[e.To] = append(inputs[e.To], t)
+				}
+			}
+		}
+	}
+	return profs, nil
 }
 
 func cdfRow(name string, p *profile.Profiler, quantiles []float64) []string {
@@ -223,20 +212,9 @@ func cdfRow(name string, p *profile.Profiler, quantiles []float64) []string {
 	return row
 }
 
-// capture is a minimal Collector buffering emitted tuples.
+// capture is a minimal Collector accumulating emitted tuples.
 type capture struct{ buf []*tuple.Tuple }
 
-func (c *capture) Emit(values ...tuple.Value) { c.EmitTo(tuple.DefaultStream, values...) }
-func (c *capture) EmitTo(stream string, values ...tuple.Value) {
-	c.buf = append(c.buf, tuple.OnStream(stream, values...))
-}
 func (c *capture) Borrow() *tuple.Tuple  { return tuple.New() }
 func (c *capture) Send(t *tuple.Tuple)   { c.buf = append(c.buf, t) }
 func (c *capture) EmitWatermark(w int64) {} // isolated profiling has no downstream
-
-// take returns and clears the buffer.
-func (c *capture) take() []*tuple.Tuple {
-	out := c.buf
-	c.buf = nil
-	return out
-}

@@ -308,40 +308,6 @@ type chainCollector struct {
 	downstream engine.Operator
 	out        engine.Collector
 	err        error
-
-	// lastName/lastID memoize EmitTo's stream-name resolution, like the
-	// engine collector does: fused operators emit on one stream almost
-	// always, so the common case is a single string compare.
-	lastName string
-	lastID   tuple.StreamID
-}
-
-// Emit implements engine.Collector.
-func (c *chainCollector) Emit(values ...tuple.Value) {
-	if c.err != nil {
-		return
-	}
-	t := c.out.Borrow()
-	for _, v := range values {
-		t.Append(v)
-	}
-	c.Send(t)
-}
-
-// EmitTo implements engine.Collector.
-func (c *chainCollector) EmitTo(stream string, values ...tuple.Value) {
-	if c.err != nil {
-		return
-	}
-	if stream != c.lastName || stream == "" {
-		c.lastName, c.lastID = stream, tuple.Intern(stream)
-	}
-	t := c.out.Borrow()
-	t.Stream = c.lastID
-	for _, v := range values {
-		t.Append(v)
-	}
-	c.Send(t)
 }
 
 // Borrow implements engine.Collector by borrowing from the real task

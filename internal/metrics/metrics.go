@@ -1,7 +1,6 @@
 // Package metrics provides the measurement primitives BriskStream's
-// evaluation uses: throughput counters, latency histograms with
-// percentiles and CDFs, and the per-tuple execution-time breakdown
-// (Execute / RMA / Others) of Section 6.1.
+// evaluation uses: event counters and sampled rates, latency histograms
+// with percentiles, empirical CDFs and text tables.
 package metrics
 
 import (
@@ -178,28 +177,12 @@ type CDFPoint struct {
 	Percent float64 // cumulative fraction in [0,1]
 }
 
-// CDF returns an empirical CDF with at most points entries, evenly spaced
-// in cumulative probability. The paper plots CDFs of operator execution
-// cycles (Figure 3), end-to-end latency (Figure 7) and random-plan
-// throughput (Figure 14).
-func (h *Histogram) CDF(points int) []CDFPoint {
-	h.mu.Lock()
-	// Copy the cached sorted view: cdfOfSorted runs outside the lock and
-	// the cache's backing array mutates on the next invalidated read.
-	s := append([]float64(nil), h.sortedLocked()...)
-	h.mu.Unlock()
-	return cdfOfSorted(s, points)
-}
-
-// CDFOf computes an empirical CDF of the given values.
+// CDFOf computes an empirical CDF of the given values with at most
+// points entries, evenly spaced in cumulative probability (Figure 14's
+// random-plan throughput CDF).
 func CDFOf(values []float64, points int) []CDFPoint {
 	s := append([]float64(nil), values...)
 	sort.Float64s(s)
-	return cdfOfSorted(s, points)
-}
-
-// cdfOfSorted computes the CDF of an already-sorted slice it may keep.
-func cdfOfSorted(s []float64, points int) []CDFPoint {
 	if len(s) == 0 || points <= 0 {
 		return nil
 	}
@@ -212,27 +195,6 @@ func cdfOfSorted(s []float64, points int) []CDFPoint {
 		out = append(out, CDFPoint{Value: s[idx], Percent: float64(k) / float64(points)})
 	}
 	return out
-}
-
-// Throughput measures an event rate over a wall-clock window.
-type Throughput struct {
-	counter *Counter
-	start   time.Time
-	base    uint64
-}
-
-// NewThroughput starts measuring rate increases of c from now.
-func NewThroughput(c *Counter) *Throughput {
-	return &Throughput{counter: c, start: time.Now(), base: c.Value()}
-}
-
-// Rate returns events/second since construction.
-func (t *Throughput) Rate() float64 {
-	elapsed := time.Since(t.start).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(t.counter.Value()-t.base) / elapsed
 }
 
 // SampleRate measures an event rate from externally sampled cumulative
@@ -257,26 +219,6 @@ func (s *SampleRate) Rate(current uint64) float64 {
 		return 0
 	}
 	return float64(current-s.base) / elapsed
-}
-
-// Breakdown is the per-tuple execution-time decomposition of Section 6.1:
-// Execute (core function execution including processor stalls), RMA
-// (remote memory access, only when placed away from the producer) and
-// Others (queue access, object churn, context switching — overhead).
-// All values are nanoseconds per tuple.
-type Breakdown struct {
-	Execute float64
-	RMA     float64
-	Others  float64
-}
-
-// Total returns the full per-tuple round-trip time.
-func (b Breakdown) Total() float64 { return b.Execute + b.RMA + b.Others }
-
-// String renders the breakdown as a compact report row.
-func (b Breakdown) String() string {
-	return fmt.Sprintf("execute=%.1fns rma=%.1fns others=%.1fns total=%.1fns",
-		b.Execute, b.RMA, b.Others, b.Total())
 }
 
 // Table renders rows of label/value pairs as an aligned text table; the

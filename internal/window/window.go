@@ -126,7 +126,6 @@ type windowOp[A any] struct {
 	groups map[winKey]int
 	pkeys  []winKey
 	parts  []A
-	rowBuf tuple.Tuple // scalar-fallback scratch for forced-columnar edges
 
 	// Grouping-amortization feedback. Pre-accumulating a batch into
 	// partials pays only when several rows fold into the same (key,
@@ -293,16 +292,8 @@ const (
 // placement, late-drop counting and timer registration match the scalar
 // Process exactly.
 func (op *windowOp[A]) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
-	if op.cfg.AddRow == nil || op.cfg.Merge == nil {
-		// Forced-columnar edge (Config.ColumnarAll) without the hooks:
-		// run the scalar path row by row off an operator-owned scratch.
-		for r := 0; r < b.Len(); r++ {
-			b.CopyRowTo(r, &op.rowBuf)
-			if err := op.Process(c, &op.rowBuf); err != nil {
-				return err
-			}
-		}
-		return nil
+	if !op.WantsBatches() {
+		return fmt.Errorf("window: batch delivered to an operator without AddRow/Merge hooks")
 	}
 	if op.cfg.KeyField >= 0 && op.cfg.KeyField >= b.Cols() {
 		return fmt.Errorf("window: key field %d but batch has %d columns", op.cfg.KeyField, b.Cols())
