@@ -496,7 +496,10 @@ type RunResult struct {
 	SinkTuples uint64
 	// Throughput is SinkTuples/Duration (tuples/sec).
 	Throughput float64
-	// LatencyP50, LatencyP99 are sampled end-to-end latencies (ms).
+	// LatencyP50, LatencyP99 are sampled end-to-end latencies (ms),
+	// read from the engine's log-bucketed histogram: each is its bucket's
+	// upper bound (an overestimate of at most +25 %), the same number
+	// /metrics publishes for brisk_latency_ns.
 	LatencyP50, LatencyP99 float64
 	// Processed counts processed tuples per operator.
 	Processed map[string]uint64

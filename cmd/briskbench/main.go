@@ -46,7 +46,6 @@ import (
 	"briskstream/internal/engine"
 	"briskstream/internal/experiments"
 	"briskstream/internal/graph"
-	"briskstream/internal/metrics"
 	"briskstream/internal/numa"
 	"briskstream/internal/tuple"
 )
@@ -285,7 +284,7 @@ func engineMicrobench(d time.Duration, rate float64, linger time.Duration) error
 		}()
 		time.Sleep(d / 2)
 		puts0, _ := e.QueueStats()
-		insertRate := metrics.NewSampleRate(puts0)
+		half := time.Now()
 		out := <-done
 		if out.err != nil {
 			return out.err
@@ -303,12 +302,12 @@ func engineMicrobench(d time.Duration, rate float64, linger time.Duration) error
 			fmt.Sprintf("%d", spouts),
 			fmt.Sprintf("%.0f", res.Throughput),
 			fmt.Sprintf("%d", res.QueuePuts),
-			fmt.Sprintf("%.0f", insertRate.Rate(putsEnd)),
+			fmt.Sprintf("%.0f", float64(putsEnd-puts0)/time.Since(half).Seconds()),
 			fmt.Sprintf("%.1f", perInsert),
 		})
 	}
 	fmt.Printf("engine queue/dispatch microbenchmark (%v per row)\n\n", d)
-	fmt.Println(metrics.Table(
+	fmt.Println(experiments.Table(
 		[]string{"spouts", "tuples/s", "queue puts", "inserts/s", "tuples/insert"},
 		rows,
 	))

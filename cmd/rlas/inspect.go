@@ -5,7 +5,6 @@ import (
 
 	"briskstream/internal/apps"
 	"briskstream/internal/experiments"
-	"briskstream/internal/metrics"
 )
 
 // describe prints an application's topology: operators, streams with
@@ -61,7 +60,7 @@ func profileApp(a *apps.App, samples int) error {
 			fmt.Sprintf("canned Te=%.0f (ServerA-calibrated)", a.Stats[p.Op].Te),
 		})
 	}
-	fmt.Print(metrics.Table(
+	fmt.Print(experiments.Table(
 		[]string{"operator", "Te (ns, this host)", "N (bytes)", "selectivity", "notes"}, rows))
 	fmt.Println("\nmeasured Te is host-specific; the packaged statistics are calibrated to the paper's Server A clock.")
 	return nil

@@ -192,6 +192,31 @@ func TestCoordinatorDropsStaleAndDuplicate(t *testing.T) {
 	}
 }
 
+// TestCoordinatorDiscard: a checkpoint a task gave up on leaves the
+// in-flight set at once (not only when a later one completes), and the
+// acks still trickling in for it are dropped.
+func TestCoordinatorDiscard(t *testing.T) {
+	co := NewCoordinator(nil)
+	co.Begin(1, []string{"a#0", "b#0"})
+	if err := co.Ack(1, "a#0", nil); err != nil {
+		t.Fatal(err)
+	}
+	if co.Pending() != 1 {
+		t.Fatalf("pending = %d, want 1", co.Pending())
+	}
+	co.Discard(1)
+	co.Discard(7) // unknown id: no-op
+	if co.Pending() != 0 {
+		t.Fatalf("pending = %d after Discard, want 0", co.Pending())
+	}
+	if err := co.Ack(1, "b#0", nil); err != nil {
+		t.Fatal(err)
+	}
+	if co.Completed() != 0 || co.LatestID() != 0 {
+		t.Fatalf("discarded checkpoint completed: completed=%d latest=%d", co.Completed(), co.LatestID())
+	}
+}
+
 func TestFileStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st, err := NewFileStore(filepath.Join(dir, "ckpts"))

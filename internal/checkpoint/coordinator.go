@@ -13,7 +13,8 @@ import (
 // and only then observable through Latest — once the final task acks.
 // Incomplete checkpoints (a task failed, the run was killed mid-align)
 // are never persisted; they are discarded when a later checkpoint
-// completes.
+// completes, or as soon as a task reports (Discard) that it gave up on
+// the attempt.
 //
 // All methods are safe for concurrent use: acks arrive from every task
 // goroutine.
@@ -140,6 +141,23 @@ func (co *Coordinator) Ack(id uint64, task string, snapshot []byte) error {
 	delete(co.pending, id)
 	co.mu.Unlock()
 	return co.persist(id, p)
+}
+
+// Discard drops in-flight checkpoint id: a task gave up on it (its
+// alignment timed out, or a newer barrier overtook it), so it can never
+// complete. Later acks for it are dropped like any unknown id's.
+func (co *Coordinator) Discard(id uint64) {
+	co.mu.Lock()
+	delete(co.pending, id)
+	co.mu.Unlock()
+}
+
+// Pending reports how many checkpoints are in flight (begun, neither
+// completed nor discarded).
+func (co *Coordinator) Pending() int {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	return len(co.pending)
 }
 
 // Retire records that a task finished cleanly with the given final

@@ -89,6 +89,12 @@ func TestAlignTimeoutAbandonsSkewedAlignmentWithoutLoss(t *testing.T) {
 	if res.AlignTimeouts == 0 {
 		t.Fatal("no alignment timed out despite a 150ms-skewed producer and a 10ms bound")
 	}
+	// The periodic trigger waits for the checkpoint in flight, so a task
+	// giving up must take that checkpoint out of flight: otherwise the
+	// first abandoned attempt would be the last checkpoint ever tried.
+	if res.AlignTimeouts < 2 {
+		t.Fatalf("%d alignment timed out in 500ms at a 30ms interval: the trigger wedged on the abandoned checkpoint", res.AlignTimeouts)
+	}
 	// Abandoning an alignment drops only the checkpoint attempt, never
 	// data: everything both sources emitted flows through the fan-in
 	// (parked batches replayed) and reaches the sink.

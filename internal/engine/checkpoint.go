@@ -4,7 +4,8 @@ package engine
 // shared-memory engine). TriggerCheckpoint publishes a checkpoint
 // request; every source task picks it up between Next calls, records
 // its replay offset, acks to the coordinator and broadcasts a barrier
-// punctuation on all its edges. Every downstream task aligns: once one
+// punctuation on all its edges (the trailer of the jumbo carrying the
+// data it follows). Every downstream task aligns: once one
 // producer edge has delivered the barrier, batches arriving on that
 // edge are parked (the data belongs after the snapshot) while the other
 // edges keep draining; when the last edge's barrier arrives the task
@@ -59,7 +60,8 @@ const barrierDone = int64(-1)
 // TriggerCheckpoint starts one aligned checkpoint and returns its id
 // (0 when checkpointing is not configured). It is safe to call from any
 // goroutine while the engine runs; Run triggers it on a ticker when
-// Config.CheckpointInterval is set. The checkpoint completes — and
+// Config.CheckpointInterval is set (skipping a tick while the previous
+// checkpoint is still in flight). The checkpoint completes — and
 // becomes visible to Restore — only once every task has snapshotted.
 func (e *Engine) TriggerCheckpoint() uint64 {
 	if e.coord == nil {
@@ -121,67 +123,62 @@ func (e *Engine) Restore() (uint64, error) {
 	return cp.ID, nil
 }
 
-// sourceBarrier takes a source task's local snapshot for checkpoint id
-// (its replay offset plus any Snapshotter state), acks, and broadcasts
-// the barrier behind everything the source has emitted so far.
-func (e *Engine) sourceBarrier(t *task, c *collector, id uint64) error {
-	t.lastCkpt = id
+// snapshot frames the task's checkpoint bytes — a source: replayable
+// flag and replay offset; an operator: the task watermark (part of the
+// cut: restoring it keeps late-tuple semantics identical across the
+// replay) — then the Snapshotter flag and state. applyRestore reads the
+// same framing back.
+func (t *task) snapshot() ([]byte, error) {
 	enc := checkpoint.NewEncoder()
-	if rs, ok := t.spout.(ReplayableSpout); ok {
-		enc.Bool(true)
-		enc.Int64(rs.Offset())
-	} else {
-		enc.Bool(false)
-	}
-	if s, ok := t.spout.(checkpoint.Snapshotter); ok {
-		enc.Bool(true)
-		if err := s.Snapshot(enc); err != nil {
-			return fmt.Errorf("engine: spout %s snapshot: %w", t.label, err)
-		}
-	} else {
-		enc.Bool(false)
-	}
-	if err := e.coord.Ack(id, t.label, enc.Bytes()); err != nil {
-		return err
-	}
-	return e.broadcastPunct(t, barrierStreamID, int64(id), c.latencyTs())
-}
-
-// retireTask hands the coordinator a naturally finished task's final
-// snapshot (same framing as the barrier-time snapshots), so checkpoints
-// keep completing — and stay restorable — while part of the topology
-// has already ended. A restored retired source seeks to its final
-// offset and immediately EOFs again; a restored retired operator holds
-// its final state.
-func (e *Engine) retireTask(t *task) error {
-	enc := checkpoint.NewEncoder()
+	var member any = t.operator
 	if t.spout != nil {
+		member = t.spout
 		if rs, ok := t.spout.(ReplayableSpout); ok {
 			enc.Bool(true)
 			enc.Int64(rs.Offset())
 		} else {
 			enc.Bool(false)
 		}
-		if s, ok := t.spout.(checkpoint.Snapshotter); ok {
-			enc.Bool(true)
-			if err := s.Snapshot(enc); err != nil {
-				return fmt.Errorf("engine: spout %s final snapshot: %w", t.label, err)
-			}
-		} else {
-			enc.Bool(false)
-		}
 	} else {
 		enc.Int64(t.tm.wm)
-		if s, ok := t.operator.(checkpoint.Snapshotter); ok {
-			enc.Bool(true)
-			if err := s.Snapshot(enc); err != nil {
-				return fmt.Errorf("engine: task %s final snapshot: %w", t.label, err)
-			}
-		} else {
-			enc.Bool(false)
-		}
 	}
-	return e.coord.Retire(t.label, enc.Bytes())
+	if s, ok := member.(checkpoint.Snapshotter); ok {
+		enc.Bool(true)
+		if err := s.Snapshot(enc); err != nil {
+			return nil, fmt.Errorf("engine: task %s snapshot: %w", t.label, err)
+		}
+	} else {
+		enc.Bool(false)
+	}
+	return enc.Bytes(), nil
+}
+
+// sourceBarrier takes a source task's local snapshot for checkpoint id,
+// acks, and broadcasts the barrier behind everything the source has
+// emitted so far.
+func (e *Engine) sourceBarrier(t *task, c *collector, id uint64) error {
+	t.lastCkpt = id
+	snap, err := t.snapshot()
+	if err != nil {
+		return err
+	}
+	if err := e.coord.Ack(id, t.label, snap); err != nil {
+		return err
+	}
+	return e.broadcastPunct(t, tuple.PunctBarrier, int64(id), c.latencyTs())
+}
+
+// retireTask hands the coordinator a naturally finished task's final
+// snapshot, so checkpoints keep completing — and stay restorable —
+// while part of the topology has already ended. A restored retired
+// source seeks to its final offset and immediately EOFs again; a
+// restored retired operator holds its final state.
+func (e *Engine) retireTask(t *task) error {
+	snap, err := t.snapshot()
+	if err != nil {
+		return err
+	}
+	return e.coord.Retire(t.label, snap)
 }
 
 // finishTask runs when a task completes naturally (spout EOF, or a
@@ -204,8 +201,8 @@ func (e *Engine) handleBarrier(t *task, c *collector, id uint64, producer int) e
 	if t.alignID != 0 && id > t.alignID {
 		// A newer barrier overtook the checkpoint being aligned (a source
 		// skipped a request id): that checkpoint can never complete here.
-		// Abandon it, replaying the input its alignment parked.
-		if err := e.abandonAlignment(t, c); err != nil {
+		// Give it up, replaying the input its alignment parked.
+		if err := e.giveUpAlignment(t, c); err != nil {
 			return err
 		}
 	}
@@ -270,7 +267,7 @@ func (e *Engine) handleDoneBarrier(t *task, c *collector, producer int) error {
 			return nil
 		}
 	}
-	return e.broadcastPunct(t, barrierStreamID, barrierDone, time.Time{})
+	return e.broadcastPunct(t, tuple.PunctBarrier, barrierDone, time.Time{})
 }
 
 // completeAlignment runs once every producer edge has delivered the
@@ -282,24 +279,14 @@ func (e *Engine) completeAlignment(t *task, c *collector) error {
 	t.alignLeft = 0
 	clear(t.alignSeen)
 	t.lastCkpt = id
-	enc := checkpoint.NewEncoder()
-	// The task watermark is part of the cut: restoring it keeps
-	// late-tuple semantics identical across the replay.
-	enc.Int64(t.tm.wm)
-	if s, ok := t.operator.(checkpoint.Snapshotter); ok {
-		enc.Bool(true)
-		if err := s.Snapshot(enc); err != nil {
-			return fmt.Errorf("engine: task %s snapshot: %w", t.label, err)
-		}
-	} else {
-		enc.Bool(false)
+	snap, err := t.snapshot()
+	if err != nil {
+		return err
 	}
-	if e.coord != nil {
-		if err := e.coord.Ack(id, t.label, enc.Bytes()); err != nil {
-			return err
-		}
+	if err := e.coord.Ack(id, t.label, snap); err != nil {
+		return err
 	}
-	if err := e.broadcastPunct(t, barrierStreamID, int64(id), c.latencyTs()); err != nil {
+	if err := e.broadcastPunct(t, tuple.PunctBarrier, int64(id), c.latencyTs()); err != nil {
 		return err
 	}
 	buf := t.alignBuf
@@ -321,6 +308,15 @@ func (e *Engine) alignTimedOut(t *task, c *collector, seq uint32) error {
 	if t.alignID > t.lastCkpt {
 		t.lastCkpt = t.alignID
 	}
+	return e.giveUpAlignment(t, c)
+}
+
+// giveUpAlignment abandons an alignment whose checkpoint can no longer
+// complete at this task while the run goes on, and tells the
+// coordinator to forget that checkpoint — the periodic trigger waits
+// for the in-flight one, so a dead one must not stay in flight.
+func (e *Engine) giveUpAlignment(t *task, c *collector) error {
+	e.coord.Discard(t.alignID)
 	return e.abandonAlignment(t, c)
 }
 
@@ -349,9 +345,7 @@ func (e *Engine) replayParked(t *task, c *collector, buf []*tuple.Jumbo) error {
 		}
 		if err := e.consumeJumbo(t, c, j); err != nil {
 			for _, jj := range buf[k+1:] {
-				for _, in := range jj.Tuples {
-					in.Release()
-				}
+				e.dropJumbo(t, jj)
 			}
 			return err
 		}

@@ -295,20 +295,7 @@ func TestCoordinatorSeedsFloorFromStore(t *testing.T) {
 // contains a source's pre-barrier tuples, all of them, and nothing
 // after, no matter how the two mid replicas interleaved them.
 func TestAlignedCutConsistency(t *testing.T) {
-	g := graph.New("diamond")
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(g.AddNode(&graph.Node{Name: "spout", IsSpout: true, Selectivity: map[string]float64{"default": 1}}))
-	must(g.AddNode(&graph.Node{Name: "mid", Selectivity: map[string]float64{"default": 1}}))
-	must(g.AddNode(&graph.Node{Name: "agg", IsSink: true}))
-	must(g.AddEdge(graph.Edge{From: "spout", To: "mid", Stream: "default"})) // shuffle
-	must(g.AddEdge(graph.Edge{From: "mid", To: "agg", Stream: "default", Partitioning: graph.Global}))
-	must(g.Validate())
-
+	g := diamondGraph(t)
 	co := checkpoint.NewCoordinator(nil)
 	var spoutN atomic.Int64
 	agg := newSumOp()
@@ -393,6 +380,86 @@ func TestAlignedCutConsistency(t *testing.T) {
 	}
 }
 
+// diamondGraph builds spout -(shuffle)-> mid -(global)-> agg(sink); run
+// with spout and mid replicated it is a diamond with fan-in at every
+// mid and at agg.
+func diamondGraph(t *testing.T) *graph.Graph {
+	t.Helper()
+	g := graph.New("diamond")
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(g.AddNode(&graph.Node{Name: "spout", IsSpout: true, Selectivity: map[string]float64{"default": 1}}))
+	must(g.AddNode(&graph.Node{Name: "mid", Selectivity: map[string]float64{"default": 1}}))
+	must(g.AddNode(&graph.Node{Name: "agg", IsSink: true}))
+	must(g.AddEdge(graph.Edge{From: "spout", To: "mid", Stream: "default"})) // shuffle
+	must(g.AddEdge(graph.Edge{From: "mid", To: "agg", Stream: "default", Partitioning: graph.Global}))
+	must(g.Validate())
+	return g
+}
+
+// TestPeriodicCheckpointsDoNotOverlap is the livelock regression: with
+// the checkpoint interval far below the time one alignment takes (slow
+// mids behind full rings), a fresh checkpoint id per tick made each
+// source pick up a different request, every fan-in saw its alignment
+// overtaken, no checkpoint ever completed, and each tick left one more
+// partial entry in the coordinator. The ticker must wait for the
+// checkpoint in flight: checkpoints keep completing and at most one is
+// ever pending.
+func TestPeriodicCheckpointsDoNotOverlap(t *testing.T) {
+	co := checkpoint.NewCoordinator(nil)
+	var spoutN atomic.Int64
+	topo := Topology{
+		App: diamondGraph(t),
+		Spouts: map[string]func() Spout{"spout": func() Spout {
+			return &seqSpout{replica: spoutN.Add(1) - 1, limit: 1 << 62}
+		}},
+		Operators: map[string]func() Operator{
+			"mid": func() Operator {
+				return OperatorFunc(func(c Collector, in *tuple.Tuple) error {
+					time.Sleep(50 * time.Microsecond) // a barrier queues behind every buffered tuple
+					forwardTuple(c, in)
+					return nil
+				})
+			},
+			"agg": func() Operator { return newSumOp() },
+		},
+		Replication: map[string]int{"spout": 2, "mid": 2},
+	}
+	cfg := DefaultConfig()
+	cfg.Checkpoint = co
+	cfg.CheckpointInterval = 100 * time.Microsecond
+	cfg.BatchSize = 8
+	cfg.QueueCapacity = 16
+	e, err := New(topo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan *Result, 1)
+	go func() {
+		res, _ := e.Run(0)
+		done <- res
+	}()
+	maxPending := 0
+	completed := waitFor(10*time.Second, func() bool {
+		maxPending = max(maxPending, co.Pending())
+		return co.Completed() >= 3
+	})
+	e.Kill()
+	if res := <-done; len(res.Errors) != 0 {
+		t.Fatalf("errors: %v", res.Errors)
+	}
+	if !completed {
+		t.Errorf("only %d checkpoints completed in 10s at a 100µs interval", co.Completed())
+	}
+	if maxPending > 1 {
+		t.Errorf("%d checkpoints pending at once, want at most 1", maxPending)
+	}
+}
+
 // orderCheckOp asserts per-origin sequence integrity: under
 // checkpointing, every origin's tuples must arrive gapless and in
 // order (fields partitioning pins an origin to one replica, and
@@ -404,14 +471,17 @@ type orderCheckOp struct {
 	total    atomic.Int64
 }
 
-func (o *orderCheckOp) Process(c Collector, t *tuple.Tuple) error {
-	origin, seq := t.Int(0), t.Int(1)
+func (o *orderCheckOp) check(origin, seq int64) {
 	if want := o.lastSeq[origin] + 1; seq != want {
 		msg := fmt.Sprintf("origin %d: seq %d after %d (dropped or reordered)", origin, seq, o.lastSeq[origin])
 		o.violated.Store(&msg)
 	}
 	o.lastSeq[origin] = seq
 	o.total.Add(1)
+}
+
+func (o *orderCheckOp) Process(c Collector, t *tuple.Tuple) error {
+	o.check(t.Int(0), t.Int(1))
 	forwardTuple(c, t)
 	return nil
 }
@@ -425,13 +495,35 @@ func (o *orderCheckOp) OnWatermark(c Collector, wm int64) error {
 	return nil
 }
 
+// batchOrderCheckOp is orderCheckOp behind a columnar edge: the same
+// per-row check fed by ProcessBatch, so barriers and watermarks reach
+// it as trailers of partial tuple.Batch jumbos.
+type batchOrderCheckOp struct{ *orderCheckOp }
+
+func (o batchOrderCheckOp) ProcessBatch(c Collector, b *tuple.Batch) error {
+	for r := 0; r < b.Len(); r++ {
+		o.check(b.Int(0, r), b.Int(1, r))
+		out := c.Borrow()
+		b.CopyRowTo(r, out)
+		c.Send(out)
+	}
+	return nil
+}
+
 // TestCheckpointNeverDropsOrReordersTuples is the satellite property
 // test: an aggressive barrier cadence (a checkpoint every millisecond,
 // landing between, inside and across jumbo batches) must not disturb
 // the data path — per-origin sequences stay gapless and ordered through
 // a bounded shuffle, watermarks keep min-merging monotonically, and the
-// sink sees exactly every emitted tuple.
+// sink sees exactly every emitted tuple. Both transports are under the
+// property: the scalar checker sits behind a pointer edge, the
+// batch-aware one behind a columnar edge.
 func TestCheckpointNeverDropsOrReordersTuples(t *testing.T) {
+	t.Run("scalar", func(t *testing.T) { checkpointNeverDropsOrReorders(t, false) })
+	t.Run("columnar", func(t *testing.T) { checkpointNeverDropsOrReorders(t, true) })
+}
+
+func checkpointNeverDropsOrReorders(t *testing.T, columnar bool) {
 	g := graph.New("prop")
 	must := func(err error) {
 		t.Helper()
@@ -460,6 +552,9 @@ func TestCheckpointNeverDropsOrReordersTuples(t *testing.T) {
 			"check": func() Operator {
 				op := &orderCheckOp{lastSeq: map[int64]int64{}, lastWm: WatermarkMin}
 				checks = append(checks, op)
+				if columnar {
+					return batchOrderCheckOp{op}
+				}
 				return op
 			},
 			"sink": sinkOp,
@@ -473,6 +568,9 @@ func TestCheckpointNeverDropsOrReordersTuples(t *testing.T) {
 	e, err := New(topo, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := e.byOp["spout"][0].outList[0].columnar; got != columnar {
+		t.Fatalf("spout->check edge columnar = %v, want %v", got, columnar)
 	}
 	res, err := e.Run(0)
 	if err != nil {

@@ -5,7 +5,11 @@
 // controller. Tuples are passed by reference: a producer stores its
 // output locally and enqueues pointers; accumulated tuples destined for
 // the same consumer are combined into a jumbo tuple that shares one
-// header and costs a single queue insertion (Section 5.2).
+// header and costs a single queue insertion (Section 5.2). The engine's
+// own control records — watermarks, checkpoint barriers, the
+// source-done marker — are not tuples: each rides the header of the
+// jumbo that carries the data it follows (tuple.Jumbo.Punct) and is
+// applied after that payload.
 //
 // # Tuple ownership
 //
@@ -40,7 +44,6 @@ import (
 
 	"briskstream/internal/checkpoint"
 	"briskstream/internal/graph"
-	"briskstream/internal/metrics"
 	"briskstream/internal/numa"
 	"briskstream/internal/obs"
 	"briskstream/internal/profile"
@@ -102,9 +105,10 @@ func (f OperatorFunc) Process(c Collector, t *tuple.Tuple) error { return f(c, t
 //     engine does NOT stamp ambient per-invocation metadata during
 //     ProcessBatch — emit per-row context explicitly with
 //     Batch.StampMeta(row, out) before Send.
-//   - Watermarks, barriers and traces never appear inside a batch;
-//     punctuations ride between batches exactly as between scalar
-//     jumbos, so event-time and checkpoint semantics are unchanged.
+//   - Watermarks and barriers never appear inside a batch: a
+//     punctuation is the trailer of the jumbo header carrying the batch
+//     it follows, so event-time and checkpoint semantics are those of
+//     the scalar transport.
 //
 // Process remains required: it serves the rows the engine must deliver
 // individually (traced batches, through the row adapter).
@@ -271,8 +275,10 @@ type Result struct {
 	SinkTuples uint64
 	// Throughput is SinkTuples/Duration in tuples/sec.
 	Throughput float64
-	// Latency is the sampled end-to-end latency distribution (ns).
-	Latency *metrics.Histogram
+	// Latency is this run's sampled end-to-end latency distribution
+	// (ns). Quantiles are log-bucket upper bounds (≤ +25 %), the same
+	// numbers /metrics publishes.
+	Latency obs.HistSnapshot
 	// Processed counts processed tuples per operator.
 	Processed map[string]uint64
 	// QueuePuts and QueueGets count jumbo-tuple queue insertions and
@@ -330,8 +336,10 @@ type task struct {
 	// tm is the task's timer service: event-time timers fired by
 	// watermark advances, processing-time timers (and the engine's own
 	// jumbo linger flushes) fired by the wall clock, all on this task's
-	// goroutine.
-	tm *Timers
+	// goroutine. onTimer is the operator or spout as a TimerHandler (nil
+	// if it is not one), resolved once at New.
+	tm      *Timers
+	onTimer TimerHandler
 	// wmIn/idleIn track the low watermark (and idleness) last received
 	// from each producer task, indexed by producer task id; the task's
 	// own watermark is the min over its non-idle producers. prods lists
@@ -410,10 +418,10 @@ type outEdge struct {
 	seq uint32
 	// columnar marks an edge that carries tuple.Batch payloads: data
 	// tuples are appended into batch (the open columnar batch) instead
-	// of jumbo; punctuations flush it and ride a scalar jumbo behind
-	// it. colFree is the edge's reverse free ring — the consumer parks
-	// drained batches, the producer reuses them — so batch memory
-	// recycles producer-ward like tuples do.
+	// of jumbo. Whichever is open is non-empty. colFree is the edge's
+	// reverse free ring — the consumer parks drained batches, the
+	// producer reuses them — so batch memory recycles producer-ward
+	// like tuples do.
 	columnar bool
 	batch    *tuple.Batch
 	colFree  *queue.FreeRing[*tuple.Batch]
@@ -439,19 +447,6 @@ type dest struct {
 	clone bool
 }
 
-// punctStreamID is the reserved interned stream carrying watermark
-// punctuations. The name starts with a NUL byte so it can never collide
-// with an application stream; punctuations ride the same per-edge rings
-// as data (so they stay ordered relative to it) but are consumed by the
-// engine, never delivered to Process or counted as data tuples.
-var punctStreamID = tuple.Intern("\x00punctuation")
-
-// barrierStreamID is the reserved interned stream carrying checkpoint
-// barriers (Event holds the checkpoint id). Barriers ride the per-edge
-// rings exactly like watermark punctuations — in order behind the data
-// they follow — which is what makes the aligned snapshot consistent.
-var barrierStreamID = tuple.Intern("\x00barrier")
-
 // RouteError reports a tuple that could not be routed by a
 // fields-grouping key: the tuple is narrower than the edge's declared
 // key field. It is returned through Result.Errors instead of panicking
@@ -472,13 +467,17 @@ func (e *RouteError) Error() string {
 // Engine executes one topology. An engine may be Run repeatedly; each
 // Run resets the per-run counters and reopens the task queues.
 type Engine struct {
-	cfg    Config
-	topo   Topology
-	tasks  []*task
-	byOp   map[string][]*task
-	stop   atomic.Bool
-	sink   metrics.Counter
-	lat    *metrics.Histogram
+	cfg   Config
+	topo  Topology
+	tasks []*task
+	byOp  map[string][]*task
+	stop  atomic.Bool
+	// sink counts tuples received by sink tasks this run; lat is the one
+	// latency histogram — the sinks observe sampled latencies into it,
+	// Result.Latency is its per-run delta, and RegisterObs swaps in the
+	// metric group's brisk_latency_ns so /metrics reads the same buckets.
+	sink   atomic.Uint64
+	lat    *obs.Histogram
 	errs   []error
 	errsMu sync.Mutex
 
@@ -510,13 +509,11 @@ type Engine struct {
 
 	// Live telemetry (all nil/zero without RegisterObs — the hot path
 	// then pays one predictable nil check at the sampled-latency site
-	// and nothing per tuple). jr receives lifecycle events; obsLat and
-	// obsLatHist receive the sampled sink latencies the run's
-	// end-of-run histogram already observes; runSeq counts Runs.
-	jr         *obs.Journal
-	obsLat     *obs.Window
-	obsLatHist *obs.Histogram
-	runSeq     atomic.Uint64
+	// and nothing per tuple). jr receives lifecycle events; obsLat is the
+	// rolling window of the sampled sink latencies; runSeq counts Runs.
+	jr     *obs.Journal
+	obsLat *obs.Window
+	runSeq atomic.Uint64
 	// traceSeq allocates trace ids for sampled spout tuples (engine
 	// lifetime; id 0 is reserved for "untraced").
 	traceSeq atomic.Uint64
@@ -534,7 +531,7 @@ func New(topo Topology, cfg Config) (*Engine, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 64
 	}
-	e := &Engine{cfg: cfg, topo: topo, byOp: map[string][]*task{}, lat: metrics.NewHistogram(0)}
+	e := &Engine{cfg: cfg, topo: topo, byOp: map[string][]*task{}, lat: obs.NewHistogram()}
 	e.coord = cfg.Checkpoint
 	if e.coord != nil {
 		// Checkpoint ids must keep ascending across engine lifetimes: the
@@ -718,6 +715,10 @@ func New(topo Topology, cfg Config) (*Engine, error) {
 		}
 		if ta, ok := t.spout.(TimerAware); ok {
 			ta.SetTimers(t.tm)
+		}
+		t.onTimer, _ = t.operator.(TimerHandler)
+		if t.spout != nil {
+			t.onTimer, _ = t.spout.(TimerHandler)
 		}
 		if e.coord != nil {
 			// Fail configuration errors at build time: an operator that
@@ -949,7 +950,7 @@ func (c *collector) EmitWatermark(wm int64) {
 		return
 	}
 	if wm == WatermarkIdle {
-		if err := c.e.broadcastPunct(c.t, punctStreamID, WatermarkIdle, time.Time{}); err != nil {
+		if err := c.e.broadcastPunct(c.t, tuple.PunctWatermark, WatermarkIdle, time.Time{}); err != nil {
 			c.fail = err
 		}
 		return
@@ -960,32 +961,30 @@ func (c *collector) EmitWatermark(wm int64) {
 	// Advance the emitting task's own event wheel first: a source that
 	// registered event timers (TimerAware spouts) gets its OnTimer
 	// callbacks here, since no punctuation ever flows INTO a source.
-	var h TimerHandler
-	if c.t.spout != nil {
-		h, _ = c.t.spout.(TimerHandler)
-	} else {
-		h, _ = c.t.operator.(TimerHandler)
-	}
-	if err := c.t.tm.AdvanceWatermark(wm, func(at int64) error {
-		if h == nil {
-			return nil
-		}
-		return h.OnTimer(c, EventTimer, at)
-	}); err != nil {
+	if err := c.advanceWatermark(wm); err != nil {
 		c.fail = err
 		return
 	}
-	atomic.StoreInt64(&c.t.wmLive, wm)
-	// Punctuations are rare, so every one carries a latency timestamp:
-	// it rides through to window aggregates fired by this watermark,
-	// keeping end-to-end latency observable on windowed paths.
-	var ts time.Time
-	if c.e.cfg.LatencySampleEvery > 0 {
-		ts = time.Now()
-	}
-	if err := c.e.broadcastPunct(c.t, punctStreamID, wm, ts); err != nil {
+	if err := c.e.broadcastPunct(c.t, tuple.PunctWatermark, wm, c.latencyTs()); err != nil {
 		c.fail = err
 	}
+}
+
+// advanceWatermark moves the task's event-time wheel to wm, handing
+// every due event timer to the task's TimerHandler, and publishes the
+// new watermark to the obs mirror.
+func (c *collector) advanceWatermark(wm int64) error {
+	t := c.t
+	if err := t.tm.AdvanceWatermark(wm, func(at int64) error {
+		if t.onTimer == nil {
+			return nil
+		}
+		return t.onTimer.OnTimer(c, EventTimer, at)
+	}); err != nil {
+		return err
+	}
+	atomic.StoreInt64(&t.wmLive, wm)
+	return nil
 }
 
 // dispatch routes one output tuple through the task's partition
@@ -1084,8 +1083,9 @@ func (e *Engine) dispatch(t *task, out *tuple.Tuple) error {
 	return nil
 }
 
-// buffer appends a tuple to the producer's per-consumer jumbo under
-// construction and flushes it when full.
+// buffer appends a tuple to what the producer has open towards one
+// consumer — the pointer jumbo, or on a columnar edge the batch — and
+// flushes the edge when that reaches BatchSize.
 func (e *Engine) buffer(t *task, consumer *task, out *tuple.Tuple, copyForFanout bool) error {
 	msg := out
 	if copyForFanout {
@@ -1096,175 +1096,160 @@ func (e *Engine) buffer(t *task, consumer *task, out *tuple.Tuple, copyForFanout
 	}
 	oe := t.out[consumer.id]
 	if oe.columnar {
-		if msg.Stream != punctStreamID && msg.Stream != barrierStreamID {
-			return e.bufferColumnar(t, oe, msg)
-		}
-		// Punctuation on a columnar edge: it must stay ordered behind
-		// the data it follows, so flush the open batch first; the
-		// punctuation itself rides a scalar jumbo (batches never carry
-		// watermarks or barriers).
-		if oe.batch != nil && oe.batch.Len() > 0 {
-			if err := e.flushBatch(t, oe); err != nil {
-				msg.Release()
+		// The payload is copied into the batch's column lanes and the
+		// tuple's reference ends here — on the producer's own goroutine,
+		// so the release hits the same-core pool fast path instead of
+		// crossing sockets.
+		if oe.batch == nil || !oe.batch.Fits(msg) {
+			if err := e.openBatch(t, oe); err != nil {
+				msg.ReleaseLocal()
 				return err
 			}
 		}
+		oe.batch.Append(msg)
+		msg.ReleaseLocal()
+		if oe.batch.Len() >= e.cfg.BatchSize {
+			return e.flushEdge(t, oe)
+		}
+		return nil
 	}
 	if oe.jumbo == nil {
 		oe.jumbo = e.getJumbo(t)
-		oe.seq++
-		if e.cfg.Linger > 0 {
-			// Bound how long this fresh batch may stay partial. The
-			// timer addresses (edge, seq); if the batch flushes full
-			// first, the fire finds a newer seq and skips.
-			t.tm.registerLinger(oe.idx, oe.seq, time.Now().Add(e.cfg.Linger))
-		}
+		e.armLinger(t, oe)
 	}
 	oe.jumbo.Tuples = append(oe.jumbo.Tuples, msg)
 	if len(oe.jumbo.Tuples) >= e.cfg.BatchSize {
-		j := oe.jumbo
-		oe.jumbo = nil
-		return e.send(t, oe, j)
-	}
-	return nil
-}
-
-// bufferColumnar appends one data tuple into the edge's open columnar
-// batch, starting (and linger-arming) a fresh batch as needed and
-// flushing at BatchSize or on a layout change. The payload is copied
-// into the batch's column lanes and the tuple's reference ends here —
-// on the producer's own goroutine, so the release hits the same-core
-// pool fast path instead of crossing sockets.
-func (e *Engine) bufferColumnar(t *task, oe *outEdge, msg *tuple.Tuple) error {
-	if oe.batch != nil && !oe.batch.Fits(msg) {
-		if err := e.flushBatch(t, oe); err != nil {
-			msg.ReleaseLocal()
-			return err
-		}
-	}
-	if oe.batch == nil {
-		oe.batch = e.getBatch(oe)
-		oe.seq++
-		if e.cfg.Linger > 0 {
-			t.tm.registerLinger(oe.idx, oe.seq, time.Now().Add(e.cfg.Linger))
-		}
-	}
-	oe.batch.Append(msg)
-	msg.ReleaseLocal()
-	if oe.batch.Len() >= e.cfg.BatchSize {
-		return e.flushBatch(t, oe)
+		return e.flushEdge(t, oe)
 	}
 	return nil
 }
 
 // forwardRowColumnar lands one forwarded batch row on a columnar edge
-// — the column-to-column twin of bufferColumnar: flush on a layout
-// change, open (and linger-arm) a fresh batch as needed, copy the
-// row's lanes across, flush at BatchSize.
+// — the column-to-column twin of buffer's columnar arm.
 func (e *Engine) forwardRowColumnar(t *task, oe *outEdge, src *tuple.Batch, r int, stream tuple.StreamID) error {
-	if oe.batch != nil && !oe.batch.FitsRowFrom(src, stream) {
-		if err := e.flushBatch(t, oe); err != nil {
+	if oe.batch == nil || !oe.batch.FitsRowFrom(src, stream) {
+		if err := e.openBatch(t, oe); err != nil {
 			return err
-		}
-	}
-	if oe.batch == nil {
-		oe.batch = e.getBatch(oe)
-		oe.seq++
-		if e.cfg.Linger > 0 {
-			t.tm.registerLinger(oe.idx, oe.seq, time.Now().Add(e.cfg.Linger))
 		}
 	}
 	oe.batch.AppendRowFrom(src, r, stream)
 	if oe.batch.Len() >= e.cfg.BatchSize {
-		return e.flushBatch(t, oe)
+		return e.flushEdge(t, oe)
 	}
 	return nil
 }
 
-// getBatch takes a recycled batch from the edge's reverse free ring,
-// allocating a fresh one only while the ring warms up.
-func (e *Engine) getBatch(oe *outEdge) *tuple.Batch {
-	if b, ok := oe.colFree.TryGet(); ok {
-		return b
+// openBatch starts a fresh columnar batch on the edge, first flushing
+// an open one (its layout does not fit the next row). The batch comes
+// from the edge's reverse free ring, allocated only while the ring
+// warms up, and is linger-armed.
+func (e *Engine) openBatch(t *task, oe *outEdge) error {
+	if err := e.flushEdge(t, oe); err != nil {
+		return err
 	}
-	return tuple.NewBatch(e.cfg.BatchSize)
+	b, ok := oe.colFree.TryGet()
+	if !ok {
+		b = tuple.NewBatch(e.cfg.BatchSize)
+	}
+	oe.batch = b
+	e.armLinger(t, oe)
+	return nil
 }
 
-// flushBatch wraps the edge's open columnar batch in a jumbo header
-// and enqueues it.
-func (e *Engine) flushBatch(t *task, oe *outEdge) error {
-	b := oe.batch
-	oe.batch = nil
-	j := e.getJumbo(t)
-	j.Batch = b
-	return e.send(t, oe, j)
+// armLinger bounds how long the buffer just opened on the edge may stay
+// partial. The timer addresses (edge, seq); if the buffer flushes
+// first, the fire finds a newer seq — or nothing buffered — and skips.
+func (e *Engine) armLinger(t *task, oe *outEdge) {
+	oe.seq++
+	if e.cfg.Linger > 0 {
+		t.tm.registerLinger(oe.idx, oe.seq, time.Now().Add(e.cfg.Linger))
+	}
+}
+
+// detach takes what the edge has buffered — the open columnar batch
+// wrapped in a header, or the open pointer jumbo — and leaves the edge
+// empty; nil when nothing is buffered.
+func (e *Engine) detach(t *task, oe *outEdge) *tuple.Jumbo {
+	if b := oe.batch; b != nil {
+		oe.batch = nil
+		j := e.getJumbo(t)
+		j.Batch = b
+		return j
+	}
+	j := oe.jumbo
+	oe.jumbo = nil
+	return j
+}
+
+// flushEdge sends what the edge has buffered, if anything: the one
+// flush behind batch-full, the linger fire and flushAll.
+func (e *Engine) flushEdge(t *task, oe *outEdge) error {
+	if j := e.detach(t, oe); j != nil {
+		return e.send(t, oe, j)
+	}
+	return nil
 }
 
 func (e *Engine) send(t *task, oe *outEdge, j *tuple.Jumbo) error {
-	j.Producer, j.Consumer = t.id, oe.consumer.id
+	j.Producer = t.id
 	// Queue-wait attribution: stamp the batch once at enqueue; the
 	// consumer diffs at dequeue. One clock read per jumbo, zero
 	// per-tuple cost.
 	j.EnqNs = time.Now().UnixNano()
 	if err := oe.ring.Put(j); err != nil {
-		// The batch was never enqueued (ring closed during shutdown):
-		// nobody downstream will ever see these tuples, so their
-		// references end here — a killed run must not strand pooled
-		// tuples (the leak-accounting property tests balance on this).
-		// A columnar payload carries copies, not references; dropping
-		// it to the GC strands nothing.
-		for _, in := range j.Tuples {
-			in.Release()
-		}
-		e.recycleJumbo(t, j)
+		// Never enqueued (ring closed during shutdown): nobody
+		// downstream will ever see these tuples.
+		e.dropJumbo(t, j)
 		return ErrStopped
 	}
 	return nil
 }
 
-// broadcastPunct sends an engine punctuation (a watermark on
-// punctStreamID, or a checkpoint barrier on barrierStreamID) to every
-// consumer of the task — punctuations ignore stream subscriptions and
-// partitioning: every replica of every consumer must see every
-// watermark for the fan-in min-merge to be sound, and every barrier for
-// the alignment to cover all producer edges. The punctuation is
-// appended behind whatever data is already buffered per edge
-// (preserving order) and every edge is flushed, so neither event time
-// nor a checkpoint is ever delayed by batching.
-func (e *Engine) broadcastPunct(t *task, stream tuple.StreamID, ev int64, ts time.Time) error {
-	if len(t.outList) == 0 {
-		return nil
+// dropJumbo disposes of a jumbo nobody will consume — refused by a
+// closed ring, stranded in a killed run's inbox or alignment buffer:
+// the pooled tuples it references go back to their producers' pools (a
+// killed run must not strand them; the leak-accounting property tests
+// balance on this) and the header is recycled. A columnar payload
+// carries copies, not references; dropping it to the GC strands
+// nothing.
+func (e *Engine) dropJumbo(t *task, j *tuple.Jumbo) {
+	for _, in := range j.Tuples {
+		in.Release()
 	}
-	p := t.pool.Get()
-	p.Stream = stream
-	p.Event = ev
-	p.Ts = ts
-	// Same single-retain discipline as dispatch fan-out: all references
-	// exist before the first enqueue, so a fast consumer can never
-	// recycle the punctuation mid-broadcast.
-	remaining := len(t.outList)
-	p.RetainN(remaining - 1)
+	e.recycleJumbo(t, j)
+}
+
+// broadcastPunct sends a control record (a watermark, a checkpoint
+// barrier, or the done marker) to every consumer of the task —
+// punctuations ignore stream subscriptions and partitioning: every
+// replica of every consumer must see every watermark for the fan-in
+// min-merge to be sound, and every barrier for the alignment to cover
+// all producer edges. Per edge, the record becomes the trailer of the
+// jumbo holding whatever data is already buffered there (an empty
+// header if none), which is sent at once: the punctuation stays ordered
+// behind exactly the data it follows, costs no insertion of its own
+// behind a partial buffer, and neither event time nor a checkpoint is
+// ever delayed by batching.
+func (e *Engine) broadcastPunct(t *task, kind tuple.PunctKind, ev int64, ts time.Time) error {
 	for _, oe := range t.outList {
-		if err := e.buffer(t, oe.consumer, p, false); err != nil {
-			// The failing send released the share it carried; drop only
-			// the undelivered remainder.
-			for remaining--; remaining > 0; remaining-- {
-				p.Release()
-			}
+		j := e.detach(t, oe)
+		if j == nil {
+			j = e.getJumbo(t)
+		}
+		j.Punct = tuple.Punct{Kind: kind, Event: ev, Ts: ts}
+		if err := e.send(t, oe, j); err != nil {
 			return err
 		}
-		remaining--
 	}
-	e.flushAll(t)
 	return nil
 }
 
-// handlePunct processes one received watermark punctuation: record the
-// producer's watermark, min-merge across all non-idle producers, and on
-// advance fire due event timers, notify the operator, and forward the
-// merged watermark downstream. Returns the first handler error.
-func (e *Engine) handlePunct(t *task, c *collector, in *tuple.Tuple, producer int) error {
-	wm := in.Event
+// handlePunct processes one received watermark punctuation (ts is the
+// latency stamp it carries): record the producer's watermark, min-merge
+// across all non-idle producers, and on advance fire due event timers,
+// notify the operator, and forward the merged watermark downstream.
+// Returns the first handler error.
+func (e *Engine) handlePunct(t *task, c *collector, wm int64, ts time.Time, producer int) error {
 	if wm == WatermarkIdle {
 		t.idleIn[producer] = true
 	} else {
@@ -1290,26 +1275,16 @@ func (e *Engine) handlePunct(t *task, c *collector, in *tuple.Tuple, producer in
 			return nil
 		}
 		t.tm.idle = true
-		return e.broadcastPunct(t, punctStreamID, WatermarkIdle, in.Ts)
+		return e.broadcastPunct(t, tuple.PunctWatermark, WatermarkIdle, ts)
 	}
 	t.tm.idle = false
 	if merged <= t.tm.wm {
 		return nil // not an advance (some producer still lags)
 	}
-	c.curTs, c.curEvent = in.Ts, merged
-	var th TimerHandler
-	if t.operator != nil {
-		th, _ = t.operator.(TimerHandler)
-	}
-	if err := t.tm.AdvanceWatermark(merged, func(at int64) error {
-		if th == nil {
-			return nil
-		}
-		return th.OnTimer(c, EventTimer, at)
-	}); err != nil {
+	c.curTs, c.curEvent = ts, merged
+	if err := c.advanceWatermark(merged); err != nil {
 		return err
 	}
-	atomic.StoreInt64(&t.wmLive, merged)
 	if wh, ok := t.operator.(WatermarkHandler); ok {
 		if err := wh.OnWatermark(c, merged); err != nil {
 			return err
@@ -1318,39 +1293,27 @@ func (e *Engine) handlePunct(t *task, c *collector, in *tuple.Tuple, producer in
 	if c.fail != nil {
 		return c.fail
 	}
-	return e.broadcastPunct(t, punctStreamID, merged, in.Ts)
+	return e.broadcastPunct(t, tuple.PunctWatermark, merged, ts)
 }
 
 // fireProcTimers advances the task's processing-time wheel to now:
-// linger timers flush their partial jumbo batch (if it is still the
-// batch they were armed for), operator/spout timers get OnTimer.
+// linger timers flush their edge's partial buffer (if it is still the
+// one they were armed for), operator/spout timers get OnTimer.
 func (e *Engine) fireProcTimers(t *task, c *collector) error {
-	var h TimerHandler
-	if t.operator != nil {
-		h, _ = t.operator.(TimerHandler)
-	} else if t.spout != nil {
-		h, _ = t.spout.(TimerHandler)
-	}
 	err := t.tm.fireProcDue(time.Now(), func(en wheelEntry) error {
 		if en.edge >= 0 {
-			oe := t.outList[en.edge]
-			if oe.seq == en.seq && oe.jumbo != nil && len(oe.jumbo.Tuples) > 0 {
-				j := oe.jumbo
-				oe.jumbo = nil
-				return e.send(t, oe, j)
-			}
-			if oe.seq == en.seq && oe.batch != nil && oe.batch.Len() > 0 {
-				return e.flushBatch(t, oe)
+			if oe := t.outList[en.edge]; oe.seq == en.seq {
+				return e.flushEdge(t, oe)
 			}
 			return nil
 		}
 		if en.edge == alignTimeoutEdge {
 			return e.alignTimedOut(t, c, en.seq)
 		}
-		if h == nil {
+		if t.onTimer == nil {
 			return nil
 		}
-		return h.OnTimer(c, ProcTimer, en.at)
+		return t.onTimer.OnTimer(c, ProcTimer, en.at)
 	})
 	if err != nil {
 		return err
@@ -1369,6 +1332,7 @@ func (e *Engine) getJumbo(t *task) *tuple.Jumbo {
 // tuples.
 func (e *Engine) recycleJumbo(t *task, j *tuple.Jumbo) {
 	j.Batch = nil // a columnar payload is recycled separately (or GC'd)
+	j.Punct = tuple.Punct{}
 	if cap(j.Tuples) != e.cfg.BatchSize {
 		return // foreign or resized batch; let the GC take it
 	}
@@ -1380,15 +1344,7 @@ func (e *Engine) recycleJumbo(t *task, j *tuple.Jumbo) {
 // flushAll flushes all pending buffers of a task.
 func (e *Engine) flushAll(t *task) {
 	for _, oe := range t.outList {
-		if oe.batch != nil && oe.batch.Len() > 0 {
-			_ = e.flushBatch(t, oe)
-		}
-		if oe.jumbo == nil || len(oe.jumbo.Tuples) == 0 {
-			continue
-		}
-		j := oe.jumbo
-		oe.jumbo = nil
-		_ = e.send(t, oe, j)
+		_ = e.flushEdge(t, oe) // a closed ring only means shutdown got there first
 	}
 }
 
@@ -1410,8 +1366,8 @@ func (e *Engine) Run(d time.Duration) (*Result, error) {
 	start := time.Now()
 	var wg sync.WaitGroup
 	e.stop.Store(false)
-	e.sink.Reset()
-	e.lat = metrics.NewHistogram(0)
+	e.sink.Store(0)
+	lat0 := e.lat.Snapshot()
 	e.errs = nil
 	e.alignTimeouts.Store(0)
 	e.pinned.Store(0)
@@ -1439,11 +1395,7 @@ func (e *Engine) Run(d time.Duration) (*Result, error) {
 		clear(t.alignSeen)
 		clear(t.doneIn)
 		for _, j := range t.alignBuf {
-			// Jumbos buffered mid-alignment by a killed run: the tuples
-			// go back to their producers' pools, the batch to the GC.
-			for _, in := range j.Tuples {
-				in.Release()
-			}
+			e.dropJumbo(t, j) // parked mid-alignment by a killed run
 		}
 		t.alignBuf = nil
 		for ri := range t.routes {
@@ -1454,18 +1406,14 @@ func (e *Engine) Run(d time.Duration) (*Result, error) {
 			r.rr = t.replica % max(len(r.consumers), 1)
 		}
 		if t.in != nil {
-			// Jumbos stranded in a killed run's rings: release their
-			// tuples before reopening discards the batch, so a dropped
-			// run leaves no pooled tuple unaccounted.
+			// Jumbos stranded in a killed run's rings go before reopening
+			// discards them.
 			for {
 				j, ok, _ := t.in.TryGet()
 				if !ok {
 					break
 				}
-				for _, in := range j.Tuples {
-					in.Release()
-				}
-				e.recycleJumbo(t, j)
+				e.dropJumbo(t, j)
 			}
 			t.in.Reopen()
 		}
@@ -1496,17 +1444,29 @@ func (e *Engine) Run(d time.Duration) (*Result, error) {
 		}(t)
 	}
 
-	var ckptDone chan struct{}
+	// The periodic trigger lives exactly as long as the tasks do: Run
+	// waits for it to exit, so it can never begin a checkpoint on the
+	// (possibly shared) coordinator after Run returned.
+	var ticker sync.WaitGroup
+	quit := make(chan struct{})
 	if e.coord != nil && e.cfg.CheckpointInterval > 0 {
-		ckptDone = make(chan struct{})
+		ticker.Add(1)
 		go func() {
+			defer ticker.Done()
 			tk := time.NewTicker(e.cfg.CheckpointInterval)
 			defer tk.Stop()
 			for {
 				select {
 				case <-tk.C:
-					e.TriggerCheckpoint()
-				case <-ckptDone:
+					// Periodic checkpoints do not overlap: when alignment
+					// outlasts the interval, a fresh id per tick would have
+					// each source pick up a different request, every fan-in
+					// see its alignment overtaken, and no checkpoint ever
+					// complete.
+					if e.coord.Pending() == 0 {
+						e.TriggerCheckpoint()
+					}
+				case <-quit:
 					return
 				}
 			}
@@ -1518,15 +1478,14 @@ func (e *Engine) Run(d time.Duration) (*Result, error) {
 		defer timer.Stop()
 	}
 	wg.Wait()
-	if ckptDone != nil {
-		close(ckptDone)
-	}
+	close(quit)
+	ticker.Wait()
 	elapsed := time.Since(start)
 
 	res := &Result{
 		Duration:      elapsed,
-		SinkTuples:    e.sink.Value(),
-		Latency:       e.lat,
+		SinkTuples:    e.sink.Load(),
+		Latency:       e.lat.Snapshot().Delta(lat0),
 		Processed:     map[string]uint64{},
 		Errors:        e.errs,
 		AlignTimeouts: e.alignTimeouts.Load(),
@@ -1614,7 +1573,7 @@ func (e *Engine) runTask(t *task) {
 				// sources keep running.
 				c.EmitWatermark(WatermarkMax)
 				if c.fail == nil && e.coord != nil {
-					if err := e.broadcastPunct(t, barrierStreamID, barrierDone, time.Time{}); err != nil {
+					if err := e.broadcastPunct(t, tuple.PunctBarrier, barrierDone, time.Time{}); err != nil {
 						c.fail = err
 					}
 				}
@@ -1702,10 +1661,11 @@ func (e *Engine) runTask(t *task) {
 	}
 }
 
-// consumeJumbo processes one received jumbo batch: data tuples go to the
-// operator, watermark punctuations to the fan-in merge, checkpoint
-// barriers to the alignment protocol. It consumes the batch (tuples are
-// released, the header recycled).
+// consumeJumbo processes one received jumbo: the payload goes to the
+// operator (pointer rows here, a columnar batch through consumeBatch),
+// then the header's control record, if any, to the watermark fan-in
+// merge or the checkpoint alignment protocol. It consumes the jumbo
+// (tuples are released, the header recycled).
 func (e *Engine) consumeJumbo(t *task, c *collector, j *tuple.Jumbo) error {
 	// Queue-wait attribution: diff the producer's enqueue stamp once per
 	// batch, then charge it once per carried tuple — a 64-tuple jumbo
@@ -1715,7 +1675,9 @@ func (e *Engine) consumeJumbo(t *task, c *collector, j *tuple.Jumbo) error {
 	// scalar and columnar paths). Every tuple's queueing is covered (not
 	// just traced ones) at zero per-tuple cost; a batch replayed after
 	// barrier parking counts its park time too — it really did wait that
-	// long. The rolling window still observes the raw per-batch wait.
+	// long. A punctuation-only jumbo carries no tuple and so stays out of
+	// the counters, like every data counter. The rolling window still
+	// observes the raw per-jumbo wait.
 	var qwait int64
 	if j.EnqNs != 0 {
 		qwait = time.Now().UnixNano() - j.EnqNs
@@ -1731,81 +1693,63 @@ func (e *Engine) consumeJumbo(t *task, c *collector, j *tuple.Jumbo) error {
 		}
 	}
 	if j.Batch != nil {
-		return e.consumeBatch(t, c, j, qwait)
-	}
-	// rev is this edge's reverse recycling ring: releases on this (the
-	// consuming) goroutine flow back to the producer's pool through it,
-	// staying NUMA-local instead of riding sync.Pool. Releases from any
-	// other goroutine (retained tuples) keep using plain Release.
-	var rev *tuple.RecycleRing
-	if j.Producer < len(t.rev) {
-		rev = t.rev[j.Producer]
-	}
-	for i, in := range j.Tuples {
-		if in.Stream == punctStreamID {
-			// Watermark punctuation: consumed by the engine, not
-			// the operator, and excluded from every data counter.
-			err := e.handlePunct(t, c, in, j.Producer)
-			in.ReleaseTo(rev)
-			if err != nil {
-				return err
-			}
-			continue
+		if err := e.consumeBatch(t, c, j.Batch, j.Producer, qwait); err != nil {
+			return err
 		}
-		if in.Stream == barrierStreamID {
-			// Checkpoint barrier: align, and if this edge is now blocked
-			// park the batch remainder (barriers are flushed as the last
-			// tuple of their batch, so the remainder is normally empty).
-			ev := in.Event
-			in.ReleaseTo(rev)
-			if ev == barrierDone {
-				if err := e.handleDoneBarrier(t, c, j.Producer); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := e.handleBarrier(t, c, uint64(ev), j.Producer); err != nil {
-				return err
-			}
-			if t.alignID != 0 && t.alignSeen[j.Producer] && i+1 < len(j.Tuples) {
-				rest := e.getJumbo(t)
-				rest.Producer, rest.Consumer = j.Producer, j.Consumer
-				rest.EnqNs = j.EnqNs
-				rest.Tuples = append(rest.Tuples, j.Tuples[i+1:]...)
-				t.alignBuf = append(t.alignBuf, rest)
-				// The parked remainder owns those tuples now.
-				clear(j.Tuples[i+1:])
-				j.Tuples = j.Tuples[:i+1]
-				break
-			}
-			continue
+	} else {
+		// rev is this edge's reverse recycling ring: releases on this
+		// (the consuming) goroutine flow back to the producer's pool
+		// through it, staying NUMA-local instead of riding sync.Pool.
+		// Releases from any other goroutine (retained tuples) keep using
+		// plain Release.
+		var rev *tuple.RecycleRing
+		if j.Producer < len(t.rev) {
+			rev = t.rev[j.Producer]
 		}
-		c.curTs, c.curEvent = in.Ts, in.Event
-		c.curTrace, c.curOrigin = in.TraceID, in.TraceOrigin
-		if t.isSink {
-			e.sink.Inc()
-			if !in.Ts.IsZero() {
-				ns := float64(time.Since(in.Ts).Nanoseconds())
-				e.lat.Observe(ns)
-				if e.obsLat != nil {
-					e.obsLat.Observe(ns)
-					e.obsLatHist.Observe(ns)
-				}
+		for _, in := range j.Tuples {
+			c.curTs, c.curEvent = in.Ts, in.Event
+			c.curTrace, c.curOrigin = in.TraceID, in.TraceOrigin
+			if t.isSink {
+				e.arrived(in.Ts)
 			}
-		}
-		if t.operator != nil {
 			if err := e.invokeOperator(t, c, in, qwait); err != nil {
 				return err
 			}
+			atomic.AddUint64(&t.processed, 1)
+			// The consumer's reference ends here; unless the operator
+			// retained it, the tuple returns to its producer's pool —
+			// through the edge's reverse ring when one is wired.
+			in.ReleaseTo(rev)
 		}
-		atomic.AddUint64(&t.processed, 1)
-		// The consumer's reference ends here; unless the operator
-		// retained it, the tuple returns to its producer's pool —
-		// through the edge's reverse ring when one is wired.
-		in.ReleaseTo(rev)
 	}
+	// The trailer applies after the payload. Copy it out first: the
+	// header goes back to a sync.Pool, and handling a barrier can replay
+	// parked jumbos through this function.
+	p, producer := j.Punct, j.Producer
 	e.recycleJumbo(t, j)
+	switch p.Kind {
+	case tuple.PunctWatermark:
+		return e.handlePunct(t, c, p.Event, p.Ts, producer)
+	case tuple.PunctBarrier:
+		if p.Event == barrierDone {
+			return e.handleDoneBarrier(t, c, producer)
+		}
+		return e.handleBarrier(t, c, uint64(p.Event), producer)
+	}
 	return nil
+}
+
+// arrived accounts one tuple reaching a sink: the run's sink count and,
+// for a latency-sampled tuple, its end-to-end latency.
+func (e *Engine) arrived(ts time.Time) {
+	e.sink.Add(1)
+	if !ts.IsZero() {
+		ns := float64(time.Since(ts).Nanoseconds())
+		e.lat.Observe(ns)
+		if e.obsLat != nil {
+			e.obsLat.Observe(ns)
+		}
+	}
 }
 
 // invokeOperator runs the operator on one materialized input tuple —
@@ -1862,28 +1806,18 @@ func (e *Engine) invokeOperator(t *task, c *collector, in *tuple.Tuple, qwait in
 	return c.fail
 }
 
-// consumeBatch processes one received columnar batch. Batches carry
-// only data (punctuations ride scalar jumbos), so there is no per-row
-// stream check. A BatchOperator gets the whole batch in one
+// consumeBatch processes the columnar payload of a jumbo received from
+// the given producer task. A BatchOperator gets the whole batch in one
 // ProcessBatch call — the vectorized path — unless the batch carries
 // traced rows and tracing is armed, in which case the row adapter runs
 // so per-tuple span semantics stay exact: each row is materialized into
 // a pooled scratch tuple and handed to Process. The drained batch is
 // parked on the producer edge's reverse free ring for reuse.
-func (e *Engine) consumeBatch(t *task, c *collector, j *tuple.Jumbo, qwait int64) error {
-	b := j.Batch
+func (e *Engine) consumeBatch(t *task, c *collector, b *tuple.Batch, producer int, qwait int64) error {
 	n := b.Len()
 	if t.isSink {
 		for r := 0; r < n; r++ {
-			e.sink.Inc()
-			if ts := b.Ts(r); !ts.IsZero() {
-				ns := float64(time.Since(ts).Nanoseconds())
-				e.lat.Observe(ns)
-				if e.obsLat != nil {
-					e.obsLat.Observe(ns)
-					e.obsLatHist.Observe(ns)
-				}
-			}
+			e.arrived(b.Ts(r))
 		}
 	}
 	if bop, ok := t.operator.(BatchOperator); ok && !(b.HasTrace() && t.spans != nil) {
@@ -1941,20 +1875,11 @@ func (e *Engine) consumeBatch(t *task, c *collector, j *tuple.Jumbo, qwait int64
 			atomic.AddUint64(&t.processed, 1)
 		}
 	}
-	// Recycle: park the drained batch on the producer edge's reverse
-	// free ring (consumer puts, producer gets — the FreeRing's SPSC
-	// discipline). A full or missing ring drops the batch to the GC.
-	j.Batch = nil
+	// Recycle: park the drained batch on the reverse free ring of the
+	// (columnar) edge it arrived over — consumer puts, producer gets, the
+	// FreeRing's SPSC discipline. A full ring drops the batch to the GC.
 	b.Reset()
-	if j.Producer >= 0 && j.Producer < len(e.tasks) {
-		pt := e.tasks[j.Producer]
-		if t.id < len(pt.out) {
-			if pe := pt.out[t.id]; pe != nil && pe.colFree != nil {
-				pe.colFree.TryPut(b)
-			}
-		}
-	}
-	e.recycleJumbo(t, j)
+	e.tasks[producer].out[t.id].colFree.TryPut(b)
 	return nil
 }
 
@@ -2001,7 +1926,7 @@ func (e *Engine) Snapshot() map[string]uint64 {
 }
 
 // SinkCount returns the tuples received by sinks so far.
-func (e *Engine) SinkCount() uint64 { return e.sink.Value() }
+func (e *Engine) SinkCount() uint64 { return e.sink.Load() }
 
 // ProfileSnapshot captures every task's live-profiling counters at this
 // instant: processed/emitted tuple counts, the sampled service-time and

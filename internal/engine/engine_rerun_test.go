@@ -86,12 +86,12 @@ func TestRunTwiceResetsLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Latency.Count() == 0 || r2.Latency.Count() == 0 {
-		t.Fatalf("latency not sampled: %d / %d", r1.Latency.Count(), r2.Latency.Count())
+	if r1.Latency.Count == 0 || r2.Latency.Count == 0 {
+		t.Fatalf("latency not sampled: %d / %d", r1.Latency.Count, r2.Latency.Count)
 	}
-	if r2.Latency.Count() > r1.Latency.Count()*2 {
+	if r2.Latency.Count > r1.Latency.Count*2 {
 		t.Fatalf("second run accumulated first run's samples: %d then %d",
-			r1.Latency.Count(), r2.Latency.Count())
+			r1.Latency.Count, r2.Latency.Count)
 	}
 }
 

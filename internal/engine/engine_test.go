@@ -288,7 +288,7 @@ func TestEndToEndLatencyMeasured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Latency.Count() == 0 {
+	if res.Latency.Count == 0 {
 		t.Fatal("no latency samples recorded")
 	}
 	if res.Latency.Quantile(0.5) <= 0 {

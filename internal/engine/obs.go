@@ -28,7 +28,7 @@ func (e *Engine) RegisterObs(g *obs.Group, jr *obs.Journal) {
 	e.jr = jr
 
 	g.Counter("brisk_runs_total", "Engine Run invocations.", nil, e.runSeq.Load)
-	g.Counter("brisk_sink_tuples_total", "Tuples received by sink tasks this run.", nil, e.sink.Value)
+	g.Counter("brisk_sink_tuples_total", "Tuples received by sink tasks this run.", nil, e.sink.Load)
 	g.Counter("brisk_align_timeouts_total", "Checkpoint alignment attempts abandoned by AlignTimeout this run.", nil, e.alignTimeouts.Load)
 	g.Gauge("brisk_pinned_tasks", "Task threads currently pinned to their socket's CPUs.", nil, func() float64 {
 		return float64(e.pinned.Load())
@@ -53,13 +53,13 @@ func (e *Engine) RegisterObs(g *obs.Group, jr *obs.Journal) {
 	}
 	g.Counter("brisk_ingest_tuples_total", "Tuples emitted by spout tasks this run.", nil, ingest)
 	g.RateWindow("brisk_ingest_rate_tps", "Rolling spout ingest rate (tuples/s).", nil, ingest)
-	g.RateWindow("brisk_sink_rate_tps", "Rolling sink throughput (tuples/s).", nil, e.sink.Value)
+	g.RateWindow("brisk_sink_rate_tps", "Rolling sink throughput (tuples/s).", nil, e.sink.Load)
 	g.RateWindow("brisk_queue_put_rate_tps", "Rolling jumbo-batch enqueue rate (batches/s).", nil, func() uint64 {
 		puts, _ := e.QueueStats()
 		return puts
 	})
 
-	e.obsLatHist = g.Histogram("brisk_latency_ns", "Sampled end-to-end sink latency (ns, engine registration lifetime).", nil)
+	e.lat = g.Histogram("brisk_latency_ns", "Sampled end-to-end sink latency (ns, engine registration lifetime).", nil)
 	e.obsLat = g.ValueWindow("brisk_latency_rolling_ns", "Rolling sampled sink latency (ns).", nil)
 
 	for _, t := range e.tasks {

@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"briskstream/internal/apps"
-	"briskstream/internal/metrics"
 	"briskstream/internal/model"
 	"briskstream/internal/numa"
 	"briskstream/internal/profile"
@@ -201,13 +201,15 @@ func ProfileIsolated(a *apps.App, samples int) ([]OpProfile, error) {
 }
 
 func cdfRow(name string, p *profile.Profiler, quantiles []float64) []string {
-	h := metrics.NewHistogram(0)
-	for _, d := range p.Durations() {
-		h.Observe(d)
-	}
+	d := p.Durations()
+	sort.Float64s(d)
 	row := []string{name}
 	for _, q := range quantiles {
-		row = append(row, fmtF(h.Quantile(q), 0))
+		v := 0.0
+		if len(d) > 0 {
+			v = d[int(q*float64(len(d)-1)+0.5)] // nearest rank
+		}
+		row = append(row, fmtF(v, 0))
 	}
 	return row
 }

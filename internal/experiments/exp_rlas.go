@@ -6,7 +6,6 @@ import (
 
 	"briskstream/internal/apps"
 	"briskstream/internal/bnb"
-	"briskstream/internal/metrics"
 	"briskstream/internal/model"
 	"briskstream/internal/numa"
 	"briskstream/internal/placement"
@@ -157,7 +156,7 @@ func fig14(ctx *Context) (*Report, error) {
 				beatRLAS++
 			}
 		}
-		cdf := metrics.CDFOf(values, 5)
+		cdf := CDFOf(values, 5)
 		row := []string{a.Name, fmtK(r.Eval.Throughput)}
 		for _, pt := range cdf {
 			row = append(row, fmtK(pt.Value))

@@ -14,7 +14,6 @@ import (
 
 	"briskstream/internal/apps"
 	"briskstream/internal/bnb"
-	"briskstream/internal/metrics"
 	"briskstream/internal/model"
 	"briskstream/internal/numa"
 	"briskstream/internal/rlas"
@@ -38,7 +37,7 @@ type Report struct {
 func (r *Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "[%s] %s\n", r.ID, r.Title)
-	b.WriteString(metrics.Table(r.Header, r.Rows))
+	b.WriteString(Table(r.Header, r.Rows))
 	if r.Notes != "" {
 		fmt.Fprintf(&b, "note: %s\n", r.Notes)
 	}

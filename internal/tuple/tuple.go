@@ -512,26 +512,53 @@ func (t *Tuple) copyPayload(src *Tuple) {
 	t.arena = append(t.arena[:0], src.arena...)
 }
 
+// PunctKind says which control record, if any, a jumbo's header carries.
+type PunctKind uint8
+
+const (
+	PunctNone PunctKind = iota
+	// PunctWatermark: Event is the producer's low watermark.
+	PunctWatermark
+	// PunctBarrier: Event is the checkpoint id (or the engine's
+	// producer-finished sentinel).
+	PunctBarrier
+)
+
+// Punct is a control record riding a jumbo's header: it applies after
+// the jumbo's payload, so it stays ordered behind exactly the data it
+// follows at no extra queue insertion.
+type Punct struct {
+	Kind  PunctKind
+	Event int64
+	// Ts is the latency stamp punctuations carry through to the outputs
+	// they trigger (window aggregates fired by a watermark).
+	Ts time.Time
+}
+
 // Jumbo is a jumbo tuple: a batch of tuples from one producer to one
-// consumer that shares a single header (producer/consumer identity,
-// context metadata) and occupies a single communication-queue slot.
-// Section 5.2: the shared header eliminates duplicate per-tuple metadata
-// and the single insertion amortizes queue synchronization.
+// consumer that shares a single header (producer identity, queueing
+// stamp, control record) and occupies a single communication-queue
+// slot. Section 5.2: the shared header eliminates duplicate per-tuple
+// metadata and the single insertion amortizes queue synchronization.
 type Jumbo struct {
-	// Producer and Consumer identify the task pair, replacing a
-	// per-tuple header.
-	Producer, Consumer int
+	// Producer identifies the sending task, replacing a per-tuple
+	// header.
+	Producer int
 	// EnqNs is the wall clock (UnixNano) at which the batch was put on
 	// its communication queue. The consumer diffs against it on dequeue,
 	// which attributes queue-wait to every batch — and therefore every
 	// task/edge — at one clock read per jumbo, not per tuple.
 	EnqNs int64
 	// Tuples is the row-oriented batch payload, passed by reference.
-	// Exactly one of Tuples and Batch is populated.
+	// At most one of Tuples and Batch is populated; a jumbo with neither
+	// carries only its Punct.
 	Tuples []*Tuple
 	// Batch is the columnar payload carried on edges whose consumer
 	// processes batches vectorized (see Batch); nil on scalar edges.
 	Batch *Batch
+	// Punct is the control record that follows the payload (Kind
+	// PunctNone on a plain data jumbo).
+	Punct Punct
 }
 
 // Len returns the number of tuples in the batch (either representation).

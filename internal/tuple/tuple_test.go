@@ -336,9 +336,14 @@ func TestTupleString(t *testing.T) {
 }
 
 func TestJumbo(t *testing.T) {
-	j := &Jumbo{Producer: 3, Consumer: 9, Tuples: []*Tuple{New(int64(1)), New(int64(2))}}
+	j := &Jumbo{Producer: 3, Tuples: []*Tuple{New(int64(1)), New(int64(2))}}
 	if j.Len() != 2 {
 		t.Errorf("Len = %d", j.Len())
+	}
+	// A punctuation-only jumbo carries no data rows.
+	p := &Jumbo{Producer: 3, Punct: Punct{Kind: PunctWatermark, Event: 7}}
+	if p.Len() != 0 {
+		t.Errorf("punctuation-only Len = %d, want 0", p.Len())
 	}
 }
 
