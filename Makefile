@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench vet fmt-check check
+.PHONY: all build test race bench vet fmt-check fuzz-smoke check
 
 all: build test
 
@@ -53,7 +53,7 @@ bench-json:
 	mv $(BENCH_JSON).tmp $(BENCH_JSON)
 
 # bench-multicore runs the parallel-sensitive microbenchmarks (SPSC
-# ring + reverse recycling ring + engine dispatch) at GOMAXPROCS=4,
+# ring + reverse free ring + engine dispatch) at GOMAXPROCS=4,
 # the setting the multicore bench matrix rows use.
 .PHONY: bench-multicore
 bench-multicore:
@@ -91,8 +91,21 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# fuzz-smoke gives each fuzz target a short budget, one after the other
+# (go test -fuzz takes one target of one package per invocation). The
+# decoders face bytes from outside the process — checkpoint files, and
+# the batch codec is the data type of every edge — so a bounded run on
+# every change is the floor; a crasher lands in the package's
+# testdata/fuzz/ and fails plain `go test` from then on.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/tuple/
+	$(GO) test -run '^$$' -fuzz '^FuzzBatchRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/tuple/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecoderKey$$' -fuzztime $(FUZZTIME) ./internal/checkpoint/
+
 # benchmark/ is its own module (the benchmark of record), so the root
 # ./... does not reach its tests; check runs them explicitly.
 check: vet fmt-check build
 	BRISK_VALIDATE_EVERY=1 $(GO) test -race ./...
 	$(GO) -C benchmark test ./...
+	$(MAKE) fuzz-smoke

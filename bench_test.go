@@ -118,7 +118,7 @@ func BenchmarkFig16_FactorAnalysis(b *testing.B)      { benchExperiment(b, "fig1
 // comparisons live in internal/queue/bench_test.go.
 func BenchmarkQueuePutGet(b *testing.B) {
 	q := queue.New[*tuple.Jumbo](64)
-	j := &tuple.Jumbo{Tuples: []*tuple.Tuple{tuple.New(int64(1))}}
+	j := &tuple.Jumbo{Producer: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q.Put(j)
@@ -130,7 +130,7 @@ func BenchmarkQueuePutGet(b *testing.B) {
 // single-producer/single-consumer ring the engine uses per edge.
 func BenchmarkQueueSPSCPutGet(b *testing.B) {
 	q := queue.NewRing[*tuple.Jumbo](64)
-	j := &tuple.Jumbo{Tuples: []*tuple.Tuple{tuple.New(int64(1))}}
+	j := &tuple.Jumbo{Producer: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q.Put(j)

@@ -137,10 +137,9 @@ const DefaultStreamID = tuple.DefaultStreamID
 // operator construction (wiring) time, not per tuple.
 func Stream(name string) StreamID { return tuple.Intern(name) }
 
-// Collector receives emitted tuples during an operator invocation.
-// Emit/EmitTo copy variadic values into pooled tuples; the
-// allocation-free surface is Borrow (get a pooled tuple, fill Values
-// and optionally Stream) followed by Send (transfer it to the engine).
+// Collector receives emitted tuples during an operator invocation:
+// Borrow a scratch row, fill it with the typed appends (and optionally
+// Stream), Send it — the engine copies it out and takes the row back.
 type Collector = engine.Collector
 
 // Operator processes one input tuple per invocation.

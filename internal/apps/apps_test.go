@@ -1,9 +1,11 @@
 package apps
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
+	"briskstream/internal/checkpoint"
 	"briskstream/internal/engine"
 	"briskstream/internal/model"
 	"briskstream/internal/numa"
@@ -147,6 +149,36 @@ func TestFDEndToEnd(t *testing.T) {
 	// in-flight slack.
 	if res.Processed["predict"] == 0 {
 		t.Fatal("predict processed nothing")
+	}
+}
+
+// TestFDSnapshotFramingUnchanged: Predict's state keys on symbols, but
+// its checkpoint bytes are still what a map[string]int64 in name order
+// produced — so checkpoints written before the change restore, and
+// re-snapshot byte-equal.
+func TestFDSnapshotFramingUnchanged(t *testing.T) {
+	// Interned in an order that disagrees with name order.
+	for _, name := range []string{"cust-zeta", "cust-alpha", "cust-mid"} {
+		tuple.InternSym(name)
+	}
+	old := checkpoint.NewEncoder()
+	checkpoint.SaveMapOrdered(old, map[string]int64{"cust-zeta": 3, "cust-alpha": 96, "cust-mid": 0},
+		func(e *checkpoint.Encoder, k string) { e.String(k) },
+		func(e *checkpoint.Encoder, v int64) { e.Int64(v) })
+
+	p := &fdPredict{last: map[tuple.Sym]int64{tuple.InternSym("stale"): 1}}
+	if err := p.Restore(checkpoint.NewDecoder(old.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.last[tuple.InternSym("cust-alpha")]; len(p.last) != 3 || got != 96 {
+		t.Fatalf("restored state = %v", p.last)
+	}
+	again := checkpoint.NewEncoder()
+	if err := p.Snapshot(again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), old.Bytes()) {
+		t.Fatalf("re-snapshot differs from the string-keyed framing:\n got %x\nwant %x", again.Bytes(), old.Bytes())
 	}
 }
 

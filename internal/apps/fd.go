@@ -17,8 +17,8 @@ var fdSpoutSeq atomic.Int64
 
 // fdEntitySyms pre-interns the 10000 customer ids (a bounded entity
 // population): the entity field travels as a symbol, so Predict's
-// per-entity state keys on a stable interned name and the emit path
-// never formats or copies the id.
+// per-entity state keys on a dense id and the emit path never formats
+// or copies the name.
 var fdEntitySyms = func() []tuple.Sym {
 	names := make([]string, 10000)
 	for i := range names {
@@ -86,16 +86,16 @@ func (s *fdSpout) SeekTo(offset int64) error {
 // fdPredict scores records against per-entity transition state (last
 // amount bucket seen) and snapshots that state, so FD recovers exactly:
 // a replayed record meets the same per-entity history it met originally.
+// The state keys on the entity symbol itself — a dense id — so the
+// per-record probe hashes four bytes, not the name.
 type fdPredict struct {
-	last map[string]int64
+	last map[tuple.Sym]int64
 }
 
 // Process implements engine.Operator.
 func (p *fdPredict) Process(c engine.Collector, t *tuple.Tuple) error {
-	// The entity is a symbol: Str returns the stable interned name, so
-	// it is a safe map key without cloning. The record is an arena view,
-	// only read within this call.
-	entity := t.Str(0)
+	// The record is an arena view, only read within this call.
+	entity := t.Sym(0)
 	record := t.Str(1)
 	// Score: a cheap stand-in for a Markov-model probability lookup —
 	// bucket the record hash and compare with the entity's previous
@@ -111,15 +111,21 @@ func (p *fdPredict) Process(c engine.Collector, t *tuple.Tuple) error {
 	// A signal is emitted for every input tuple regardless of the
 	// detection outcome.
 	out := c.Borrow()
-	out.AppendSym(t.Sym(0))
+	out.AppendSym(entity)
 	out.AppendBool(fraud)
 	c.Send(out)
 	return nil
 }
 
-// Snapshot implements checkpoint.Snapshotter (sorted keys: byte-stable).
+// Snapshot implements checkpoint.Snapshotter. Entities are encoded by
+// name in name order: symbol ids depend on interning order, names are
+// byte-stable across processes.
 func (p *fdPredict) Snapshot(enc *checkpoint.Encoder) error {
-	checkpoint.SaveMapOrdered(enc, p.last,
+	byName := make(map[string]int64, len(p.last))
+	for sym, bucket := range p.last {
+		byName[sym.Name()] = bucket
+	}
+	checkpoint.SaveMapOrdered(enc, byName,
 		func(e *checkpoint.Encoder, k string) { e.String(k) },
 		func(e *checkpoint.Encoder, v int64) { e.Int64(v) })
 	return nil
@@ -128,7 +134,7 @@ func (p *fdPredict) Snapshot(enc *checkpoint.Encoder) error {
 // Restore implements checkpoint.Snapshotter.
 func (p *fdPredict) Restore(dec *checkpoint.Decoder) error {
 	return checkpoint.LoadMapOrdered(dec, p.last,
-		(*checkpoint.Decoder).String,
+		func(d *checkpoint.Decoder) tuple.Sym { return tuple.InternSym(d.String()) },
 		(*checkpoint.Decoder).Int64)
 }
 
@@ -161,7 +167,7 @@ func FraudDetection() *App {
 		Operators: map[string]func() engine.Operator{
 			"parser": func() engine.Operator { return arityParser{min: 2} },
 			"predict": func() engine.Operator {
-				return &fdPredict{last: make(map[string]int64)}
+				return &fdPredict{last: make(map[tuple.Sym]int64)}
 			},
 			"sink": func() engine.Operator { return nopSink{} },
 		},

@@ -337,17 +337,14 @@ func (e *Engine) abandonAlignment(t *task, c *collector) error {
 // aligned for a newer checkpoint parks again. Nested barriers in the
 // parked input are handled like live ones, so back-to-back checkpoints
 // compose.
-func (e *Engine) replayParked(t *task, c *collector, buf []*tuple.Jumbo) error {
-	for k, j := range buf {
+func (e *Engine) replayParked(t *task, c *collector, buf []tuple.Jumbo) error {
+	for _, j := range buf {
 		if t.alignID != 0 && t.alignSeen[j.Producer] {
 			t.alignBuf = append(t.alignBuf, j)
 			continue
 		}
 		if err := e.consumeJumbo(t, c, j); err != nil {
-			for _, jj := range buf[k+1:] {
-				e.dropJumbo(t, jj)
-			}
-			return err
+			return err // the task is failing; the rest of buf goes to the GC
 		}
 	}
 	return nil

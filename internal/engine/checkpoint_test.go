@@ -495,9 +495,8 @@ func (o *orderCheckOp) OnWatermark(c Collector, wm int64) error {
 	return nil
 }
 
-// batchOrderCheckOp is orderCheckOp behind a columnar edge: the same
-// per-row check fed by ProcessBatch, so barriers and watermarks reach
-// it as trailers of partial tuple.Batch jumbos.
+// batchOrderCheckOp is orderCheckOp made batch-aware: the same per-row
+// check fed by ProcessBatch instead of the row adapter.
 type batchOrderCheckOp struct{ *orderCheckOp }
 
 func (o batchOrderCheckOp) ProcessBatch(c Collector, b *tuple.Batch) error {
@@ -515,15 +514,15 @@ func (o batchOrderCheckOp) ProcessBatch(c Collector, b *tuple.Batch) error {
 // landing between, inside and across jumbo batches) must not disturb
 // the data path — per-origin sequences stay gapless and ordered through
 // a bounded shuffle, watermarks keep min-merging monotonically, and the
-// sink sees exactly every emitted tuple. Both transports are under the
-// property: the scalar checker sits behind a pointer edge, the
-// batch-aware one behind a columnar edge.
+// sink sees exactly every emitted tuple. Both ways of consuming a batch
+// are under the property: the scalar checker is fed through the row
+// adapter, the batch-aware one gets ProcessBatch.
 func TestCheckpointNeverDropsOrReordersTuples(t *testing.T) {
 	t.Run("scalar", func(t *testing.T) { checkpointNeverDropsOrReorders(t, false) })
 	t.Run("columnar", func(t *testing.T) { checkpointNeverDropsOrReorders(t, true) })
 }
 
-func checkpointNeverDropsOrReorders(t *testing.T, columnar bool) {
+func checkpointNeverDropsOrReorders(t *testing.T, vectorized bool) {
 	g := graph.New("prop")
 	must := func(err error) {
 		t.Helper()
@@ -552,7 +551,7 @@ func checkpointNeverDropsOrReorders(t *testing.T, columnar bool) {
 			"check": func() Operator {
 				op := &orderCheckOp{lastSeq: map[int64]int64{}, lastWm: WatermarkMin}
 				checks = append(checks, op)
-				if columnar {
+				if vectorized {
 					return batchOrderCheckOp{op}
 				}
 				return op
@@ -568,9 +567,6 @@ func checkpointNeverDropsOrReorders(t *testing.T, columnar bool) {
 	e, err := New(topo, cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := e.byOp["spout"][0].outList[0].columnar; got != columnar {
-		t.Fatalf("spout->check edge columnar = %v, want %v", got, columnar)
 	}
 	res, err := e.Run(0)
 	if err != nil {

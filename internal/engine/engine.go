@@ -2,34 +2,37 @@
 // (Section 5 and Appendix A). An application runs inside one process;
 // every operator replica is a task executed by its own goroutine (the
 // paper uses Java threads), consisting of an executor and a partition
-// controller. Tuples are passed by reference: a producer stores its
-// output locally and enqueues pointers; accumulated tuples destined for
-// the same consumer are combined into a jumbo tuple that shares one
-// header and costs a single queue insertion (Section 5.2). The engine's
-// own control records — watermarks, checkpoint barriers, the
-// source-done marker — are not tuples: each rides the header of the
-// jumbo that carries the data it follows (tuple.Jumbo.Punct) and is
-// applied after that payload.
+// controller. What two tasks share across cores is one thing only: the
+// jumbo tuple (Section 5.2) — the rows a producer has accumulated for
+// one consumer as a columnar batch (tuple.Batch) under one header, at
+// the cost of a single queue insertion. Every edge carries batches;
+// whether a consumer runs vectorized over a batch or row by row is its
+// own business (see BatchOperator). The engine's own control records —
+// watermarks, checkpoint barriers, the source-done marker — are not
+// tuples: each rides the header of the jumbo that carries the data it
+// follows (tuple.Jumbo.Punct) and is applied after that payload.
 //
-// # Tuple ownership
+// # Row ownership
 //
-// The steady-state emit→dispatch→process path allocates nothing: tuples
-// come from per-task pools and carry typed slots (no boxing), stream
-// routing compares interned integer ids, fields-grouping hashes slots
-// inline without a heap hasher, and jumbo batch headers are recycled.
-// The ownership contract that makes this safe:
+// The steady-state emit→dispatch→process path allocates nothing and no
+// tuple ever crosses a core: rows carry typed slots (no boxing), stream
+// routing indexes a per-stream route table by interned id,
+// fields-grouping hashes slots inline without a heap hasher, jumbo
+// headers travel by value and batches are recycled. The ownership
+// rules:
 //
-//   - Collector.Borrow hands the operator a pooled tuple; Collector.Send
-//     transfers ownership to the engine.
-//   - dispatch counts, before the first enqueue, how many consumers
-//     receive the tuple by reference and retains it accordingly, so one
-//     tuple fanned out to several routes is recycled only after the last
-//     consumer finishes.
-//   - After an operator's Process returns, the engine releases the input
-//     tuple back to its producer's pool. Operators that keep a tuple
-//     beyond Process (windows, joins, side goroutines) must Retain it in
-//     Process and Release it later; values read out of a tuple are
-//     immutable and never need retaining.
+//   - Collector.Borrow hands the operator a task-local scratch row,
+//     valid until Collector.Send. Send copies the row into the open
+//     batch of every edge its stream routes to and takes the row back;
+//     a row that is only ever copied has one owner and no refcount.
+//   - A drained batch returns to its producer over the edge's free
+//     ring.
+//   - An operator that processes one row at a time gets each input row
+//     materialized into a pooled tuple, released when Process returns.
+//     Operators that keep it beyond Process (windows, joins, side
+//     goroutines) must Retain it in Process and Release it later;
+//     values read out of a tuple are immutable and never need
+//     retaining.
 package engine
 
 import (
@@ -53,20 +56,21 @@ import (
 
 // Collector receives the tuples an operator emits during one invocation.
 //
-// Borrow returns a pooled tuple whose slot arrays and string arena are
+// Borrow returns a scratch row whose slot arrays and string arena are
 // reused across emissions, the caller fills fields with the typed
 // AppendInt/AppendFloat/AppendBool/AppendStr/AppendSym methods (and
 // Stream, for named streams — pre-intern with tuple.Intern; stream names
 // are interned globally and never evicted, so they must come from the
-// topology's fixed set), and Send transfers ownership back to the
-// engine. After Send the caller must not touch the tuple.
+// topology's fixed set), and Send hands it back to the engine. After
+// Send the caller must not touch the tuple.
 type Collector interface {
-	// Borrow returns an empty pooled tuple on the default stream, owned
-	// by the caller until passed to Send.
+	// Borrow returns an empty row on the default stream, owned by the
+	// caller until passed to Send. Outstanding rows are distinct.
 	Borrow() *tuple.Tuple
-	// Send emits a tuple obtained from Borrow, consuming ownership. The
-	// engine stamps the event timestamp; callers only fill Values and
-	// Stream.
+	// Send emits a tuple, consuming the caller's ownership of it (a
+	// borrowed row is recycled, any other tuple loses one reference).
+	// The engine stamps the event timestamp; callers only fill Values
+	// and Stream.
 	Send(t *tuple.Tuple)
 	// EmitWatermark broadcasts a low-watermark punctuation to every
 	// consumer of the task: a promise that no tuple with Event < wm will
@@ -94,10 +98,10 @@ type OperatorFunc func(c Collector, t *tuple.Tuple) error
 func (f OperatorFunc) Process(c Collector, t *tuple.Tuple) error { return f(c, t) }
 
 // BatchOperator is the vectorized processing interface: an operator
-// that also implements ProcessBatch receives whole columnar batches
-// (see tuple.Batch) on edges the engine wires columnar, and iterates
-// the batch's column vectors in tight per-kind loops instead of being
-// invoked once per tuple. The contract mirrors Process:
+// that also implements ProcessBatch consumes each received batch (see
+// tuple.Batch) in one call, iterating its column vectors in tight
+// per-kind loops instead of being invoked once per tuple. The contract
+// mirrors Process:
 //
 //   - The batch is valid only during the call (it is recycled after);
 //     string views read from it die with it.
@@ -107,8 +111,7 @@ func (f OperatorFunc) Process(c Collector, t *tuple.Tuple) error { return f(c, t
 //     Batch.StampMeta(row, out) before Send.
 //   - Watermarks and barriers never appear inside a batch: a
 //     punctuation is the trailer of the jumbo header carrying the batch
-//     it follows, so event-time and checkpoint semantics are those of
-//     the scalar transport.
+//     it follows.
 //
 // Process remains required: it serves the rows the engine must deliver
 // individually (traced batches, through the row adapter).
@@ -117,13 +120,12 @@ type BatchOperator interface {
 	ProcessBatch(c Collector, b *tuple.Batch) error
 }
 
-// BatchGater lets a BatchOperator opt out of columnar delivery at
-// wiring time: when WantsBatches reports false the engine keeps the
-// operator's input edges scalar (pointer-passing), which is the right
-// call when the operator would only run the copying row fallback —
-// e.g. a window without vectorized AddRow/Merge hooks. Operators
-// without this method get batches whenever they implement
-// BatchOperator.
+// BatchGater lets a BatchOperator decline vectorized delivery: while
+// WantsBatches reports false the engine feeds it through the row
+// adapter like a scalar operator — the right call when ProcessBatch
+// would only loop over Process anyway, e.g. a window without vectorized
+// AddRow/Merge hooks. Operators without this method get ProcessBatch
+// whenever they implement BatchOperator.
 type BatchGater interface {
 	WantsBatches() bool
 }
@@ -200,9 +202,8 @@ type Config struct {
 	ValidateEvery bool
 
 	// Placement maps "op#replica" labels to sockets. On platforms with
-	// affinity support a placement is physical — each placed task thread
-	// is bound to its socket's CPUs, exactly as if Pin were on — and the
-	// jumbo header pools shard by it.
+	// affinity support a placement is physical: each placed task thread
+	// is bound to its socket's CPUs, exactly as if Pin were on.
 	Placement map[string]numa.SocketID
 
 	// Pin executes every task goroutine on a locked OS thread bound to
@@ -214,17 +215,11 @@ type Config struct {
 	// DefaultConfig turns it on when the BRISK_PIN environment variable
 	// is non-empty (how CI's multicore race step enables it suite-wide).
 	Pin bool
-	// Host is the physical topology Pin binds against and per-socket
-	// memory shards by; nil probes it via numa.DetectHost(). Placement
-	// sockets beyond the host's range wrap around, so plans computed
-	// for the paper's 8-socket servers run anywhere.
+	// Host is the physical topology Pin binds against; nil probes it via
+	// numa.DetectHost(). Placement sockets beyond the host's range wrap
+	// around, so plans computed for the paper's 8-socket servers run
+	// anywhere.
 	Host *numa.Host
-	// RecycleRingCap is the capacity of the per-(producer, consumer)
-	// reverse recycling ring: released tuples flow back producer-ward
-	// through it so steady-state recycling never crosses sockets via
-	// sync.Pool. 0 defaults to 4x BatchSize; negative disables the
-	// rings (releases ride sync.Pool as before).
-	RecycleRingCap int
 	// TrackPools counts every task pool's tuple gets and puts
 	// (Engine.PoolStats), the accounting the leak/double-free property
 	// tests balance. Off the hot path when false (the default).
@@ -306,26 +301,20 @@ type task struct {
 	spout    Spout
 	operator Operator
 	isSink   bool
-	in       *queue.Inbox[*tuple.Jumbo]
+	in       *queue.Inbox[tuple.Jumbo]
 	socket   numa.SocketID
 	// pinCPUs is the CPU set this task's thread binds to (empty: run
 	// unpinned); set at New when Config.Pin is on and supported.
 	pinCPUs []int
 
-	// pool recycles this task's output tuples: consumers release each
-	// processed tuple back here once every reference is dropped.
+	// pool recycles the tuples the row adapter materializes this task's
+	// input rows into (see consumeBatch).
 	pool *tuple.Pool
-	// rev holds, indexed by producer task id, the reverse recycling ring
-	// back to that producer's pool (nil for non-producers or when the
-	// rings are disabled). Only this task's goroutine feeds a ring (via
-	// ReleaseTo after Process); only the producer drains it (in Get).
-	rev []*tuple.RecycleRing
 
-	// routing: per logical out-edge, the consumer tasks and partitioning
-	routes []route
-	// scratch is the reusable destination list dispatch resolves per
-	// emitted tuple (tasks are single-goroutine, so one scratch each).
-	scratch []dest
+	// byStream is the partition controller's route table: the logical
+	// out-edges subscribed to each of the task's output streams, indexed
+	// by interned stream id.
+	byStream [][]*route
 
 	// out is indexed by consumer task id (nil for tasks this one does
 	// not feed); outList is the dense list of the same edges for flush
@@ -360,7 +349,7 @@ type task struct {
 	alignID   uint64
 	alignSeen []bool
 	alignLeft int
-	alignBuf  []*tuple.Jumbo
+	alignBuf  []tuple.Jumbo
 	// alignSeq numbers this task's alignment attempts; the align-timeout
 	// timer records the attempt it was armed for, so a timer whose
 	// alignment already completed (or was superseded) is recognized as
@@ -373,12 +362,14 @@ type task struct {
 	// sources' input forever.
 	doneIn []bool
 
-	processed uint64
-	// Live-profiling counters (all atomically updated, read by
-	// ProfileSnapshot while the task runs). emitted counts output tuples
-	// handed to dispatch; serviceNs/serviceSamples/inBytes accumulate
+	// Live counters, all atomically updated and read by Result,
+	// ProfileSnapshot and the obs layer while the task runs. processed
+	// and emitted are published from the collector's exact counts once
+	// per consumed jumbo, so mid-run they may trail the truth by one
+	// batch, never lead it. serviceNs/serviceSamples/inBytes accumulate
 	// the sampled operator invocations (every Config.ProfileSampleEvery
 	// input tuples).
+	processed      uint64
 	emitted        uint64
 	serviceNs      uint64
 	serviceSamples uint64
@@ -404,35 +395,35 @@ type task struct {
 }
 
 // outEdge is one (producer, consumer) communication edge: the
-// producer's private SPSC ring into the consumer's inbox plus the
-// jumbo tuple being accumulated for the next single-slot insertion.
+// producer's private SPSC ring into the consumer's inbox plus the batch
+// being accumulated for the next single-slot insertion. A jumbo's
+// header travels by value in the ring slot, so only batches need
+// recycling.
 type outEdge struct {
 	consumer *task
-	ring     *queue.Ring[*tuple.Jumbo]
-	jumbo    *tuple.Jumbo
+	ring     *queue.Ring[tuple.Jumbo]
+	// batch is the open batch (nil when nothing is buffered). free is
+	// the edge's reverse ring — the consumer parks drained batches, the
+	// producer refills them — so batch memory stays with the edge, on
+	// the producer's socket, and the steady state allocates none.
+	batch *tuple.Batch
+	free  *queue.FreeRing[*tuple.Batch]
 	// idx is this edge's index in the producer's outList (linger-flush
-	// timers address edges by it); seq numbers the jumbo batches started
-	// on this edge, so a linger timer for a batch that already flushed
-	// full is recognized as stale and skipped.
+	// timers address edges by it); seq numbers the batches started on
+	// this edge, so a linger timer for one that already flushed full is
+	// recognized as stale and skipped.
 	idx int
 	seq uint32
-	// columnar marks an edge that carries tuple.Batch payloads: data
-	// tuples are appended into batch (the open columnar batch) instead
-	// of jumbo. Whichever is open is non-empty. colFree is the edge's
-	// reverse free ring — the consumer parks drained batches, the
-	// producer reuses them — so batch memory recycles producer-ward
-	// like tuples do.
-	columnar bool
-	batch    *tuple.Batch
-	colFree  *queue.FreeRing[*tuple.Batch]
 }
 
+// route is one logical out-edge of a task: a stream subscription by one
+// consumer operator, with the edges to that operator's replicas.
 type route struct {
-	stream    tuple.StreamID
-	part      graph.Partitioning
-	keyField  int
-	consumers []*task
-	rr        int // round-robin cursor for shuffle
+	stream   tuple.StreamID
+	part     graph.Partitioning
+	keyField int
+	edges    []*outEdge
+	rr       int // round-robin cursor for shuffle
 	// schema is the declared layout of tuples emitted on this route's
 	// stream (nil when undeclared); checked flips after the first tuple
 	// is validated, so conformance costs one boolean branch per tuple.
@@ -440,11 +431,38 @@ type route struct {
 	checked bool
 }
 
-// dest is one resolved delivery of an emitted tuple: the consumer task
-// and whether it receives a copy (fan-out) or the tuple pointer itself.
-type dest struct {
-	c     *task
-	clone bool
+// routesOf returns the routes subscribed to one of the task's output
+// streams (none: the rows go nowhere).
+func (t *task) routesOf(s tuple.StreamID) []*route {
+	if int(s) < len(t.byStream) {
+		return t.byStream[s]
+	}
+	return nil
+}
+
+// pick returns the edge a row with key hash h leaves a non-broadcast
+// route on.
+func (r *route) pick(h uint64) *outEdge {
+	switch r.part {
+	case graph.Fields:
+		return r.edges[h%uint64(len(r.edges))]
+	case graph.Global:
+		return r.edges[0]
+	default: // Shuffle
+		idx := r.rr
+		if r.rr++; r.rr == len(r.edges) {
+			r.rr = 0
+		}
+		return r.edges[idx]
+	}
+}
+
+func (r *route) schemaError(t *task, err error) error {
+	return fmt.Errorf("engine: task %s stream %q: %w", t.label, r.stream.String(), err)
+}
+
+func (r *route) keyError(t *task, width int) error {
+	return &RouteError{Task: t.label, Stream: r.stream.String(), KeyField: r.keyField, Width: width}
 }
 
 // RouteError reports a tuple that could not be routed by a
@@ -480,14 +498,6 @@ type Engine struct {
 	lat    *obs.Histogram
 	errs   []error
 	errsMu sync.Mutex
-
-	// jumboPools recycle jumbo tuples (header + batch slice with cap =
-	// BatchSize) between the producer that fills one and the consumer
-	// that drains it, so the steady-state hot path allocates neither
-	// headers nor slices per flush. One pool per socket in use, indexed
-	// by the acting task's socket, so header memory stays NUMA-local
-	// under a placement.
-	jumboPools []sync.Pool
 
 	// pinned counts successfully pinned task threads (reset per run,
 	// reported in Result.PinnedTasks).
@@ -568,7 +578,7 @@ func New(topo Topology, cfg Config) (*Engine, error) {
 					return nil, fmt.Errorf("engine: no operator builder for %q", n.Name)
 				}
 				t.operator = mk()
-				t.in = queue.NewInbox[*tuple.Jumbo](cfg.QueueCapacity)
+				t.in = queue.NewInbox[tuple.Jumbo](cfg.QueueCapacity)
 			}
 			if cfg.Placement != nil {
 				t.socket = cfg.Placement[t.label]
@@ -601,26 +611,6 @@ func New(topo Topology, cfg Config) (*Engine, error) {
 		}
 	}
 
-	// Shard the jumbo header pool by socket so batch headers allocate
-	// and recycle on the socket of the task touching them. Unplaced
-	// topologies collapse to one pool — the previous behaviour.
-	nsock := 1
-	for _, t := range e.tasks {
-		if t.socket < 0 {
-			t.socket = 0 // a malformed placement must not break pool indexing
-		}
-		if s := int(t.socket) + 1; s > nsock {
-			nsock = s
-		}
-	}
-	batch := cfg.BatchSize
-	e.jumboPools = make([]sync.Pool, nsock)
-	for i := range e.jumboPools {
-		e.jumboPools[i].New = func() any {
-			return &tuple.Jumbo{Tuples: make([]*tuple.Tuple, 0, batch)}
-		}
-	}
-
 	// QueueCapacity bounds a task's whole input queue, so split it
 	// across the task's per-producer rings: with the budget divided, a
 	// consumer fed by many producers buffers roughly as much as the old
@@ -643,51 +633,45 @@ func New(topo Topology, cfg Config) (*Engine, error) {
 	// (producer task, consumer task) pair: an operator pair may be
 	// connected by several streams, but all of them share the edge's
 	// ring, and the producing task closes its rings exactly once. Each
-	// edge also gets a reverse recycling ring (consumer → producer's
-	// pool) unless disabled.
-	revCap := cfg.RecycleRingCap
-	if revCap == 0 {
-		revCap = 4 * cfg.BatchSize
-	}
+	// edge also gets the free ring its batches come back on.
 	for _, n := range topo.App.Nodes() {
 		for _, edge := range topo.App.Out(n.Name) {
 			consumers := e.byOp[edge.To]
+			stream := tuple.Intern(edge.Stream)
 			var schema *tuple.Schema
 			if topo.Schemas != nil {
 				schema = topo.Schemas[n.Name][edge.Stream]
 			}
 			for _, pt := range e.byOp[n.Name] {
-				pt.routes = append(pt.routes, route{
-					stream:    tuple.Intern(edge.Stream),
-					part:      edge.Partitioning,
-					keyField:  edge.KeyField,
-					consumers: consumers,
-					schema:    schema,
+				r := &route{
+					stream:   stream,
+					part:     edge.Partitioning,
+					keyField: edge.KeyField,
+					schema:   schema,
 					// Offset cursors so replicas of one producer start
 					// on different consumers; each cursor still visits
 					// every consumer uniformly (index before increment).
 					rr: pt.replica % max(len(consumers), 1),
-				})
+				}
 				for _, ct := range consumers {
 					for len(pt.out) <= ct.id {
 						pt.out = append(pt.out, nil)
 					}
 					if pt.out[ct.id] == nil {
-						oe := &outEdge{consumer: ct, ring: ct.in.Bind(), idx: len(pt.outList)}
-						if wantsBatches(ct.operator) {
-							oe.columnar = true
-							oe.colFree = queue.NewFreeRing[*tuple.Batch](max(8, cfg.QueueCapacity))
+						pt.out[ct.id] = &outEdge{
+							consumer: ct,
+							ring:     ct.in.Bind(),
+							free:     queue.NewFreeRing[*tuple.Batch](max(8, cfg.QueueCapacity)),
+							idx:      len(pt.outList),
 						}
-						pt.out[ct.id] = oe
-						pt.outList = append(pt.outList, oe)
-						if revCap > 0 {
-							for len(ct.rev) <= pt.id {
-								ct.rev = append(ct.rev, nil)
-							}
-							ct.rev[pt.id] = pt.pool.NewRecycleRing(revCap)
-						}
+						pt.outList = append(pt.outList, pt.out[ct.id])
 					}
+					r.edges = append(r.edges, pt.out[ct.id])
 				}
+				for len(pt.byStream) <= int(stream) {
+					pt.byStream = append(pt.byStream, nil)
+				}
+				pt.byStream[stream] = append(pt.byStream[stream], r)
 			}
 		}
 	}
@@ -736,17 +720,18 @@ func New(topo Topology, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// wantsBatches reports whether an edge into op is wired columnar: the
-// consumer processes batches vectorized and has not opted out via
-// BatchGater. Every other edge passes tuple pointers.
-func wantsBatches(op Operator) bool {
-	if _, ok := op.(BatchOperator); !ok {
-		return false
+// batchOperator returns op's vectorized form, or nil when its input
+// must go through the row adapter: a scalar operator, or a
+// BatchOperator whose BatchGater declines.
+func batchOperator(op Operator) BatchOperator {
+	bop, ok := op.(BatchOperator)
+	if !ok {
+		return nil
 	}
-	if g, ok := op.(BatchGater); ok {
-		return g.WantsBatches()
+	if g, ok := op.(BatchGater); ok && !g.WantsBatches() {
+		return nil
 	}
-	return true
+	return bop
 }
 
 // ErrStopped is returned by collectors after the engine begins shutdown.
@@ -754,13 +739,18 @@ var ErrStopped = errors.New("engine: stopped")
 
 // collector implements Collector for one task.
 type collector struct {
-	e        *Engine
-	t        *task
-	seq      uint64
-	pseq     uint64    // input-tuple counter driving profile sampling
-	tseq     uint64    // spout output counter driving trace sampling
-	curTs    time.Time // latency timestamp of the input tuple being processed
-	curEvent int64     // event time of the input tuple (or the advancing watermark)
+	e *Engine
+	t *task
+	// rows is the stack of scratch rows Borrow hands out.
+	rows tuple.Scratch
+	// processed and emitted are the task's exact counts this run;
+	// publish copies them to the task's atomics.
+	processed, emitted uint64
+	seq                uint64    // spout output counter driving latency sampling
+	pseq               uint64    // input-tuple counter driving profile sampling
+	tseq               uint64    // spout output counter driving trace sampling
+	curTs              time.Time // latency timestamp of the input tuple being processed
+	curEvent           int64     // event time of the input tuple (or the advancing watermark)
 	// curTrace/curOrigin carry the trace context of the input tuple
 	// being processed, so derived output tuples stay on the trace.
 	curTrace  uint64
@@ -773,22 +763,38 @@ type collector struct {
 	fail    error
 }
 
-// Borrow implements Collector.
-func (c *collector) Borrow() *tuple.Tuple { return c.t.pool.Get() }
+// publish makes the collector's counts visible to readers on other
+// goroutines. The task is their only writer, so a store suffices; it
+// runs once per consumed jumbo (spouts: every few Nexts) and at task
+// exit, which keeps two LOCK XADDs per row off the hot path and the
+// published counts exact whenever a run has ended.
+func (c *collector) publish() {
+	atomic.StoreUint64(&c.t.processed, c.processed)
+	atomic.StoreUint64(&c.t.emitted, c.emitted)
+}
 
-// Send implements Collector: it stamps the event time and hands the
-// tuple (with the caller's reference) to dispatch.
+// Borrow implements Collector.
+func (c *collector) Borrow() *tuple.Tuple { return c.rows.Get() }
+
+// Send implements Collector: it stamps the row's metadata, copies it to
+// every destination, and only then recycles it — once, however many
+// edges it fanned out to.
 func (c *collector) Send(out *tuple.Tuple) {
-	if c.fail != nil {
-		out.Release()
-		return
+	if c.fail == nil {
+		c.stamp(out)
+		c.emitted++
+		c.fail = c.e.dispatch(c.t, out)
 	}
+	c.rows.Put(out)
+}
+
+// stamp fills the metadata the engine owns on an outgoing row.
+func (c *collector) stamp(out *tuple.Tuple) {
 	if c.t.spout != nil {
 		// Source tasks count emitted tuples (not Next invocations — a
 		// throttled or idle source returning without emitting produced
 		// nothing, and rate metrics divide by this counter).
-		atomic.AddUint64(&c.t.processed, 1)
-		atomic.AddUint64(&c.t.emitted, 1)
+		c.processed++
 		// Latency sampling: spouts stamp every k-th tuple.
 		if c.e.cfg.LatencySampleEvery > 0 {
 			c.seq++
@@ -813,43 +819,36 @@ func (c *collector) Send(out *tuple.Tuple) {
 				})
 			}
 		}
-	} else {
-		atomic.AddUint64(&c.t.emitted, 1)
-		// The latency timestamp propagates downstream so sinks can
-		// measure end-to-end latency; the event timestamp propagates
-		// input→output unless the operator assigned its own (windows
-		// stamp aggregates with the window end, for example); the trace
-		// context always propagates (operators never stamp their own).
-		// During a vectorized ProcessBatch there is no single current
-		// input — batch operators stamp per-row context themselves via
-		// Batch.StampMeta, and the ambient stamp would smear one row's
-		// context over the whole batch's outputs.
-		if !c.inBatch {
-			out.Ts = c.curTs
-			if out.Event == 0 {
-				out.Event = c.curEvent
-			}
-			out.TraceID = c.curTrace
-			out.TraceOrigin = c.curOrigin
-		}
+		return
 	}
-	if err := c.e.dispatch(c.t, out); err != nil {
-		c.fail = err
+	// The latency timestamp propagates downstream so sinks can measure
+	// end-to-end latency; the event timestamp propagates input→output
+	// unless the operator assigned its own (windows stamp aggregates
+	// with the window end, for example); the trace context always
+	// propagates (operators never stamp their own). During a vectorized
+	// ProcessBatch there is no single current input — batch operators
+	// stamp per-row context themselves via Batch.StampMeta, and the
+	// ambient stamp would smear one row's context over the whole
+	// batch's outputs.
+	if !c.inBatch {
+		out.Ts = c.curTs
+		if out.Event == 0 {
+			out.Event = c.curEvent
+		}
+		out.TraceID = c.curTrace
+		out.TraceOrigin = c.curOrigin
 	}
 }
 
-// ForwardRows re-emits rows of an input batch on the given stream: a
-// nil sel forwards every row, otherwise the selected rows in selection
-// order. Each row routes exactly as if its materialized tuple had been
-// Sent — same partitioning (hashes read straight from the batch
-// column), same per-row metadata — but when every route on the stream
-// has settled schema validation and feeds only columnar edges, rows
-// land via a direct column-to-column copy into the open downstream
-// batches, skipping the Borrow/CopyRowTo/Send/Append round trip that
-// would otherwise rebuild each pass-through row from lanes into a
-// pooled tuple and straight back into lanes. Anything that needs a
-// real tuple (scalar or still-validating routes, spout tasks) falls back
-// to per-row materialization with identical semantics.
+// ForwardRows re-emits rows of the operator's input batch on the given
+// stream: a nil sel forwards every row, otherwise the selected rows in
+// selection order. Each row routes exactly as if its materialized tuple
+// had been Sent — same partitioning (hashes read straight from the
+// batch column), same per-row metadata — but lands via a direct
+// column-to-column copy into the open downstream batches, skipping the
+// Borrow/CopyRowTo/Send/Append round trip that would rebuild each
+// pass-through row from lanes into a tuple and straight back into
+// lanes.
 func (c *collector) ForwardRows(b *tuple.Batch, sel []int32, stream tuple.StreamID) {
 	if c.fail != nil || b == nil {
 		return
@@ -862,84 +861,46 @@ func (c *collector) ForwardRows(b *tuple.Batch, sel []int32, stream tuple.Stream
 		return
 	}
 	t, e := c.t, c.e
-	fast := t.spout == nil
-	if fast {
-	scan:
-		for ri := range t.routes {
-			r := &t.routes[ri]
-			if r.stream != stream {
-				continue
-			}
-			if r.schema != nil && (!r.checked || e.cfg.ValidateEvery) {
-				fast = false
-				break
-			}
-			for _, cons := range r.consumers {
-				if !t.out[cons.id].columnar {
-					fast = false
-					break scan
-				}
+	routes := t.routesOf(stream)
+	// Every row of a batch shares its layout, so one check per route
+	// covers them all.
+	for _, r := range routes {
+		if r.schema != nil && (!r.checked || e.cfg.ValidateEvery) {
+			r.checked = true
+			if err := r.schema.CheckBatch(b); err != nil {
+				c.fail = r.schemaError(t, err)
+				return
 			}
 		}
-	}
-	if !fast {
-		// Materialize per row; Send handles routing, counters, and (on
-		// the first tuples of a declared route) schema validation —
-		// which flips the route to checked, re-opening the fast path.
-		for i := 0; i < n; i++ {
-			r := i
-			if sel != nil {
-				r = int(sel[i])
-			}
-			out := c.Borrow()
-			b.CopyRowTo(r, out)
-			out.Stream = stream
-			c.Send(out)
+		if r.part == graph.Fields && (r.keyField < 0 || r.keyField >= b.Cols()) {
+			c.fail = r.keyError(t, b.Cols())
+			return
 		}
-		return
 	}
 	for i := 0; i < n; i++ {
 		row := i
 		if sel != nil {
 			row = int(sel[i])
 		}
-		for ri := range t.routes {
-			rt := &t.routes[ri]
-			if rt.stream != stream {
-				continue
-			}
-			var dst *task
-			switch rt.part {
-			case graph.Broadcast:
-				for _, cons := range rt.consumers {
-					if err := e.forwardRowColumnar(t, t.out[cons.id], b, row, stream); err != nil {
-						c.fail = err
+		for _, r := range routes {
+			if r.part == graph.Broadcast {
+				for _, oe := range r.edges {
+					if c.fail = e.forwardRow(t, oe, b, row, stream); c.fail != nil {
 						return
 					}
 				}
 				continue
-			case graph.Global:
-				dst = rt.consumers[0]
-			case graph.Fields:
-				if rt.keyField < 0 || rt.keyField >= b.Cols() {
-					c.fail = &RouteError{Task: t.label, Stream: rt.stream.String(), KeyField: rt.keyField, Width: b.Cols()}
-					return
-				}
-				dst = rt.consumers[int(b.Hash(rt.keyField, row)%uint64(len(rt.consumers)))]
-			default: // Shuffle
-				idx := rt.rr
-				if rt.rr++; rt.rr == len(rt.consumers) {
-					rt.rr = 0
-				}
-				dst = rt.consumers[idx]
 			}
-			if err := e.forwardRowColumnar(t, t.out[dst.id], b, row, stream); err != nil {
-				c.fail = err
+			var h uint64
+			if r.part == graph.Fields && len(r.edges) > 1 {
+				h = b.Hash(r.keyField, row)
+			}
+			if c.fail = e.forwardRow(t, r.pick(h), b, row, stream); c.fail != nil {
 				return
 			}
 		}
 	}
-	atomic.AddUint64(&t.emitted, uint64(n))
+	c.emitted += uint64(n)
 }
 
 // EmitWatermark implements Collector: it broadcasts a punctuation to
@@ -987,146 +948,64 @@ func (c *collector) advanceWatermark(wm int64) error {
 	return nil
 }
 
-// dispatch routes one output tuple through the task's partition
-// controller into per-consumer buffers, flushing full jumbo tuples. It
-// consumes the caller's reference: the tuple is handed to its
-// consumer(s), or released back to the producer's pool if nothing
-// subscribes to its stream.
-//
-// It runs in two phases so recycling needs no atomic read-modify-write
-// in the common single-consumer case. Phase 1 resolves every
-// destination — all reads of the tuple (stream id, key fields) happen
-// here, before any consumer can see it. Phase 2 enqueues copies first
-// (broadcast fan-out copies read the tuple), then the pointer sends,
-// which only move the pointer: the caller's reference transfers
-// with the last pointer send, extra pointer shares are retained before
-// the first, and after the final send dispatch never touches the tuple
-// again — so a fast consumer's release can never recycle it
-// mid-dispatch.
+// dispatch routes one output row through the task's partition
+// controller: for every route subscribed to its stream it picks the
+// consumer replica(s) and copies the row into the batch open on that
+// edge. The row itself goes nowhere — the caller still owns it after
+// the last copy — so fan-out needs no sharing protocol.
 func (e *Engine) dispatch(t *task, out *tuple.Tuple) error {
-	dests := t.scratch[:0]
-	for ri := range t.routes {
-		r := &t.routes[ri]
-		if r.stream != out.Stream {
-			continue
-		}
+	for _, r := range t.routesOf(out.Stream) {
 		if r.schema != nil && (!r.checked || e.cfg.ValidateEvery) {
 			// First tuple on a declared route: validate the slot layout
 			// against the wiring-time schema, then trust the operator
 			// (every tuple when the ValidateEvery debug mode is on).
 			r.checked = true
 			if err := r.schema.Check(out); err != nil {
-				t.scratch = dests[:0]
-				out.Release()
-				return fmt.Errorf("engine: task %s stream %q: %w", t.label, r.stream.String(), err)
+				return r.schemaError(t, err)
 			}
 		}
+		var h uint64
 		switch r.part {
 		case graph.Broadcast:
-			fan := len(r.consumers) > 1
-			for _, c := range r.consumers {
-				dests = append(dests, dest{c, fan})
+			for _, oe := range r.edges {
+				if err := e.appendRow(t, oe, out); err != nil {
+					return err
+				}
 			}
-		case graph.Global:
-			dests = append(dests, dest{r.consumers[0], false})
+			continue
 		case graph.Fields:
 			if r.keyField < 0 || r.keyField >= out.Len() {
-				t.scratch = dests[:0]
-				err := &RouteError{Task: t.label, Stream: r.stream.String(), KeyField: r.keyField, Width: out.Len()}
-				out.Release() // nothing enqueued yet; the caller's reference ends here
-				return err
+				return r.keyError(t, out.Len())
 			}
-			idx := int(out.Hash(r.keyField) % uint64(len(r.consumers)))
-			dests = append(dests, dest{r.consumers[idx], false})
-		default: // Shuffle
-			idx := r.rr
-			if r.rr++; r.rr == len(r.consumers) {
-				r.rr = 0
+			if len(r.edges) > 1 { // one replica: nothing to choose, skip the hash
+				h = out.Hash(r.keyField)
 			}
-			dests = append(dests, dest{r.consumers[idx], false})
 		}
-	}
-	t.scratch = dests
-
-	shares := 0
-	for _, d := range dests {
-		if !d.clone {
-			shares++ // pointer sends go in the second pass
-			continue
-		}
-		if err := e.buffer(t, d.c, out, true); err != nil {
-			out.Release() // not yet pointer-enqueued; drop the caller's reference
+		if err := e.appendRow(t, r.pick(h), out); err != nil {
 			return err
 		}
-	}
-	if shares == 0 {
-		out.Release()
-		return nil
-	}
-	out.RetainN(shares - 1)
-	for _, d := range dests {
-		if d.clone {
-			continue
-		}
-		if err := e.buffer(t, d.c, out, false); err != nil {
-			// Consumers already holding the tuple release their own
-			// references, and the failing send released the reference it
-			// carried; drop the remaining undelivered shares so the
-			// tuple still recycles (shutdown/abort path).
-			for shares--; shares > 0; shares-- {
-				out.Release()
-			}
-			return err
-		}
-		shares--
 	}
 	return nil
 }
 
-// buffer appends a tuple to what the producer has open towards one
-// consumer — the pointer jumbo, or on a columnar edge the batch — and
-// flushes the edge when that reaches BatchSize.
-func (e *Engine) buffer(t *task, consumer *task, out *tuple.Tuple, copyForFanout bool) error {
-	msg := out
-	if copyForFanout {
-		// Fan-out copy into a pooled tuple from the producer's pool; the
-		// consumer releases it like any other input.
-		msg = t.pool.Get()
-		msg.CopyFrom(out)
-	}
-	oe := t.out[consumer.id]
-	if oe.columnar {
-		// The payload is copied into the batch's column lanes and the
-		// tuple's reference ends here — on the producer's own goroutine,
-		// so the release hits the same-core pool fast path instead of
-		// crossing sockets.
-		if oe.batch == nil || !oe.batch.Fits(msg) {
-			if err := e.openBatch(t, oe); err != nil {
-				msg.ReleaseLocal()
-				return err
-			}
+// appendRow copies one row into the batch open on the edge, flushing it
+// when that reaches BatchSize.
+func (e *Engine) appendRow(t *task, oe *outEdge, out *tuple.Tuple) error {
+	if oe.batch == nil || !oe.batch.Fits(out) {
+		if err := e.openBatch(t, oe); err != nil {
+			return err
 		}
-		oe.batch.Append(msg)
-		msg.ReleaseLocal()
-		if oe.batch.Len() >= e.cfg.BatchSize {
-			return e.flushEdge(t, oe)
-		}
-		return nil
 	}
-	if oe.jumbo == nil {
-		oe.jumbo = e.getJumbo(t)
-		e.armLinger(t, oe)
-	}
-	oe.jumbo.Tuples = append(oe.jumbo.Tuples, msg)
-	if len(oe.jumbo.Tuples) >= e.cfg.BatchSize {
+	oe.batch.Append(out)
+	if oe.batch.Len() >= e.cfg.BatchSize {
 		return e.flushEdge(t, oe)
 	}
 	return nil
 }
 
-// forwardRowColumnar lands one forwarded batch row on a columnar edge
-// — the column-to-column twin of buffer's columnar arm.
-func (e *Engine) forwardRowColumnar(t *task, oe *outEdge, src *tuple.Batch, r int, stream tuple.StreamID) error {
+// forwardRow is appendRow for a row forwarded column-to-column from an
+// input batch.
+func (e *Engine) forwardRow(t *task, oe *outEdge, src *tuple.Batch, r int, stream tuple.StreamID) error {
 	if oe.batch == nil || !oe.batch.FitsRowFrom(src, stream) {
 		if err := e.openBatch(t, oe); err != nil {
 			return err
@@ -1139,84 +1018,53 @@ func (e *Engine) forwardRowColumnar(t *task, oe *outEdge, src *tuple.Batch, r in
 	return nil
 }
 
-// openBatch starts a fresh columnar batch on the edge, first flushing
-// an open one (its layout does not fit the next row). The batch comes
-// from the edge's reverse free ring, allocated only while the ring
-// warms up, and is linger-armed.
+// openBatch starts a fresh batch on the edge, first flushing an open
+// one (its layout does not fit the next row). The batch comes off the
+// edge's free ring, allocated only while the ring warms up, and is
+// linger-armed.
 func (e *Engine) openBatch(t *task, oe *outEdge) error {
 	if err := e.flushEdge(t, oe); err != nil {
 		return err
 	}
-	b, ok := oe.colFree.TryGet()
+	b, ok := oe.free.TryGet()
 	if !ok {
 		b = tuple.NewBatch(e.cfg.BatchSize)
 	}
 	oe.batch = b
-	e.armLinger(t, oe)
-	return nil
-}
-
-// armLinger bounds how long the buffer just opened on the edge may stay
-// partial. The timer addresses (edge, seq); if the buffer flushes
-// first, the fire finds a newer seq — or nothing buffered — and skips.
-func (e *Engine) armLinger(t *task, oe *outEdge) {
 	oe.seq++
 	if e.cfg.Linger > 0 {
+		// Bound how long the batch may stay partial. The timer addresses
+		// (edge, seq); if the batch flushes first, the fire finds a newer
+		// seq — or nothing buffered — and skips.
 		t.tm.registerLinger(oe.idx, oe.seq, time.Now().Add(e.cfg.Linger))
 	}
-}
-
-// detach takes what the edge has buffered — the open columnar batch
-// wrapped in a header, or the open pointer jumbo — and leaves the edge
-// empty; nil when nothing is buffered.
-func (e *Engine) detach(t *task, oe *outEdge) *tuple.Jumbo {
-	if b := oe.batch; b != nil {
-		oe.batch = nil
-		j := e.getJumbo(t)
-		j.Batch = b
-		return j
-	}
-	j := oe.jumbo
-	oe.jumbo = nil
-	return j
+	return nil
 }
 
 // flushEdge sends what the edge has buffered, if anything: the one
 // flush behind batch-full, the linger fire and flushAll.
 func (e *Engine) flushEdge(t *task, oe *outEdge) error {
-	if j := e.detach(t, oe); j != nil {
-		return e.send(t, oe, j)
+	if oe.batch == nil {
+		return nil
 	}
-	return nil
+	return e.send(t, oe, tuple.Punct{})
 }
 
-func (e *Engine) send(t *task, oe *outEdge, j *tuple.Jumbo) error {
-	j.Producer = t.id
+// send puts one jumbo on the edge's ring: the open batch, if any, under
+// a header carrying the given trailer.
+func (e *Engine) send(t *task, oe *outEdge, p tuple.Punct) error {
 	// Queue-wait attribution: stamp the batch once at enqueue; the
 	// consumer diffs at dequeue. One clock read per jumbo, zero
 	// per-tuple cost.
-	j.EnqNs = time.Now().UnixNano()
-	if err := oe.ring.Put(j); err != nil {
+	j := tuple.Jumbo{Producer: t.id, EnqNs: time.Now().UnixNano(), Batch: oe.batch, Punct: p}
+	oe.batch = nil
+	if oe.ring.Put(j) != nil {
 		// Never enqueued (ring closed during shutdown): nobody
-		// downstream will ever see these tuples.
-		e.dropJumbo(t, j)
+		// downstream will ever see these rows. They are copies, so
+		// leaving the batch to the GC strands nothing.
 		return ErrStopped
 	}
 	return nil
-}
-
-// dropJumbo disposes of a jumbo nobody will consume — refused by a
-// closed ring, stranded in a killed run's inbox or alignment buffer:
-// the pooled tuples it references go back to their producers' pools (a
-// killed run must not strand them; the leak-accounting property tests
-// balance on this) and the header is recycled. A columnar payload
-// carries copies, not references; dropping it to the GC strands
-// nothing.
-func (e *Engine) dropJumbo(t *task, j *tuple.Jumbo) {
-	for _, in := range j.Tuples {
-		in.Release()
-	}
-	e.recycleJumbo(t, j)
 }
 
 // broadcastPunct sends a control record (a watermark, a checkpoint
@@ -1232,12 +1080,7 @@ func (e *Engine) dropJumbo(t *task, j *tuple.Jumbo) {
 // ever delayed by batching.
 func (e *Engine) broadcastPunct(t *task, kind tuple.PunctKind, ev int64, ts time.Time) error {
 	for _, oe := range t.outList {
-		j := e.detach(t, oe)
-		if j == nil {
-			j = e.getJumbo(t)
-		}
-		j.Punct = tuple.Punct{Kind: kind, Event: ev, Ts: ts}
-		if err := e.send(t, oe, j); err != nil {
+		if err := e.send(t, oe, tuple.Punct{Kind: kind, Event: ev, Ts: ts}); err != nil {
 			return err
 		}
 	}
@@ -1315,30 +1158,11 @@ func (e *Engine) fireProcTimers(t *task, c *collector) error {
 		}
 		return t.onTimer.OnTimer(c, ProcTimer, en.at)
 	})
+	c.publish() // timers emit too
 	if err != nil {
 		return err
 	}
 	return c.fail
-}
-
-// getJumbo takes a fresh jumbo header from the acting task's socket
-// pool.
-func (e *Engine) getJumbo(t *task) *tuple.Jumbo {
-	return e.jumboPools[int(t.socket)%len(e.jumboPools)].Get().(*tuple.Jumbo)
-}
-
-// recycleJumbo returns a drained jumbo to the acting task's socket
-// pool. Slots are cleared first so the pool does not pin consumed
-// tuples.
-func (e *Engine) recycleJumbo(t *task, j *tuple.Jumbo) {
-	j.Batch = nil // a columnar payload is recycled separately (or GC'd)
-	j.Punct = tuple.Punct{}
-	if cap(j.Tuples) != e.cfg.BatchSize {
-		return // foreign or resized batch; let the GC take it
-	}
-	clear(j.Tuples)
-	j.Tuples = j.Tuples[:0]
-	e.jumboPools[int(t.socket)%len(e.jumboPools)].Put(j)
 }
 
 // flushAll flushes all pending buffers of a task.
@@ -1394,28 +1218,17 @@ func (e *Engine) Run(d time.Duration) (*Result, error) {
 		t.alignLeft = 0
 		clear(t.alignSeen)
 		clear(t.doneIn)
-		for _, j := range t.alignBuf {
-			e.dropJumbo(t, j) // parked mid-alignment by a killed run
-		}
-		t.alignBuf = nil
-		for ri := range t.routes {
+		t.alignBuf = nil // whatever a killed run parked mid-alignment
+		for _, routes := range t.byStream {
 			// Shuffle cursors restart at the replica-offset phase New
 			// chose, so a re-run (and in particular a recovery replay)
 			// distributes tuples exactly like a fresh engine would.
-			r := &t.routes[ri]
-			r.rr = t.replica % max(len(r.consumers), 1)
+			for _, r := range routes {
+				r.rr = t.replica % max(len(r.edges), 1)
+			}
 		}
 		if t.in != nil {
-			// Jumbos stranded in a killed run's rings go before reopening
-			// discards them.
-			for {
-				j, ok, _ := t.in.TryGet()
-				if !ok {
-					break
-				}
-				e.dropJumbo(t, j)
-			}
-			t.in.Reopen()
+			t.in.Reopen() // discards the jumbos a killed run stranded
 		}
 	}
 	if e.coord != nil {
@@ -1546,6 +1359,7 @@ func (e *Engine) runTask(t *task) {
 		e.pinned.Add(1)
 		defer unpin()
 	}
+	c := &collector{e: e, t: t}
 	defer func() {
 		if r := recover(); r != nil {
 			e.recordErr(fmt.Errorf("engine: operator %s panicked: %v", t.label, r))
@@ -1554,10 +1368,10 @@ func (e *Engine) runTask(t *task) {
 		}
 		e.flushAll(t)
 		e.finishProducing(t)
+		c.publish() // however the task ended, its final counts are exact
 	}()
 
 	if t.spout != nil {
-		c := &collector{e: e, t: t}
 		iter := 0
 		for !e.stop.Load() {
 			err := t.spout.Next(c)
@@ -1599,10 +1413,15 @@ func (e *Engine) runTask(t *task) {
 					}
 				}
 			}
-			// Spouts have no blocking input to piggyback timer checks
-			// on, so poll the clock every few iterations while timers
-			// (the linger flush, spout-registered proc timers) pend.
-			if iter++; iter&31 == 0 && t.tm.procPending() && !time.Now().Before(t.tm.nextProc()) {
+			// Spouts have no blocking input to piggyback on, so every few
+			// iterations publish the counters and, while timers (the
+			// linger flush, spout-registered proc timers) pend, poll the
+			// clock.
+			if iter++; iter&31 != 0 {
+				continue
+			}
+			c.publish()
+			if t.tm.procPending() && !time.Now().Before(t.tm.nextProc()) {
 				if err := e.fireProcTimers(t, c); err != nil {
 					e.failTask(err)
 					return
@@ -1612,9 +1431,8 @@ func (e *Engine) runTask(t *task) {
 		return
 	}
 
-	c := &collector{e: e, t: t}
 	for {
-		var j *tuple.Jumbo
+		var j tuple.Jumbo
 		if t.tm.procPending() {
 			// Wake at the earliest processing-time deadline even if no
 			// input flows: that is what bounds the linger latency.
@@ -1661,23 +1479,23 @@ func (e *Engine) runTask(t *task) {
 	}
 }
 
-// consumeJumbo processes one received jumbo: the payload goes to the
-// operator (pointer rows here, a columnar batch through consumeBatch),
-// then the header's control record, if any, to the watermark fan-in
-// merge or the checkpoint alignment protocol. It consumes the jumbo
-// (tuples are released, the header recycled).
-func (e *Engine) consumeJumbo(t *task, c *collector, j *tuple.Jumbo) error {
+// consumeJumbo processes one received jumbo: the batch goes to the
+// operator through consumeBatch, then the header's control record, if
+// any, to the watermark fan-in merge or the checkpoint alignment
+// protocol. It consumes the jumbo (the batch goes back to its producer)
+// and publishes the task's counters — after the trailer, because a
+// watermark that fires windows emits rows past the payload.
+func (e *Engine) consumeJumbo(t *task, c *collector, j tuple.Jumbo) error {
 	// Queue-wait attribution: diff the producer's enqueue stamp once per
 	// batch, then charge it once per carried tuple — a 64-tuple jumbo
 	// that waited 1ms represents 64 tuples that each waited 1ms, so the
 	// cumulative counters weight by batch length (keeping the
-	// ns-per-tuple ratio comparable across batch sizes and between the
-	// scalar and columnar paths). Every tuple's queueing is covered (not
-	// just traced ones) at zero per-tuple cost; a batch replayed after
-	// barrier parking counts its park time too — it really did wait that
-	// long. A punctuation-only jumbo carries no tuple and so stays out of
-	// the counters, like every data counter. The rolling window still
-	// observes the raw per-jumbo wait.
+	// ns-per-tuple ratio comparable across batch sizes). Every tuple's
+	// queueing is covered (not just traced ones) at zero per-tuple cost;
+	// a batch replayed after barrier parking counts its park time too —
+	// it really did wait that long. A punctuation-only jumbo carries no
+	// tuple and so stays out of the counters, like every data counter.
+	// The rolling window still observes the raw per-jumbo wait.
 	var qwait int64
 	if j.EnqNs != 0 {
 		qwait = time.Now().UnixNano() - j.EnqNs
@@ -1692,59 +1510,45 @@ func (e *Engine) consumeJumbo(t *task, c *collector, j *tuple.Jumbo) error {
 			t.qwaitWin.Observe(float64(qwait))
 		}
 	}
+	var err error
 	if j.Batch != nil {
-		if err := e.consumeBatch(t, c, j.Batch, j.Producer, qwait); err != nil {
-			return err
-		}
-	} else {
-		// rev is this edge's reverse recycling ring: releases on this
-		// (the consuming) goroutine flow back to the producer's pool
-		// through it, staying NUMA-local instead of riding sync.Pool.
-		// Releases from any other goroutine (retained tuples) keep using
-		// plain Release.
-		var rev *tuple.RecycleRing
-		if j.Producer < len(t.rev) {
-			rev = t.rev[j.Producer]
-		}
-		for _, in := range j.Tuples {
-			c.curTs, c.curEvent = in.Ts, in.Event
-			c.curTrace, c.curOrigin = in.TraceID, in.TraceOrigin
-			if t.isSink {
-				e.arrived(in.Ts)
-			}
-			if err := e.invokeOperator(t, c, in, qwait); err != nil {
-				return err
-			}
-			atomic.AddUint64(&t.processed, 1)
-			// The consumer's reference ends here; unless the operator
-			// retained it, the tuple returns to its producer's pool —
-			// through the edge's reverse ring when one is wired.
-			in.ReleaseTo(rev)
+		err = e.consumeBatch(t, c, j.Batch, qwait)
+		// Park the drained batch on the reverse free ring of the edge it
+		// arrived over — consumer puts, producer gets, the FreeRing's
+		// SPSC discipline. A full ring drops it to the GC.
+		j.Batch.Reset()
+		e.tasks[j.Producer].out[t.id].free.TryPut(j.Batch)
+	}
+	if err == nil {
+		switch p := j.Punct; {
+		case p.Kind == tuple.PunctWatermark:
+			err = e.handlePunct(t, c, p.Event, p.Ts, j.Producer)
+		case p.Kind == tuple.PunctBarrier && p.Event == barrierDone:
+			err = e.handleDoneBarrier(t, c, j.Producer)
+		case p.Kind == tuple.PunctBarrier:
+			err = e.handleBarrier(t, c, uint64(p.Event), j.Producer)
 		}
 	}
-	// The trailer applies after the payload. Copy it out first: the
-	// header goes back to a sync.Pool, and handling a barrier can replay
-	// parked jumbos through this function.
-	p, producer := j.Punct, j.Producer
-	e.recycleJumbo(t, j)
-	switch p.Kind {
-	case tuple.PunctWatermark:
-		return e.handlePunct(t, c, p.Event, p.Ts, producer)
-	case tuple.PunctBarrier:
-		if p.Event == barrierDone {
-			return e.handleDoneBarrier(t, c, producer)
-		}
-		return e.handleBarrier(t, c, uint64(p.Event), producer)
-	}
-	return nil
+	c.publish()
+	return err
 }
 
-// arrived accounts one tuple reaching a sink: the run's sink count and,
-// for a latency-sampled tuple, its end-to-end latency.
-func (e *Engine) arrived(ts time.Time) {
-	e.sink.Add(1)
-	if !ts.IsZero() {
-		ns := float64(time.Since(ts).Nanoseconds())
+// arrived accounts a batch reaching a sink: the run's sink count and,
+// for each latency-sampled row, its end-to-end latency. The rows of one
+// batch arrive together, so they share one clock read.
+func (e *Engine) arrived(b *tuple.Batch) {
+	n := b.Len()
+	e.sink.Add(uint64(n))
+	var now time.Time
+	for r := 0; r < n; r++ {
+		ts := b.Ts(r)
+		if ts.IsZero() {
+			continue
+		}
+		if now.IsZero() {
+			now = time.Now()
+		}
+		ns := float64(now.Sub(ts))
 		e.lat.Observe(ns)
 		if e.obsLat != nil {
 			e.obsLat.Observe(ns)
@@ -1752,8 +1556,7 @@ func (e *Engine) arrived(ts time.Time) {
 	}
 }
 
-// invokeOperator runs the operator on one materialized input tuple —
-// shared by the scalar consume loop and the columnar row adapter.
+// invokeOperator runs the operator on one materialized input tuple.
 //
 // Profile sampling: time every k-th invocation and record the input
 // tuple's size, so a running engine yields the Te/N the performance
@@ -1772,12 +1575,9 @@ func (e *Engine) invokeOperator(t *task, c *collector, in *tuple.Tuple, qwait in
 		}
 	}
 	traced := in.TraceID != 0 && t.spans != nil
-	var emit0 uint64
-	if traced {
-		emit0 = atomic.LoadUint64(&t.emitted)
-		if started.IsZero() {
-			started = time.Now()
-		}
+	emit0 := c.emitted
+	if traced && started.IsZero() {
+		started = time.Now()
 	}
 	if err := t.operator.Process(c, in); err != nil {
 		return fmt.Errorf("engine: operator %s: %w", t.label, err)
@@ -1798,7 +1598,7 @@ func (e *Engine) invokeOperator(t *task, c *collector, in *tuple.Tuple, qwait in
 				AtNs:        started.UnixNano() + int64(dur),
 				QueueWaitNs: qwait,
 				ServiceNs:   int64(dur),
-				Emitted:     atomic.LoadUint64(&t.emitted) - emit0,
+				Emitted:     c.emitted - emit0,
 				Kind:        obs.SpanHop,
 			})
 		}
@@ -1806,25 +1606,24 @@ func (e *Engine) invokeOperator(t *task, c *collector, in *tuple.Tuple, qwait in
 	return c.fail
 }
 
-// consumeBatch processes the columnar payload of a jumbo received from
-// the given producer task. A BatchOperator gets the whole batch in one
+// consumeBatch processes the batch of a received jumbo. A willing
+// BatchOperator (see batchOperator) gets the whole batch in one
 // ProcessBatch call — the vectorized path — unless the batch carries
-// traced rows and tracing is armed, in which case the row adapter runs
-// so per-tuple span semantics stay exact: each row is materialized into
-// a pooled scratch tuple and handed to Process. The drained batch is
-// parked on the producer edge's reverse free ring for reuse.
-func (e *Engine) consumeBatch(t *task, c *collector, b *tuple.Batch, producer int, qwait int64) error {
+// traced rows and tracing is armed, in which case per-tuple span
+// semantics must stay exact. Everything else goes through the row
+// adapter: each row is materialized into a pooled tuple and handed to
+// Process.
+func (e *Engine) consumeBatch(t *task, c *collector, b *tuple.Batch, qwait int64) error {
 	n := b.Len()
 	if t.isSink {
-		for r := 0; r < n; r++ {
-			e.arrived(b.Ts(r))
-		}
+		e.arrived(b)
 	}
-	if bop, ok := t.operator.(BatchOperator); ok && !(b.HasTrace() && t.spans != nil) {
+	bop := batchOperator(t.operator)
+	if bop != nil && !(b.HasTrace() && t.spans != nil) {
 		// Vectorized path. Profile sampling covers the whole batch when
 		// the k-th-invocation counter crosses a period boundary inside
 		// it; serviceSamples advances by the row count so the
-		// ns-per-tuple averages stay comparable with the scalar path.
+		// ns-per-tuple averages stay comparable with the row adapter's.
 		var started time.Time
 		sampled := false
 		if e.cfg.ProfileSampleEvery > 0 {
@@ -1857,29 +1656,24 @@ func (e *Engine) consumeBatch(t *task, c *collector, b *tuple.Batch, producer in
 		if c.fail != nil {
 			return c.fail
 		}
-		atomic.AddUint64(&t.processed, uint64(n))
+		c.processed += uint64(n)
 	} else {
-		// Row adapter: materialize into a pooled scratch tuple. The
-		// scratch comes from (and returns to) this task's own pool, so
-		// the copy stays socket-local.
+		// Row adapter. The tuple comes from, and returns to, this task's
+		// own pool on this goroutine; it is pooled and refcounted so the
+		// operator may Retain it past Process.
 		for r := 0; r < n; r++ {
 			in := t.pool.Get()
 			b.CopyRowTo(r, in)
 			c.curTs, c.curEvent = in.Ts, in.Event
 			c.curTrace, c.curOrigin = in.TraceID, in.TraceOrigin
 			err := e.invokeOperator(t, c, in, qwait)
-			in.Release()
+			in.ReleaseLocal()
 			if err != nil {
 				return err
 			}
-			atomic.AddUint64(&t.processed, 1)
+			c.processed++
 		}
 	}
-	// Recycle: park the drained batch on the reverse free ring of the
-	// (columnar) edge it arrived over — consumer puts, producer gets, the
-	// FreeRing's SPSC discipline. A full ring drops the batch to the GC.
-	b.Reset()
-	e.tasks[producer].out[t.id].colFree.TryPut(b)
 	return nil
 }
 

@@ -1,11 +1,12 @@
 package engine
 
-// Allocation guards for the emit→dispatch hot path: it must not
-// allocate per emitted tuple in steady state — tuples carry typed slots (string payloads in
-// pooled arenas, no boxing), jumbo headers are pooled, routing compares
-// interned stream ids, and fields hashing is inline over slots. The
-// bound is exactly zero: the typed slot representation removed the
-// historical ≤1 boxing exemption.
+// Allocation guards for the emit→dispatch→consume hot path: it must not
+// allocate per tuple in steady state — rows carry typed slots (string
+// payloads in recycled arenas, no boxing), Borrow hands out scratch
+// rows, batches come back over the edge's free ring, jumbo headers and
+// the row adapter's tuples are pooled, routing indexes interned stream
+// ids, and fields hashing is inline over slots. The bound is exactly
+// zero.
 
 import (
 	"io"
@@ -17,12 +18,13 @@ import (
 )
 
 // allocHarness builds a spout->sink edge with `consumers` sink replicas
-// and returns the producer's collector plus a drain func that empties
-// the consumer inboxes inline, releasing tuples and recycling jumbos
-// the way runTask does. Draining on the measuring goroutine keeps the
-// recycle loop alive under testing.AllocsPerRun, which pins
-// GOMAXPROCS(1) and would starve background drain goroutines.
-func allocHarness(t *testing.T, cfg Config, consumers int, part graph.Partitioning) (*collector, func()) {
+// built by mk and returns the producer's collector plus a drain func
+// that empties the consumer inboxes inline through consumeJumbo, the
+// way runTask does — so drained batches recycle onto the edge's free
+// ring. Draining on the measuring goroutine keeps the recycle loop
+// alive under testing.AllocsPerRun, which pins GOMAXPROCS(1) and would
+// starve background drain goroutines.
+func allocHarness(t testing.TB, cfg Config, consumers int, part graph.Partitioning, mk func() Operator) (*collector, func()) {
 	t.Helper()
 	g := graph.New("alloc")
 	g.AddNode(&graph.Node{Name: "spout", IsSpout: true, Selectivity: map[string]float64{"default": 1}})
@@ -36,36 +38,41 @@ func allocHarness(t *testing.T, cfg Config, consumers int, part graph.Partitioni
 		Spouts: map[string]func() Spout{"spout": func() Spout {
 			return SpoutFunc(func(c Collector) error { return io.EOF })
 		}},
-		Operators:   map[string]func() Operator{"sink": func() Operator { return sinkOp() }},
+		Operators:   map[string]func() Operator{"sink": mk},
 		Replication: map[string]int{"sink": consumers},
 	}
 	e, err := New(topo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	producer := e.byOp["spout"][0]
+	sinks := e.byOp["sink"]
+	cols := make([]*collector, len(sinks))
+	for i, ct := range sinks {
+		cols[i] = &collector{e: e, t: ct}
+	}
 	drain := func() {
-		for _, ct := range e.byOp["sink"] {
+		for i, ct := range sinks {
 			for {
 				j, ok, _ := ct.in.TryGet()
 				if !ok {
 					break
 				}
-				for _, in := range j.Tuples {
-					in.Release()
+				if err := e.consumeJumbo(ct, cols[i], j); err != nil {
+					panic(err)
 				}
-				e.recycleJumbo(ct, j)
 			}
 		}
 	}
-	return &collector{e: e, t: producer}, drain
+	return &collector{e: e, t: e.byOp["spout"][0]}, drain
 }
 
+// TestEmitDispatchAllocFreeBriskMode covers Borrow+Send into a scalar
+// consumer, i.e. through the row adapter.
 func TestEmitDispatchAllocFreeBriskMode(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LatencySampleEvery = 0 // time.Now stamping is not the measured path
 	for _, part := range []graph.Partitioning{graph.Shuffle, graph.Fields} {
-		c, drain := allocHarness(t, cfg, 4, part)
+		c, drain := allocHarness(t, cfg, 4, part, sinkOp)
 		emit := func() {
 			out := c.Borrow()
 			out.AppendStr("the quick brown fox")
@@ -91,7 +98,7 @@ func TestEmitDispatchAllocFreeWithObs(t *testing.T) {
 	// the series does not make the hot path allocate either.
 	cfg := DefaultConfig()
 	cfg.LatencySampleEvery = 0 // time.Now stamping is not the measured path
-	c, drain := allocHarness(t, cfg, 4, graph.Shuffle)
+	c, drain := allocHarness(t, cfg, 4, graph.Shuffle, sinkOp)
 	reg := obs.NewRegistry(0)
 	c.e.RegisterObs(reg.Group("engine"), obs.NewJournal(0))
 	emit := func() {
@@ -125,7 +132,7 @@ func TestEmitDispatchAllocFreeWithTracing(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.LatencySampleEvery = 0 // time.Now stamping is not the measured path
 		cfg.TraceSampleEvery = every
-		c, drain := allocHarness(t, cfg, 4, graph.Shuffle)
+		c, drain := allocHarness(t, cfg, 4, graph.Shuffle, sinkOp)
 		tracer := obs.NewTracer()
 		c.e.RegisterTrace(tracer)
 		emit := func() {

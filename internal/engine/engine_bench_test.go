@@ -1,7 +1,7 @@
 package engine
 
 // engine_bench_test.go measures the dispatch hot path in isolation: the
-// partition controller, per-consumer jumbo accumulation and the SPSC
+// partition controller, per-consumer batch accumulation and the SPSC
 // enqueue, without spout/operator work on top. Run with:
 //
 //	go test -bench EngineDispatch -run xxx ./internal/engine/
@@ -15,8 +15,9 @@ import (
 	"briskstream/internal/graph"
 )
 
-// benchDispatch pushes b.N tuples through one producer task's dispatch
-// into `consumers` sink replicas drained by raw inbox readers.
+// benchDispatch pushes b.N tuples through one producer task's
+// Borrow/Send into `consumers` scalar sink replicas, each drained by a
+// goroutine running the engine's own consume path.
 func benchDispatch(b *testing.B, consumers int, part graph.Partitioning) {
 	b.Helper()
 	g := graph.New("dispatch")
@@ -44,29 +45,32 @@ func benchDispatch(b *testing.B, consumers int, part graph.Partitioning) {
 		wg.Add(1)
 		go func(ct *task) {
 			defer wg.Done()
+			c := &collector{e: e, t: ct}
 			for {
 				j, err := ct.in.Get()
 				if err != nil {
 					return
 				}
-				for _, in := range j.Tuples {
-					in.Release()
+				if err := e.consumeJumbo(ct, c, j); err != nil {
+					b.Error(err)
+					return
 				}
-				e.recycleJumbo(ct, j)
 			}
 		}(ct)
 	}
-	// The measured loop is the pooled emit→dispatch path itself (borrow,
-	// fill typed slots, route, batch, enqueue), which must not allocate
-	// in steady state.
+	// The measured loop is the emit→dispatch path itself (borrow, fill
+	// typed slots, route, append to the edge's batch, enqueue), which
+	// must not allocate in steady state.
+	c := &collector{e: e, t: producer}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := producer.pool.Get()
+		out := c.Borrow()
 		out.AppendInt(1042)
-		if err := e.dispatch(producer, out); err != nil {
-			b.Fatal(err)
-		}
+		c.Send(out)
+	}
+	if c.fail != nil {
+		b.Fatal(c.fail)
 	}
 	e.flushAll(producer)
 	e.finishProducing(producer)

@@ -21,8 +21,8 @@ import (
 // It clears the group first, so the adaptive loop — one fresh engine
 // per segment — re-registers into the same group without leaking the
 // dead engine's series. Call it after New and before Run; it also
-// enables pool accounting (Config.TrackPools equivalent) so recycle
-// hit rates are observable.
+// enables pool accounting (Config.TrackPools equivalent) so the row
+// adapter's tuple traffic is observable.
 func (e *Engine) RegisterObs(g *obs.Group, jr *obs.Journal) {
 	g.Clear()
 	e.jr = jr
@@ -101,7 +101,6 @@ func (e *Engine) RegisterObs(g *obs.Group, jr *obs.Journal) {
 			_, puts := t.pool.Stats()
 			return puts
 		})
-		g.Counter("brisk_pool_ring_hits_total", "Pool gets satisfied from a reverse recycling ring (engine lifetime).", tl, t.pool.RingHits)
 		if t.in != nil {
 			g.Gauge("brisk_task_queue_depth", "Jumbo batches waiting in the task's inbox.", tl, func() float64 {
 				return float64(t.in.Len())

@@ -2,8 +2,8 @@ package engine
 
 // Control records ride the jumbo header (tuple.Jumbo.Punct): a
 // punctuation is the trailer of the jumbo carrying the data it follows,
-// on pointer and columnar edges alike, and a punctuation-only jumbo is
-// invisible to every data counter. Also here: (*task).snapshot() must
+// whichever way the consumer takes the batch, and a punctuation-only
+// jumbo is invisible to every data counter. Also here: (*task).snapshot() must
 // keep producing, byte for byte, the framing earlier checkpoints were
 // written with, so that they still restore.
 
@@ -19,8 +19,8 @@ import (
 )
 
 // arrivalLog records, in arrival order, every row and watermark a sink
-// sees; batchArrivalLog is the same sink made batch-aware, which wires
-// its input edge columnar.
+// sees — a scalar consumer, fed through the row adapter;
+// batchArrivalLog is the same sink made batch-aware.
 type arrivalLog struct{ got []string }
 
 func (a *arrivalLog) Process(_ Collector, t *tuple.Tuple) error {
@@ -45,11 +45,11 @@ func (a *batchArrivalLog) ProcessBatch(_ Collector, b *tuple.Batch) error {
 // punctHarness wires spout -> sink and returns the engine, the
 // producer's collector, the sink task with its collector, and the
 // sink's arrival log.
-func punctHarness(t *testing.T, columnar bool) (*Engine, *collector, *task, *collector, *arrivalLog) {
+func punctHarness(t *testing.T, vectorized bool) (*Engine, *collector, *task, *collector, *arrivalLog) {
 	t.Helper()
 	var log *arrivalLog
 	e := buildBatchEngine(t, DefaultConfig(), func() Operator {
-		if columnar {
+		if vectorized {
 			op := &batchArrivalLog{}
 			log = &op.arrivalLog
 			return op
@@ -58,9 +58,6 @@ func punctHarness(t *testing.T, columnar bool) (*Engine, *collector, *task, *col
 		return log
 	})
 	producer, sink := e.byOp["spout"][0], e.byOp["sink"][0]
-	if got := producer.outList[0].columnar; got != columnar {
-		t.Fatalf("edge columnar = %v, want %v", got, columnar)
-	}
 	return e, &collector{e: e, t: producer}, sink, &collector{e: e, t: sink}, log
 }
 
@@ -68,9 +65,9 @@ func punctHarness(t *testing.T, columnar bool) (*Engine, *collector, *task, *col
 // behind a partial buffer leaves as the trailer of the jumbo holding
 // exactly those rows — one ring insertion — and is applied after them.
 func TestWatermarkTrailsPartialBatchInOneInsertion(t *testing.T) {
-	for _, columnar := range []bool{false, true} {
-		t.Run(fmt.Sprintf("columnar=%v", columnar), func(t *testing.T) {
-			e, pc, sink, sc, log := punctHarness(t, columnar)
+	for _, vectorized := range []bool{false, true} { // how the sink consumes: rows, or the columnar batch
+		t.Run(fmt.Sprintf("columnar=%v", vectorized), func(t *testing.T) {
+			e, pc, sink, sc, log := punctHarness(t, vectorized)
 			for i := int64(1); i <= 3; i++ { // 3 << BatchSize: the buffer stays partial
 				out := pc.Borrow()
 				out.AppendInt(i)
@@ -90,9 +87,6 @@ func TestWatermarkTrailsPartialBatchInOneInsertion(t *testing.T) {
 			if j.Len() != 3 || j.Punct.Kind != tuple.PunctWatermark || j.Punct.Event != 10 {
 				t.Fatalf("jumbo carries %d rows and trailer %+v, want 3 rows and watermark 10", j.Len(), j.Punct)
 			}
-			if (j.Batch != nil) != columnar {
-				t.Fatalf("payload columnar = %v, want %v", j.Batch != nil, columnar)
-			}
 			if err := e.consumeJumbo(sink, sc, j); err != nil {
 				t.Fatal(err)
 			}
@@ -108,28 +102,28 @@ func TestWatermarkTrailsPartialBatchInOneInsertion(t *testing.T) {
 // not Processed, not SinkTuples, not the per-tuple queue-wait
 // accounting behind brisk_task_queue_wait_batches_total.
 func TestPunctuationOnlyJumboIsNotData(t *testing.T) {
-	for _, columnar := range []bool{false, true} {
-		e, pc, sink, sc, log := punctHarness(t, columnar)
+	for _, vectorized := range []bool{false, true} {
+		e, pc, sink, sc, log := punctHarness(t, vectorized)
 		pc.EmitWatermark(10)
 		j, ok, _ := sink.in.TryGet()
 		if !ok || j.Len() != 0 || j.Punct.Kind != tuple.PunctWatermark {
-			t.Fatalf("columnar=%v: want one punctuation-only jumbo, got ok=%v %+v", columnar, ok, j)
+			t.Fatalf("vectorized=%v: want one punctuation-only jumbo, got ok=%v %+v", vectorized, ok, j)
 		}
 		if err := e.consumeJumbo(sink, sc, j); err != nil {
 			t.Fatal(err)
 		}
 		if want := []string{"wm 10"}; !slices.Equal(log.got, want) {
-			t.Fatalf("columnar=%v: sink saw %v, want %v", columnar, log.got, want)
+			t.Fatalf("vectorized=%v: sink saw %v, want %v", vectorized, log.got, want)
 		}
 		if n := e.Snapshot()["sink"]; n != 0 {
-			t.Errorf("columnar=%v: Processed[sink] = %d after a punctuation-only jumbo", columnar, n)
+			t.Errorf("vectorized=%v: Processed[sink] = %d after a punctuation-only jumbo", vectorized, n)
 		}
 		if n := e.SinkCount(); n != 0 {
-			t.Errorf("columnar=%v: SinkTuples = %d after a punctuation-only jumbo", columnar, n)
+			t.Errorf("vectorized=%v: SinkTuples = %d after a punctuation-only jumbo", vectorized, n)
 		}
 		for _, ts := range e.ProfileSnapshot().Tasks {
 			if ts.QueueWaitBatch != 0 || ts.QueueWaitNs != 0 {
-				t.Errorf("columnar=%v: task %s queue-wait accounting moved: %d tuples, %d ns", columnar, ts.Label(), ts.QueueWaitBatch, ts.QueueWaitNs)
+				t.Errorf("vectorized=%v: task %s queue-wait accounting moved: %d tuples, %d ns", vectorized, ts.Label(), ts.QueueWaitBatch, ts.QueueWaitNs)
 			}
 		}
 	}

@@ -189,18 +189,21 @@ func Apply(app *graph.Graph, stats profile.Set, ops map[string]func() engine.Ope
 // TimerHandler contract.
 func Compose(mkU, mkV func() engine.Operator) func() engine.Operator {
 	return func() engine.Operator {
-		return &fusedOp{u: mkU(), v: mkV()}
+		return &fusedOp{u: mkU(), v: mkV(), pool: tuple.NewPool()}
 	}
 }
 
 // fusedOp is a fused producer-consumer pair running as one operator.
+// pool recycles the tuples u emits into v: they never reach the engine,
+// and being pooled v may Retain them like any other input.
 type fusedOp struct {
 	u, v engine.Operator
+	pool *tuple.Pool
 }
 
 // Process implements engine.Operator.
 func (f *fusedOp) Process(c engine.Collector, t *tuple.Tuple) error {
-	cc := &chainCollector{downstream: f.v, out: c}
+	cc := &chainCollector{downstream: f.v, out: c, pool: f.pool}
 	if err := f.u.Process(cc, t); err != nil {
 		return err
 	}
@@ -223,7 +226,7 @@ func (f *fusedOp) SetTimers(tm *engine.Timers) {
 // consumer, then the consumer's own timers fire.
 func (f *fusedOp) OnTimer(c engine.Collector, kind engine.TimerKind, at int64) error {
 	if h, ok := f.u.(engine.TimerHandler); ok {
-		cc := &chainCollector{downstream: f.v, out: c}
+		cc := &chainCollector{downstream: f.v, out: c, pool: f.pool}
 		if err := h.OnTimer(cc, kind, at); err != nil {
 			return err
 		}
@@ -288,7 +291,7 @@ func (f *fusedOp) Restore(dec *checkpoint.Decoder) error {
 // OnWatermark implements engine.WatermarkHandler, upstream first.
 func (f *fusedOp) OnWatermark(c engine.Collector, wm int64) error {
 	if h, ok := f.u.(engine.WatermarkHandler); ok {
-		cc := &chainCollector{downstream: f.v, out: c}
+		cc := &chainCollector{downstream: f.v, out: c, pool: f.pool}
 		if err := h.OnWatermark(cc, wm); err != nil {
 			return err
 		}
@@ -307,12 +310,13 @@ func (f *fusedOp) OnWatermark(c engine.Collector, wm int64) error {
 type chainCollector struct {
 	downstream engine.Operator
 	out        engine.Collector
+	pool       *tuple.Pool
 	err        error
 }
 
-// Borrow implements engine.Collector by borrowing from the real task
-// pool, so fused operators keep the zero-allocation emit path.
-func (c *chainCollector) Borrow() *tuple.Tuple { return c.out.Borrow() }
+// Borrow implements engine.Collector from the fused pair's own pool, so
+// fused operators keep the zero-allocation emit path.
+func (c *chainCollector) Borrow() *tuple.Tuple { return c.pool.Get() }
 
 // EmitWatermark implements engine.Collector by passing the punctuation
 // through to the real collector (the engine broadcasts task-level
@@ -327,5 +331,5 @@ func (c *chainCollector) Send(t *tuple.Tuple) {
 	if c.err == nil {
 		c.err = c.downstream.Process(c.out, t)
 	}
-	t.Release()
+	t.ReleaseLocal()
 }

@@ -1,24 +1,23 @@
-// Columnar jumbo batches. A Batch is the column-oriented counterpart
-// of Jumbo.Tuples: instead of a slice of per-tuple pointers it stores
-// the batch's payload as kind-tagged column vectors — one uint64 slot
-// lane per field with a fixed stride, a shared byte arena holding every
-// string field's bytes as (offset<<32 | length) ranges, and per-row
-// metadata lanes (latency timestamp, event time, trace context) that
-// replace the per-tuple header fields. Operators that implement the
-// engine's BatchOperator interface receive whole batches and iterate
-// columns in tight per-kind loops; everything else still sees tuples,
-// materialized one row at a time.
+// Columnar jumbo batches. A Batch is the payload of every jumbo: it
+// stores the rows one producer sends one consumer as kind-tagged column
+// vectors — one uint64 slot lane per field with a fixed stride, a
+// shared byte arena holding every string field's bytes as
+// (offset<<32 | length) ranges, and per-row metadata lanes (latency
+// timestamp, event time, trace context) that replace the per-tuple
+// header fields. Operators that implement the engine's BatchOperator
+// interface receive whole batches and iterate columns in tight per-kind
+// loops; everything else still sees tuples, materialized one row at a
+// time.
 //
 // A batch's layout (stream, arity, field kinds) is adopted from the
 // first tuple appended and stays fixed until Reset; Fits reports
-// whether another tuple shares it. Batches are pooled and recycled
-// through per-edge free rings exactly like tuples, so the steady-state
-// columnar path allocates nothing: Append is a slot store per numeric
-// field plus a byte copy per string field into the recycled arena.
+// whether another tuple shares it. Batches recycle through per-edge
+// free rings, so the steady-state path allocates nothing: Append is a
+// slot store per numeric field plus a byte copy per string field into
+// the recycled arena.
 //
-// Ownership is simpler than for tuples: a batch carries copies, not
-// references, so recycling needs no refcount — the consumer resets and
-// returns it when done. String values read from a batch (Str, Key with
+// A batch carries copies, not references, so recycling needs no
+// refcount — the consumer resets and returns it when done. String values read from a batch (Str, Key with
 // a string key) are views into the batch arena, valid only while the
 // consumer holds the batch; symbol fields are exempt as always.
 package tuple
@@ -351,7 +350,7 @@ func (b *Batch) StampMeta(r int, out *Tuple) {
 
 // CopyRowTo materializes row r into dst: payload (arena strings
 // copied), stream and all header metadata. The engine's row adapter
-// uses it to feed scalar operators from a columnar edge.
+// uses it to feed operators that process one row at a time.
 func (b *Batch) CopyRowTo(r int, dst *Tuple) {
 	dst.n = uint8(b.cols)
 	dst.kinds = b.kinds
@@ -487,7 +486,10 @@ func UnmarshalBatch(buf []byte) (*Batch, int, error) {
 	if cols > MaxFields || n < 0 || n > 1<<24 {
 		return nil, 0, ErrCorrupt
 	}
-	if off+cols > len(buf) {
+	// The kind tags and the four metadata lanes must be there before
+	// anything is sized by n: a short frame that merely claims millions
+	// of rows must not get to allocate them.
+	if off+cols+32*n > len(buf) {
 		return nil, 0, ErrCorrupt
 	}
 	b := NewBatch(max(n, 1))
@@ -503,9 +505,6 @@ func UnmarshalBatch(buf []byte) (*Batch, int, error) {
 		default:
 			return nil, 0, ErrCorrupt
 		}
-	}
-	if off+32*n > len(buf) {
-		return nil, 0, ErrCorrupt
 	}
 	for r := 0; r < n; r++ {
 		if ts := int64(binary.BigEndian.Uint64(buf[off:])); ts != 0 {

@@ -6,17 +6,17 @@ import (
 	"time"
 )
 
-// Pool recycles tuples between a producer and the consumers of its
-// output, removing the per-emit Tuple (and Values backing array)
-// allocation from the steady-state data path. The engine gives every
-// task one Pool; a consumed tuple travels back to its producer's pool
-// once every reference holder has released it.
+// Pool recycles the tuples the engine materializes for operators that
+// consume one row at a time: the row adapter Gets a tuple, copies a
+// batch row into it, hands it to Process and releases it, so the
+// steady-state consume path allocates no Tuple (and no arena) per row.
+// The engine gives every task one Pool. (Output rows are not pooled:
+// see Scratch.)
 //
 // The ownership contract (see also the package doc):
 //
 //   - Pool.Get returns a tuple holding one reference, owned by the
-//     caller. Handing the tuple to the engine (Collector.Send, or the
-//     engine's own dispatch) transfers that reference.
+//     caller.
 //   - The engine releases each input tuple after the consuming
 //     operator's Process returns. An operator that keeps the *Tuple*
 //     beyond Process (windows, joins, side goroutines) must call Retain
@@ -26,35 +26,21 @@ import (
 //     views into the recycled arena and die with the tuple — clone
 //     them to keep them; interned symbol names are stable and exempt.
 //
-// Pool is backed by sync.Pool: Get and Put are safe from any goroutine
-// and the per-P caches keep the common (same-core) recycle path free of
-// contention, approximating a per-task free list without a cross-thread
-// return queue. With NewRecycleRing the cross-thread return becomes
-// explicit and NUMA-local: Get prefers tuples parked in the attached
-// reverse rings, and is then restricted to the owning task's goroutine
-// (the rings' single-getter side).
+// Pool is backed by sync.Pool, so Release is safe from any goroutine;
+// in front of it sits a small owner-goroutine stash that ReleaseLocal
+// feeds and Get drains, so the adapter's Get→Process→ReleaseLocal cycle
+// spins on one hot slot. Get is therefore restricted to the goroutine
+// that calls ReleaseLocal (any goroutine when nobody does).
 type Pool struct {
 	p sync.Pool
-
-	// rings are the attached reverse recycling rings; cursor remembers
-	// which ring satisfied the last refill so a hot edge is drained
-	// without re-scanning cold ones; free is the local stash a chunked
-	// DrainInto refills — Gets pop from it until it runs dry, so the
-	// ring's atomic cursors are touched once per chunk, not once per
-	// tuple. All owner-goroutine state.
-	rings  []*RecycleRing
-	cursor int
-	free   []*Tuple
+	// free is the owner-goroutine stash (see ReleaseLocal).
+	free []*Tuple
 
 	// stats gates the get/put accounting the leak/double-free property
 	// tests assert on; off (the default) the hot path pays one
 	// predictable branch.
 	stats      bool
 	gets, puts atomic.Uint64
-	// ringHits counts Gets satisfied from a reverse recycling ring
-	// rather than sync.Pool (stats-gated like gets/puts); the obs layer
-	// exposes the ratio as the NUMA-local recycle hit rate.
-	ringHits atomic.Uint64
 }
 
 // NewPool creates an empty tuple pool.
@@ -68,22 +54,17 @@ func NewPool() *Pool {
 func (p *Pool) EnableStats() { p.stats = true }
 
 // Stats returns the cumulative Get count and the count of tuples
-// recycled back (via sync.Pool or a reverse ring). When every reference
-// has been dropped and no tuple is in flight, gets == puts; the
-// difference is the number of live (leaked, if the run is over) tuples.
+// recycled back. When every reference has been dropped and no tuple is
+// in flight, gets == puts; the difference is the number of live
+// (leaked, if the run is over) tuples.
 func (p *Pool) Stats() (gets, puts uint64) {
 	return p.gets.Load(), p.puts.Load()
 }
 
-// RingHits returns how many Gets were satisfied from a reverse
-// recycling ring (non-zero only with EnableStats and attached rings).
-func (p *Pool) RingHits() uint64 { return p.ringHits.Load() }
-
-// refillChunk bounds how many tuples one reverse-ring drain moves into
-// the local stash: large enough to amortize the ring's cursor handoff
-// across a jumbo batch worth of Gets, small enough that a burst does
-// not strand tuples in a cold pool's stash.
-const refillChunk = 32
+// freeCap bounds the single-goroutine free lists (Pool's stash,
+// Scratch): their owners hold one or two tuples at a time, so a handful
+// covers them; the excess goes to sync.Pool or the GC.
+const freeCap = 8
 
 // Get returns an empty tuple on the default stream holding one
 // reference. The tuple's string arena keeps the capacity of its
@@ -92,44 +73,16 @@ func (p *Pool) Get() *Tuple {
 	if p.stats {
 		p.gets.Add(1)
 	}
-	if len(p.free) == 0 && len(p.rings) > 0 {
-		p.refill()
-	}
+	var t *Tuple
 	if k := len(p.free) - 1; k >= 0 {
-		t := p.free[k]
-		p.free[k] = nil
+		t = p.free[k]
 		p.free = p.free[:k]
-		if p.stats {
-			p.ringHits.Add(1)
-		}
-		t.pool = p
-		atomic.StoreInt32(&t.refs, 1)
-		return t
+	} else {
+		t = p.p.Get().(*Tuple)
 	}
-	t := p.p.Get().(*Tuple)
 	t.pool = p
 	atomic.StoreInt32(&t.refs, 1)
 	return t
-}
-
-// refill drains one attached reverse ring in a chunk into the local
-// stash, scanning from the last hot ring. One DrainInto covers up to
-// refillChunk subsequent Gets with a single ring-cursor handoff.
-func (p *Pool) refill() {
-	if cap(p.free) < refillChunk {
-		p.free = make([]*Tuple, 0, refillChunk)
-	}
-	idx := p.cursor
-	for k := 0; k < len(p.rings); k++ {
-		if got := p.rings[idx].ring.DrainInto(p.free[:refillChunk], refillChunk); got > 0 {
-			p.cursor = idx
-			p.free = p.free[:got]
-			return
-		}
-		if idx++; idx == len(p.rings) {
-			idx = 0
-		}
-	}
 }
 
 // Retain adds a reference to a pooled tuple, keeping it alive past the
@@ -139,16 +92,6 @@ func (p *Pool) refill() {
 func (t *Tuple) Retain() {
 	if t.pool != nil {
 		atomic.AddInt32(&t.refs, 1)
-	}
-}
-
-// RetainN adds n references at once; the engine uses it when one tuple
-// is enqueued by reference to several consumers, so that the first
-// consumer's Release cannot recycle the tuple while it is still being
-// fanned out. The caller must already hold a reference.
-func (t *Tuple) RetainN(n int) {
-	if t.pool != nil && n > 0 {
-		atomic.AddInt32(&t.refs, int32(n))
 	}
 }
 
@@ -173,14 +116,9 @@ func (t *Tuple) Release() {
 }
 
 // ReleaseLocal drops one reference like Release, but a tuple reaching
-// zero references goes back onto the pool's owner-goroutine stash
-// instead of the shared fallback pool — the caller must be on the pool
-// owner's goroutine. The engine's columnar batch builders use it: they
-// copy each tuple into column lanes and release it right there on the
-// producing task, so the Borrow→fill→append→release cycle of a fully
-// columnar edge spins on one hot stash slot with no cross-thread
-// machinery (the reverse rings never see these tuples, so without this
-// the stash would run dry and every cycle would round-trip sync.Pool).
+// zero references goes onto the pool's owner-goroutine stash instead of
+// the shared fallback pool — the caller must be on the goroutine that
+// calls Get. The engine's row adapter uses it after Process returns.
 func (t *Tuple) ReleaseLocal() {
 	p := t.pool
 	if p == nil {
@@ -196,10 +134,7 @@ func (t *Tuple) ReleaseLocal() {
 	if p.stats {
 		p.puts.Add(1)
 	}
-	if cap(p.free) == 0 {
-		p.free = make([]*Tuple, 0, refillChunk)
-	}
-	if len(p.free) < cap(p.free) {
+	if len(p.free) < freeCap {
 		p.free = append(p.free, t)
 		return
 	}
@@ -220,7 +155,7 @@ func (t *Tuple) recycle() {
 }
 
 // resetForPool clears everything a recycled tuple must not carry into
-// its next life (shared by the sync.Pool and reverse-ring paths).
+// its next life.
 func (t *Tuple) resetForPool() {
 	t.Reset()
 	t.Stream = DefaultStreamID
@@ -228,4 +163,37 @@ func (t *Tuple) resetForPool() {
 	t.Event = 0
 	t.TraceID = 0
 	t.TraceOrigin = 0
+}
+
+// Scratch is a task-local free list of non-pooled rows, the emit side's
+// counterpart of Pool: the engine's Borrow Gets a row, the operator
+// fills it, Send copies it into the destination batches and Puts it
+// back. A scratch row has one owner and is only ever copied, so
+// recycling it touches no reference count. The zero value is ready to
+// use; a Scratch must not be shared between goroutines.
+type Scratch struct{ free []*Tuple }
+
+// Get returns an empty row on the default stream, owned by the caller
+// until it is Put back (a row never returned is simply collected).
+func (s *Scratch) Get() *Tuple {
+	if k := len(s.free) - 1; k >= 0 {
+		t := s.free[k]
+		s.free = s.free[:k]
+		return t
+	}
+	return new(Tuple)
+}
+
+// Put ends the caller's ownership of t, whatever its origin: a
+// non-pooled row is reset and kept for the next Get, a pooled tuple
+// gives up the caller's reference.
+func (s *Scratch) Put(t *Tuple) {
+	if t.pool != nil {
+		t.Release()
+		return
+	}
+	if len(s.free) < freeCap {
+		t.resetForPool()
+		s.free = append(s.free, t)
+	}
 }

@@ -56,20 +56,6 @@ func TestRetainKeepsTupleAlive(t *testing.T) {
 	tp.Release() // holder's reference ends; now recycled
 }
 
-func TestRetainNMatchesNReleases(t *testing.T) {
-	p := NewPool()
-	tp := p.Get()
-	tp.AppendInt(9)
-	tp.RetainN(3) // refs: 1 + 3
-	for i := 0; i < 3; i++ {
-		tp.Release()
-		if tp.Int(0) != 9 {
-			t.Fatalf("tuple recycled after %d of 4 releases", i+1)
-		}
-	}
-	tp.Release()
-}
-
 func TestNonPooledTupleIgnoresRetainRelease(t *testing.T) {
 	tp := New(int64(5))
 	tp.Retain()

@@ -81,12 +81,17 @@ func (s *Schema) FieldIndex(name string) int {
 // check, land on the same consumer, and silently split its keyed state
 // into two accumulators per logical key. A declared schema pins the
 // representation so that class of bug dies at the first tuple.
-func (s *Schema) Check(t *Tuple) error {
-	if t.Len() != len(s.fields) {
-		return fmt.Errorf("tuple: schema %s expects %d fields, tuple has %d", s, len(s.fields), t.Len())
+func (s *Schema) Check(t *Tuple) error { return s.check(int(t.n), &t.kinds) }
+
+// CheckBatch validates the layout every row of b shares.
+func (s *Schema) CheckBatch(b *Batch) error { return s.check(b.cols, &b.kinds) }
+
+func (s *Schema) check(n int, kinds *[MaxFields]Kind) error {
+	if n != len(s.fields) {
+		return fmt.Errorf("tuple: schema %s expects %d fields, tuple has %d", s, len(s.fields), n)
 	}
 	for i, f := range s.fields {
-		if got := t.kinds[i]; got != f.Kind {
+		if got := kinds[i]; got != f.Kind {
 			return fmt.Errorf("tuple: schema %s field %q wants %v, tuple has %v", s, f.Name, f.Kind, got)
 		}
 	}

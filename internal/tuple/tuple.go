@@ -1,11 +1,12 @@
 // Package tuple defines the data units that flow through BriskStream:
-// individual tuples and "jumbo tuples" (batches of tuples that share one
-// header and are enqueued with a single queue insertion — Section 5.2 of
-// the paper). It also provides a binary (de)serialization path that is
-// deliberately NOT used by the BriskStream engine: pass-by-reference is
-// the whole point of the shared-memory design. Serialization exists so
-// the Storm-like baseline mode can pay the cost a distributed DSPS pays,
-// which is what the factor analysis (Figure 16) measures.
+// individual tuples, the columnar batches rows travel in between tasks,
+// and "jumbo tuples" (a batch under one shared header, enqueued with a
+// single queue insertion — Section 5.2 of the paper). It also provides
+// a binary (de)serialization path that is deliberately NOT used by the
+// BriskStream engine: staying inside shared memory is the whole point
+// of the design. Serialization exists so the Storm-like baseline can
+// pay the cost a distributed DSPS pays, which is what the factor
+// analysis (Figure 16) measures.
 //
 // # Typed slot representation
 //
@@ -25,10 +26,13 @@
 //
 // # Ownership and recycling
 //
-// Tuples on the BriskStream path are pooled (see Pool): a producer
-// acquires a tuple, the engine passes the pointer to its consumer(s),
-// and after the consuming operator's Process returns the engine releases
-// the tuple back to the producer's pool. The contract for operator code:
+// Rows cross tasks by value: a producer fills a scratch row (see
+// Scratch), the engine copies it into the open columnar batch of every
+// destination edge, and batches — not tuples — cross cores and recycle
+// over a per-edge free ring. A consumer that processes one row at a
+// time gets each row materialized into a pooled tuple (see Pool) that
+// the engine releases after Process returns. The contract for operator
+// code:
 //
 //   - A tuple received by Process is valid only until Process returns.
 //     To keep the *Tuple itself longer (windows, joins, handing it to
@@ -40,8 +44,9 @@
 //     holds the tuple — clone it (strings.Clone, or Key(i).Canon() for
 //     keys) to keep it past Process. Symbol fields are exempt: their Str
 //     result is the interned name, stable for the process lifetime.
-//   - A tuple obtained from Collector.Borrow is owned by the caller
-//     until passed to Collector.Send, which consumes that ownership.
+//   - A row obtained from Collector.Borrow is scratch: owned by the
+//     caller until passed to Collector.Send, which copies it out and
+//     takes it back.
 //
 // Stream identity is interned: StreamID is resolved from the stream name
 // once at wiring time, so per-tuple routing never compares strings.
@@ -108,10 +113,8 @@ func (k Kind) String() string {
 // the fixed layout is what keeps the tuple allocation-free.
 const MaxFields = 8
 
-// Tuple is one data item flowing along a stream. Tuples are passed by
-// reference between operators in the same process; an output tuple is
-// exclusively accessible by its targeted consumer, so no defensive copy
-// is made (Section 5.1).
+// Tuple is one data item flowing along a stream: the row an operator
+// fills to emit, and the row a scalar operator is handed to process.
 type Tuple struct {
 	// Stream is the interned id of the output stream this tuple was
 	// emitted on. Operators with a single output use DefaultStreamID
@@ -479,8 +482,8 @@ func (t *Tuple) Size() int {
 }
 
 // Clone deep-copies the tuple into a fresh non-pooled allocation. The
-// BriskStream path never calls this on the hot path; defensive-copy
-// emulation uses pooled copies via CopyFrom instead.
+// BriskStream path never calls this on the hot path; it is what the
+// Storm-like baseline's defensive copy costs.
 func (t *Tuple) Clone() *Tuple {
 	c := &Tuple{Stream: t.Stream, Ts: t.Ts, Event: t.Event,
 		TraceID: t.TraceID, TraceOrigin: t.TraceOrigin}
@@ -489,8 +492,7 @@ func (t *Tuple) Clone() *Tuple {
 }
 
 // CopyFrom overwrites this tuple's payload, stream and timestamps with
-// src's, reusing the arena backing array. It is the allocation-free
-// deep copy used for fan-out and defensive-copy paths on pooled tuples.
+// src's, reusing the arena backing array: an allocation-free deep copy.
 func (t *Tuple) CopyFrom(src *Tuple) {
 	t.copyPayload(src)
 	t.Stream = src.Stream
@@ -535,11 +537,13 @@ type Punct struct {
 	Ts time.Time
 }
 
-// Jumbo is a jumbo tuple: a batch of tuples from one producer to one
+// Jumbo is a jumbo tuple: a batch of rows from one producer to one
 // consumer that shares a single header (producer identity, queueing
 // stamp, control record) and occupies a single communication-queue
 // slot. Section 5.2: the shared header eliminates duplicate per-tuple
 // metadata and the single insertion amortizes queue synchronization.
+// The header is small and travels by value in the queue slot; only the
+// batch it points to is shared memory.
 type Jumbo struct {
 	// Producer identifies the sending task, replacing a per-tuple
 	// header.
@@ -549,24 +553,20 @@ type Jumbo struct {
 	// which attributes queue-wait to every batch — and therefore every
 	// task/edge — at one clock read per jumbo, not per tuple.
 	EnqNs int64
-	// Tuples is the row-oriented batch payload, passed by reference.
-	// At most one of Tuples and Batch is populated; a jumbo with neither
+	// Batch is the columnar payload (see Batch); nil on a jumbo that
 	// carries only its Punct.
-	Tuples []*Tuple
-	// Batch is the columnar payload carried on edges whose consumer
-	// processes batches vectorized (see Batch); nil on scalar edges.
 	Batch *Batch
 	// Punct is the control record that follows the payload (Kind
 	// PunctNone on a plain data jumbo).
 	Punct Punct
 }
 
-// Len returns the number of tuples in the batch (either representation).
-func (j *Jumbo) Len() int {
-	if j.Batch != nil {
-		return j.Batch.Len()
+// Len returns the number of rows in the batch.
+func (j Jumbo) Len() int {
+	if j.Batch == nil {
+		return 0
 	}
-	return len(j.Tuples)
+	return j.Batch.Len()
 }
 
 // Wire kind tags. They survive from the boxed era (int=1, float=2,

@@ -336,7 +336,10 @@ func TestTupleString(t *testing.T) {
 }
 
 func TestJumbo(t *testing.T) {
-	j := &Jumbo{Producer: 3, Tuples: []*Tuple{New(int64(1)), New(int64(2))}}
+	b := NewBatch(4)
+	b.Append(New(int64(1)))
+	b.Append(New(int64(2)))
+	j := &Jumbo{Producer: 3, Batch: b}
 	if j.Len() != 2 {
 		t.Errorf("Len = %d", j.Len())
 	}
