@@ -28,8 +28,8 @@ race:
 race-all:
 	BRISK_VALIDATE_EVERY=1 $(GO) test -race ./...
 
-# bench runs the queue/dispatch microbenchmarks that gate the SPSC
-# rework (mutex ring vs per-edge SPSC fan-in, and the dispatch path).
+# bench runs the queue/dispatch microbenchmarks: per-edge SPSC rings
+# fanned into an inbox, the uncontended ring, and the dispatch path.
 bench:
 	$(GO) test -bench 'PutGet|EngineDispatch' -benchtime 1s -run xxx ./internal/queue/ ./internal/engine/
 
@@ -94,13 +94,13 @@ fmt-check:
 # fuzz-smoke gives each fuzz target a short budget, one after the other
 # (go test -fuzz takes one target of one package per invocation). The
 # decoders face bytes from outside the process — checkpoint files, and
-# the batch codec is the data type of every edge — so a bounded run on
-# every change is the floor; a crasher lands in the package's
-# testdata/fuzz/ and fails plain `go test` from then on.
+# the tuple frames the Storm-like baseline serializes on every hop
+# (batches cross edges in shared memory and are never encoded) — so a
+# bounded run on every change is the floor; a crasher lands in the
+# package's testdata/fuzz/ and fails plain `go test` from then on.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/tuple/
-	$(GO) test -run '^$$' -fuzz '^FuzzBatchRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/tuple/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoderKey$$' -fuzztime $(FUZZTIME) ./internal/checkpoint/
 
 # benchmark/ is its own module (the benchmark of record), so the root

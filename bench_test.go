@@ -112,22 +112,10 @@ func BenchmarkFig16_FactorAnalysis(b *testing.B)      { benchExperiment(b, "fig1
 
 // --- Engine micro-benchmarks (real runtime) ---
 
-// BenchmarkQueuePutGet measures the communication-queue hot path at
-// jumbo-tuple granularity on the legacy mutex ring; the SPSC variant
-// below is what the engine actually runs. Producer-count scaling
-// comparisons live in internal/queue/bench_test.go.
-func BenchmarkQueuePutGet(b *testing.B) {
-	q := queue.New[*tuple.Jumbo](64)
-	j := &tuple.Jumbo{Producer: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.Put(j)
-		q.Get()
-	}
-}
-
-// BenchmarkQueueSPSCPutGet is the same loop on the lock-free
-// single-producer/single-consumer ring the engine uses per edge.
+// BenchmarkQueueSPSCPutGet measures the communication-queue hot path at
+// jumbo-tuple granularity on the lock-free single-producer/
+// single-consumer ring the engine uses per edge. Producer-count scaling
+// lives in internal/queue/bench_test.go.
 func BenchmarkQueueSPSCPutGet(b *testing.B) {
 	q := queue.NewRing[*tuple.Jumbo](64)
 	j := &tuple.Jumbo{Producer: 1}

@@ -68,13 +68,13 @@ type Value = tuple.Value
 
 // Tuple is one data item flowing on a stream, carrying schema-typed
 // slots (int64/float64/bool plus arena-backed strings and interned
-// symbols). Tuples handed to Process are pooled: they are valid until
-// Process returns, and operators that keep one longer must Retain (and
-// later Release) it. Numeric values read out of a tuple may be kept
-// forever; strings read with Str from ordinary string fields are arena
-// views valid only while the tuple is held (symbol fields return
-// stable interned names). See the internal/tuple package doc for the
-// full ownership contract.
+// symbols). A tuple handed to Process is valid until Process returns —
+// the engine refills it with the next input row — and an operator that
+// keeps one longer must Clone it. Numeric values read out of a tuple
+// may be kept forever; strings read with Str from ordinary string
+// fields are arena views valid only while the tuple is held (symbol
+// fields return stable interned names). See the internal/tuple package
+// doc for the full ownership contract.
 type Tuple = tuple.Tuple
 
 // Tuple schemas. Streams declare their typed layout at wiring time via

@@ -17,7 +17,7 @@ func main() {
 	t := briskstream.NewTopology("quickstart")
 
 	// A spout producing sentences forever; the run is time-bounded. The
-	// Borrow/Send surface reuses pooled tuples (typed slots + string
+	// Borrow/Send surface reuses scratch rows (typed slots + string
 	// arena), so the only per-event allocation is formatting the
 	// sentence itself. Emits declares the stream's typed schema.
 	t.Spout("sentences", func() briskstream.Spout {

@@ -2,15 +2,16 @@ package apps
 
 // Batch/scalar equivalence: one bounded, deterministic topology run
 // three ways — scalar reference (every operator behind baseline's
-// zero-cost wrapper, which hides ProcessBatch, so every edge passes
-// tuple pointers), the shipped topology (batch-aware consumers get
-// batches), and the shipped topology traced at every tuple (every batch
-// goes through the engine's row adapter) — must deliver identical sink
-// multisets. WC covers the vectorized filter/tokenize/window-count
-// chain, TW the session/window operators that opt out of batches, FD
-// the plain stateful path; together they pin the columnar dispatch,
-// consume, punctuation-ordering and row-materialization semantics to
-// the scalar reference.
+// zero-cost wrapper, which hides ProcessBatch, so every operator's
+// Process body runs on every row), the shipped topology (batch-aware
+// consumers get batches), and the shipped topology traced at every
+// tuple (tracing must not change the output: traced batches take the
+// same path as untraced ones) — must deliver identical sink multisets.
+// WC covers the vectorized filter/tokenize/window-count chain, TW the
+// session/window operators that opt out of batches, FD the plain
+// stateful path; together they pin the columnar dispatch, consume,
+// punctuation-ordering and row-materialization semantics to the scalar
+// reference.
 
 import (
 	"testing"
@@ -23,9 +24,9 @@ import (
 type batchMode int
 
 const (
-	scalarRef   batchMode = iota // every operator behind the zero-cost wrapper
-	shipped                      // the topology as the app builds it
-	shippedRows                  // shipped, every tuple traced: the row adapter
+	scalarRef batchMode = iota // every operator behind the zero-cost wrapper
+	shipped                    // the topology as the app builds it
+	traced                     // shipped, every tuple traced
 )
 
 // runBatchMode runs rc to EOF in the given mode and returns the sink
@@ -50,14 +51,14 @@ func runBatchMode(t *testing.T, rc recoveryCase, mode batchMode) map[string]int6
 	switch mode {
 	case scalarRef:
 		topo, cfg = baseline.System{}.OnEngine(topo)
-	case shippedRows:
+	case traced:
 		cfg.TraceSampleEvery = 1
 	}
 	e, err := engine.New(topo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mode == shippedRows {
+	if mode == traced {
 		e.RegisterTrace(obs.NewTracer())
 	}
 	res, err := e.Run(0)
@@ -77,8 +78,8 @@ func TestBatchScalarEquivalence(t *testing.T) {
 			if d := diffMultisets(scalar, runBatchMode(t, rc, shipped)); d != "" {
 				t.Fatalf("columnar output differs from scalar: %s", d)
 			}
-			if d := diffMultisets(scalar, runBatchMode(t, rc, shippedRows)); d != "" {
-				t.Fatalf("row-adapter (traced) output differs from scalar: %s", d)
+			if d := diffMultisets(scalar, runBatchMode(t, rc, traced)); d != "" {
+				t.Fatalf("traced output differs from scalar: %s", d)
 			}
 		})
 	}

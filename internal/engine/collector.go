@@ -14,8 +14,8 @@ import (
 type collector struct {
 	e *Engine
 	t *task
-	// rows is the stack of scratch rows Borrow hands out.
-	rows tuple.Scratch
+	// rows is the free list of the scratch rows Borrow hands out.
+	rows tuple.Pool
 	// processed and emitted are the task's exact counts this run;
 	// publish copies them to the task's atomics.
 	processed, emitted uint64
@@ -50,15 +50,17 @@ func (c *collector) publish() {
 func (c *collector) Borrow() *tuple.Tuple { return c.rows.Get() }
 
 // Send implements Collector: it stamps the row's metadata, copies it to
-// every destination, and only then recycles it — once, however many
-// edges it fanned out to.
+// every destination, and only then releases it — once, however many
+// edges it fanned out to. Release recycles only a row that came from a
+// Pool: a scalar operator Sending its own input (the task-local row the
+// adapter fills) must not turn that row into the next Borrow's scratch.
 func (c *collector) Send(out *tuple.Tuple) {
 	if c.fail == nil {
 		c.stamp(out)
 		c.emitted++
 		c.fail = c.e.dispatch(c.t, out)
 	}
-	c.rows.Put(out)
+	out.Release()
 }
 
 // stamp fills the metadata the engine owns on an outgoing row.

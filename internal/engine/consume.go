@@ -152,18 +152,15 @@ func (e *Engine) invokeOperator(t *task, c *collector, in *tuple.Tuple, qwait in
 
 // consumeBatch processes the batch of a received jumbo. A willing
 // BatchOperator (see batchOperator) gets the whole batch in one
-// ProcessBatch call — the vectorized path — unless the batch carries
-// traced rows and tracing is armed, in which case per-tuple span
-// semantics must stay exact. Everything else goes through the row
-// adapter: each row is materialized into a pooled tuple and handed to
-// Process.
+// ProcessBatch call — the vectorized path, traced rows included.
+// Everything else goes through the row adapter: each row is copied into
+// the task's one input tuple and handed to Process.
 func (e *Engine) consumeBatch(t *task, c *collector, b *tuple.Batch, qwait int64) error {
 	n := b.Len()
 	if t.isSink {
 		e.arrived(b)
 	}
-	bop := batchOperator(t.operator)
-	if bop != nil && !(b.HasTrace() && t.spans != nil) {
+	if bop := batchOperator(t.operator); bop != nil {
 		// Vectorized path. Profile sampling covers the whole batch when
 		// the k-th-invocation counter crosses a period boundary inside
 		// it; serviceSamples advances by the row count so the
@@ -179,6 +176,11 @@ func (e *Engine) consumeBatch(t *task, c *collector, b *tuple.Batch, qwait int64
 			}
 			c.pseq += uint64(n)
 		}
+		traced := b.HasTrace() && t.spans != nil
+		emit0 := c.emitted
+		if traced && started.IsZero() {
+			started = time.Now()
+		}
 		// inBatch suspends the collector's ambient meta stamping: one
 		// batch spans many source rows, so a single curTs/curEvent would
 		// smear the first row's context over every output. Batch
@@ -189,12 +191,17 @@ func (e *Engine) consumeBatch(t *task, c *collector, b *tuple.Batch, qwait int64
 		if err != nil {
 			return fmt.Errorf("engine: operator %s: %w", t.label, err)
 		}
-		if sampled {
+		if sampled || traced {
 			dur := time.Since(started)
-			atomic.AddUint64(&t.serviceNs, uint64(dur))
-			atomic.AddUint64(&t.serviceSamples, uint64(n))
+			if sampled {
+				atomic.AddUint64(&t.serviceNs, uint64(dur))
+				atomic.AddUint64(&t.serviceSamples, uint64(n))
+			}
 			if t.svcWin != nil {
 				t.svcWin.Observe(float64(dur) / float64(max(n, 1)))
+			}
+			if traced {
+				batchSpans(t, b, started.UnixNano()+int64(dur), int64(dur), qwait, c.emitted-emit0)
 			}
 		}
 		if c.fail != nil {
@@ -202,21 +209,41 @@ func (e *Engine) consumeBatch(t *task, c *collector, b *tuple.Batch, qwait int64
 		}
 		c.processed += uint64(n)
 	} else {
-		// Row adapter. The tuple comes from, and returns to, this task's
-		// own pool on this goroutine; it is pooled and refcounted so the
-		// operator may Retain it past Process.
+		// Row adapter: the task's input tuple is refilled row after row,
+		// so nothing is got or released per row.
+		in := &t.row
 		for r := 0; r < n; r++ {
-			in := t.pool.Get()
 			b.CopyRowTo(r, in)
 			c.curTs, c.curEvent = in.Ts, in.Event
 			c.curTrace, c.curOrigin = in.TraceID, in.TraceOrigin
-			err := e.invokeOperator(t, c, in, qwait)
-			in.ReleaseLocal()
-			if err != nil {
+			if err := e.invokeOperator(t, c, in, qwait); err != nil {
 				return err
 			}
 			c.processed++
 		}
 	}
 	return nil
+}
+
+// batchSpans records one hop span per traced row of a batch one
+// ProcessBatch call consumed, all ending when the call did. The rows
+// shared the call, so each is charged an equal share of its service
+// time and of the rows it emitted.
+func batchSpans(t *task, b *tuple.Batch, atNs, serviceNs, qwait int64, emitted uint64) {
+	n := b.Len()
+	for r := 0; r < n; r++ {
+		id := b.TraceID(r)
+		if id == 0 {
+			continue
+		}
+		t.spans.Append(obs.Span{
+			TraceID:     id,
+			OriginNs:    b.TraceOrigin(r),
+			AtNs:        atNs,
+			QueueWaitNs: qwait,
+			ServiceNs:   serviceNs / int64(n),
+			Emitted:     emitted / uint64(n),
+			Kind:        obs.SpanHop,
+		})
+	}
 }

@@ -28,11 +28,11 @@
 //   - A drained batch returns to its producer over the edge's free
 //     ring.
 //   - An operator that processes one row at a time gets each input row
-//     materialized into a pooled tuple, released when Process returns.
-//     Operators that keep it beyond Process (windows, joins, side
-//     goroutines) must Retain it in Process and Release it later;
-//     values read out of a tuple are immutable and never need
-//     retaining.
+//     copied into one task-local tuple, which the next row overwrites:
+//     it is valid until Process returns. To keep the row longer
+//     (windows, joins, side goroutines), Clone it; values read out of a
+//     tuple are immutable and may be kept as they are (arena strings
+//     excepted, see package tuple).
 package engine
 
 import (
@@ -67,10 +67,10 @@ type Collector interface {
 	// Borrow returns an empty row on the default stream, owned by the
 	// caller until passed to Send. Outstanding rows are distinct.
 	Borrow() *tuple.Tuple
-	// Send emits a tuple, consuming the caller's ownership of it (a
-	// borrowed row is recycled, any other tuple loses one reference).
-	// The engine stamps the event timestamp; callers only fill Values
-	// and Stream.
+	// Send emits a tuple, consuming the caller's ownership of it: a
+	// borrowed row is recycled, any other tuple (the operator's own
+	// input, say) is only copied. The engine stamps the event
+	// timestamp; callers only fill Values and Stream.
 	Send(t *tuple.Tuple)
 	// EmitWatermark broadcasts a low-watermark punctuation to every
 	// consumer of the task: a promise that no tuple with Event < wm will
@@ -113,8 +113,10 @@ func (f OperatorFunc) Process(c Collector, t *tuple.Tuple) error { return f(c, t
 //     punctuation is the trailer of the jumbo header carrying the batch
 //     it follows.
 //
-// Process remains required: it serves the rows the engine must deliver
-// individually (traced batches, through the row adapter).
+// Process remains required: it serves the row adapter while a
+// BatchGater declines batches, and decorators that drive the operator
+// one row at a time (the Storm-like baseline). Traced batches take
+// ProcessBatch like any other; the engine records their per-row spans.
 type BatchOperator interface {
 	Operator
 	ProcessBatch(c Collector, b *tuple.Batch) error
@@ -220,10 +222,6 @@ type Config struct {
 	// around, so plans computed for the paper's 8-socket servers run
 	// anywhere.
 	Host *numa.Host
-	// TrackPools counts every task pool's tuple gets and puts
-	// (Engine.PoolStats), the accounting the leak/double-free property
-	// tests balance. Off the hot path when false (the default).
-	TrackPools bool
 }
 
 // validateEveryEnv reads the suite-wide schema debug switch once.
@@ -307,9 +305,10 @@ type task struct {
 	// unpinned); set at New when Config.Pin is on and supported.
 	pinCPUs []int
 
-	// pool recycles the tuples the row adapter materializes this task's
-	// input rows into (see consumeBatch).
-	pool *tuple.Pool
+	// row is the one tuple the row adapter copies each input row into
+	// for a scalar operator (see consumeBatch). It never comes from a
+	// Pool, so an operator Sending it leaves it here.
+	row tuple.Tuple
 
 	// byStream is the partition controller's route table: the logical
 	// out-edges subscribed to each of the task's output streams, indexed
@@ -497,7 +496,6 @@ func New(topo Topology, cfg Config) (*Engine, error) {
 				replica: i,
 				label:   fmt.Sprintf("%s#%d", n.Name, i),
 				isSink:  n.IsSink,
-				pool:    tuple.NewPool(),
 				tm:      NewTimers(),
 			}
 			if n.IsSpout {
@@ -516,9 +514,6 @@ func New(topo Topology, cfg Config) (*Engine, error) {
 			}
 			if cfg.Placement != nil {
 				t.socket = cfg.Placement[t.label]
-			}
-			if cfg.TrackPools {
-				t.pool.EnableStats()
 			}
 			e.tasks = append(e.tasks, t)
 			e.byOp[n.Name] = append(e.byOp[n.Name], t)
@@ -925,19 +920,6 @@ func (e *Engine) QueueStats() (puts, gets uint64) {
 		gets += g
 	}
 	return puts, gets
-}
-
-// PoolStats sums the tuple-pool get/put accounting across all task
-// pools. It only reports non-zero values when Config.TrackPools was
-// set. With no run in flight and every retained tuple released,
-// gets == puts; any difference is a leaked (or double-freed) tuple.
-func (e *Engine) PoolStats() (gets, puts uint64) {
-	for _, t := range e.tasks {
-		g, p := t.pool.Stats()
-		gets += g
-		puts += p
-	}
-	return gets, puts
 }
 
 func (e *Engine) runTask(t *task) {

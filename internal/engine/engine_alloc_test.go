@@ -3,9 +3,9 @@ package engine
 // Allocation guards for the emit→dispatch→consume hot path: it must not
 // allocate per tuple in steady state — rows carry typed slots (string
 // payloads in recycled arenas, no boxing), Borrow hands out scratch
-// rows, batches come back over the edge's free ring, jumbo headers and
-// the row adapter's tuples are pooled, routing indexes interned stream
-// ids, and fields hashing is inline over slots. The bound is exactly
+// rows, batches come back over the edge's free ring, jumbo headers
+// travel by value, the row adapter refills one task-local tuple,
+// routing indexes interned stream ids, and fields hashing is inline over slots. The bound is exactly
 // zero.
 
 import (

@@ -3,11 +3,14 @@ package engine
 // The emit and consume halves of the one transport: Borrow hands out
 // scratch rows, Send copies a row into every destination edge's batch
 // and recycles it once; a scalar consumer gets each batch row by row
-// through the adapter with its per-row context intact; and the counters
-// the collector publishes per jumbo are exact whenever a run has ended.
+// through the adapter with its per-row context intact, while a traced
+// batch into a batch-aware consumer stays one ProcessBatch call; and
+// the counters the collector publishes per jumbo are exact whenever a
+// run has ended.
 
 import (
-	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"slices"
 	"strings"
@@ -55,8 +58,8 @@ func fanoutEngine(t *testing.T) *Engine {
 }
 
 // TestSendFansOutIdenticalRowsAndRecyclesOnce: one Send over shuffle,
-// fields, global and broadcast routes lands the same bytes on every
-// edge it reaches — recycling the scratch row after the first
+// fields, global and broadcast routes lands the same row on every edge
+// it reaches — recycling the scratch row after the first
 // destination would hand the later ones an empty row — and returns the
 // row to the scratch stack exactly once.
 func TestSendFansOutIdenticalRowsAndRecyclesOnce(t *testing.T) {
@@ -74,7 +77,6 @@ func TestSendFansOutIdenticalRowsAndRecyclesOnce(t *testing.T) {
 	row.Ts = time.Unix(0, 1234)
 	want := tuple.NewBatch(e.cfg.BatchSize)
 	want.Append(row)
-	wantBytes := tuple.MarshalBatch(want, nil)
 
 	c.Send(row)
 	if c.fail != nil {
@@ -97,8 +99,8 @@ func TestSendFansOutIdenticalRowsAndRecyclesOnce(t *testing.T) {
 			continue
 		}
 		reached[oe.consumer.op]++
-		if got := tuple.MarshalBatch(j.Batch, nil); !bytes.Equal(got, wantBytes) {
-			t.Errorf("edge to %s carries\n %x\nwant\n %x", oe.consumer.label, got, wantBytes)
+		if diff := batchDiff(j.Batch, want); diff != "" {
+			t.Errorf("edge to %s: %s", oe.consumer.label, diff)
 		}
 	}
 	for op, n := range map[string]int{"shuffled": 1, "keyed": 1, "global": 1, "all": 2} {
@@ -109,6 +111,37 @@ func TestSendFansOutIdenticalRowsAndRecyclesOnce(t *testing.T) {
 	if got := e.byOp["global"][1].in.Len(); got != 0 {
 		t.Errorf("global route reached replica 1")
 	}
+}
+
+// batchDiff describes the first difference between two batches, field
+// by field — layout, every slot (strings by value), the four metadata
+// lanes — or returns "" when they carry the same rows.
+func batchDiff(got, want *tuple.Batch) string {
+	if got.Stream != want.Stream || got.Len() != want.Len() || got.Cols() != want.Cols() {
+		return fmt.Sprintf("layout stream %d, %d rows x %d cols; want stream %d, %d x %d",
+			got.Stream, got.Len(), got.Cols(), want.Stream, want.Len(), want.Cols())
+	}
+	for c := 0; c < want.Cols(); c++ {
+		if got.Kind(c) != want.Kind(c) {
+			return fmt.Sprintf("column %d is %v, want %v", c, got.Kind(c), want.Kind(c))
+		}
+		for r := 0; r < want.Len(); r++ {
+			if want.Kind(c) == tuple.KindStr {
+				if got.Str(c, r) != want.Str(c, r) {
+					return fmt.Sprintf("row %d column %d = %q, want %q", r, c, got.Str(c, r), want.Str(c, r))
+				}
+			} else if got.Col(c)[r] != want.Col(c)[r] {
+				return fmt.Sprintf("row %d column %d slot = %#x, want %#x", r, c, got.Col(c)[r], want.Col(c)[r])
+			}
+		}
+	}
+	for r := 0; r < want.Len(); r++ {
+		if !got.Ts(r).Equal(want.Ts(r)) || got.Event(r) != want.Event(r) ||
+			got.TraceID(r) != want.TraceID(r) || got.TraceOrigin(r) != want.TraceOrigin(r) {
+			return fmt.Sprintf("row %d metadata differs", r)
+		}
+	}
+	return ""
 }
 
 // TestBorrowedRowsAreDistinctScratch: outstanding Borrows never alias,
@@ -157,9 +190,10 @@ func TestBorrowedRowsAreDistinctScratch(t *testing.T) {
 	}
 }
 
-// TestSendInputTuple: an operator may pass its own (pooled, adapter-
-// owned) input to Send. The row is copied out like any other and the
-// pool accounting still balances.
+// TestSendInputTuple: an operator may pass its own input — the task's
+// one adapter row — to Send. The row is copied out like any other, and
+// Send does not recycle it: the Borrow that follows, on every row of
+// every batch, hands out a row distinct from the input just sent.
 func TestSendInputTuple(t *testing.T) {
 	const n = 5000
 	g := graph.New("fwd-input")
@@ -172,20 +206,28 @@ func TestSendInputTuple(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sum int64
-	cfg := DefaultConfig()
-	cfg.TrackPools = true
 	e, err := New(Topology{
 		App:    g,
 		Spouts: map[string]func() Spout{"spout": boundedSpoutEOF(n)},
 		Operators: map[string]func() Operator{
 			"fwd": func() Operator {
-				return OperatorFunc(func(c Collector, in *tuple.Tuple) error { c.Send(in); return nil })
+				return OperatorFunc(func(c Collector, in *tuple.Tuple) error {
+					v := in.Int(0)
+					c.Send(in)
+					out := c.Borrow()
+					if out == in {
+						return fmt.Errorf("row %d: Borrow after Send handed back the input", v)
+					}
+					out.AppendInt(v + n)
+					c.Send(out)
+					return nil
+				})
 			},
 			"sink": func() Operator {
 				return OperatorFunc(func(_ Collector, in *tuple.Tuple) error { sum += in.Int(0); return nil })
 			},
 		},
-	}, cfg)
+	}, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +238,8 @@ func TestSendInputTuple(t *testing.T) {
 	if len(res.Errors) != 0 {
 		t.Fatalf("errors: %v", res.Errors)
 	}
-	if want := int64(n) * (n - 1) / 2; res.SinkTuples != n || sum != want {
-		t.Fatalf("sink got %d tuples summing to %d, want %d summing to %d", res.SinkTuples, sum, n, want)
-	}
-	if gets, puts := e.PoolStats(); gets == 0 || gets != puts {
-		t.Fatalf("pool accounting after forwarding inputs: %d gets / %d puts", gets, puts)
+	if want := int64(n)*(n-1) + n*n; res.SinkTuples != 2*n || sum != want {
+		t.Fatalf("sink got %d tuples summing to %d, want %d summing to %d", res.SinkTuples, sum, 2*n, want)
 	}
 }
 
@@ -211,72 +250,124 @@ type rowContext struct {
 	trace            uint64
 }
 
-// recordingBatchOp is a row-recording operator that would rather have
-// batches.
-type recordingBatchOp struct {
-	OperatorFunc
-	log *deliveryLog
+// TestRowAdapterCarriesPerRowContext: a scalar consumer fed row by row
+// sees each row's own Ts, Event and trace context, and leaves one span
+// per traced row.
+func TestRowAdapterCarriesPerRowContext(t *testing.T) {
+	var seen []rowContext
+	cfg := DefaultConfig()
+	cfg.LatencySampleEvery = 0
+	cfg.TraceSampleEvery = 1
+	e := buildBatchEngine(t, cfg, func() Operator {
+		return OperatorFunc(func(_ Collector, in *tuple.Tuple) error {
+			seen = append(seen, rowContext{in.Int(0), in.Event, in.TraceOrigin, in.Ts, in.TraceID})
+			return nil
+		})
+	})
+	e.RegisterTrace(obs.NewTracer())
+	producer, sink := e.byOp["spout"][0], e.byOp["sink"][0]
+	c := &collector{e: e, t: producer}
+	var sent []rowContext
+	for i := int64(1); i <= 3; i++ {
+		out := c.Borrow()
+		out.AppendInt(i)
+		out.Event = 100 * i
+		out.Ts = time.Unix(0, i)
+		c.Send(out)
+	}
+	for i, s := range producer.spans.Snapshot(nil) {
+		v := int64(i + 1)
+		sent = append(sent, rowContext{v, 100 * v, s.OriginNs, time.Unix(0, v), s.TraceID})
+	}
+	e.flushAll(producer)
+	j, ok, _ := sink.in.TryGet()
+	if !ok || !j.Batch.HasTrace() {
+		t.Fatalf("want one traced batch, got %+v", j)
+	}
+	if err := e.consumeJumbo(sink, &collector{e: e, t: sink}, j); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 3 || len(sent) != 3 {
+		t.Fatalf("sent %d rows, consumer saw %d", len(sent), len(seen))
+	}
+	for i := range sent {
+		if seen[i] != sent[i] || seen[i].trace == 0 {
+			t.Errorf("row %d arrived as %+v, sent as %+v", i, seen[i], sent[i])
+		}
+	}
+	if spans := sink.spans.Len(); spans != 3 {
+		t.Errorf("traced 3-row batch left %d hop spans, want 3", spans)
+	}
 }
 
-func (o recordingBatchOp) ProcessBatch(Collector, *tuple.Batch) error { o.log.batches++; return nil }
+// timedBatchOp is a batch-aware consumer that counts its ProcessBatch
+// calls and records how long the last one took.
+type timedBatchOp struct {
+	OperatorFunc
+	calls *int
+	took  *time.Duration
+}
 
-// TestRowAdapterCarriesPerRowContext: a consumer fed row by row sees
-// each row's own Ts, Event and trace context, and a traced batch goes
-// through the adapter even into a batch-aware operator, so it still
-// yields one span per row.
-func TestRowAdapterCarriesPerRowContext(t *testing.T) {
-	for _, batchAware := range []bool{false, true} {
-		var seen []rowContext
-		log := &deliveryLog{}
-		cfg := DefaultConfig()
-		cfg.LatencySampleEvery = 0
-		cfg.TraceSampleEvery = 1
-		e := buildBatchEngine(t, cfg, func() Operator {
-			record := OperatorFunc(func(_ Collector, in *tuple.Tuple) error {
-				seen = append(seen, rowContext{in.Int(0), in.Event, in.TraceOrigin, in.Ts, in.TraceID})
-				return nil
-			})
-			if batchAware {
-				return recordingBatchOp{record, log}
-			}
-			return record
-		})
-		e.RegisterTrace(obs.NewTracer())
-		producer, sink := e.byOp["spout"][0], e.byOp["sink"][0]
-		c := &collector{e: e, t: producer}
-		var sent []rowContext
-		for i := int64(1); i <= 3; i++ {
-			out := c.Borrow()
-			out.AppendInt(i)
-			out.Event = 100 * i
-			out.Ts = time.Unix(0, i)
-			c.Send(out)
+func (o timedBatchOp) ProcessBatch(Collector, *tuple.Batch) error {
+	start := time.Now()
+	time.Sleep(3 * time.Millisecond)
+	*o.calls++
+	*o.took = time.Since(start)
+	return nil
+}
+
+// TestTracedBatchStaysVectorized: tracing does not change which path a
+// batch takes. A traced 3-row batch into a BatchOperator is one
+// ProcessBatch call, and it leaves one hop span per traced row, each
+// charged a third of the call's service time.
+func TestTracedBatchStaysVectorized(t *testing.T) {
+	var calls int
+	var took time.Duration
+	cfg := DefaultConfig()
+	cfg.LatencySampleEvery = 0
+	cfg.TraceSampleEvery = 1
+	e := buildBatchEngine(t, cfg, func() Operator {
+		return timedBatchOp{OperatorFunc(func(Collector, *tuple.Tuple) error {
+			return errors.New("a traced batch took the row adapter")
+		}), &calls, &took}
+	})
+	e.RegisterTrace(obs.NewTracer())
+	producer, sink := e.byOp["spout"][0], e.byOp["sink"][0]
+	c := &collector{e: e, t: producer}
+	for i := int64(1); i <= 3; i++ {
+		out := c.Borrow()
+		out.AppendInt(i)
+		c.Send(out)
+	}
+	traces := map[uint64]bool{}
+	for _, s := range producer.spans.Snapshot(nil) {
+		traces[s.TraceID] = true
+	}
+	e.flushAll(producer)
+	j, ok, _ := sink.in.TryGet()
+	if !ok || !j.Batch.HasTrace() || j.Len() != 3 {
+		t.Fatalf("want one traced 3-row batch, got %+v", j)
+	}
+	start := time.Now()
+	if err := e.consumeJumbo(sink, &collector{e: e, t: sink}, j); err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	if calls != 1 {
+		t.Fatalf("ProcessBatch called %d times, want 1", calls)
+	}
+	spans := sink.spans.Snapshot(nil)
+	if len(spans) != 3 || len(traces) != 3 {
+		t.Fatalf("traced 3-row batch left %d hop spans for %d traces, want 3 and 3", len(spans), len(traces))
+	}
+	lo, hi := int64(took)/3, int64(elapsed)/3
+	for i, s := range spans {
+		if s.Kind != obs.SpanHop || !traces[s.TraceID] {
+			t.Errorf("span %d = %+v, want a hop span on one of the sent traces", i, s)
 		}
-		for i, s := range producer.spans.Snapshot(nil) {
-			v := int64(i + 1)
-			sent = append(sent, rowContext{v, 100 * v, s.OriginNs, time.Unix(0, v), s.TraceID})
-		}
-		e.flushAll(producer)
-		j, ok, _ := sink.in.TryGet()
-		if !ok || !j.Batch.HasTrace() {
-			t.Fatalf("batchAware=%v: want one traced batch, got %+v", batchAware, j)
-		}
-		if err := e.consumeJumbo(sink, &collector{e: e, t: sink}, j); err != nil {
-			t.Fatal(err)
-		}
-		if len(seen) != 3 || len(sent) != 3 {
-			t.Fatalf("batchAware=%v: sent %d rows, consumer saw %d", batchAware, len(sent), len(seen))
-		}
-		for i := range sent {
-			if seen[i] != sent[i] || seen[i].trace == 0 {
-				t.Errorf("batchAware=%v: row %d arrived as %+v, sent as %+v", batchAware, i, seen[i], sent[i])
-			}
-		}
-		if log.batches != 0 {
-			t.Errorf("batchAware=%v: traced batch reached ProcessBatch", batchAware)
-		}
-		if spans := sink.spans.Len(); spans != 3 {
-			t.Errorf("batchAware=%v: traced 3-row batch left %d hop spans, want 3", batchAware, spans)
+		delete(traces, s.TraceID)
+		if s.ServiceNs < lo || s.ServiceNs > hi {
+			t.Errorf("span %d charged %dns, want a third of the batch's service time (%d..%dns)", i, s.ServiceNs, lo, hi)
 		}
 	}
 }
@@ -432,5 +523,53 @@ func TestForwardRowsAllocFree(t *testing.T) {
 	}
 	if c.emitted != 11*2501 {
 		t.Errorf("emitted = %d after %d forwards of 11 rows", c.emitted, 2501)
+	}
+}
+
+func TestSharedFanoutTupleSurvivesAllConsumers(t *testing.T) {
+	// One emitted tuple reaches several consumer tasks (multiple routes
+	// on the same stream, as in LR's position report). Every consumer
+	// must read intact values; -race catches a recycle racing a slower
+	// consumer.
+	const n = 5000
+	g := graph.New("fanout")
+	g.AddNode(&graph.Node{Name: "spout", IsSpout: true, Selectivity: map[string]float64{"default": 1}})
+	g.AddNode(&graph.Node{Name: "left", Selectivity: map[string]float64{"default": 1}})
+	g.AddNode(&graph.Node{Name: "right", Selectivity: map[string]float64{"default": 1}})
+	g.AddNode(&graph.Node{Name: "sink", IsSink: true})
+	g.AddEdge(graph.Edge{From: "spout", To: "left", Stream: "default"})
+	g.AddEdge(graph.Edge{From: "spout", To: "right", Stream: "default"})
+	g.AddEdge(graph.Edge{From: "left", To: "sink", Stream: "default"})
+	g.AddEdge(graph.Edge{From: "right", To: "sink", Stream: "default"})
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	check := func() Operator {
+		return OperatorFunc(func(c Collector, tp *tuple.Tuple) error {
+			if v := tp.Int(0); v < 0 || v >= n {
+				t.Errorf("clobbered payload %d", v)
+			}
+			forwardTuple(c, tp)
+			return nil
+		})
+	}
+	topo := Topology{
+		App:       g,
+		Spouts:    map[string]func() Spout{"spout": boundedSpoutEOF(n)},
+		Operators: map[string]func() Operator{"left": check, "right": check, "sink": sinkOp},
+	}
+	e, err := New(topo, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Errors) != 0 {
+		t.Fatalf("errors: %v", res.Errors)
+	}
+	if res.SinkTuples != 2*n {
+		t.Fatalf("sink tuples = %d, want %d", res.SinkTuples, 2*n)
 	}
 }

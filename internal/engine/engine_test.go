@@ -151,7 +151,7 @@ func TestFieldsPartitioningRoutesByKey(t *testing.T) {
 		p := &seen
 		mu[idx].Store(p)
 		return OperatorFunc(func(c Collector, t *tuple.Tuple) error {
-			// Str views die with the pooled tuple; own the key bytes.
+			// Str views die with the input row; own the key bytes.
 			seen[strings.Clone(t.Str(0))] = true
 			forwardTuple(c, t)
 			return nil

@@ -3,11 +3,10 @@ package engine
 // Live telemetry wiring: RegisterObs publishes the engine's existing
 // atomic counters as pull-based metric series and its lifecycle as
 // journal events. Every series reads state the engine already
-// maintains (task counters, inbox/ring cursors, pool accounting,
-// watermark mirrors), so a scrape is race-free against a running
-// engine and the data path gains no per-tuple work — the only hot-path
-// addition anywhere is one predictable nil check at the sampled
-// sink-latency site.
+// maintains (task counters, inbox/ring cursors, watermark mirrors), so
+// a scrape is race-free against a running engine and the data path
+// gains no per-tuple work — the only hot-path addition anywhere is one
+// predictable nil check at the sampled sink-latency site.
 
 import (
 	"strconv"
@@ -20,9 +19,7 @@ import (
 // RegisterObs wires this engine into the metric group and journal.
 // It clears the group first, so the adaptive loop — one fresh engine
 // per segment — re-registers into the same group without leaking the
-// dead engine's series. Call it after New and before Run; it also
-// enables pool accounting (Config.TrackPools equivalent) so the row
-// adapter's tuple traffic is observable.
+// dead engine's series. Call it after New and before Run.
 func (e *Engine) RegisterObs(g *obs.Group, jr *obs.Journal) {
 	g.Clear()
 	e.jr = jr
@@ -63,7 +60,6 @@ func (e *Engine) RegisterObs(g *obs.Group, jr *obs.Journal) {
 	e.obsLat = g.ValueWindow("brisk_latency_rolling_ns", "Rolling sampled sink latency (ns).", nil)
 
 	for _, t := range e.tasks {
-		t.pool.EnableStats()
 		tl := []obs.L{
 			{Key: "op", Value: t.op},
 			{Key: "task", Value: t.label},
@@ -93,14 +89,6 @@ func (e *Engine) RegisterObs(g *obs.Group, jr *obs.Journal) {
 		if t.operator != nil {
 			t.svcWin = g.ValueWindow("brisk_task_service_ns", "Rolling measured operator invocation time (ns; fed by profile-sampled and traced invocations).", tl)
 		}
-		g.Counter("brisk_pool_gets_total", "Tuple pool gets per task (engine lifetime).", tl, func() uint64 {
-			gets, _ := t.pool.Stats()
-			return gets
-		})
-		g.Counter("brisk_pool_puts_total", "Tuples recycled back per task pool (engine lifetime).", tl, func() uint64 {
-			_, puts := t.pool.Stats()
-			return puts
-		})
 		if t.in != nil {
 			g.Gauge("brisk_task_queue_depth", "Jumbo batches waiting in the task's inbox.", tl, func() float64 {
 				return float64(t.in.Len())

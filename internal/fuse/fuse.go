@@ -194,8 +194,10 @@ func Compose(mkU, mkV func() engine.Operator) func() engine.Operator {
 }
 
 // fusedOp is a fused producer-consumer pair running as one operator.
-// pool recycles the tuples u emits into v: they never reach the engine,
-// and being pooled v may Retain them like any other input.
+// pool is the free list of the rows u borrows to emit into v: they
+// never reach the engine, v sees each as its input, valid until v's
+// Process returns, and the row then goes back to pool. Like the task
+// running the pair, the pool belongs to one goroutine.
 type fusedOp struct {
 	u, v engine.Operator
 	pool *tuple.Pool
@@ -326,10 +328,11 @@ func (c *chainCollector) EmitWatermark(wm int64) { c.out.EmitWatermark(wm) }
 
 // Send implements engine.Collector: the tuple is processed synchronously
 // by the fused consumer and then released (the consumer's own emissions
-// went to the real collector during Process).
+// went to the real collector during Process). A row that did not come
+// from the pair's pool — u forwarding its own input — is left alone.
 func (c *chainCollector) Send(t *tuple.Tuple) {
 	if c.err == nil {
 		c.err = c.downstream.Process(c.out, t)
 	}
-	t.ReleaseLocal()
+	t.Release()
 }

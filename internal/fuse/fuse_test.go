@@ -1,6 +1,8 @@
 package fuse
 
 import (
+	"fmt"
+	"io"
 	"math"
 	"testing"
 	"time"
@@ -286,5 +288,79 @@ func TestFusedOpForwardsSnapshotter(t *testing.T) {
 	}
 	if w2.n != 3 {
 		t.Fatalf("mixed restore = %d, want 3", w2.n)
+	}
+}
+
+// sendThenBorrow forwards its input, then borrows a row for a second
+// output (the input's value plus shift). Reusing the input it just sent
+// as that scratch row would corrupt both outputs, so it fails instead.
+func sendThenBorrow(shift int64) func() engine.Operator {
+	return func() engine.Operator {
+		return engine.OperatorFunc(func(c engine.Collector, in *tuple.Tuple) error {
+			v := in.Int(0)
+			c.Send(in)
+			out := c.Borrow()
+			if out == in {
+				return fmt.Errorf("row %d: Borrow after Send handed back the input", v)
+			}
+			out.AppendInt(v + shift)
+			c.Send(out)
+			return nil
+		})
+	}
+}
+
+// TestFusedPairSendInputThenBorrow: inside a fused pair both members
+// may Send their own input and Borrow afterwards, on every row of a
+// multi-row batch, without either Borrow handing back the row just
+// sent — the adapter's input row for the producer, a row of the pair's
+// pool for the consumer.
+func TestFusedPairSendInputThenBorrow(t *testing.T) {
+	const n = 2000
+	g := graph.New("fused-send-input")
+	g.AddNode(&graph.Node{Name: "spout", IsSpout: true, Selectivity: map[string]float64{"default": 1}})
+	g.AddNode(&graph.Node{Name: "pair", Selectivity: map[string]float64{"default": 4}})
+	g.AddNode(&graph.Node{Name: "sink", IsSink: true})
+	g.AddEdge(graph.Edge{From: "spout", To: "pair", Stream: "default"})
+	g.AddEdge(graph.Edge{From: "pair", To: "sink", Stream: "default"})
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var next, sum int64
+	e, err := engine.New(engine.Topology{
+		App: g,
+		Spouts: map[string]func() engine.Spout{"spout": func() engine.Spout {
+			return engine.SpoutFunc(func(c engine.Collector) error {
+				if next == n {
+					return io.EOF
+				}
+				out := c.Borrow()
+				out.AppendInt(next)
+				c.Send(out)
+				next++
+				return nil
+			})
+		}},
+		Operators: map[string]func() engine.Operator{
+			"pair": Compose(sendThenBorrow(n), sendThenBorrow(2*n)),
+			"sink": func() engine.Operator {
+				return engine.OperatorFunc(func(_ engine.Collector, in *tuple.Tuple) error { sum += in.Int(0); return nil })
+			},
+		},
+	}, engine.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Errors) != 0 {
+		t.Fatalf("errors: %v", res.Errors)
+	}
+	// Each input v leaves v, v+2n (the consumer on the forwarded input)
+	// and v+n, v+3n (the consumer on the producer's borrowed row).
+	if want := 4*int64(n)*(n-1)/2 + 6*n*n; res.SinkTuples != 4*n || sum != want {
+		t.Fatalf("sink got %d tuples summing to %d, want %d summing to %d", res.SinkTuples, sum, 4*n, want)
 	}
 }

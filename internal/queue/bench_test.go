@@ -1,12 +1,10 @@
 package queue
 
-// bench_test.go compares the two queue implementations on the engine's
-// traffic shape: N producers feeding one consumer. The mutex Queue
-// serializes all N+1 parties on one lock; the Inbox gives each producer
-// a private SPSC ring, so the acceptance target (>=1.5x at 4+
-// producers) falls out of removed contention:
+// bench_test.go measures the queues on the engine's traffic shape: N
+// producers feeding one consumer, each through a private SPSC ring of
+// the consumer's Inbox, plus the uncontended single-edge loop:
 //
-//	go test -bench 'QueuePutGet|InboxPutGet' -benchtime 2s ./internal/queue/
+//	go test -bench 'PutGet' -benchtime 2s ./internal/queue/
 
 import (
 	"sync"
@@ -42,15 +40,6 @@ func benchMPSC(b *testing.B, producers int, mkPut func(p int) func(int) error, g
 	}
 }
 
-func benchMutexQueue(b *testing.B, producers int) {
-	q := New[int](64)
-	benchMPSC(b, producers,
-		func(int) func(int) error { return q.Put },
-		q.Get,
-		q.Close,
-	)
-}
-
 func benchInbox(b *testing.B, producers int) {
 	ib := NewInbox[int](64)
 	rings := make([]*Ring[int], producers)
@@ -64,9 +53,6 @@ func benchInbox(b *testing.B, producers int) {
 	)
 }
 
-func BenchmarkQueuePutGetP1(b *testing.B) { benchMutexQueue(b, 1) }
-func BenchmarkQueuePutGetP4(b *testing.B) { benchMutexQueue(b, 4) }
-func BenchmarkQueuePutGetP8(b *testing.B) { benchMutexQueue(b, 8) }
 func BenchmarkInboxPutGetP1(b *testing.B) { benchInbox(b, 1) }
 func BenchmarkInboxPutGetP4(b *testing.B) { benchInbox(b, 4) }
 func BenchmarkInboxPutGetP8(b *testing.B) { benchInbox(b, 8) }
@@ -76,16 +62,6 @@ func BenchmarkInboxPutGetP8(b *testing.B) { benchInbox(b, 8) }
 // long enough to park).
 func BenchmarkRingPutGet(b *testing.B) {
 	q := NewRing[int](64)
-	for i := 0; i < b.N; i++ {
-		q.Put(i)
-		q.Get()
-	}
-}
-
-// BenchmarkMutexPutGet is the same single-threaded loop on the mutex
-// queue, isolating lock overhead from contention.
-func BenchmarkMutexPutGet(b *testing.B) {
-	q := New[int](64)
 	for i := 0; i < b.N; i++ {
 		q.Put(i)
 		q.Get()

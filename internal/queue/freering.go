@@ -3,16 +3,15 @@ package queue
 import "sync/atomic"
 
 // FreeRing is a minimal nonblocking SPSC ring: the reverse channel of a
-// (producer, consumer) edge, flowing released tuples back producer-ward
-// so steady-state recycling stays on the producer's socket instead of
-// riding sync.Pool's per-P caches across the machine.
+// (producer, consumer) edge, flowing drained batches back producer-ward
+// so batch memory stays with the edge, on the producer's socket.
 //
 // It deliberately has no blocking, parking, or close state — a full
-// ring means the putter falls back to the shared pool, and an empty
-// ring means the getter allocates from it, so neither side ever waits.
-// One goroutine may call TryPut (the consumer releasing tuples) and one
-// may call TryGet (the producer refilling); the engine's task ownership
-// guarantees both.
+// ring means the putter leaves the batch to the GC, and an empty ring
+// means the getter allocates a fresh one, so neither side ever waits.
+// One goroutine may call TryPut (the consumer parking drained batches)
+// and one may call TryGet (the producer refilling); the engine's task
+// ownership guarantees both.
 type FreeRing[T any] struct {
 	buf  []T
 	mask uint64
@@ -76,51 +75,4 @@ func (q *FreeRing[T]) TryGet() (T, bool) {
 	q.buf[head&q.mask] = zero
 	q.head.Store(head + 1)
 	return v, true
-}
-
-// DrainInto removes up to max elements (bounded also by len(dst)) into
-// dst from the getter side and returns how many were moved. Unlike a
-// TryGet loop it publishes one head advance for the whole chunk — one
-// atomic store and one cache-line handoff per refill instead of one
-// per element — which is what makes bulk pool refills from reverse
-// rings cheap. Same single-getter discipline as TryGet.
-func (q *FreeRing[T]) DrainInto(dst []T, max int) int {
-	if max > len(dst) {
-		max = len(dst)
-	}
-	if max <= 0 {
-		return 0
-	}
-	var zero T
-	head := q.head.Load()
-	if q.cachedTail == head {
-		q.cachedTail = q.tail.Load()
-		if q.cachedTail == head {
-			return 0
-		}
-	}
-	n := int(q.cachedTail - head)
-	if n > max {
-		n = max
-	}
-	for i := 0; i < n; i++ {
-		idx := (head + uint64(i)) & q.mask
-		dst[i] = q.buf[idx]
-		q.buf[idx] = zero
-	}
-	q.head.Store(head + uint64(n))
-	return n
-}
-
-// Drain empties the ring from the getter side, calling fn per element.
-// It must only be called while no putter is active (the engine drains
-// between runs, before any task starts).
-func (q *FreeRing[T]) Drain(fn func(T)) {
-	for {
-		v, ok := q.TryGet()
-		if !ok {
-			return
-		}
-		fn(v)
-	}
 }

@@ -39,18 +39,6 @@ func TestFreeRingCapacityRounding(t *testing.T) {
 	}
 }
 
-func TestFreeRingDrain(t *testing.T) {
-	q := NewFreeRing[int](8)
-	for i := 0; i < 5; i++ {
-		q.TryPut(i)
-	}
-	var got []int
-	q.Drain(func(v int) { got = append(got, v) })
-	if len(got) != 5 || q.Len() != 0 {
-		t.Fatalf("drained %v, len %d", got, q.Len())
-	}
-}
-
 // TestFreeRingConcurrentSPSC hammers the ring from one putter and one
 // getter goroutine under the race detector: every value put must come
 // out exactly once, in order.
@@ -85,94 +73,6 @@ func TestFreeRingConcurrentSPSC(t *testing.T) {
 	wg.Wait()
 }
 
-func TestFreeRingDrainInto(t *testing.T) {
-	q := NewFreeRing[int](8)
-	for i := 0; i < 6; i++ {
-		q.TryPut(i)
-	}
-	dst := make([]int, 8)
-
-	// max bounds the chunk; the drained prefix is FIFO.
-	if n := q.DrainInto(dst, 4); n != 4 || dst[0] != 0 || dst[3] != 3 {
-		t.Fatalf("DrainInto(max=4) = %d, dst=%v", n, dst[:4])
-	}
-	// len(dst) bounds the chunk when smaller than max.
-	if n := q.DrainInto(dst[:1], 99); n != 1 || dst[0] != 4 {
-		t.Fatalf("DrainInto(len=1) = %d, dst[0]=%d", n, dst[0])
-	}
-	// A short ring yields what it has.
-	if n := q.DrainInto(dst, 8); n != 1 || dst[0] != 5 {
-		t.Fatalf("DrainInto(short) = %d, dst[0]=%d", n, dst[0])
-	}
-	// Empty ring and degenerate bounds move nothing.
-	if n := q.DrainInto(dst, 8); n != 0 {
-		t.Fatalf("DrainInto(empty) = %d", n)
-	}
-	q.TryPut(7)
-	if n := q.DrainInto(dst, 0); n != 0 {
-		t.Fatalf("DrainInto(max=0) = %d", n)
-	}
-	if n := q.DrainInto(nil, 8); n != 0 {
-		t.Fatalf("DrainInto(nil dst) = %d", n)
-	}
-	if v, ok := q.TryGet(); !ok || v != 7 {
-		t.Fatalf("element lost by degenerate drains: %d,%v", v, ok)
-	}
-}
-
-// TestFreeRingDrainIntoWrap drains across the ring's wrap point: the
-// chunk copy must follow the masked indices, not a contiguous slice.
-func TestFreeRingDrainIntoWrap(t *testing.T) {
-	q := NewFreeRing[int](4)
-	for i := 0; i < 3; i++ {
-		q.TryPut(i)
-	}
-	dst := make([]int, 4)
-	q.DrainInto(dst, 3) // head now 3 of 4: next chunk wraps
-	for i := 10; i < 14; i++ {
-		q.TryPut(i)
-	}
-	if n := q.DrainInto(dst, 4); n != 4 || dst[0] != 10 || dst[3] != 13 {
-		t.Fatalf("wrap drain = %d, dst=%v", n, dst)
-	}
-}
-
-// TestFreeRingDrainIntoConcurrent keeps a putter running while the
-// getter drains in chunks: every value must come out exactly once, in
-// order, under the race detector.
-func TestFreeRingDrainIntoConcurrent(t *testing.T) {
-	const n = 100000
-	q := NewFreeRing[int](64)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < n; {
-			if q.TryPut(i) {
-				i++
-			} else {
-				runtime.Gosched()
-			}
-		}
-	}()
-	dst := make([]int, 16)
-	next := 0
-	for next < n {
-		got := q.DrainInto(dst, len(dst))
-		if got == 0 {
-			runtime.Gosched()
-			continue
-		}
-		for _, v := range dst[:got] {
-			if v != next {
-				t.Fatalf("got %d, want %d", v, next)
-			}
-			next++
-		}
-	}
-	wg.Wait()
-}
-
 func BenchmarkFreeRingPutGet(b *testing.B) {
 	q := NewFreeRing[*int](256)
 	v := new(int)
@@ -185,48 +85,4 @@ func BenchmarkFreeRingPutGet(b *testing.B) {
 			b.Fatal("empty")
 		}
 	}
-}
-
-// BenchmarkFreeRingRefill compares the two ways a producer can refill a
-// chunk from its reverse ring: one TryGet per element (a head store and
-// cache-line handoff each) versus one DrainInto for the whole chunk
-// (one head store total). The chunk size matches the tuple pool's
-// refill chunk.
-func BenchmarkFreeRingRefill(b *testing.B) {
-	const chunk = 32
-	fill := func(q *FreeRing[*int], v *int) {
-		for i := 0; i < chunk; i++ {
-			if !q.TryPut(v) {
-				b.Fatal("full")
-			}
-		}
-	}
-	b.Run("TryGetLoop", func(b *testing.B) {
-		q := NewFreeRing[*int](chunk)
-		v := new(int)
-		dst := make([]*int, chunk)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			fill(q, v)
-			for n := 0; n < chunk; n++ {
-				e, ok := q.TryGet()
-				if !ok {
-					b.Fatal("empty")
-				}
-				dst[n] = e
-			}
-		}
-	})
-	b.Run("DrainInto", func(b *testing.B) {
-		q := NewFreeRing[*int](chunk)
-		v := new(int)
-		dst := make([]*int, chunk)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			fill(q, v)
-			if got := q.DrainInto(dst, chunk); got != chunk {
-				b.Fatalf("drained %d", got)
-			}
-		}
-	})
 }

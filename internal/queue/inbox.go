@@ -9,14 +9,14 @@ import (
 // engine gives every task one Inbox and binds one Ring per distinct
 // producer task, so each (producer, consumer) edge is a private
 // single-producer/single-consumer channel — producers never contend
-// with each other on an enqueue, which is where the mutex MPSC queue
-// serialized (Section 5.2's queue-access overhead).
+// with each other on an enqueue, which is where a shared MPSC queue
+// would serialize them (Section 5.2's queue-access overhead).
 //
 // The single consumer calls Get/TryGet; it scans the member rings
 // round-robin for fairness and parks on a waiter shared by all rings
-// when every ring is empty. The Inbox as a whole preserves the Queue
-// contract: it reports ErrClosed only after every bound ring is closed
-// AND drained, so "last producer closes the queue" falls out of each
+// when every ring is empty. The Inbox as a whole keeps the single
+// queue's contract: it reports ErrClosed only after every bound ring is
+// closed AND drained, so "last producer closes the queue" falls out of each
 // producer closing its own ring.
 type Inbox[T any] struct {
 	rings   []*Ring[T]

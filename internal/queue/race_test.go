@@ -1,7 +1,7 @@
 package queue
 
-// race_test.go stresses the close/drain paths of both queue
-// implementations under the race detector: concurrent Put/TryPut/Get
+// race_test.go stresses the close/drain paths of the SPSC ring and the
+// inbox under the race detector: concurrent Put/TryPut/Get
 // racing a Close must never lose an enqueued element, deliver one
 // twice, or report anything other than ErrClosed after shutdown. The
 // suite is the regression net for the lock-free ring's park/wake
@@ -106,26 +106,6 @@ func putGetCloseRace(t *testing.T, producers int, put, tryPut func(p, v int) err
 	if received+leftover != enqueued.Load() {
 		t.Fatalf("received %d + leftover %d != enqueued %d", received, leftover, enqueued.Load())
 	}
-}
-
-func TestRaceMutexQueuePutGetClose(t *testing.T) {
-	q := New[int](8)
-	putGetCloseRace(t, 4,
-		func(p, v int) error { return q.Put(v) },
-		func(p, v int) error {
-			ok, err := q.TryPut(v)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return errTryFull
-			}
-			return nil
-		},
-		q.Get,
-		q.TryGet,
-		q.Close,
-	)
 }
 
 func TestRaceInboxPutGetClose(t *testing.T) {

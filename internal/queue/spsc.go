@@ -1,9 +1,34 @@
+// Package queue provides the bounded communication queues that connect
+// BriskStream tasks. A queue carries jumbo tuples (or any payload) from
+// producers to a single consumer, blocks producers when full — this is
+// the engine's back-pressure mechanism, which eventually slows the spout
+// so the system runs at its best achievable stable throughput (Section
+// 6.1, footnote 2) — and blocks the consumer when empty.
+//
+// Ring is a lock-free single-producer/single-consumer ring (atomic
+// cursors on separate cache lines, power-of-two capacity,
+// spin-then-park waiting); Inbox fans in one Ring per producer on the
+// consumer side, so per-edge rings remove all producer-side contention
+// (Section 5.2). FreeRing is the nonblocking reverse channel drained
+// batches travel back to their producer on.
+//
+// A Ring.Put racing a Close from a third goroutine can succeed for an
+// element the consumer never sees (it stays in the ring). Close a ring
+// from its producer after the final Put — as the engine's clean
+// shutdown does — and every accepted Put is drained; asynchronous Close
+// is the engine's abort path, where dropping in-flight elements is
+// intended.
 package queue
 
 import (
+	"errors"
 	"runtime"
 	"sync/atomic"
 )
+
+// ErrClosed is returned by Put after Close, and by Get after Close once
+// the queue has drained.
+var ErrClosed = errors.New("queue: closed")
 
 const (
 	// cacheLine separates the producer- and consumer-owned cursors so a
@@ -49,10 +74,10 @@ func (w *waiter) wake() {
 // spin-then-park handoff Section 5.2 of the paper assumes when it prices
 // a queue insertion at nanoseconds rather than a syscall.
 //
-// The Close/drain contract matches Queue — Put fails with ErrClosed
-// once closed, Get drains remaining elements and then returns
-// ErrClosed, and back-pressure is preserved (Put blocks while the ring
-// is full, which ultimately slows the spout) — with one caveat: a Put
+// The Close/drain contract: Put fails with ErrClosed once closed, Get
+// drains remaining elements and then returns ErrClosed, and
+// back-pressure is preserved (Put blocks while the ring is full, which
+// ultimately slows the spout) — with one caveat: a Put
 // racing an asynchronous Close from a third goroutine may be accepted
 // after the consumer has already drained and exited, leaving the
 // element in the ring. Close from the producer goroutine (after its

@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// The Ring must honor the same contract queue_test.go pins down for the
-// mutex Queue, restricted to one producer and one consumer.
+// The Ring's contract: FIFO order, back-pressure, close-then-drain and
+// released slots, for one producer and one consumer.
 
 func TestRingFIFOOrder(t *testing.T) {
 	q := NewRing[int](4)

@@ -23,7 +23,6 @@
 package tuple
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"time"
@@ -408,169 +407,4 @@ func (b *Batch) SelScratch() []int32 {
 func (b *Batch) Size() int {
 	const header = 48
 	return header*b.n + 16*b.cols*b.n + len(b.arena)
-}
-
-// MarshalBatch serializes the batch into a compact column-major binary
-// frame: stream name, row count, per-column kind tags, the metadata
-// lanes, then each column's values contiguously. Like Marshal it is
-// deterministic and exists for the serialization-emulation and
-// diagnostic paths, not the shared-memory hot path.
-func MarshalBatch(b *Batch, buf []byte) []byte {
-	buf = appendString(buf, b.Stream.String())
-	buf = binary.BigEndian.AppendUint32(buf, uint32(b.n))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(b.cols))
-	for c := 0; c < b.cols; c++ {
-		buf = append(buf, byte(b.kinds[c]))
-	}
-	for r := 0; r < b.n; r++ {
-		var ts uint64
-		if !b.ts[r].IsZero() {
-			ts = uint64(b.ts[r].UnixNano())
-		}
-		buf = binary.BigEndian.AppendUint64(buf, ts)
-	}
-	for r := 0; r < b.n; r++ {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(b.event[r]))
-	}
-	for r := 0; r < b.n; r++ {
-		buf = binary.BigEndian.AppendUint64(buf, b.traceID[r])
-	}
-	for r := 0; r < b.n; r++ {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(b.traceOrigin[r]))
-	}
-	for c := 0; c < b.cols; c++ {
-		lane := b.slots[c*b.rows : c*b.rows+b.n]
-		switch b.kinds[c] {
-		case KindInt, KindFloat:
-			for _, v := range lane {
-				buf = binary.BigEndian.AppendUint64(buf, v)
-			}
-		case KindBool:
-			for _, v := range lane {
-				if v != 0 {
-					buf = append(buf, 1)
-				} else {
-					buf = append(buf, 0)
-				}
-			}
-		case KindStr:
-			for r := range lane {
-				buf = appendString(buf, b.strAt(c, r))
-			}
-		case KindSym:
-			for _, v := range lane {
-				buf = appendString(buf, Sym(v).Name())
-			}
-		default:
-			panic(fmt.Sprintf("tuple: cannot marshal %v batch column", b.kinds[c]))
-		}
-	}
-	return buf
-}
-
-// UnmarshalBatch decodes a frame produced by MarshalBatch into a fresh
-// batch, returning it with the bytes consumed. Symbol columns are
-// re-interned; the decoded batch's row capacity equals its row count.
-func UnmarshalBatch(buf []byte) (*Batch, int, error) {
-	stream, off, err := readString(buf, 0)
-	if err != nil {
-		return nil, 0, err
-	}
-	if off+6 > len(buf) {
-		return nil, 0, ErrCorrupt
-	}
-	n := int(binary.BigEndian.Uint32(buf[off:]))
-	off += 4
-	cols := int(binary.BigEndian.Uint16(buf[off:]))
-	off += 2
-	if cols > MaxFields || n < 0 || n > 1<<24 {
-		return nil, 0, ErrCorrupt
-	}
-	// The kind tags and the four metadata lanes must be there before
-	// anything is sized by n: a short frame that merely claims millions
-	// of rows must not get to allocate them.
-	if off+cols+32*n > len(buf) {
-		return nil, 0, ErrCorrupt
-	}
-	b := NewBatch(max(n, 1))
-	b.Stream = Intern(stream)
-	b.cols = cols
-	b.n = n
-	for c := 0; c < cols; c++ {
-		k := Kind(buf[off])
-		off++
-		switch k {
-		case KindInt, KindFloat, KindBool, KindStr, KindSym:
-			b.kinds[c] = k
-		default:
-			return nil, 0, ErrCorrupt
-		}
-	}
-	for r := 0; r < n; r++ {
-		if ts := int64(binary.BigEndian.Uint64(buf[off:])); ts != 0 {
-			b.ts[r] = time.Unix(0, ts)
-		}
-		off += 8
-	}
-	for r := 0; r < n; r++ {
-		b.event[r] = int64(binary.BigEndian.Uint64(buf[off:]))
-		off += 8
-	}
-	for r := 0; r < n; r++ {
-		b.traceID[r] = binary.BigEndian.Uint64(buf[off:])
-		if b.traceID[r] != 0 {
-			b.hasTrace = true
-		}
-		off += 8
-	}
-	for r := 0; r < n; r++ {
-		b.traceOrigin[r] = int64(binary.BigEndian.Uint64(buf[off:]))
-		off += 8
-	}
-	for c := 0; c < cols; c++ {
-		lane := b.slots[c*b.rows : c*b.rows+n]
-		switch b.kinds[c] {
-		case KindInt, KindFloat:
-			if off+8*n > len(buf) {
-				return nil, 0, ErrCorrupt
-			}
-			for r := range lane {
-				lane[r] = binary.BigEndian.Uint64(buf[off:])
-				off += 8
-			}
-		case KindBool:
-			if off+n > len(buf) {
-				return nil, 0, ErrCorrupt
-			}
-			for r := range lane {
-				if buf[off] == 1 {
-					lane[r] = 1
-				} else {
-					lane[r] = 0
-				}
-				off++
-			}
-		case KindStr:
-			for r := range lane {
-				s, o, err := readString(buf, off)
-				if err != nil {
-					return nil, 0, err
-				}
-				aoff := len(b.arena)
-				b.arena = append(b.arena, s...)
-				lane[r] = uint64(aoff)<<32 | uint64(len(s))
-				off = o
-			}
-		case KindSym:
-			for r := range lane {
-				s, o, err := readString(buf, off)
-				if err != nil {
-					return nil, 0, err
-				}
-				lane[r] = uint64(InternSym(s))
-				off = o
-			}
-		}
-	}
-	return b, off, nil
 }

@@ -4,16 +4,10 @@ package tuple
 // accessor and metadata parity with the source tuples, CopyRowTo
 // materialization (the engine's row adapter), Key/Hash parity with the
 // row-wise path (a key must route identically whether it travels as a
-// tuple or a batch row), and the columnar wire codec — random batches
-// round-trip through MarshalBatch/UnmarshalBatch deterministically and
-// the decoder survives arbitrary bytes.
+// tuple or a batch row).
 
 import (
-	"bytes"
-	"encoding/binary"
 	"math"
-	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 )
@@ -270,105 +264,4 @@ func batchesEqual(a, b *Batch) bool {
 		}
 	}
 	return true
-}
-
-func batchRoundTrip(t *testing.T, orig *Batch) {
-	t.Helper()
-	buf := MarshalBatch(orig, nil)
-	got, n, err := UnmarshalBatch(buf)
-	if err != nil {
-		t.Fatalf("UnmarshalBatch: %v", err)
-	}
-	if n != len(buf) {
-		t.Fatalf("consumed %d of %d bytes", n, len(buf))
-	}
-	if !batchesEqual(orig, got) {
-		t.Fatal("round trip changed the batch")
-	}
-	again := MarshalBatch(got, nil)
-	if !bytes.Equal(buf, again) {
-		t.Fatalf("re-encoding not byte-identical:\n %x\n %x", buf, again)
-	}
-}
-
-func TestBatchRoundTripRandom(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for iter := 0; iter < 500; iter++ {
-		rows := 1 + r.Intn(64)
-		b := NewBatch(rows)
-		proto := &Tuple{}
-		for n := r.Intn(MaxFields + 1); n > 0; n-- {
-			edgeValues[r.Intn(len(edgeValues))](proto)
-		}
-		if r.Intn(2) == 0 {
-			proto.Stream = Intern("batch-rt-stream")
-		}
-		fill := 1 + r.Intn(rows)
-		for i := 0; i < fill; i++ {
-			proto.Event = r.Int63() - r.Int63()
-			proto.Ts = time.Time{}
-			if r.Intn(3) == 0 {
-				proto.Ts = time.Unix(0, 1+r.Int63n(1<<50))
-			}
-			proto.TraceID, proto.TraceOrigin = 0, 0
-			if r.Intn(4) == 0 {
-				proto.TraceID = r.Uint64()
-				proto.TraceOrigin = r.Int63()
-			}
-			b.Append(proto)
-		}
-		batchRoundTrip(t, b)
-	}
-}
-
-func TestBatchRoundTripEmpty(t *testing.T) {
-	batchRoundTrip(t, NewBatch(4))
-}
-
-// TestUnmarshalBatchSizesByPayloadNotByClaim: a few bytes claiming the
-// maximum row count are rejected before the decoder allocates lanes for
-// them (found by the first bounded run of FuzzBatchRoundTrip: the claim
-// alone used to cost ~1.5 GB).
-func TestUnmarshalBatchSizesByPayloadNotByClaim(t *testing.T) {
-	frame := appendString(nil, "s")
-	frame = binary.BigEndian.AppendUint32(frame, 1<<24)
-	frame = binary.BigEndian.AppendUint16(frame, 0)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, _, err := UnmarshalBatch(frame)
-	runtime.ReadMemStats(&after)
-	if err != ErrCorrupt {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
-	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-		t.Fatalf("rejecting an %d-byte frame allocated %d bytes", len(frame), grew)
-	}
-}
-
-// FuzzBatchRoundTrip feeds arbitrary bytes to the columnar decoder: it
-// must never panic, and any accepted frame must re-encode to a frame
-// that decodes to the same batch (decode∘encode idempotent).
-func FuzzBatchRoundTrip(f *testing.F) {
-	seed := NewBatch(4)
-	for i := 0; i < 3; i++ {
-		seed.Append(mkRow(i))
-	}
-	f.Add(MarshalBatch(seed, nil))
-	f.Add(MarshalBatch(NewBatch(1), nil))
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		b, _, err := UnmarshalBatch(data)
-		if err != nil {
-			return
-		}
-		buf := MarshalBatch(b, nil)
-		again, _, err := UnmarshalBatch(buf)
-		if err != nil {
-			t.Fatalf("re-decode of accepted frame failed: %v", err)
-		}
-		if !batchesEqual(b, again) {
-			t.Fatal("decode/encode not idempotent")
-		}
-	})
 }

@@ -14,8 +14,8 @@ import (
 // key a replayed tuple produces (no boxing, no int canonicalization).
 //
 // Float keys compare and hash by their IEEE-754 bits, so NaN keys are
-// well-behaved map keys. A key of kind KindStr taken from a pooled
-// tuple borrows the tuple's arena: call Canon before storing it beyond
+// well-behaved map keys. A key of kind KindStr taken from a tuple
+// borrows the tuple's arena: call Canon before storing it beyond
 // the tuple's lifetime. Symbol keys carry only the id and are always
 // safe to store.
 type Key struct {

@@ -59,7 +59,7 @@ func InternSym(name string) Sym {
 	if s, ok := cur.byName[name]; ok {
 		return s
 	}
-	// The caller's string may be a view into a pooled tuple arena (the
+	// The caller's string may be a view into a tuple or batch arena (the
 	// tokenizer path interns substrings of Str results); the table
 	// retains the name forever, so it must own the bytes.
 	name = strings.Clone(name)

@@ -26,18 +26,19 @@
 //
 // # Ownership and recycling
 //
-// Rows cross tasks by value: a producer fills a scratch row (see
-// Scratch), the engine copies it into the open columnar batch of every
-// destination edge, and batches — not tuples — cross cores and recycle
-// over a per-edge free ring. A consumer that processes one row at a
-// time gets each row materialized into a pooled tuple (see Pool) that
-// the engine releases after Process returns. The contract for operator
-// code:
+// Rows cross tasks by value: a producer fills a row from its task's
+// Pool, the engine copies it into the open columnar batch of every
+// destination edge and releases it, and batches — not tuples — cross
+// cores and recycle over a per-edge free ring. A consumer that
+// processes one row at a time gets each row copied (Batch.CopyRowTo)
+// into one task-local tuple, refilled for the next row. Every tuple has
+// a single owner at a time, so none carries a reference count. The
+// contract for operator code:
 //
-//   - A tuple received by Process is valid only until Process returns.
-//     To keep the *Tuple itself longer (windows, joins, handing it to
-//     another goroutine), call Retain before returning and Release when
-//     done.
+//   - A tuple received by Process is valid only until Process returns:
+//     the engine refills it with the next input row. To keep the row
+//     longer (windows, joins, handing it to another goroutine), Clone
+//     it.
 //   - Numeric and boolean field values read from a tuple may be kept
 //     forever. A string read with Str from an ordinary string field is a
 //     view into the tuple's arena and is valid only while the caller
@@ -152,11 +153,11 @@ type Tuple struct {
 	// byte copy and no allocation.
 	arena []byte
 
-	// pool and refs implement recycling: pool points back to the Pool
-	// the tuple came from (nil for ordinary GC-managed tuples), refs
-	// counts the outstanding references (accessed atomically).
+	// pool points back to the Pool the row was got from while its owner
+	// holds it, and is nil otherwise (ordinary GC-managed tuples, the
+	// engine's task-local input row, released rows): Release recycles
+	// only a row that still has it.
 	pool *Pool
-	refs int32
 }
 
 // DefaultStream is the stream name used by operators with one output.
@@ -164,7 +165,7 @@ const DefaultStream = "default"
 
 // New builds a non-pooled tuple on the default stream from dynamically
 // typed values (a convenience for tests and wiring-time construction;
-// hot paths use a Pool and the typed Append* methods).
+// hot paths fill borrowed rows with the typed Append* methods).
 func New(values ...Value) *Tuple {
 	t := &Tuple{}
 	for _, v := range values {
@@ -481,25 +482,15 @@ func (t *Tuple) Size() int {
 	return header + 16*int(t.n) + len(t.arena)
 }
 
-// Clone deep-copies the tuple into a fresh non-pooled allocation. The
-// BriskStream path never calls this on the hot path; it is what the
-// Storm-like baseline's defensive copy costs.
+// Clone deep-copies the tuple into a fresh non-pooled allocation: how
+// an operator keeps an input row past Process. The BriskStream path
+// never calls this on the hot path; it is what the Storm-like
+// baseline's defensive copy costs.
 func (t *Tuple) Clone() *Tuple {
 	c := &Tuple{Stream: t.Stream, Ts: t.Ts, Event: t.Event,
 		TraceID: t.TraceID, TraceOrigin: t.TraceOrigin}
 	c.copyPayload(t)
 	return c
-}
-
-// CopyFrom overwrites this tuple's payload, stream and timestamps with
-// src's, reusing the arena backing array: an allocation-free deep copy.
-func (t *Tuple) CopyFrom(src *Tuple) {
-	t.copyPayload(src)
-	t.Stream = src.Stream
-	t.Ts = src.Ts
-	t.Event = src.Event
-	t.TraceID = src.TraceID
-	t.TraceOrigin = src.TraceOrigin
 }
 
 // CopyValuesFrom overwrites this tuple's payload with src's, leaving

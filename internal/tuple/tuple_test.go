@@ -321,11 +321,6 @@ func TestCopyValuesFrom(t *testing.T) {
 	if dst.Stream == src.Stream || dst.Event == src.Event {
 		t.Error("CopyValuesFrom must not copy stream/event metadata")
 	}
-	dst2 := &Tuple{}
-	dst2.CopyFrom(src)
-	if !payloadEqual(dst2, src) || dst2.Stream != src.Stream || dst2.Event != src.Event {
-		t.Error("CopyFrom must copy payload and metadata")
-	}
 }
 
 func TestTupleString(t *testing.T) {

@@ -12,7 +12,7 @@ import "briskstream/internal/tuple"
 // structural, so vec does not depend on the engine package (operators
 // pass their Collector straight in).
 type Emitter interface {
-	// Borrow returns an empty pooled tuple owned by the caller until
+	// Borrow returns an empty scratch row owned by the caller until
 	// passed to Send.
 	Borrow() *tuple.Tuple
 	// Send emits a borrowed tuple, consuming ownership.

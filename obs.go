@@ -175,17 +175,16 @@ func (s *obsSession) close() {
 }
 
 // applyObsEngineConfig folds observability needs into the engine
-// config: pool accounting on (recycle hit rates) and, when set, the
-// latency sampling stride.
+// config: the latency sampling stride and the trace sampling stride,
+// when set.
 func applyObsEngineConfig(ecfg *engine.Config, cfg RunConfig) {
-	if cfg.Obs == nil && cfg.OnEvent == nil {
+	if cfg.Obs == nil {
 		return
 	}
-	ecfg.TrackPools = true
-	if cfg.Obs != nil && cfg.Obs.SampleEvery > 0 {
+	if cfg.Obs.SampleEvery > 0 {
 		ecfg.LatencySampleEvery = cfg.Obs.SampleEvery
 	}
-	if cfg.Obs != nil && cfg.Obs.TraceEvery > 0 {
+	if cfg.Obs.TraceEvery > 0 {
 		ecfg.TraceSampleEvery = cfg.Obs.TraceEvery
 	}
 }
