@@ -96,12 +96,15 @@ fmt-check:
 # decoders face bytes from outside the process — checkpoint files, and
 # the tuple frames the Storm-like baseline serializes on every hop
 # (batches cross edges in shared memory and are never encoded) — so a
-# bounded run on every change is the floor; a crasher lands in the
-# package's testdata/fuzz/ and fails plain `go test` from then on.
+# bounded run on every change is the floor; the window target lets the
+# fuzzer pick window shapes, disorder, keys and batch sizes for the
+# Process ≡ ProcessBatch property. A crasher lands in the package's
+# testdata/fuzz/ and fails plain `go test` from then on.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/tuple/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoderKey$$' -fuzztime $(FUZZTIME) ./internal/checkpoint/
+	$(GO) test -run '^$$' -fuzz '^FuzzWindowBatchEquivalence$$' -fuzztime $(FUZZTIME) ./internal/window/
 
 # benchmark/ is its own module (the benchmark of record), so the root
 # ./... does not reach its tests; check runs them explicitly.

@@ -44,24 +44,42 @@ func assertZeroAllocs(t *testing.T, name string, warmup int, fn func()) {
 }
 
 // windowHarness wires a window/session operator to a detached timer
-// service and returns a step function that processes one keyed tuple
-// and advances the watermark every wmEvery steps (so windows open,
-// fire and recycle during the measurement — the full app emit cycle).
-func windowHarness(t *testing.T, op engine.Operator, c engine.Collector, fill func(et int64, in *tuple.Tuple), wmEvery, lag int64) func() {
+// service and returns a step function that feeds one keyed row and
+// advances the watermark every wmEvery steps (so windows open, fire and
+// recycle during the measurement — the full app emit cycle). With
+// batchRows 0 each row goes through Process; otherwise rows collect in
+// a columnar batch that goes through ProcessBatch once full, the path
+// the engine runs. batchRows must divide wmEvery, so every batch is
+// processed before the watermark that follows its last row.
+func windowHarness(t *testing.T, op engine.Operator, c engine.Collector, fill func(et int64, in *tuple.Tuple), wmEvery, lag int64, batchRows int) func() {
 	t.Helper()
 	tm := engine.NewTimers()
 	op.(engine.TimerAware).SetTimers(tm)
 	th := op.(engine.TimerHandler)
 	fire := func(at int64) error { return th.OnTimer(c, engine.EventTimer, at) }
 	in := &tuple.Tuple{}
+	var b *tuple.Batch
+	if batchRows > 0 {
+		b = tuple.NewBatch(batchRows)
+	}
 	et := int64(0)
 	return func() {
 		et++
 		in.Reset()
 		in.Event = et
 		fill(et, in)
-		if err := op.Process(c, in); err != nil {
-			t.Fatal(err)
+		if b == nil {
+			if err := op.Process(c, in); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			b.Append(in)
+			if b.Full() {
+				if err := op.(engine.BatchOperator).ProcessBatch(c, b); err != nil {
+					t.Fatal(err)
+				}
+				b.Reset()
+			}
 		}
 		if et%wmEvery == 0 {
 			if err := tm.AdvanceWatermark(et-lag, fire); err != nil {
@@ -91,11 +109,13 @@ func TestWCEmitPathAllocFree(t *testing.T) {
 		}
 	})
 
-	counter := app.Operators["counter"]()
-	step := windowHarness(t, counter, c, func(et int64, in *tuple.Tuple) {
+	word := func(et int64, in *tuple.Tuple) {
 		in.AppendSym(wcVocabSyms[et%int64(len(wcVocabSyms))])
-	}, wcWatermarkEvery, 0)
-	assertZeroAllocs(t, "WC counter window cycle", 3*wcWindow, step)
+	}
+	assertZeroAllocs(t, "WC counter window cycle", 3*wcWindow,
+		windowHarness(t, app.Operators["counter"](), c, word, wcWatermarkEvery, 0, 0))
+	assertZeroAllocs(t, "WC counter window cycle through ProcessBatch", 3*wcWindow,
+		windowHarness(t, app.Operators["counter"](), c, word, wcWatermarkEvery, 0, wcWatermarkEvery))
 }
 
 func TestSDEmitPathAllocFree(t *testing.T) {
@@ -109,12 +129,14 @@ func TestSDEmitPathAllocFree(t *testing.T) {
 		}
 	})
 
-	avg := app.Operators["moving_avg"]()
-	step := windowHarness(t, avg, c, func(et int64, in *tuple.Tuple) {
+	reading := func(et int64, in *tuple.Tuple) {
 		in.AppendSym(sdDeviceSyms[et%int64(len(sdDeviceSyms))])
 		in.AppendFloat(20 + float64(et%7))
-	}, sdWatermarkEvery, 0)
-	assertZeroAllocs(t, "SD moving_avg window cycle", 3*sdWindowSpan, step)
+	}
+	assertZeroAllocs(t, "SD moving_avg window cycle", 3*sdWindowSpan,
+		windowHarness(t, app.Operators["moving_avg"](), c, reading, sdWatermarkEvery, 0, 0))
+	assertZeroAllocs(t, "SD moving_avg window cycle through ProcessBatch", 3*sdWindowSpan,
+		windowHarness(t, app.Operators["moving_avg"](), c, reading, sdWatermarkEvery, 0, sdWatermarkEvery))
 
 	detect := app.Operators["spike_detect"]()
 	stat := &tuple.Tuple{}
@@ -144,7 +166,7 @@ func TestTWEmitPathAllocFree(t *testing.T) {
 		// Bursty mentions over a small hot set: sessions open, extend and
 		// close across the measurement, exercising merge and fire.
 		in.AppendSym(wcVocabSyms[(et/7)%6])
-	}, twWatermarkEvery, 0)
+	}, twWatermarkEvery, 0, 0)
 	assertZeroAllocs(t, "TW sessionize cycle", 20000, step)
 }
 

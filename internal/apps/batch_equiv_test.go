@@ -7,8 +7,9 @@ package apps
 // consumers get batches), and the shipped topology traced at every
 // tuple (tracing must not change the output: traced batches take the
 // same path as untraced ones) — must deliver identical sink multisets.
-// WC covers the vectorized filter/tokenize/window-count chain, TW the
-// session/window operators that opt out of batches, FD the plain
+// WC covers the vectorized filter/tokenize/window-count chain, SD the
+// sliding window's ProcessBatch path and sdSpikeDetect's two bodies, TW
+// the session/window operators that opt out of batches, FD the plain
 // stateful path; together they pin the columnar dispatch, consume,
 // punctuation-ordering and row-materialization semantics to the scalar
 // reference.

@@ -242,7 +242,7 @@ func (s *lrSpoutT) SeekTo(offset int64) error {
 // exactly the state it had at the cut — without this, balances would
 // double-increment and stop counters would flag spurious accidents on
 // replay. (LR's toll output still depends on the arrival interleaving
-// of its three input streams, so unlike WC/TW/FD its output is not a
+// of its three input streams, so unlike WC/TW/FD/SD its output is not a
 // pure function of the input; state recovery is exact, output equality
 // is not a testable property here.)
 
@@ -599,15 +599,9 @@ func lrOperators() map[string]func() engine.Operator {
 					a.sum += t.Int(2)
 					a.count++
 				},
-				// Vectorized pre-accumulation over the speed column;
-				// sum/count are order-insensitive.
 				AddRow: func(a *segStat, b *tuple.Batch, r int) {
 					a.sum += b.Int(2, r)
 					a.count++
-				},
-				Merge: func(a *segStat, p *segStat) {
-					a.sum += p.sum
-					a.count += p.count
 				},
 				Emit: func(c engine.Collector, key tuple.Key, w window.Span, a *segStat) {
 					out := c.Borrow()
@@ -651,16 +645,8 @@ func lrOperators() map[string]func() engine.Operator {
 						clear(a.seen)
 					}
 				},
-				Add: func(a *distinct, t *tuple.Tuple) { a.seen[t.Int(1)] = true },
-				// Vectorized distinct count: the per-batch partial set
-				// unions into the window's set, equivalent to per-row
-				// inserts.
+				Add:    func(a *distinct, t *tuple.Tuple) { a.seen[t.Int(1)] = true },
 				AddRow: func(a *distinct, b *tuple.Batch, r int) { a.seen[b.Int(1, r)] = true },
-				Merge: func(a *distinct, p *distinct) {
-					for v := range p.seen {
-						a.seen[v] = true
-					}
-				},
 				Emit: func(c engine.Collector, key tuple.Key, w window.Span, a *distinct) {
 					out := c.Borrow()
 					out.Stream = lrCountsID

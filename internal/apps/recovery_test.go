@@ -1,7 +1,8 @@
 package apps
 
-// End-to-end recovery: kill a checkpointed run of WC and TW mid-flight,
-// restore from the latest completed checkpoint, replay the sources from
+// End-to-end recovery: kill a checkpointed run of WC, TW, FD or SD
+// mid-flight, restore from the latest completed checkpoint, replay the
+// sources from
 // their recorded offsets, and require the recovered output to equal the
 // failure-free run's output exactly. The sink participates in the
 // checkpoint (it snapshots its received multiset), so "output equals"
@@ -100,6 +101,17 @@ func recoveryCases() []recoveryCase {
 				app := FraudDetection()
 				return app.Graph, newFDSpout(616161), app.Operators,
 					map[string]int{"parser": 1, "predict": 2, "sink": 1}
+			},
+		},
+		{
+			// SD's moving_avg is the only sliding window the suites run
+			// through ProcessBatch end to end.
+			name:  "SD",
+			limit: 60000,
+			mk: func() (*graph.Graph, engine.ReplayableSpout, map[string]func() engine.Operator, map[string]int) {
+				app := SpikeDetection()
+				return app.Graph, newSDSpout(717171), app.Operators,
+					map[string]int{"parser": 1, "moving_avg": 2, "spike_detect": 1, "sink": 1}
 			},
 		},
 	}

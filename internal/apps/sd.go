@@ -170,24 +170,13 @@ func SpikeDetection() *App {
 							a.peak = v
 						}
 					},
-					// Vectorized pre-accumulation: sum/count/peak fold per
-					// batch (reading the value column in place), one merge
-					// per touched window. All three are order-insensitive,
-					// so the partials are exactly equivalent to per-row
-					// Adds.
+					// Add's fold, reading the value column in place.
 					AddRow: func(a *stats, b *tuple.Batch, r int) {
 						v := b.Float(1, r)
 						a.sum += v
 						a.n++
 						if v > a.peak {
 							a.peak = v
-						}
-					},
-					Merge: func(a *stats, p *stats) {
-						a.sum += p.sum
-						a.n += p.n
-						if p.peak > a.peak {
-							a.peak = p.peak
 						}
 					},
 					Emit: func(c engine.Collector, key tuple.Key, w window.Span, a *stats) {

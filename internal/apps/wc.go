@@ -222,7 +222,6 @@ func WordCount() *App {
 					Init:     func(a *count) { a.n = 0 },
 					Add:      func(a *count, t *tuple.Tuple) { a.n++ },
 					AddRow:   func(a *count, b *tuple.Batch, r int) { a.n++ },
-					Merge:    func(a *count, p *count) { a.n += p.n },
 					Emit: func(c engine.Collector, key tuple.Key, w window.Span, a *count) {
 						out := c.Borrow()
 						out.AppendKey(key)

@@ -125,8 +125,8 @@ type BatchOperator interface {
 // BatchGater lets a BatchOperator decline vectorized delivery: while
 // WantsBatches reports false the engine feeds it through the row
 // adapter like a scalar operator — the right call when ProcessBatch
-// would only loop over Process anyway, e.g. a window without vectorized
-// AddRow/Merge hooks. Operators without this method get ProcessBatch
+// would only loop over Process anyway, e.g. a window without an AddRow
+// hook. Operators without this method get ProcessBatch
 // whenever they implement BatchOperator.
 type BatchGater interface {
 	WantsBatches() bool

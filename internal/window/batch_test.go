@@ -1,13 +1,14 @@
 package window
 
-// Vectorized-path equivalence: the same event stream must produce
-// identical emissions whether it is fed per tuple (Process), per batch
-// through the grouped pre-accumulation path, or per batch through the
-// direct accumulation path the feedback heuristic switches to on
-// high-cardinality keys — and the heuristic itself must actually flip
-// between the modes on the distributions built to trigger it.
+// Vectorized-path equivalence as a property: one event stream fed per
+// tuple (Process) and per columnar batch (ProcessBatch) must produce
+// identical emissions and drop the same number of late tuples, for
+// randomly drawn window sizes and slides, lateness, watermark lag,
+// event-time disorder, key cardinalities and batch sizes.
+// FuzzWindowBatchEquivalence lets the fuzzer draw them.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -29,10 +30,6 @@ func countOpBatch(size, slide, lateness int64, out *[]emission) engine.Operator 
 		AddRow: func(a *countAcc, b *tuple.Batch, r int) {
 			a.count++
 			a.sum += b.Int(1, r)
-		},
-		Merge: func(a *countAcc, p *countAcc) {
-			a.count += p.count
-			a.sum += p.sum
 		},
 		Emit: func(c engine.Collector, key tuple.Key, w Span, a *countAcc) {
 			*out = append(*out, emission{key: key, w: w, count: a.count, sum: a.sum})
@@ -84,50 +81,91 @@ func feedBatches(t *testing.T, op engine.Operator, events []event, batchRows int
 	}
 }
 
+// equivCase is one draw of the property's inputs.
+type equivCase struct {
+	size, slide, lateness, lag int64
+	batch                      int
+	events                     []event
+}
+
+func (c equivCase) String() string {
+	return fmt.Sprintf("size=%d slide=%d lateness=%d lag=%d batch=%d", c.size, c.slide, c.lateness, c.lag, c.batch)
+}
+
+// newEquivCase maps raw draws onto the property's ranges — Size 1…256,
+// Slide 1…Size, Lateness and watermark lag 0…63, batches of 1…64 rows,
+// 4…500 keys — and generates 2000 events from seed, event i at time i
+// less a disorder of 0…127 units. Disorder beyond lag + Lateness makes
+// tuples late.
+func newEquivCase(seed int64, size, slide, lateness, lag, disorder, batch uint8, keys uint16) equivCase {
+	c := equivCase{
+		size:     1 + int64(size),
+		lateness: int64(lateness % 64),
+		lag:      int64(lag % 64),
+		batch:    1 + int(batch%64),
+	}
+	c.slide = 1 + int64(slide)%c.size
+	nkeys := 4 + int(keys%497)
+	maxDisorder := 1 + int64(disorder%128)
+	r := rand.New(rand.NewSource(seed))
+	c.events = make([]event, 2000)
+	for i := range c.events {
+		c.events[i] = event{key: fmt.Sprintf("k%d", r.Intn(nkeys)), et: int64(i) - r.Int63n(maxDisorder)}
+	}
+	return c
+}
+
+// checkBatchEquivalence feeds c's stream to one operator through
+// Process and to another through ProcessBatch and returns the late
+// count both must report. Both watermarks advance after every c.batch
+// events, so each row meets the same watermark on either path.
+func checkBatchEquivalence(t *testing.T, c equivCase) uint64 {
+	t.Helper()
+	var scalar, batched []emission
+	sop := countOpBatch(c.size, c.slide, c.lateness, &scalar)
+	bop := countOpBatch(c.size, c.slide, c.lateness, &batched)
+	feed(t, sop, c.events, c.batch, c.lag)
+	feedBatches(t, bop, c.events, c.batch, c.lag)
+	if len(scalar) != len(batched) {
+		t.Fatalf("%v: Process emitted %d windows, ProcessBatch %d", c, len(scalar), len(batched))
+	}
+	for i := range scalar {
+		if scalar[i] != batched[i] {
+			t.Fatalf("%v: emission %d: Process %+v, ProcessBatch %+v", c, i, scalar[i], batched[i])
+		}
+	}
+	late := sop.(LateCounter).LateCount()
+	if bl := bop.(LateCounter).LateCount(); bl != late {
+		t.Fatalf("%v: Process dropped %d late tuples, ProcessBatch %d", c, late, bl)
+	}
+	return late
+}
+
 func TestBatchPathsMatchScalar(t *testing.T) {
-	cases := []struct {
-		name         string
-		keys         int
-		size, slide  int64
-		wantDirect   bool // heuristic's expected steady-state mode
-		forcedDirect bool // additionally pin direct from batch one
-	}{
-		// Few keys over many rows: grouping folds heavily and must stay.
-		{name: "grouped-tumbling", keys: 4, size: 64, slide: 0},
-		{name: "grouped-sliding", keys: 4, size: 64, slide: 16},
-		// Keys outnumber batch rows: grouping folds nothing, the
-		// feedback must switch to direct accumulation.
-		{name: "direct-tumbling", keys: 500, size: 64, slide: 0, wantDirect: true},
-		{name: "direct-sliding", keys: 500, size: 64, slide: 16, wantDirect: true},
-		// Direct mode pinned from the first batch, so every row takes
-		// the direct branch regardless of where the heuristic lands.
-		{name: "forced-direct", keys: 4, size: 64, slide: 16, forcedDirect: true},
+	draws := 100
+	if testing.Short() {
+		draws = 30
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			r := rand.New(rand.NewSource(77))
-			keys := make([]string, tc.keys)
-			for i := range keys {
-				keys[i] = "k" + string(rune('0'+i%10)) + string(rune('a'+i/10%26)) + string(rune('a'+i/260))
-			}
-			events := make([]event, 4000)
-			for i := range events {
-				events[i] = event{key: keys[r.Intn(len(keys))], et: int64(i) + r.Int63n(8)}
-			}
-
-			var scalar, batched []emission
-			feed(t, countOp(tc.size, tc.slide, 8, &scalar), events, 32, 16)
-			bop := countOpBatch(tc.size, tc.slide, 8, &batched)
-			wop := bop.(*windowOp[countAcc])
-			if tc.forcedDirect {
-				wop.direct, wop.probeLeft = true, 1<<30
-			}
-			feedBatches(t, bop, events, 32, 16)
-
-			assertSameEmissions(t, scalar, batched)
-			if !tc.forcedDirect && wop.direct != tc.wantDirect {
-				t.Errorf("heuristic landed direct=%v, want %v", wop.direct, tc.wantDirect)
-			}
-		})
+	r := rand.New(rand.NewSource(77))
+	u8 := func() uint8 { return uint8(r.Intn(256)) }
+	lateDraws := 0
+	for i := 0; i < draws; i++ {
+		c := newEquivCase(r.Int63(), u8(), u8(), u8(), u8(), u8(), u8(), uint16(r.Intn(1<<16)))
+		if checkBatchEquivalence(t, c) > 0 {
+			lateDraws++
+		}
 	}
+	// Without late drops the late-count half of the property is vacuous.
+	if lateDraws == 0 {
+		t.Fatalf("none of %d draws dropped a late tuple", draws)
+	}
+}
+
+func FuzzWindowBatchEquivalence(f *testing.F) {
+	f.Add(int64(1), uint8(63), uint8(15), uint8(8), uint8(16), uint8(40), uint8(31), uint16(0))
+	f.Add(int64(2), uint8(255), uint8(60), uint8(0), uint8(0), uint8(127), uint8(63), uint16(496))
+	f.Add(int64(3), uint8(0), uint8(0), uint8(63), uint8(63), uint8(0), uint8(0), uint16(100))
+	f.Fuzz(func(t *testing.T, seed int64, size, slide, lateness, lag, disorder, batch uint8, keys uint16) {
+		checkBatchEquivalence(t, newEquivCase(seed, size, slide, lateness, lag, disorder, batch, keys))
+	})
 }

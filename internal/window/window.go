@@ -14,14 +14,16 @@
 // # Mechanics
 //
 // A window operator implements engine.Operator plus the engine's
-// TimerAware/TimerHandler hooks. Process assigns each tuple to its
-// window(s) by Tuple.Event and folds it into a pooled per-(key, window)
-// accumulator (state.Map — no per-tuple allocation in steady state).
-// The first tuple of a window registers an event-time timer at the
-// window's fire time (end + allowed lateness); when the task's
-// watermark passes it, the engine calls OnTimer on the task goroutine
-// and the operator emits every window firing at that instant in
-// ascending key order, then recycles their state. A tuple arriving
+// TimerAware/TimerHandler hooks. Process (one tuple) and ProcessBatch
+// (one columnar batch) do the same thing per row: compute the windows
+// covering the row's event timestamp, skip those that already fired,
+// fetch each remaining (key, window) pane's pooled accumulator
+// (state.Map — no per-row allocation in steady state) and fold the row
+// straight into it. The first row of a window registers an event-time
+// timer at the window's fire time (end + allowed lateness); when the
+// task's watermark passes it, the engine calls OnTimer on the task
+// goroutine and the operator emits every window firing at that instant
+// in ascending key order, then recycles their state. A row arriving
 // behind the watermark skips panes that already fired; one none of
 // whose windows remain open is dropped and counted (LateCount).
 //
@@ -54,9 +56,10 @@ type Op[A any] struct {
 	KeyField int
 	// Size is the window length in event-time units. Required.
 	Size int64
-	// Slide is the pane offset for sliding windows; 0 (or Size) makes
-	// the window tumbling. Size must be a multiple of nothing — any
-	// positive Slide works, each event lands in ceil(Size/Slide) spans.
+	// Slide is the distance between consecutive window starts; 0 (or
+	// Size) makes the window tumbling. Any Slide in (0, Size] works —
+	// Size need not be a multiple of it — and each event lands in every
+	// window covering it, at most ceil(Size/Slide) of them.
 	Slide int64
 	// Lateness delays each window's fire time past its end, tolerating
 	// that much event-time disorder beyond what the watermark already
@@ -83,20 +86,15 @@ type Op[A any] struct {
 	Save func(enc *checkpoint.Encoder, acc *A)
 	Load func(dec *checkpoint.Decoder, acc *A) error
 
-	// AddRow and Merge enable the vectorized (columnar batch) path;
-	// both optional, but required together — with only one set the
-	// operator reports WantsBatches false and the engine keeps the edge
-	// scalar. AddRow folds row r of a batch into an accumulator —
-	// either a per-batch partial (an Init-reset A, later Merge-folded
-	// into the window's live accumulator) or, when the runtime's
-	// feedback heuristic finds grouping unprofitable, the live
-	// accumulator directly. The pair must be equivalent to calling Add
-	// once per row: for any rows and any split into partials,
-	// Merge(acc, fold-with-AddRow(rows)) must leave acc exactly as the
-	// Add calls would — the batch/scalar equivalence property tests
-	// hold operators to this.
+	// AddRow folds row r of a batch into a window's accumulator, reading
+	// the batch's columns in place; optional. With it set the engine
+	// delivers the operator's input as columnar batches (ProcessBatch);
+	// without it the operator reports WantsBatches false and is fed one
+	// row at a time through Process. AddRow must leave the accumulator
+	// exactly as Add would for the same row as a tuple — the
+	// batch/scalar equivalence tests hold operators to this. The batch
+	// is only valid during the call.
 	AddRow func(acc *A, b *tuple.Batch, row int)
-	Merge  func(acc *A, part *A)
 }
 
 // winKey identifies one (key, window start) accumulator.
@@ -114,30 +112,7 @@ type windowOp[A any] struct {
 	tm     *engine.Timers
 	wins   *state.Map[winKey, A]
 	byFire *state.Map[int64, bucket]
-	spans  []Span // per-tuple scratch
 	late   uint64
-
-	// Per-batch vectorization scratch, reused across ProcessBatch calls
-	// so the steady state allocates nothing: groups indexes the batch's
-	// distinct (key, window) pairs into parts (the partial
-	// accumulators), pkeys remembers them in first-seen order. Keys in
-	// groups may borrow the batch's arena — the map is cleared before
-	// the next batch, never read after ProcessBatch returns.
-	groups map[winKey]int
-	pkeys  []winKey
-	parts  []A
-
-	// Grouping-amortization feedback. Pre-accumulating a batch into
-	// partials pays only when several rows fold into the same (key,
-	// window) — otherwise the scratch map is a second probe per row-span
-	// on top of the live-pane probe it was meant to save. Each grouped
-	// batch measures its fold ratio; a streak of unprofitable batches
-	// flips ProcessBatch to direct accumulation (AddRow straight into
-	// the live panes), and a periodic re-probe batch flips back when the
-	// key distribution has narrowed.
-	direct    bool
-	dirStreak int
-	probeLeft int
 }
 
 // New builds the operator. It panics on an invalid configuration —
@@ -178,9 +153,42 @@ func (op *windowOp[A]) watermark() int64 {
 	return op.tm.Watermark()
 }
 
-// Process implements engine.Operator.
+// fireAt is the event time at which the window starting at start fires.
+func (op *windowOp[A]) fireAt(start int64) int64 {
+	return start + op.cfg.Size + op.cfg.Lateness
+}
+
+// pane returns the accumulator of the window (key, start), opening it
+// on first touch. This is the one new-window protocol Process,
+// ProcessBatch and Restore share: the key — possibly a view into a
+// tuple's or batch's arena — is canonicalized before the state outlives
+// it (a clone for string keys, free for every other kind: intern hot
+// string keys as symbols), the accumulator is Init-reset, and the
+// window joins the bucket of its fire time, whose event timer is
+// registered once.
+func (op *windowOp[A]) pane(key tuple.Key, start int64) *A {
+	if acc := op.wins.Get(winKey{key: key, start: start}); acc != nil {
+		return acc
+	}
+	wk := winKey{key: key.Canon(), start: start}
+	acc, _ := op.wins.GetOrCreate(wk)
+	op.cfg.Init(acc)
+	at := op.fireAt(start)
+	b, fresh := op.byFire.GetOrCreate(at)
+	if fresh {
+		b.keys = b.keys[:0] // recycled bucket: drop its old life
+		if op.tm != nil {
+			op.tm.RegisterEvent(at)
+		}
+	}
+	b.keys = append(b.keys, wk)
+	return acc
+}
+
+// Process implements engine.Operator: the tuple folds into the pane of
+// every window covering its event time — the starts in (et-Size, et] on
+// the Slide grid — that has not fired yet.
 func (op *windowOp[A]) Process(c engine.Collector, t *tuple.Tuple) error {
-	et := t.Event
 	var key tuple.Key
 	if op.cfg.KeyField >= 0 {
 		if op.cfg.KeyField >= t.Len() {
@@ -188,192 +196,53 @@ func (op *windowOp[A]) Process(c engine.Collector, t *tuple.Tuple) error {
 		}
 		key = t.Key(op.cfg.KeyField)
 	}
-	wm := op.watermark()
-
-	// Assign: all spans with start in (et-Size, et] on the Slide grid.
-	op.spans = op.spans[:0]
-	for start := floorDiv(et, op.cfg.Slide) * op.cfg.Slide; start > et-op.cfg.Size; start -= op.cfg.Slide {
-		op.spans = append(op.spans, Span{start, start + op.cfg.Size})
-	}
-
+	wm, et := op.watermark(), t.Event
 	accepted := false
-	canonical := false
-	for _, sp := range op.spans {
-		fireAt := sp.End + op.cfg.Lateness
-		if fireAt <= wm {
-			continue // this window already fired; skip the pane
+	for start := floorDiv(et, op.cfg.Slide) * op.cfg.Slide; start > et-op.cfg.Size; start -= op.cfg.Slide {
+		if op.fireAt(start) > wm {
+			op.cfg.Add(op.pane(key, start), t)
+			accepted = true
 		}
-		accepted = true
-		wk := winKey{key: key, start: sp.Start}
-		acc := op.wins.Get(wk)
-		if acc == nil {
-			// New window: the stored key must outlive this tuple, so the
-			// borrowed arena-view key is canonicalized once per tuple (a
-			// no-op — and no allocation — for every non-string kind;
-			// intern hot string keys as symbols to avoid the clone).
-			if !canonical {
-				key = key.Canon()
-				wk.key = key
-				canonical = true
-			}
-			acc, _ = op.wins.GetOrCreate(wk)
-			op.cfg.Init(acc)
-			b, fresh := op.byFire.GetOrCreate(fireAt)
-			if fresh {
-				b.keys = b.keys[:0] // recycled bucket: drop its old life
-				if op.tm != nil {
-					op.tm.RegisterEvent(fireAt)
-				}
-			}
-			b.keys = append(b.keys, wk)
-		}
-		op.cfg.Add(acc, t)
 	}
 	if !accepted {
-		op.late++ // every assigned window had fired: the tuple is dropped
+		op.late++ // every window covering the tuple had fired: it is dropped
 	}
 	return nil
 }
 
-// WantsBatches implements engine.BatchGater: without the AddRow/Merge
-// hooks the vectorized path would only re-run the scalar fallback with
-// an extra materialization copy, so the operator asks the engine to
-// keep its input edges scalar.
-func (op *windowOp[A]) WantsBatches() bool {
-	return op.cfg.AddRow != nil && op.cfg.Merge != nil
-}
+// WantsBatches implements engine.BatchGater: without an AddRow hook
+// ProcessBatch could only copy each row out and run Process on it, so
+// the operator asks the engine to feed it rows instead.
+func (op *windowOp[A]) WantsBatches() bool { return op.cfg.AddRow != nil }
 
-// pane returns the live accumulator for wk, creating it on first touch:
-// the possibly arena-borrowed key is canonicalized before it outlives
-// its tuple or batch, the accumulator Init-reset, and the window's fire
-// timer registered — exactly the scalar Process's new-window protocol.
-func (op *windowOp[A]) pane(wk winKey) *A {
-	acc := op.wins.Get(wk)
-	if acc != nil {
-		return acc
-	}
-	wk.key = wk.key.Canon()
-	acc, _ = op.wins.GetOrCreate(wk)
-	op.cfg.Init(acc)
-	fireAt := wk.start + op.cfg.Size + op.cfg.Lateness
-	bkt, fresh := op.byFire.GetOrCreate(fireAt)
-	if fresh {
-		bkt.keys = bkt.keys[:0] // recycled bucket: drop its old life
-		if op.tm != nil {
-			op.tm.RegisterEvent(fireAt)
-		}
-	}
-	bkt.keys = append(bkt.keys, wk)
-	return acc
-}
-
-// Grouping-feedback thresholds: a grouped batch is profitable when its
-// row-span entries outnumber its distinct groups by at least 3:2
-// (below that the scratch map costs more probes than it saves);
-// groupLoseStreak consecutive unprofitable batches switch to direct
-// accumulation, re-probed every groupReprobeEvery direct batches so a
-// narrowing key distribution can switch back.
-const (
-	groupLoseStreak   = 4
-	groupReprobeEvery = 256
-)
-
-// ProcessBatch implements engine.BatchOperator. The default mode groups
-// the batch's rows by (key, window) into per-batch partial accumulators
-// (AddRow), then merges each partial into its live window once (Merge):
-// one scratch-map probe and one Merge per distinct (key, window)
-// replace one state.Map probe per row-span, which is where the
-// vectorized win comes from on skewed or low-cardinality keys. When the
-// measured fold ratio says rows rarely share a pane (high-cardinality
-// keys — the scratch map then only doubles the probes), the feedback
-// heuristic switches to direct mode: AddRow straight into the live
-// panes, no intermediate partials. Both modes read the watermark once —
-// it only advances between batches, never inside one — and pane
-// placement, late-drop counting and timer registration match the scalar
-// Process exactly.
+// ProcessBatch implements engine.BatchOperator: each row takes
+// Process's path — AddRow into the pane of every covering window that
+// has not fired — with its key and event time read from the batch's
+// columns in place. The watermark is read once: it only advances
+// between batches, never inside one.
 func (op *windowOp[A]) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
 	if !op.WantsBatches() {
-		return fmt.Errorf("window: batch delivered to an operator without AddRow/Merge hooks")
+		return fmt.Errorf("window: batch delivered to an operator without an AddRow hook")
 	}
 	if op.cfg.KeyField >= 0 && op.cfg.KeyField >= b.Cols() {
 		return fmt.Errorf("window: key field %d but batch has %d columns", op.cfg.KeyField, b.Cols())
 	}
 	wm := op.watermark()
-	n := b.Len()
-
-	if op.direct {
-		if op.probeLeft--; op.probeLeft <= 0 {
-			op.direct, op.dirStreak = false, 0 // re-probe grouped next batch
-		}
-		for r := 0; r < n; r++ {
-			et := b.Event(r)
-			var key tuple.Key
-			if op.cfg.KeyField >= 0 {
-				key = b.Key(op.cfg.KeyField, r)
-			}
-			accepted := false
-			for start := floorDiv(et, op.cfg.Slide) * op.cfg.Slide; start > et-op.cfg.Size; start -= op.cfg.Slide {
-				if start+op.cfg.Size+op.cfg.Lateness <= wm {
-					continue // this window already fired; skip the pane
-				}
-				accepted = true
-				op.cfg.AddRow(op.pane(winKey{key: key, start: start}), b, r)
-			}
-			if !accepted {
-				op.late++ // every assigned window had fired: the row is dropped
-			}
-		}
-		return nil
-	}
-
-	if op.groups == nil {
-		op.groups = make(map[winKey]int)
-	}
-	clear(op.groups)
-	op.pkeys = op.pkeys[:0]
-	entries := 0
-	for r := 0; r < n; r++ {
-		et := b.Event(r)
+	for r := 0; r < b.Len(); r++ {
 		var key tuple.Key
 		if op.cfg.KeyField >= 0 {
 			key = b.Key(op.cfg.KeyField, r)
 		}
+		et := b.Event(r)
 		accepted := false
 		for start := floorDiv(et, op.cfg.Slide) * op.cfg.Slide; start > et-op.cfg.Size; start -= op.cfg.Slide {
-			if start+op.cfg.Size+op.cfg.Lateness <= wm {
-				continue // this window already fired; skip the pane
+			if op.fireAt(start) > wm {
+				op.cfg.AddRow(op.pane(key, start), b, r)
+				accepted = true
 			}
-			accepted = true
-			entries++
-			wk := winKey{key: key, start: start}
-			gi, ok := op.groups[wk]
-			if !ok {
-				gi = len(op.pkeys)
-				op.groups[wk] = gi
-				op.pkeys = append(op.pkeys, wk)
-				if gi == len(op.parts) {
-					op.parts = append(op.parts, *new(A))
-				}
-				op.cfg.Init(&op.parts[gi])
-			}
-			op.cfg.AddRow(&op.parts[gi], b, r)
 		}
 		if !accepted {
-			op.late++ // every assigned window had fired: the row is dropped
-		}
-	}
-	for gi, wk := range op.pkeys {
-		op.cfg.Merge(op.pane(wk), &op.parts[gi])
-	}
-	// Feedback: a near-full batch whose entries barely outnumber its
-	// groups folded almost nothing (tiny batches are too noisy to judge).
-	if entries >= 16 {
-		if 2*entries < 3*len(op.pkeys) {
-			if op.dirStreak++; op.dirStreak >= groupLoseStreak {
-				op.direct, op.probeLeft = true, groupReprobeEvery
-			}
-		} else {
-			op.dirStreak = 0
+			op.late++ // every window covering the row had fired: it is dropped
 		}
 	}
 	return nil
@@ -479,24 +348,12 @@ func (op *windowOp[A]) Restore(dec *checkpoint.Decoder) error {
 	for i := 0; i < n && dec.Err() == nil; i++ {
 		key := dec.Key()
 		start := dec.Int64()
-		wk := winKey{key: key, start: start}
-		acc, created := op.wins.GetOrCreate(wk)
-		if !created {
+		if op.wins.Get(winKey{key: key, start: start}) != nil {
 			return fmt.Errorf("window: duplicate (key, start) in snapshot")
 		}
-		op.cfg.Init(acc)
-		if err := op.cfg.Load(dec, acc); err != nil {
+		if err := op.cfg.Load(dec, op.pane(key, start)); err != nil {
 			return err
 		}
-		fireAt := start + op.cfg.Size + op.cfg.Lateness
-		b, fresh := op.byFire.GetOrCreate(fireAt)
-		if fresh {
-			b.keys = b.keys[:0]
-			if op.tm != nil {
-				op.tm.RegisterEvent(fireAt)
-			}
-		}
-		b.keys = append(b.keys, wk)
 	}
 	return dec.Err()
 }
