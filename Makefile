@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench vet fmt-check fuzz-smoke check
+.PHONY: all build test race bench bench-planner vet fmt-check fuzz-smoke check
 
 all: build test
 
@@ -32,6 +32,14 @@ race-all:
 # fanned into an inbox, the uncontended ring, and the dispatch path.
 bench:
 	$(GO) test -bench 'PutGet|EngineDispatch' -benchtime 1s -run xxx ./internal/queue/ ./internal/engine/
+
+# bench-planner runs the branch-and-bound ablation benchmarks
+# (BenchmarkAblationBnB{Dedup,NoDedup,WarmStart}: one 3000-node
+# placement search each) once. check and CI gate on them completing —
+# a search that errors or stops finding a feasible plan fails — not on
+# their timings; for numbers, raise -benchtime and add -benchmem.
+bench-planner:
+	$(GO) test -run '^$$' -bench AblationBnB -benchtime 1x .
 
 # bench-json runs the benchmark apps (the paper's four plus the
 # windowed TW) on the real engine across the GOMAXPROCS x replication
@@ -107,8 +115,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWindowBatchEquivalence$$' -fuzztime $(FUZZTIME) ./internal/window/
 
 # benchmark/ is its own module (the benchmark of record), so the root
-# ./... does not reach its tests; check runs them explicitly.
+# ./... does not reach its tests; check runs them explicitly, then the
+# planner benchmarks once (bench-planner).
 check: vet fmt-check build
 	BRISK_VALIDATE_EVERY=1 $(GO) test -race ./...
 	$(GO) -C benchmark test ./...
+	$(MAKE) bench-planner
 	$(MAKE) fuzz-smoke

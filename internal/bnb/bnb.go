@@ -21,9 +21,11 @@
 package bnb
 
 import (
+	"bytes"
+	"cmp"
 	"errors"
-	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"time"
 
 	"briskstream/internal/model"
@@ -68,8 +70,22 @@ type Result struct {
 type node struct {
 	placement *plan.Placement
 	// next indexes into the pair list: pairs[:next] are resolved.
-	next  int
+	next int
+	// eval is the bounded evaluation of placement; bound is its
+	// throughput. The parent computes it when it creates the node, and
+	// branch reuses it.
+	eval  *model.Result
 	bound float64
+}
+
+// bufs holds the buffers the search reuses from node to node.
+type bufs struct {
+	key      []byte // placement signature
+	used     []bool // sockets holding a placed vertex
+	usedList []int
+	sig      []byte // socket signatures, back to back
+	sigEnd   []int  // sig[sigEnd[i-1]:sigEnd[i]] is socket i's
+	reps     []int
 }
 
 // Optimize searches for the throughput-maximizing placement of eg on
@@ -83,13 +99,15 @@ func Optimize(eg *plan.ExecGraph, cfg *model.Config, bc Config) (*Result, error)
 	}
 	pairs := eg.Pairs()
 	res := &Result{}
+	var sc bufs
+	var err error
 
 	root := &node{placement: plan.NewPlacement()}
-	rootEval, err := model.Evaluate(eg, root.placement, cfg, model.Options{Bound: true})
+	root.eval, err = model.Evaluate(eg, root.placement, cfg, model.Options{Bound: true})
 	if err != nil {
 		return nil, err
 	}
-	root.bound = rootEval.Throughput
+	root.bound = root.eval.Throughput
 
 	var best *plan.Placement
 	var bestEval *model.Result
@@ -108,6 +126,7 @@ func Optimize(eg *plan.ExecGraph, cfg *model.Config, bc Config) (*Result, error)
 	// visited detects identical partial placements reached through
 	// different decision orders (redundancy elimination, heuristic 2).
 	visited := map[string]bool{}
+	byBound := func(a, b *node) int { return cmp.Compare(a.bound, b.bound) }
 
 	stack := []*node{root}
 	for len(stack) > 0 && res.Explored < limit {
@@ -120,12 +139,12 @@ func Optimize(eg *plan.ExecGraph, cfg *model.Config, bc Config) (*Result, error)
 			continue
 		}
 		if !bc.NoDedup {
-			sig := placementSignature(eg, n.placement)
-			if visited[sig] {
+			sc.key = placementSignature(sc.key[:0], eg, n.placement)
+			if visited[string(sc.key)] {
 				res.Deduped++
 				continue
 			}
-			visited[sig] = true
+			visited[string(sc.key)] = true
 		}
 
 		// Advance past decisions whose endpoints are both placed
@@ -151,14 +170,14 @@ func Optimize(eg *plan.ExecGraph, cfg *model.Config, bc Config) (*Result, error)
 			continue
 		}
 
-		children, err := branch(eg, cfg, n, pairs, next)
+		children, err := branch(eg, cfg, &sc, n, pairs, next)
 		if err != nil {
 			return nil, err
 		}
 		// Push worse children first so the most promising is explored
 		// next (DFS best-first hybrid): better incumbents earlier mean
 		// more pruning later.
-		sort.Slice(children, func(i, j int) bool { return children[i].bound < children[j].bound })
+		slices.SortFunc(children, byBound)
 		for _, c := range children {
 			if bestValue >= 0 && c.bound <= bestValue {
 				res.Pruned++
@@ -176,18 +195,18 @@ func Optimize(eg *plan.ExecGraph, cfg *model.Config, bc Config) (*Result, error)
 	return res, nil
 }
 
-// placementSignature canonically encodes a (partial) placement.
-func placementSignature(eg *plan.ExecGraph, p *plan.Placement) string {
-	buf := make([]byte, len(eg.Vertices))
+// placementSignature appends the canonical encoding of a (partial)
+// placement to dst: one byte per vertex, 0xFF when unplaced.
+func placementSignature(dst []byte, eg *plan.ExecGraph, p *plan.Placement) []byte {
 	for i := range eg.Vertices {
 		s, ok := p.SocketOf(plan.VertexID(i))
 		if !ok {
-			buf[i] = 0xFF
+			dst = append(dst, 0xFF)
 		} else {
-			buf[i] = byte(s)
+			dst = append(dst, byte(s))
 		}
 	}
-	return string(buf)
+	return dst
 }
 
 // greedyPlacement produces a quick feasible-if-possible placement for
@@ -230,50 +249,51 @@ func bothPlaced(p *plan.Placement, pair [2]plan.VertexID) bool {
 
 // branch generates the children of n for the collocation decision
 // pairs[next] = (producer, consumer).
-func branch(eg *plan.ExecGraph, cfg *model.Config, n *node, pairs [][2]plan.VertexID, next int) ([]*node, error) {
+func branch(eg *plan.ExecGraph, cfg *model.Config, sc *bufs, n *node, pairs [][2]plan.VertexID, next int) ([]*node, error) {
 	prod, cons := pairs[next][0], pairs[next][1]
 	m := cfg.Machine
 
-	// Evaluate the current partial placement once: child feasibility
-	// gates and best-fit use its rates and socket usage.
-	cur, err := model.Evaluate(eg, n.placement, cfg, model.Options{Bound: true})
-	if err != nil {
-		return nil, err
-	}
+	// The bounded evaluation of the current partial placement: child
+	// feasibility gates and best-fit use its rates and socket usage.
+	cur := n.eval
 
 	_, prodPlaced := n.placement.SocketOf(prod)
 	_, consPlaced := n.placement.SocketOf(cons)
 
-	// Candidate placements for the pair, expressed as vertex->socket
-	// assignments to add.
-	type assign struct{ pairs [][2]int } // (vertexID, socket)
+	// Candidate placements for the pair: a group of vertices to add on
+	// one socket.
+	both := []plan.VertexID{prod, cons}
+	type assign struct {
+		vs []plan.VertexID
+		s  int
+	}
 	var candidates []assign
 
-	reps := socketRepresentatives(eg, cfg, n.placement, cur)
+	reps := sc.socketRepresentatives(eg, cfg, n.placement, cur)
 	switch {
 	case !prodPlaced && !consPlaced:
 		for _, s := range reps {
-			if fits(eg, cfg, cur, n.placement, s, prod, cons) {
-				candidates = append(candidates, assign{pairs: [][2]int{{int(prod), s}, {int(cons), s}}})
+			if fits(eg, cfg, cur, n.placement, s, both...) {
+				candidates = append(candidates, assign{both, s})
 			}
 		}
 		// Decision not satisfied: place the producer alone; the consumer
 		// stays open for a later decision.
 		for _, s := range reps {
-			if fits(eg, cfg, cur, n.placement, s, prod) {
-				candidates = append(candidates, assign{pairs: [][2]int{{int(prod), s}}})
+			if fits(eg, cfg, cur, n.placement, s, both[:1]...) {
+				candidates = append(candidates, assign{both[:1], s})
 			}
 		}
 	case prodPlaced && !consPlaced:
 		for _, s := range reps {
-			if fits(eg, cfg, cur, n.placement, s, cons) {
-				candidates = append(candidates, assign{pairs: [][2]int{{int(cons), s}}})
+			if fits(eg, cfg, cur, n.placement, s, both[1:]...) {
+				candidates = append(candidates, assign{both[1:], s})
 			}
 		}
 	case !prodPlaced && consPlaced:
 		for _, s := range reps {
-			if fits(eg, cfg, cur, n.placement, s, prod) {
-				candidates = append(candidates, assign{pairs: [][2]int{{int(prod), s}}})
+			if fits(eg, cfg, cur, n.placement, s, both[:1]...) {
+				candidates = append(candidates, assign{both[:1], s})
 			}
 		}
 	}
@@ -281,33 +301,29 @@ func branch(eg *plan.ExecGraph, cfg *model.Config, n *node, pairs [][2]plan.Vert
 		// Constraint-gated dead end: relax the fit gate so search can
 		// continue; the full evaluation at the leaf still rejects
 		// genuinely infeasible plans.
+		vs := both[:1]
 		switch {
 		case !prodPlaced && !consPlaced:
-			for _, s := range reps {
-				candidates = append(candidates, assign{pairs: [][2]int{{int(prod), s}, {int(cons), s}}})
-			}
+			vs = both
 		case prodPlaced && !consPlaced:
-			for _, s := range reps {
-				candidates = append(candidates, assign{pairs: [][2]int{{int(cons), s}}})
-			}
-		default:
-			for _, s := range reps {
-				candidates = append(candidates, assign{pairs: [][2]int{{int(prod), s}}})
-			}
+			vs = both[1:]
+		}
+		for _, s := range reps {
+			candidates = append(candidates, assign{vs, s})
 		}
 	}
 
 	children := make([]*node, 0, len(candidates))
 	for _, c := range candidates {
 		p := n.placement.Clone()
-		for _, a := range c.pairs {
-			p.Place(plan.VertexID(a[0]), numa.SocketID(a[1]))
+		for _, v := range c.vs {
+			p.Place(v, numa.SocketID(c.s))
 		}
 		ev, err := model.Evaluate(eg, p, cfg, model.Options{Bound: true})
 		if err != nil {
 			return nil, err
 		}
-		children = append(children, &node{placement: p, next: next, bound: ev.Throughput})
+		children = append(children, &node{placement: p, next: next, eval: ev, bound: ev.Throughput})
 	}
 
 	// Best-fit heuristic: when every predecessor of the consumer is
@@ -374,16 +390,16 @@ func demandAt(eg *plan.ExecGraph, cfg *model.Config, cur *model.Result, p *plan.
 	t := st.Te
 	if vr.In > 0 {
 		var weighted float64
-		for from, rate := range vr.InBy {
-			fsock, placed := p.SocketOf(from)
+		for i, e := range eg.In(v) {
+			fsock, placed := p.SocketOf(e.From)
 			if !placed {
-				if inGroup(from, group) {
+				if inGroup(e.From, group) {
 					continue // co-assigned to s: local
 				}
 				continue // unplaced: optimistic zero (bound semantics)
 			}
 			if fsock != s {
-				weighted += rate * cfg.Machine.FetchCost(int(st.N), fsock, s)
+				weighted += vr.InBy[i] * cfg.Machine.FetchCost(int(st.N), fsock, s)
 			}
 		}
 		t += weighted / vr.In
@@ -414,37 +430,61 @@ func inGroup(v plan.VertexID, group []plan.VertexID) bool {
 // socketRepresentatives returns one socket per equivalence class
 // (redundancy elimination). Two sockets are interchangeable when they
 // carry identical CPU/bandwidth load and sit at identical NUMA distance
-// from every socket currently in use.
-func socketRepresentatives(eg *plan.ExecGraph, cfg *model.Config, p *plan.Placement, cur *model.Result) []int {
+// from every socket currently in use. The returned slice is reused by
+// the next call.
+func (sc *bufs) socketRepresentatives(eg *plan.ExecGraph, cfg *model.Config, p *plan.Placement, cur *model.Result) []int {
 	m := cfg.Machine
-	used := map[numa.SocketID]bool{}
+	sc.used = slices.Grow(sc.used[:0], m.Sockets)[:m.Sockets]
+	clear(sc.used)
 	for _, v := range eg.Vertices {
 		if s, ok := p.SocketOf(v.ID); ok {
-			used[s] = true
+			sc.used[s] = true
 		}
 	}
-	var usedList []int
-	for s := range used {
-		usedList = append(usedList, int(s))
+	sc.usedList = sc.usedList[:0]
+	for s, u := range sc.used {
+		if u {
+			sc.usedList = append(sc.usedList, s)
+		}
 	}
-	sort.Ints(usedList)
 
-	seen := map[string]bool{}
-	var reps []int
+	sc.sig, sc.sigEnd, sc.reps = sc.sig[:0], sc.sigEnd[:0], sc.reps[:0]
 	for s := 0; s < m.Sockets; s++ {
-		sig := signature(m, cur, s, usedList)
-		if !seen[sig] {
-			seen[sig] = true
-			reps = append(reps, s)
+		start := len(sc.sig)
+		sc.sig = signature(sc.sig, m, cur, s, sc.usedList)
+		sc.sigEnd = append(sc.sigEnd, len(sc.sig))
+		if !sc.seen(start) {
+			sc.reps = append(sc.reps, s)
 		}
 	}
-	return reps
+	return sc.reps
 }
 
-func signature(m *numa.Machine, cur *model.Result, s int, usedList []int) string {
-	sig := fmt.Sprintf("%.6g|%.6g", cur.CPUUsed[s], cur.BWUsed[s])
-	for _, u := range usedList {
-		sig += fmt.Sprintf("|%g", m.L(numa.SocketID(s), numa.SocketID(u)))
+// seen reports whether the socket signature at sig[start:] equals that
+// of a representative already chosen.
+func (sc *bufs) seen(start int) bool {
+	sig := sc.sig[start:]
+	for _, r := range sc.reps {
+		lo := 0
+		if r > 0 {
+			lo = sc.sigEnd[r-1]
+		}
+		if bytes.Equal(sc.sig[lo:sc.sigEnd[r]], sig) {
+			return true
+		}
 	}
-	return sig
+	return false
+}
+
+// signature appends socket s's equivalence key to dst: its CPU and
+// bandwidth load (%.6g) and its distance to every used socket (%g).
+func signature(dst []byte, m *numa.Machine, cur *model.Result, s int, usedList []int) []byte {
+	dst = strconv.AppendFloat(dst, cur.CPUUsed[s], 'g', 6, 64)
+	dst = append(dst, '|')
+	dst = strconv.AppendFloat(dst, cur.BWUsed[s], 'g', 6, 64)
+	for _, u := range usedList {
+		dst = append(dst, '|')
+		dst = strconv.AppendFloat(dst, m.L(numa.SocketID(s), numa.SocketID(u)), 'g', -1, 64)
+	}
+	return dst
 }

@@ -1,6 +1,9 @@
 package bnb
 
 import (
+	"fmt"
+	"math"
+	"math/rand/v2"
 	"testing"
 
 	"briskstream/internal/model"
@@ -92,20 +95,49 @@ func TestGreedyPlacementComplete(t *testing.T) {
 // equal placements collide.
 func TestPlacementSignature(t *testing.T) {
 	eg, _ := plan.Build(chain(t), nil, 1)
+	sig := func(p *plan.Placement) string { return string(placementSignature(nil, eg, p)) }
 	a := plan.NewPlacement()
 	a.Place(eg.Vertices[0].ID, 0)
 	b := plan.NewPlacement()
 	b.Place(eg.Vertices[0].ID, 0)
-	if placementSignature(eg, a) != placementSignature(eg, b) {
+	if sig(a) != sig(b) {
 		t.Error("identical placements have different signatures")
 	}
 	b.Place(eg.Vertices[1].ID, 1)
-	if placementSignature(eg, a) == placementSignature(eg, b) {
+	if sig(a) == sig(b) {
 		t.Error("different placements share a signature")
 	}
 	c := plan.NewPlacement()
 	c.Place(eg.Vertices[0].ID, 1)
-	if placementSignature(eg, a) == placementSignature(eg, c) {
+	if sig(a) == sig(c) {
 		t.Error("different sockets share a signature")
+	}
+}
+
+// TestSocketSignatureFormat: the appended socket signature is byte-for-
+// byte the %.6g|%.6g|%g... string, so socket equivalence classes (and
+// with them the search) do not depend on how the key is built.
+func TestSocketSignatureFormat(t *testing.T) {
+	m := numa.ServerB()
+	rng := rand.New(rand.NewPCG(1, 2))
+	values := []float64{0, -0.0, 1, 1e-7, 123456.5, 1234567, 2.5e21, math.Inf(1), math.NaN()}
+	for range 200 {
+		values = append(values, rng.Float64()*math.Pow(10, float64(rng.IntN(30)-6)))
+	}
+	used := []int{0, 3, 5}
+	var buf []byte
+	for i, cpu := range values {
+		bw := values[(i*7+3)%len(values)]
+		cur := &model.Result{CPUUsed: make([]float64, m.Sockets), BWUsed: make([]float64, m.Sockets)}
+		s := i % m.Sockets
+		cur.CPUUsed[s], cur.BWUsed[s] = cpu, bw
+		want := fmt.Sprintf("%.6g|%.6g", cpu, bw)
+		for _, u := range used {
+			want += fmt.Sprintf("|%g", m.L(numa.SocketID(s), numa.SocketID(u)))
+		}
+		buf = signature(buf[:0], m, cur, s, used)
+		if string(buf) != want {
+			t.Fatalf("signature(%v, %v) = %q, want %q", cpu, bw, buf, want)
+		}
 	}
 }

@@ -11,6 +11,12 @@
 // that defines the paper: an operator's processing capability is NOT a
 // constant — it depends on where the plan puts the operator relative to
 // its producers.
+//
+// Evaluate sits in the branch-and-bound inner loop, so it allocates a
+// fixed handful of slices per call whatever the graph size, keeps no
+// maps, and walks every vertex in the cached topological order and every
+// input in the execution graph's fixed edge order: the same graph and
+// placement always evaluate to bit-identical results.
 package model
 
 import (
@@ -58,8 +64,11 @@ const Saturated = 1e15
 type VertexRate struct {
 	// In is the total input rate ri (tuples/sec).
 	In float64
-	// InBy decomposes In by producer vertex: ri(s).
-	InBy map[plan.VertexID]float64
+	// InBy decomposes In by input edge, aligned with the execution
+	// graph's In(id): InBy[i] is the rate arriving on In(id)[i], the
+	// producer's Processed x Selectivity[stream] x Share. A producer
+	// feeding the vertex on several streams owns several entries.
+	InBy []float64
 	// T is the effective per-tuple processing time Te + weighted Tf (ns).
 	T float64
 	// Tf is the input-weighted average fetch time component of T (ns).
@@ -75,20 +84,8 @@ type VertexRate struct {
 	// than its slowest consumer drains — the paper's footnote 2).
 	// Resource accounting (Eq. 3-5) uses Sustained.
 	Sustained float64
-	// Out maps output stream -> expected output rate (Processed times
-	// stream selectivity).
-	Out map[string]float64
 	// OverSupplied marks bottlenecks: In > Capacity (Case 1).
 	OverSupplied bool
-}
-
-// OutTotal sums expected output over all streams.
-func (v *VertexRate) OutTotal() float64 {
-	var t float64
-	for _, r := range v.Out {
-		t += r
-	}
-	return t
 }
 
 // Violation describes one broken resource constraint.
@@ -159,64 +156,80 @@ func Evaluate(eg *plan.ExecGraph, placement *plan.Placement, cfg *Config, opts O
 	}
 
 	m := cfg.Machine
+	order := eg.TopoOrder()
+	edges := 0
+	for _, id := range order {
+		edges += len(eg.In(id))
+	}
+	// One backing array for every per-edge and per-socket sum; carve
+	// hands out its consecutive pieces.
+	S := m.Sockets
+	flat := make([]float64, edges+2*S+S*S)
+	carve := func(n int) []float64 {
+		s := flat[:n:n]
+		flat = flat[n:]
+		return s
+	}
 	res := &Result{
 		Rates:       make([]VertexRate, len(eg.Vertices)),
-		CPUUsed:     make([]float64, m.Sockets),
-		BWUsed:      make([]float64, m.Sockets),
-		ChannelUsed: make([][]float64, m.Sockets),
+		CPUUsed:     carve(S),
+		BWUsed:      carve(S),
+		ChannelUsed: make([][]float64, S),
 	}
 	for i := range res.ChannelUsed {
-		res.ChannelUsed[i] = make([]float64, m.Sockets)
-	}
-
-	// Total ingress is split across spout vertices by fused replica count.
-	spoutTotal := map[string]int{}
-	for _, v := range eg.Vertices {
-		if v.Spout {
-			spoutTotal[v.Op] += v.Count
-		}
+		res.ChannelUsed[i] = carve(S)
 	}
 
 	maxLat := maxRemoteLatency(m)
 
-	for _, id := range eg.TopoOrder() {
+	bottlenecks := 0
+	for _, id := range order {
 		v := eg.Vertex(id)
 		st, ok := cfg.Stats[v.Op]
 		if !ok {
 			return nil, fmt.Errorf("model: no stats for operator %q", v.Op)
 		}
-		vr := VertexRate{InBy: map[plan.VertexID]float64{}, Out: map[string]float64{}}
+		vr := &res.Rates[id]
 
 		// Input rate: external for spouts, producer output otherwise.
+		// Total ingress is split across spout vertices by fused replica
+		// count (the operator's replication).
 		if v.Spout {
-			vr.In = cfg.Ingress * float64(v.Count) / float64(spoutTotal[v.Op])
+			vr.In = cfg.Ingress * float64(v.Count) / float64(eg.Replication[v.Op])
 		} else {
-			for _, e := range eg.In(id) {
-				share := res.Rates[e.From].Out[e.Stream] * e.Share
-				vr.InBy[e.From] += share
-				vr.In += share
+			in := eg.In(id)
+			vr.InBy = carve(len(in))
+			for i, e := range in {
+				sel := cfg.Stats[eg.Vertex(e.From).Op].Selectivity[e.Stream]
+				rate := res.Rates[e.From].Processed * sel * e.Share
+				vr.InBy[i] = rate
+				vr.In += rate
 			}
 		}
 
 		// Effective fetch time: input-weighted over producers (tuples are
 		// served first-come-first-serve with equal priority, so producers
 		// contribute in proportion to their arrival rates).
-		vr.Tf = fetchTime(eg, placement, cfg, id, &vr, maxLat)
+		vr.Tf = fetchTime(eg, placement, cfg, &st, id, vr, maxLat)
 		vr.T = st.Te + vr.Tf
 		vr.Capacity = float64(v.Count) * 1e9 / vr.T
 
 		vr.Processed = math.Min(vr.In, vr.Capacity)
 		vr.OverSupplied = vr.In > vr.Capacity*(1+1e-12)
-		for stream, sel := range st.Selectivity {
-			vr.Out[stream] = vr.Processed * sel
-		}
 		if v.Sink {
 			res.Throughput += vr.Processed
 		}
 		if vr.OverSupplied {
-			res.Bottlenecks = append(res.Bottlenecks, id)
+			bottlenecks++
 		}
-		res.Rates[id] = vr
+	}
+	if bottlenecks > 0 {
+		res.Bottlenecks = make([]plan.VertexID, 0, bottlenecks)
+		for _, id := range order {
+			if res.Rates[id].OverSupplied {
+				res.Bottlenecks = append(res.Bottlenecks, id)
+			}
+		}
 	}
 
 	// Backward pass: back-pressure throttling. A vertex sustains only
@@ -224,7 +237,6 @@ func Evaluate(eg *plan.ExecGraph, placement *plan.Placement, cfg *Config, opts O
 	// drain; the factor compounds upstream (a saturated spout feeding an
 	// over-supplied pipeline does not burn a full core — the bounded
 	// queues stall it).
-	order := eg.TopoOrder()
 	sustainFrac := make([]float64, len(eg.Vertices))
 	for i := len(order) - 1; i >= 0; i-- {
 		id := order[i]
@@ -248,20 +260,20 @@ func Evaluate(eg *plan.ExecGraph, placement *plan.Placement, cfg *Config, opts O
 	// Resource accounting (Eq. 3-5) at sustained rates; skipped for
 	// unplaced vertices under Bound.
 	for _, id := range order {
-		vr := &res.Rates[id]
-		st := cfg.Stats[eg.Vertex(id).Op]
 		sock, placed := placement.SocketOf(id)
 		if !placed {
 			continue
 		}
+		vr := &res.Rates[id]
+		st := cfg.Stats[eg.Vertex(id).Op]
 		res.CPUUsed[sock] += vr.Sustained * vr.T
 		res.BWUsed[sock] += vr.Sustained * st.M
 		if vr.In > 0 {
 			procShare := vr.Sustained / vr.In
-			for from, rate := range vr.InBy {
-				fsock, fplaced := placement.SocketOf(from)
+			for i, e := range eg.In(id) {
+				fsock, fplaced := placement.SocketOf(e.From)
 				if fplaced && fsock != sock {
-					res.ChannelUsed[fsock][sock] += rate * procShare * st.N
+					res.ChannelUsed[fsock][sock] += vr.InBy[i] * procShare * st.N
 				}
 			}
 		}
@@ -292,8 +304,7 @@ func Evaluate(eg *plan.ExecGraph, placement *plan.Placement, cfg *Config, opts O
 // the configured policy. Under Options.Bound semantics, any pair with an
 // unplaced endpoint is treated as collocated (Tf contribution 0), which
 // is what makes the bounding function an upper bound.
-func fetchTime(eg *plan.ExecGraph, placement *plan.Placement, cfg *Config, id plan.VertexID, vr *VertexRate, maxLat float64) float64 {
-	st := cfg.Stats[eg.Vertex(id).Op]
+func fetchTime(eg *plan.ExecGraph, placement *plan.Placement, cfg *Config, st *profile.Stats, id plan.VertexID, vr *VertexRate, maxLat float64) float64 {
 	switch cfg.Policy {
 	case TfZero:
 		return 0
@@ -312,12 +323,12 @@ func fetchTime(eg *plan.ExecGraph, placement *plan.Placement, cfg *Config, id pl
 		return 0
 	}
 	var weighted float64
-	for from, rate := range vr.InBy {
-		fsock, fplaced := placement.SocketOf(from)
+	for i, e := range eg.In(id) {
+		fsock, fplaced := placement.SocketOf(e.From)
 		if !fplaced || fsock == sock {
 			continue
 		}
-		weighted += rate * cfg.Machine.FetchCost(int(st.N), fsock, sock)
+		weighted += vr.InBy[i] * cfg.Machine.FetchCost(int(st.N), fsock, sock)
 	}
 	return weighted / vr.In
 }

@@ -7,6 +7,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -49,9 +50,9 @@ type ExecGraph struct {
 	Replication map[string]int // logical operator -> total replicas
 	Ratio       int            // compress ratio used to build the graph
 
-	out  map[VertexID][]Edge
-	in   map[VertexID][]Edge
-	byOp map[string][]*Vertex
+	out, in [][]Edge // indexed by VertexID
+	byOp    map[string][]*Vertex
+	order   []VertexID // topological, producers first
 }
 
 // Build expands the logical graph under the given replication
@@ -66,9 +67,11 @@ func Build(app *graph.Graph, replication map[string]int, ratio int) (*ExecGraph,
 		App:         app,
 		Replication: map[string]int{},
 		Ratio:       ratio,
-		out:         map[VertexID][]Edge{},
-		in:          map[VertexID][]Edge{},
 		byOp:        map[string][]*Vertex{},
+	}
+	logical, err := app.TopoSort()
+	if err != nil {
+		return nil, fmt.Errorf("plan: %w", err)
 	}
 	for _, n := range app.Nodes() {
 		repl := replication[n.Name]
@@ -95,6 +98,13 @@ func Build(app *graph.Graph, replication map[string]int, ratio int) (*ExecGraph,
 			eg.byOp[n.Name] = append(eg.byOp[n.Name], v)
 		}
 	}
+	for _, op := range logical {
+		for _, v := range eg.byOp[op] {
+			eg.order = append(eg.order, v.ID)
+		}
+	}
+	eg.out = make([][]Edge, len(eg.Vertices))
+	eg.in = make([][]Edge, len(eg.Vertices))
 	for _, le := range app.Edges() {
 		prods := eg.byOp[le.From]
 		cons := eg.byOp[le.To]
@@ -144,22 +154,9 @@ func (eg *ExecGraph) TotalReplicas() int {
 }
 
 // TopoOrder returns vertex ids topologically ordered (producers first),
-// derived from the logical order so it never fails on a validated app.
-func (eg *ExecGraph) TopoOrder() []VertexID {
-	logical, err := eg.App.TopoSort()
-	if err != nil {
-		// Build is only called on validated graphs; a cycle here is a
-		// programming error.
-		panic(fmt.Sprintf("plan: logical graph no longer acyclic: %v", err))
-	}
-	var out []VertexID
-	for _, op := range logical {
-		for _, v := range eg.byOp[op] {
-			out = append(out, v.ID)
-		}
-	}
-	return out
-}
+// following the logical operator order. Build computes it once; the
+// slice is shared by every caller, which must not modify it.
+func (eg *ExecGraph) TopoOrder() []VertexID { return eg.order }
 
 // Pairs returns every producer-consumer vertex pair with a direct edge,
 // in deterministic order. This is the collocation-decision list of the
@@ -179,41 +176,62 @@ func (eg *ExecGraph) Pairs() [][2]VertexID {
 	return out
 }
 
-// Placement maps vertices to sockets. Unplaced vertices are absent.
+// Placement maps vertices to sockets. It is dense: socketOf is indexed
+// by VertexID and holds unplaced (-1) for vertices without a socket, so
+// a lookup is an index and Clone is one slice copy.
 type Placement struct {
-	socketOf map[VertexID]numa.SocketID
+	socketOf []numa.SocketID
+	placed   int
 }
+
+// unplaced marks a vertex without a socket.
+const unplaced numa.SocketID = -1
 
 // NewPlacement returns an empty placement.
-func NewPlacement() *Placement {
-	return &Placement{socketOf: map[VertexID]numa.SocketID{}}
+func NewPlacement() *Placement { return &Placement{} }
+
+// Place assigns a vertex to a socket, growing the placement to cover v.
+// Placing on socket -1 unplaces v.
+func (p *Placement) Place(v VertexID, s numa.SocketID) {
+	p.Unplace(v)
+	if s == unplaced {
+		return
+	}
+	if n := int(v) + 1 - len(p.socketOf); n > 0 {
+		p.socketOf = slices.Grow(p.socketOf, n)
+		for range n {
+			p.socketOf = append(p.socketOf, unplaced)
+		}
+	}
+	p.socketOf[v] = s
+	p.placed++
 }
 
-// Place assigns a vertex to a socket.
-func (p *Placement) Place(v VertexID, s numa.SocketID) { p.socketOf[v] = s }
-
 // Unplace removes a vertex's assignment.
-func (p *Placement) Unplace(v VertexID) { delete(p.socketOf, v) }
+func (p *Placement) Unplace(v VertexID) {
+	if int(v) < len(p.socketOf) && p.socketOf[v] != unplaced {
+		p.socketOf[v] = unplaced
+		p.placed--
+	}
+}
 
 // SocketOf returns the socket of v and whether v is placed.
 func (p *Placement) SocketOf(v VertexID) (numa.SocketID, bool) {
-	s, ok := p.socketOf[v]
-	return s, ok
+	if int(v) >= len(p.socketOf) || p.socketOf[v] == unplaced {
+		return 0, false
+	}
+	return p.socketOf[v], true
 }
 
 // Placed returns the number of placed vertices.
-func (p *Placement) Placed() int { return len(p.socketOf) }
+func (p *Placement) Placed() int { return p.placed }
 
 // Complete reports whether all vertices of eg are placed.
-func (p *Placement) Complete(eg *ExecGraph) bool { return len(p.socketOf) == len(eg.Vertices) }
+func (p *Placement) Complete(eg *ExecGraph) bool { return p.placed == len(eg.Vertices) }
 
 // Clone deep-copies the placement.
 func (p *Placement) Clone() *Placement {
-	c := NewPlacement()
-	for k, v := range p.socketOf {
-		c.socketOf[k] = v
-	}
-	return c
+	return &Placement{socketOf: slices.Clone(p.socketOf), placed: p.placed}
 }
 
 // Validate checks that every placed vertex refers to a valid vertex and
@@ -221,7 +239,10 @@ func (p *Placement) Clone() *Placement {
 // once — the "allocated exactly once" constraint of Section 3.2.
 func (p *Placement) Validate(eg *ExecGraph, m *numa.Machine, requireComplete bool) error {
 	for id, s := range p.socketOf {
-		if int(id) < 0 || int(id) >= len(eg.Vertices) {
+		if s == unplaced {
+			continue
+		}
+		if id >= len(eg.Vertices) {
 			return fmt.Errorf("plan: placement refers to unknown vertex %d", id)
 		}
 		if int(s) < 0 || int(s) >= m.Sockets {
@@ -229,7 +250,7 @@ func (p *Placement) Validate(eg *ExecGraph, m *numa.Machine, requireComplete boo
 		}
 	}
 	if requireComplete && !p.Complete(eg) {
-		return fmt.Errorf("plan: only %d of %d vertices placed", len(p.socketOf), len(eg.Vertices))
+		return fmt.Errorf("plan: only %d of %d vertices placed", p.placed, len(eg.Vertices))
 	}
 	return nil
 }
@@ -238,7 +259,9 @@ func (p *Placement) Validate(eg *ExecGraph, m *numa.Machine, requireComplete boo
 func (p *Placement) String(eg *ExecGraph) string {
 	bySocket := map[numa.SocketID][]string{}
 	for id, s := range p.socketOf {
-		bySocket[s] = append(bySocket[s], eg.Vertex(id).Label())
+		if s != unplaced {
+			bySocket[s] = append(bySocket[s], eg.Vertex(VertexID(id)).Label())
+		}
 	}
 	var sockets []int
 	for s := range bySocket {

@@ -129,6 +129,25 @@ func TestBuildRejectsBadRatio(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsCycle: Build derives the topological order, so a
+// cyclic logical graph is an error from Build, not a panic later.
+func TestBuildRejectsCycle(t *testing.T) {
+	g := graph.New("cycle")
+	for _, name := range []string{"a", "b", "c"} {
+		if err := g.AddNode(&graph.Node{Name: name, IsSpout: name == "a"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range []graph.Edge{{From: "a", To: "b"}, {From: "b", To: "c"}, {From: "c", To: "b"}} {
+		if err := g.AddEdge(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := Build(g, nil, 1); err == nil {
+		t.Error("cyclic graph accepted")
+	}
+}
+
 func TestBroadcastAndGlobalShares(t *testing.T) {
 	g := graph.New("bg")
 	g.AddNode(&graph.Node{Name: "spout", IsSpout: true, Selectivity: map[string]float64{"default": 1}})
@@ -217,6 +236,13 @@ func TestPlacement(t *testing.T) {
 		t.Error("Clone aliases parent")
 	}
 	p.Unplace(eg.Vertices[0].ID)
+	p.Unplace(eg.Vertices[0].ID) // unplacing twice counts once
+	if got := p.Placed(); got != len(eg.Vertices)-1 {
+		t.Errorf("Placed = %d after one Unplace, want %d", got, len(eg.Vertices)-1)
+	}
+	if _, ok := p.SocketOf(eg.Vertices[0].ID); ok {
+		t.Error("unplaced vertex still has a socket")
+	}
 	if err := p.Validate(eg, m, true); err == nil {
 		t.Error("incomplete placement accepted as complete")
 	}

@@ -199,9 +199,9 @@ func Run(eg *plan.ExecGraph, placement *plan.Placement, cfgIn *Config) (*Result,
 		var t float64
 		vr := ev.Rates[id]
 		if vr.In > 0 && !v.Spout {
-			for from, rate := range vr.InBy {
-				fsock, _ := placement.SocketOf(from)
-				t += (rate / vr.In) * EffectiveT(m, st, fsock, sock, cfg.Overhead, activeCores)
+			for i, e := range eg.In(id) {
+				fsock, _ := placement.SocketOf(e.From)
+				t += (vr.InBy[i] / vr.In) * EffectiveT(m, st, fsock, sock, cfg.Overhead, activeCores)
 			}
 		}
 		if t <= 0 {
@@ -292,10 +292,10 @@ func Run(eg *plan.ExecGraph, placement *plan.Placement, cfgIn *Config) (*Result,
 			if !v.Spout {
 				vr := ev.Rates[id]
 				if vr.In > 0 {
-					for from, rate := range vr.InBy {
-						fsock, _ := placement.SocketOf(from)
+					for i, e := range eg.In(id) {
+						fsock, _ := placement.SocketOf(e.From)
 						if fsock != sock {
-							chanUse[fsock][sock] += (rate / vr.In) * take * st.N / dt
+							chanUse[fsock][sock] += (vr.InBy[i] / vr.In) * take * st.N / dt
 						}
 					}
 				}
@@ -324,8 +324,8 @@ func Run(eg *plan.ExecGraph, placement *plan.Placement, cfgIn *Config) (*Result,
 			}
 			vr := ev.Rates[id]
 			if !v.Spout && vr.In > 0 {
-				for from := range vr.InBy {
-					fsock, _ := placement.SocketOf(from)
+				for _, e := range eg.In(id) {
+					fsock, _ := placement.SocketOf(e.From)
 					if fsock != sock {
 						if u := chanUse[fsock][sock] / m.Q(fsock, sock); u > f {
 							f = u
