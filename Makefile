@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-planner vet fmt-check fuzz-smoke check
+.PHONY: all build test race bench bench-planner bench-window vet fmt-check fuzz-smoke check
 
 all: build test
 
@@ -40,6 +40,13 @@ bench:
 # their timings; for numbers, raise -benchtime and add -benchmem.
 bench-planner:
 	$(GO) test -run '^$$' -bench AblationBnB -benchtime 1x .
+
+# bench-window runs BenchmarkWindowWideSymKeys once: 100 000 symbol keys
+# accumulated into one tumbling window, then fired (add_ns/key,
+# fire_ns/key). check and CI gate on it completing with every pane
+# emitted exactly once, not on its timings; raise -benchtime for numbers.
+bench-window:
+	$(GO) test -run '^$$' -bench WindowWideSymKeys -benchtime 1x ./internal/window/
 
 # bench-json runs the benchmark apps (the paper's four plus the
 # windowed TW) on the real engine across the GOMAXPROCS x replication
@@ -116,9 +123,10 @@ fuzz-smoke:
 
 # benchmark/ is its own module (the benchmark of record), so the root
 # ./... does not reach its tests; check runs them explicitly, then the
-# planner benchmarks once (bench-planner).
+# planner and window benchmarks once (bench-planner, bench-window).
 check: vet fmt-check build
 	BRISK_VALIDATE_EVERY=1 $(GO) test -race ./...
 	$(GO) -C benchmark test ./...
 	$(MAKE) bench-planner
+	$(MAKE) bench-window
 	$(MAKE) fuzz-smoke

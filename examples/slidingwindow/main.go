@@ -4,7 +4,9 @@
 // per-sensor averages; the sink prints each closed window. The input is
 // deliberately emitted out of order — the watermark, not arrival order,
 // decides when a window is complete, so the printed results are
-// identical on every run and no reading is lost.
+// identical on every run and no reading is lost. Windows closing at
+// the same instant print in the order their sensors first reported in
+// them; main_test.go pins the results as a multiset.
 //
 //	go run ./examples/slidingwindow
 package main

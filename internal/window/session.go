@@ -194,8 +194,8 @@ func (op *sessionOp[A]) scheduleFire(key tuple.Key, at int64) {
 }
 
 // OnTimer implements engine.TimerHandler: close every session whose
-// (end + lateness) is exactly this instant — extended sessions have a
-// later end and simply ignore the stale timer.
+// (end + lateness) is exactly this instant, in ascending key order —
+// extended sessions have a later end and simply ignore the stale timer.
 func (op *sessionOp[A]) OnTimer(c engine.Collector, kind engine.TimerKind, at int64) error {
 	if kind != engine.EventTimer {
 		return nil

@@ -9,7 +9,7 @@
 // timestamp it carries, results fire when the watermark (not the wall
 // clock, not arrival order) says a window is complete, and every fire
 // is deterministically ordered, so a topology's windowed output is a
-// pure function of the event stream.
+// pure function of the operator's input sequence.
 //
 // # Mechanics
 //
@@ -17,15 +17,18 @@
 // TimerAware/TimerHandler hooks. Process (one tuple) and ProcessBatch
 // (one columnar batch) do the same thing per row: compute the windows
 // covering the row's event timestamp, skip those that already fired,
-// fetch each remaining (key, window) pane's pooled accumulator
-// (state.Map — no per-row allocation in steady state) and fold the row
-// straight into it. The first row of a window registers an event-time
-// timer at the window's fire time (end + allowed lateness); when the
-// task's watermark passes it, the engine calls OnTimer on the task
-// goroutine and the operator emits every window firing at that instant
-// in ascending key order, then recycles their state. A row arriving
-// behind the watermark skips panes that already fired; one none of
-// whose windows remain open is dropped and counted (LateCount).
+// fetch each remaining (key, window) pane's accumulator from the pane
+// table of the window's fire time (end + allowed lateness; recycled
+// tables make this allocation-free in steady state) and fold the row
+// straight into it. The first pane of a fire time registers an
+// event-time timer there; when the task's watermark passes it, the
+// engine calls OnTimer on the task goroutine and the operator drains
+// that fire time's table whole, emitting its panes in first-touch
+// order, then recycles it. Fire times themselves fire in ascending
+// order. (SessionOp still fires each instant in ascending key order.)
+// A row arriving behind the watermark skips panes that already fired;
+// one none of whose windows remain open is dropped and counted
+// (LateCount).
 //
 // Operators without a timer service (isolated profiling harnesses) can
 // still run: windows accumulate and are drained explicitly via
@@ -35,11 +38,12 @@ package window
 import (
 	"cmp"
 	"fmt"
+	"maps"
+	"math"
 	"slices"
 
 	"briskstream/internal/checkpoint"
 	"briskstream/internal/engine"
-	"briskstream/internal/state"
 	"briskstream/internal/tuple"
 )
 
@@ -75,7 +79,9 @@ type Op[A any] struct {
 	// key (KindNone for global windows); re-emit it with
 	// Tuple.AppendKey. Emissions inherit the firing watermark as their
 	// event timestamp unless Emit assigns its own (stamping the window
-	// end is conventional).
+	// end is conventional). Fire times are emitted in ascending order,
+	// the windows of one fire time in the order their keys first
+	// touched them.
 	Emit func(c engine.Collector, key tuple.Key, w Span, acc *A)
 	// Save and Load (de)serialize one accumulator for checkpointing;
 	// both optional, but required together once the topology runs with
@@ -97,21 +103,117 @@ type Op[A any] struct {
 	AddRow func(acc *A, b *tuple.Batch, row int)
 }
 
-// winKey identifies one (key, window start) accumulator.
+// winKey identifies one (key, window start) accumulator in snapshot
+// and reshard ordering.
 type winKey struct {
 	key   tuple.Key
 	start int64
 }
 
-// bucket lists the windows sharing one fire timestamp.
-type bucket struct{ keys []winKey }
+// panes is the pane table of one fire time. Equal fire times mean equal
+// starts (fireAt = start + Size + Lateness), so every pane in it covers
+// the same window. Entries are dense, in first-touch order; idx is an
+// open-addressed index over them (slot -> entry+1, 0 empty), linear
+// probing, load at most 3/4, a power-of-two size indexed by the top
+// bits of keyHash. A recycled table keeps its capacity, and an accs
+// entry re-opened within it keeps its internal capacity for Init to
+// reset.
+type panes[A any] struct {
+	start int64
+	keys  []tuple.Key
+	accs  []A
+	idx   []int32
+	shift uint // 64 - log2(len(idx))
+}
+
+func newPanes[A any]() *panes[A] { return &panes[A]{idx: make([]int32, 8), shift: 61} }
+
+// lookup returns key's entry, or -1 and the empty slot it would take.
+func (p *panes[A]) lookup(key tuple.Key) (entry, slot int) {
+	mask := len(p.idx) - 1
+	for s := int(keyHash(key) >> p.shift); ; s = (s + 1) & mask {
+		e := p.idx[s]
+		if e == 0 {
+			return -1, s
+		}
+		if p.keys[e-1] == key {
+			return int(e - 1), s
+		}
+	}
+}
+
+// insert adds key at the empty slot lookup returned and returns its
+// (not yet Init-reset) accumulator.
+func (p *panes[A]) insert(key tuple.Key, slot int) *A {
+	n := len(p.keys)
+	p.keys = append(p.keys, key)
+	if n < cap(p.accs) {
+		p.accs = p.accs[:n+1] // a previous life's accumulator
+	} else {
+		p.accs = append(p.accs, *new(A))
+	}
+	p.idx[slot] = int32(n + 1)
+	if 4*(n+1) > 3*len(p.idx) {
+		p.idx = make([]int32, 2*len(p.idx))
+		p.shift--
+		mask := len(p.idx) - 1
+		for i, k := range p.keys {
+			s := int(keyHash(k) >> p.shift)
+			for p.idx[s] != 0 {
+				s = (s + 1) & mask
+			}
+			p.idx[s] = int32(i + 1)
+		}
+	}
+	return &p.accs[n]
+}
+
+// reset empties the table for its next fire time, keeping capacity.
+func (p *panes[A]) reset() {
+	clear(p.keys) // drop string keys' text for the collector
+	p.keys = p.keys[:0]
+	p.accs = p.accs[:0]
+	clear(p.idx)
+}
+
+// keyHash hashes a pane key cheaply: a symbol, int, float or bool key's
+// 64-bit payload, tagged with its kind, times the 64-bit golden ratio
+// (the table indexes by the product's top bits). A string key's payload
+// is its Key.Hash, mixed the same way: FNV-1a leaves keys that differ
+// only in their last bytes apart only in its low bits. Equal keys (==,
+// the Go map equality) hash equally, NaN and ±0.0 included: floats hash
+// by their bits.
+func keyHash(k tuple.Key) uint64 {
+	var v uint64
+	switch k.Kind() {
+	case tuple.KindStr:
+		v = k.Hash()
+	case tuple.KindSym:
+		v = uint64(k.Sym())
+	case tuple.KindInt:
+		v = uint64(k.Int())
+	case tuple.KindFloat:
+		v = math.Float64bits(k.Float())
+	case tuple.KindBool:
+		if k.Bool() {
+			v = 1
+		}
+	}
+	return (v ^ uint64(k.Kind())<<59) * 0x9E3779B97F4A7C15
+}
+
+// paneRef is one open pane, collected for snapshot encoding.
+type paneRef[A any] struct {
+	wk  winKey
+	acc *A
+}
 
 // windowOp is the runtime for Op.
 type windowOp[A any] struct {
 	cfg    Op[A]
 	tm     *engine.Timers
-	wins   *state.Map[winKey, A]
-	byFire *state.Map[int64, bucket]
+	byFire map[int64]*panes[A]
+	free   []*panes[A] // drained tables
 	late   uint64
 }
 
@@ -134,11 +236,7 @@ func New[A any](cfg Op[A]) engine.Operator {
 	if cfg.Init == nil || cfg.Add == nil || cfg.Emit == nil {
 		panic("window: Init, Add and Emit are required")
 	}
-	return &windowOp[A]{
-		cfg:    cfg,
-		wins:   state.NewMap[winKey, A](),
-		byFire: state.NewMap[int64, bucket](),
-	}
+	return &windowOp[A]{cfg: cfg, byFire: make(map[int64]*panes[A])}
 }
 
 // SetTimers implements engine.TimerAware.
@@ -163,26 +261,38 @@ func (op *windowOp[A]) fireAt(start int64) int64 {
 // ProcessBatch and Restore share: the key — possibly a view into a
 // tuple's or batch's arena — is canonicalized before the state outlives
 // it (a clone for string keys, free for every other kind: intern hot
-// string keys as symbols), the accumulator is Init-reset, and the
-// window joins the bucket of its fire time, whose event timer is
-// registered once.
+// string keys as symbols), the accumulator is Init-reset, and the pane
+// joins the table of its fire time, whose event timer is registered
+// when the table opens.
 func (op *windowOp[A]) pane(key tuple.Key, start int64) *A {
-	if acc := op.wins.Get(winKey{key: key, start: start}); acc != nil {
-		return acc
+	p := op.table(start)
+	i, slot := p.lookup(key)
+	if i >= 0 {
+		return &p.accs[i]
 	}
-	wk := winKey{key: key.Canon(), start: start}
-	acc, _ := op.wins.GetOrCreate(wk)
+	acc := p.insert(key.Canon(), slot)
 	op.cfg.Init(acc)
+	return acc
+}
+
+// table returns the pane table of the windows starting at start,
+// opening a recycled one (and its timer) on first touch.
+func (op *windowOp[A]) table(start int64) *panes[A] {
 	at := op.fireAt(start)
-	b, fresh := op.byFire.GetOrCreate(at)
-	if fresh {
-		b.keys = b.keys[:0] // recycled bucket: drop its old life
+	p := op.byFire[at]
+	if p == nil {
+		if n := len(op.free); n > 0 {
+			p, op.free = op.free[n-1], op.free[:n-1]
+		} else {
+			p = newPanes[A]()
+		}
+		p.start = start
+		op.byFire[at] = p
 		if op.tm != nil {
 			op.tm.RegisterEvent(at)
 		}
 	}
-	b.keys = append(b.keys, wk)
-	return acc
+	return p
 }
 
 // Process implements engine.Operator: the tuple folds into the pane of
@@ -248,46 +358,33 @@ func (op *windowOp[A]) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
 	return nil
 }
 
-// OnTimer implements engine.TimerHandler: fire every window scheduled
-// at this instant, in ascending key order (all share a start — fixed
-// window sizes make equal fire times equal spans), then recycle.
+// OnTimer implements engine.TimerHandler: drain the pane table of this
+// fire time whole, emitting its windows (they share one span) in
+// first-touch order, then recycle the table.
 func (op *windowOp[A]) OnTimer(c engine.Collector, kind engine.TimerKind, at int64) error {
 	if kind != engine.EventTimer {
 		return nil
 	}
-	b := op.byFire.Get(at)
-	if b == nil {
+	p := op.byFire[at]
+	if p == nil {
 		return nil // shared per-task wheel: someone else's timer
 	}
-	slices.SortFunc(b.keys, func(x, y winKey) int {
-		if d := cmp.Compare(x.start, y.start); d != 0 {
-			return d
-		}
-		return x.key.Compare(y.key)
-	})
-	for _, wk := range b.keys {
-		acc := op.wins.Get(wk)
-		if acc == nil {
-			continue
-		}
-		op.cfg.Emit(c, wk.key, Span{wk.start, wk.start + op.cfg.Size}, acc)
-		op.wins.Delete(wk)
+	w := Span{p.start, p.start + op.cfg.Size}
+	for i, key := range p.keys {
+		op.cfg.Emit(c, key, w, &p.accs[i])
 	}
-	op.byFire.Delete(at)
+	delete(op.byFire, at)
+	p.reset()
+	op.free = append(op.free, p)
 	return nil
 }
 
-// FlushOpen emits every open window in (fire time, key) order and
-// clears the state. Harnesses without watermark infrastructure
-// (operator profiling, batch drains) use it as the end-of-input flush.
+// FlushOpen emits every open window, fire times ascending and each in
+// first-touch order, and clears the state. Harnesses without watermark
+// infrastructure (operator profiling, batch drains) use it as the
+// end-of-input flush.
 func (op *windowOp[A]) FlushOpen(c engine.Collector) error {
-	fires := make([]int64, 0, op.byFire.Len())
-	op.byFire.Range(func(at int64, _ *bucket) bool {
-		fires = append(fires, at)
-		return true
-	})
-	slices.Sort(fires)
-	for _, at := range fires {
+	for _, at := range slices.Sorted(maps.Keys(op.byFire)) {
 		if err := op.OnTimer(c, engine.EventTimer, at); err != nil {
 			return err
 		}
@@ -317,20 +414,26 @@ func compareWinKeys(a, b winKey) int {
 // Snapshot implements checkpoint.Snapshotter: the open (key, window)
 // accumulators and the late counter, encoded in (start, key) order so
 // the same state always serializes to the same bytes. The fire-time
-// index is not encoded — Restore rebuilds it (and re-registers the
+// tables are not encoded — Restore rebuilds them (and re-registers the
 // event timers) from the windows themselves.
 func (op *windowOp[A]) Snapshot(enc *checkpoint.Encoder) error {
 	if op.cfg.Save == nil || op.cfg.Load == nil {
 		return fmt.Errorf("window: checkpointing needs Op.Save and Op.Load")
 	}
+	refs := make([]paneRef[A], 0, op.OpenWindows())
+	for _, p := range op.byFire {
+		for i, key := range p.keys {
+			refs = append(refs, paneRef[A]{winKey{key, p.start}, &p.accs[i]})
+		}
+	}
+	slices.SortFunc(refs, func(a, b paneRef[A]) int { return compareWinKeys(a.wk, b.wk) })
 	enc.Uint64(op.late)
-	enc.Len(op.wins.Len())
-	op.wins.RangeSorted(compareWinKeys, func(wk winKey, acc *A) bool {
-		enc.Key(wk.key)
-		enc.Int64(wk.start)
-		op.cfg.Save(enc, acc)
-		return true
-	})
+	enc.Len(len(refs))
+	for _, r := range refs {
+		enc.Key(r.wk.key)
+		enc.Int64(r.wk.start)
+		op.cfg.Save(enc, r.acc)
+	}
 	return nil
 }
 
@@ -341,14 +444,17 @@ func (op *windowOp[A]) Restore(dec *checkpoint.Decoder) error {
 	if op.cfg.Save == nil || op.cfg.Load == nil {
 		return fmt.Errorf("window: checkpointing needs Op.Save and Op.Load")
 	}
-	op.wins.Clear()
-	op.byFire.Clear()
+	for _, p := range op.byFire {
+		p.reset()
+		op.free = append(op.free, p)
+	}
+	clear(op.byFire)
 	op.late = dec.Uint64()
 	n := dec.Len()
 	for i := 0; i < n && dec.Err() == nil; i++ {
 		key := dec.Key()
 		start := dec.Int64()
-		if op.wins.Get(winKey{key: key, start: start}) != nil {
+		if e, _ := op.table(start).lookup(key); e >= 0 {
 			return fmt.Errorf("window: duplicate (key, start) in snapshot")
 		}
 		if err := op.cfg.Load(dec, op.pane(key, start)); err != nil {
@@ -427,11 +533,19 @@ func (op *windowOp[A]) Reshard(old [][]byte, n int) ([][]byte, error) {
 func (op *windowOp[A]) LateCount() uint64 { return op.late }
 
 // OpenWindows reports the number of accumulating (key, window) pairs.
-func (op *windowOp[A]) OpenWindows() int { return op.wins.Len() }
+func (op *windowOp[A]) OpenWindows() int {
+	n := 0
+	for _, p := range op.byFire {
+		n += len(p.keys)
+	}
+	return n
+}
 
 // Flusher is implemented by the window operators: FlushOpen drains all
-// open state, emitting in deterministic order. Profiling harnesses use
-// it in place of watermark-driven firing.
+// open state, emitting in fire-time order and within one fire time in
+// the operator's deterministic order (first touch for Op, ascending key
+// for SessionOp). Profiling harnesses use it in place of
+// watermark-driven firing.
 type Flusher interface {
 	FlushOpen(c engine.Collector) error
 }

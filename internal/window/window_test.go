@@ -5,9 +5,12 @@ package window
 // input, and the steady-state aggregation path does not allocate.
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"briskstream/internal/engine"
 	"briskstream/internal/tuple"
@@ -132,6 +135,8 @@ func assertSameEmissions(t *testing.T, a, b []emission) {
 	}
 }
 
+// assertOrdered checks the session operator's order: ascending fire
+// time, then ascending key.
 func assertOrdered(t *testing.T, got []emission) {
 	t.Helper()
 	for i := 1; i < len(got); i++ {
@@ -143,6 +148,38 @@ func assertOrdered(t *testing.T, got []emission) {
 			t.Fatalf("emissions %d,%d out of key order: %+v then %+v", i-1, i, p, q)
 		}
 	}
+}
+
+// assertFireOrder checks the order contract across fire times: window
+// ends (so fire times) never decrease, and no (key, window) fires twice.
+func assertFireOrder(t *testing.T, got []emission) {
+	t.Helper()
+	seen := map[string]bool{}
+	for i, e := range got {
+		if i > 0 && got[i-1].w.End > e.w.End {
+			t.Fatalf("emissions %d,%d out of fire-time order: %+v then %+v", i-1, i, got[i-1], e)
+		}
+		id := fmt.Sprintf("%v/%d", e.key, e.w.Start)
+		if seen[id] {
+			t.Fatalf("window %s emitted twice", id)
+		}
+		seen[id] = true
+	}
+}
+
+// perFire canonicalizes emissions to per-fire-time multisets: each fire
+// time's run sorted by key. Within one fire the operator emits in
+// first-touch order, which depends on arrival order; two arrival orders
+// of one event multiset agree on this form.
+func perFire(got []emission) []emission {
+	out := slices.Clone(got)
+	slices.SortStableFunc(out, func(a, b emission) int {
+		if d := cmp.Compare(a.w.End, b.w.End); d != 0 {
+			return d
+		}
+		return a.key.Compare(b.key)
+	})
+	return out
 }
 
 func assertMatchesReference(t *testing.T, got []emission, want map[string]int64, total int64) {
@@ -189,10 +226,11 @@ func runWindowProperty(t *testing.T, size, slide int64, assignsPer int64) {
 			t.Fatalf("trial %d: %d tuples dropped late; generator promised none", trial, lc)
 		}
 		assertMatchesReference(t, outA, want, n*assignsPer)
-		assertOrdered(t, outA)
+		assertFireOrder(t, outA)
+		assertFireOrder(t, outB)
 		// Same multiset of events, different arrival order and watermark
-		// cadence: byte-identical output sequence.
-		assertSameEmissions(t, outA, outB)
+		// cadence: the same windows fire at each fire time.
+		assertSameEmissions(t, perFire(outA), perFire(outB))
 	}
 }
 
@@ -316,12 +354,16 @@ func TestFlushOpenDrainsWithoutWatermarks(t *testing.T) {
 	// No timer service at all — the profiling-harness path.
 	var out []emission
 	op := countOp(100, 0, 0, &out)
-	in := &tuple.Tuple{}
+	var events []event
 	for i := 0; i < 10; i++ {
+		events = append(events, event{key: fmt.Sprintf("k%d", i%3), et: int64(i * 40)})
+	}
+	in := &tuple.Tuple{}
+	for _, ev := range events {
 		in.Reset()
-		in.AppendStr(fmt.Sprintf("k%d", i%3))
+		in.AppendStr(ev.key)
 		in.AppendInt(1)
-		in.Event = int64(i * 40)
+		in.Event = ev.et
 		if err := op.Process(nil, in); err != nil {
 			t.Fatal(err)
 		}
@@ -329,14 +371,8 @@ func TestFlushOpenDrainsWithoutWatermarks(t *testing.T) {
 	if err := op.(Flusher).FlushOpen(nil); err != nil {
 		t.Fatal(err)
 	}
-	var total int64
-	for _, e := range out {
-		total += e.count
-	}
-	if total != 10 {
-		t.Fatalf("flushed %d events, want 10", total)
-	}
-	assertOrdered(t, out)
+	assertMatchesReference(t, out, reference(events, 100, 0), 10)
+	assertFireOrder(t, out)
 }
 
 // TestWindowedAddPathAllocFree guards the acceptance criterion: the
@@ -368,4 +404,162 @@ func TestWindowedAddPathAllocFree(t *testing.T) {
 	if avg > 0 {
 		t.Errorf("windowed add path allocates %.3f/tuple in steady state, want 0", avg)
 	}
+}
+
+// TestEmissionOrderIsFirstTouch pins the order contract: within one fire
+// time the windows come out in the order their keys first touched them,
+// and one row sequence always yields one emission sequence.
+func TestEmissionOrderIsFirstTouch(t *testing.T) {
+	var out []emission
+	op := countOp(100, 50, 0, &out) // sliding: each row touches two windows
+	rows := []event{{"q", 10}, {"b", 20}, {"z", 60}, {"a", 30}, {"b", 70}, {"q", 80}, {"m", 120}}
+	feed(t, op, rows, len(rows), 0) // nothing fires before the last row
+	want := map[Span]string{
+		{-50, 50}:  "[q b a]",
+		{0, 100}:   "[q b z a]",
+		{50, 150}:  "[z b q m]",
+		{100, 200}: "[m]",
+	}
+	got := map[Span][]string{}
+	for _, e := range out {
+		got[e.w] = append(got[e.w], e.key.Str())
+	}
+	for w, keys := range want {
+		if fmt.Sprint(got[w]) != keys {
+			t.Errorf("window %v emitted %v, want first-touch order %s", w, got[w], keys)
+		}
+	}
+	assertFireOrder(t, out)
+
+	// Two operators, one row sequence (500 keys: the tables grow), two
+	// watermark cadences: identical emission sequences.
+	events, _ := genEvents(rand.New(rand.NewSource(3)), 4000, keyNames(500), 5000, 64)
+	var outA, outB []emission
+	feed(t, countOp(250, 50, 0, &outA), events, 100, 5000)
+	feed(t, countOp(250, 50, 0, &outB), events, 37, 5000)
+	assertSameEmissions(t, outA, outB)
+}
+
+func keyNames(n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+	}
+	return keys
+}
+
+// symCountOp counts rows per symbol key; Emit only tallies, so the
+// operator's own allocations are what a measurement sees.
+func symCountOp(size int64, fired *int) engine.Operator {
+	return New(Op[int64]{
+		KeyField: 0,
+		Size:     size,
+		Init:     func(a *int64) { *a = 0 },
+		Add:      func(a *int64, t *tuple.Tuple) { *a++ },
+		AddRow:   func(a *int64, b *tuple.Batch, r int) { *a++ },
+		Emit:     func(c engine.Collector, key tuple.Key, w Span, a *int64) { *fired++ },
+	})
+}
+
+func wideSyms(n int) []tuple.Sym {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("wide-sym-%d", i)
+	}
+	return tuple.InternSyms(names...)
+}
+
+// TestWideKeyFireCycleAllocFree: with 10 000 symbol keys per window,
+// the open → fire → re-open cycle allocates nothing per row once the
+// recycled pane tables have grown, through Process and ProcessBatch.
+func TestWideKeyFireCycleAllocFree(t *testing.T) {
+	const keys = 10_000
+	syms := wideSyms(keys)
+	for _, batchRows := range []int{0, 100} {
+		fired := 0
+		op := symCountOp(keys, &fired)
+		tm := engine.NewTimers()
+		op.(engine.TimerAware).SetTimers(tm)
+		th := op.(engine.TimerHandler)
+		fire := func(at int64) error { return th.OnTimer(nil, engine.EventTimer, at) }
+		in := &tuple.Tuple{}
+		b := tuple.NewBatch(max(batchRows, 1))
+		et := int64(0)
+		step := func() {
+			in.Reset()
+			in.AppendSym(syms[et%keys])
+			in.Event = et
+			if batchRows == 0 {
+				if err := op.Process(nil, in); err != nil {
+					t.Fatal(err)
+				}
+			} else if b.Append(in); b.Full() {
+				if err := op.(engine.BatchOperator).ProcessBatch(nil, b); err != nil {
+					t.Fatal(err)
+				}
+				b.Reset()
+			}
+			et++
+			if et%keys == 0 { // a window is complete: fire it
+				if err := tm.AdvanceWatermark(et, fire); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := 0; i < 3*keys; i++ {
+			step() // warm-up: the two alternating tables reach full size
+		}
+		if avg := testing.AllocsPerRun(3*keys, step); avg > 0 {
+			t.Errorf("batchRows=%d: wide-key window cycle allocates %.4f/row, want 0", batchRows, avg)
+		}
+		if want := (6*keys + 1) / keys * keys; fired != want {
+			t.Errorf("batchRows=%d: fired %d windows, want %d", batchRows, fired, want)
+		}
+	}
+}
+
+// BenchmarkWindowWideSymKeys: 100 000 symbol keys in one tumbling
+// window, each touched once through Process (first-touch accumulate),
+// then the window fires. Reports add_ns/key and fire_ns/key; one
+// warm-up window runs first, so the measured ones reuse its table.
+func BenchmarkWindowWideSymKeys(b *testing.B) {
+	const keys = 100_000
+	syms := wideSyms(keys)
+	fired := 0
+	op := symCountOp(keys, &fired)
+	tm := engine.NewTimers()
+	op.(engine.TimerAware).SetTimers(tm)
+	th := op.(engine.TimerHandler)
+	fire := func(at int64) error { return th.OnTimer(nil, engine.EventTimer, at) }
+	in := &tuple.Tuple{}
+	var add, drain time.Duration
+	window := func(w int64) {
+		t0 := time.Now()
+		for i, s := range syms {
+			in.Reset()
+			in.AppendSym(s)
+			in.Event = w*keys + int64(i)
+			if err := op.Process(nil, in); err != nil {
+				b.Fatal(err)
+			}
+		}
+		t1 := time.Now()
+		fired = 0
+		if err := tm.AdvanceWatermark((w+1)*keys, fire); err != nil {
+			b.Fatal(err)
+		}
+		drain += time.Since(t1)
+		add += t1.Sub(t0)
+		if fired != keys {
+			b.Fatalf("window %d fired %d panes, want %d", w, fired, keys)
+		}
+	}
+	window(0)
+	add, drain = 0, 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		window(int64(i + 1))
+	}
+	b.ReportMetric(float64(add.Nanoseconds())/float64(b.N*keys), "add_ns/key")
+	b.ReportMetric(float64(drain.Nanoseconds())/float64(b.N*keys), "fire_ns/key")
 }
