@@ -14,15 +14,17 @@ test:
 	$(GO) test ./...
 
 # race focuses on the concurrent hot path (queue + engine) plus the
-# window/state/checkpoint subsystems and the windowed apps (including
-# the end-to-end kill/restore/replay recovery and rescale tests);
+# window/state/checkpoint subsystems, the windowed apps (including
+# the end-to-end kill/restore/replay recovery and rescale tests) and
+# the Storm-like baseline, which drives every batch-aware operator
+# through its one-row face;
 # `make race-all` covers every package and takes correspondingly
 # longer. Both run with BRISK_VALIDATE_EVERY=1: every tuple is checked
 # against its route's declared schema (engine Config.ValidateEvery), so
 # an operator whose layout drifts after its first emit fails the race
 # suite instead of corrupting state silently.
 race:
-	BRISK_VALIDATE_EVERY=1 $(GO) test -race ./internal/queue/ ./internal/engine/ ./internal/window/ ./internal/state/ ./internal/checkpoint/ ./internal/obs/ ./internal/apps/ .
+	BRISK_VALIDATE_EVERY=1 $(GO) test -race ./internal/queue/ ./internal/engine/ ./internal/window/ ./internal/state/ ./internal/checkpoint/ ./internal/obs/ ./internal/apps/ ./internal/baseline/ .
 
 .PHONY: race-all
 race-all:
@@ -113,7 +115,8 @@ fmt-check:
 # (batches cross edges in shared memory and are never encoded) — so a
 # bounded run on every change is the floor; the window target lets the
 # fuzzer pick window shapes, disorder, keys and batch sizes for the
-# Process ≡ ProcessBatch property. A crasher lands in the package's
+# batch-size invariance property (one-row batches through Process ≡
+# many-row batches through ProcessBatch). A crasher lands in the package's
 # testdata/fuzz/ and fails plain `go test` from then on.
 FUZZTIME ?= 10s
 fuzz-smoke:

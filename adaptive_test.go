@@ -130,7 +130,7 @@ func buildSkewWC(limit, pivot int64, sink *multisetSink) *Topology {
 			KeyField: 0,
 			Size:     512,
 			Init:     func(a *cnt) { *a = cnt{} },
-			Add: func(a *cnt, tp *Tuple) {
+			Add: func(a *cnt, b *Batch, r int) {
 				// Synthetic per-tuple cost: makes the counter the measured
 				// bottleneck once the long sentences arrive, so the
 				// re-optimized plan genuinely wants more counter replicas.

@@ -77,6 +77,14 @@ type Value = tuple.Value
 // doc for the full ownership contract.
 type Tuple = tuple.Tuple
 
+// Batch is a columnar run of rows sharing one stream and layout, the
+// unit every edge carries. A window spec's Add reads row r of one in
+// place (Int, Float, Sym, Str, ...); a tuple fed one at a time arrives
+// as a one-row batch. A batch is valid only during the call that
+// receives it: numbers and symbols read from it may be kept, strings
+// read from string columns are arena views that must be cloned.
+type Batch = tuple.Batch
+
 // Tuple schemas. Streams declare their typed layout at wiring time via
 // Decl.Emits; the engine validates the first tuple of each declared
 // route, so a mis-typed emit fails at its source.
@@ -204,7 +212,10 @@ const (
 type WindowSpan = window.Span
 
 // WindowOp configures a keyed tumbling/sliding window aggregation; see
-// the internal/window package doc for semantics.
+// the internal/window package doc for semantics. Its one accumulate
+// hook, Add, folds row r of a Batch into the accumulator:
+//
+//	Add: func(a *acc, b *briskstream.Batch, r int) { a.sum += b.Float(1, r) },
 type WindowOp[A any] = window.Op[A]
 
 // SessionWindowOp configures keyed session windows.

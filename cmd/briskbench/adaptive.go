@@ -116,7 +116,7 @@ func adaptiveBenchTopology(limit, pivot int64) *briskstream.Topology {
 			KeyField: 0,
 			Size:     512,
 			Init:     func(a *cnt) { *a = cnt{} },
-			Add: func(a *cnt, tp *briskstream.Tuple) {
+			Add: func(a *cnt, b *briskstream.Batch, r int) {
 				// Synthetic per-word cost so the counter is the genuine
 				// bottleneck once the long sentences arrive.
 				h := uint64(1469598103934665603)

@@ -105,7 +105,7 @@ func buildTopology() *briskstream.Topology {
 			KeyField: 0,
 			Size:     512,
 			Init:     func(a *cnt) { a.n = 0 },
-			Add:      func(a *cnt, tp *briskstream.Tuple) { a.n++ },
+			Add:      func(a *cnt, b *briskstream.Batch, r int) { a.n++ },
 			Emit: func(c briskstream.Collector, key briskstream.Key, w briskstream.WindowSpan, a *cnt) {
 				out := c.Borrow()
 				out.AppendKey(key)

@@ -113,7 +113,7 @@ func build() (*briskstream.Topology, *collectSink) {
 			KeyField: 0,
 			Size:     window,
 			Init:     func(a *acc) { a.n = 0 },
-			Add:      func(a *acc, tp *briskstream.Tuple) { a.n++ },
+			Add:      func(a *acc, b *briskstream.Batch, r int) { a.n++ },
 			Emit: func(c briskstream.Collector, key briskstream.Key, w briskstream.WindowSpan, a *acc) {
 				out := c.Borrow()
 				out.AppendKey(key)

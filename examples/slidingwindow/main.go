@@ -80,8 +80,8 @@ func main() {
 			Size:     size,
 			Slide:    slide,
 			Init:     func(a *acc) { *a = acc{} },
-			Add: func(a *acc, tp *briskstream.Tuple) {
-				a.sum += tp.Float(1)
+			Add: func(a *acc, b *briskstream.Batch, r int) {
+				a.sum += b.Float(1, r)
 				a.n++
 			},
 			Emit: func(c briskstream.Collector, key briskstream.Key, w briskstream.WindowSpan, a *acc) {

@@ -79,16 +79,6 @@ func ByName(name string) *App {
 // spouts must not emit identical streams, and runs must be reproducible.
 func rng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// forward re-emits all of t's typed fields on the given stream: the
-// pass-through/dispatcher shape (slot array copy plus arena byte copy,
-// no boxing, no allocation).
-func forward(c engine.Collector, t *tuple.Tuple, stream tuple.StreamID) {
-	out := c.Borrow()
-	out.Stream = stream
-	out.CopyValuesFrom(t)
-	c.Send(out)
-}
-
 // nopSink is the shared discarding sink: the engine does all sink-side
 // accounting (result counts, end-to-end latency), the operator only
 // absorbs input. Batch-aware so sink input edges go columnar — the
@@ -101,20 +91,19 @@ func (nopSink) ProcessBatch(engine.Collector, *tuple.Batch) error { return nil }
 
 // arityParser drops records with fewer than min fields and forwards the
 // rest — the validating-parser shape SD and FD share. Batches are
-// layout-homogeneous (the builder splits on layout change), so the
-// batch path decides once for all rows: too few columns drops the whole
-// batch, otherwise every row forwards.
-type arityParser struct{ min int }
-
-func (p arityParser) Process(c engine.Collector, t *tuple.Tuple) error {
-	if t.Len() < p.min {
-		return nil // drop malformed records
-	}
-	forward(c, t, tuple.DefaultStreamID)
-	return nil
+// layout-homogeneous (the builder splits on layout change), so it
+// decides once for all rows: too few columns drops the whole batch,
+// otherwise every row forwards.
+type arityParser struct {
+	one engine.OneRow
+	min int
 }
 
-func (p arityParser) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
+func (p *arityParser) Process(c engine.Collector, t *tuple.Tuple) error {
+	return p.one.Process(p, c, t)
+}
+
+func (p *arityParser) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
 	if b.Cols() < p.min {
 		return nil
 	}
@@ -122,17 +111,13 @@ func (p arityParser) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
 	return nil
 }
 
-// passOp forwards every input on the default stream: the validating
-// pass-through shape, batch-aware — a columnar input re-emits each row
-// with the row's own metadata.
-type passOp struct{}
+// passOp forwards every input on the default stream, each row with its
+// own metadata: the validating pass-through shape.
+type passOp struct{ one engine.OneRow }
 
-func (passOp) Process(c engine.Collector, t *tuple.Tuple) error {
-	forward(c, t, tuple.DefaultStreamID)
-	return nil
-}
+func (p *passOp) Process(c engine.Collector, t *tuple.Tuple) error { return p.one.Process(p, c, t) }
 
-func (passOp) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
+func (p *passOp) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
 	vec.ForwardAll(c, b, tuple.DefaultStreamID)
 	return nil
 }

@@ -1,18 +1,19 @@
 package apps
 
-// Batch/scalar equivalence: one bounded, deterministic topology run
-// three ways — scalar reference (every operator behind baseline's
-// zero-cost wrapper, which hides ProcessBatch, so every operator's
-// Process body runs on every row), the shipped topology (batch-aware
-// consumers get batches), and the shipped topology traced at every
-// tuple (tracing must not change the output: traced batches take the
-// same path as untraced ones) — must deliver identical sink multisets.
-// WC covers the vectorized filter/tokenize/window-count chain, SD the
-// sliding window's ProcessBatch path and sdSpikeDetect's two bodies, TW
-// the session/window operators that opt out of batches, FD the plain
+// Batch-size invariance: one bounded, deterministic topology run three
+// ways must deliver identical sink multisets. The reference run puts
+// every operator behind baseline's zero-cost wrapper, which hides
+// ProcessBatch, so the engine feeds rows to Process and every
+// batch-aware operator's one body sees one-row batches (engine.OneRow);
+// scalar operators run as always. The shipped run hands batch-aware
+// consumers whole batches, and the traced run is the shipped one traced
+// at every tuple (tracing must not change the output: traced batches
+// take the same path as untraced ones). WC covers the vectorized
+// filter/tokenize/window-count chain, SD the sliding window and
+// sdSpikeDetect, TW the session and global windows, FD the plain
 // stateful path; together they pin the columnar dispatch, consume,
-// punctuation-ordering and row-materialization semantics to the scalar
-// reference.
+// punctuation-ordering and row-materialization semantics to the
+// one-row reference.
 
 import (
 	"testing"
@@ -25,7 +26,7 @@ import (
 type batchMode int
 
 const (
-	scalarRef batchMode = iota // every operator behind the zero-cost wrapper
+	scalarRef batchMode = iota // every operator behind the zero-cost wrapper: one-row batches
 	shipped                    // the topology as the app builds it
 	traced                     // shipped, every tuple traced
 )

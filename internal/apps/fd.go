@@ -165,7 +165,7 @@ func FraudDetection() *App {
 			"spout": func() engine.Spout { return newFDSpout(2000 + fdSpoutSeq.Add(1)) },
 		},
 		Operators: map[string]func() engine.Operator{
-			"parser": func() engine.Operator { return arityParser{min: 2} },
+			"parser": func() engine.Operator { return &arityParser{min: 2} },
 			"predict": func() engine.Operator {
 				return &fdPredict{last: make(map[tuple.Sym]int64)}
 			},

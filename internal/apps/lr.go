@@ -338,39 +338,18 @@ func (o *lrAccidentDetect) Restore(dec *checkpoint.Decoder) error {
 // lrTollNotify computes variable tolls from the latest per-segment
 // statistics and accident flags.
 type lrTollNotify struct {
+	one      engine.OneRow
 	lav      map[int64]float64
 	cnt      map[int64]int64
 	accident map[int64]bool
 }
 
 func (o *lrTollNotify) Process(c engine.Collector, t *tuple.Tuple) error {
-	switch t.Stream {
-	case lrLasID:
-		o.lav[t.Int(0)] = t.Float(1)
-		o.notify(c, t.Int(0), 0.0) // statistics update notification
-	case lrCountsID:
-		o.cnt[t.Int(0)] = t.Int(1)
-		o.notify(c, t.Int(0), 0.0)
-	case lrDetectID:
-		o.accident[t.Int(0)] = true
-		// No toll is charged in accident segments; no notification is
-		// emitted for the detect stream.
-	default: // position report
-		o.notify(c, t.Int(1), o.toll(t.Int(5)))
-	}
-	return nil
+	return o.one.Process(o, c, t)
 }
 
-func (o *lrTollNotify) notify(c engine.Collector, id int64, toll float64) {
-	out := c.Borrow()
-	out.Stream = lrTollID
-	out.AppendInt(id)
-	out.AppendFloat(toll)
-	c.Send(out)
-}
-
-// notifyRow is notify for a batch row: the row's own metadata is
-// stamped before the send (ownership passes to Send).
+// notifyRow emits row r's toll notification, stamped with the row's own
+// metadata (ownership passes to Send).
 func (o *lrTollNotify) notifyRow(c engine.Collector, b *tuple.Batch, r int, id int64, toll float64) {
 	out := c.Borrow()
 	out.Stream = lrTollID
@@ -388,10 +367,10 @@ func (o *lrTollNotify) toll(seg int64) float64 {
 	return 0
 }
 
-// ProcessBatch is the columnar twin of Process: one stream check per
-// batch, then tight per-row loops over the integer columns. Output
-// notifications stamp each row's own metadata (the engine does not
-// stamp ambient context during a vectorized invocation).
+// ProcessBatch makes one stream check per batch, then runs tight per-row
+// loops over the integer columns. Output notifications stamp each row's
+// own metadata (the engine does not stamp ambient context during a
+// vectorized invocation).
 func (o *lrTollNotify) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
 	n := b.Len()
 	switch b.Stream {
@@ -448,30 +427,18 @@ func (o *lrTollNotify) Restore(dec *checkpoint.Decoder) error {
 // lrAccidentNotify notifies vehicles entering a segment with a known
 // accident.
 type lrAccidentNotify struct {
+	one       engine.OneRow
 	accidents map[int64]bool
 }
 
 func (o *lrAccidentNotify) Process(c engine.Collector, t *tuple.Tuple) error {
-	if t.Stream == lrDetectID {
-		o.accidents[t.Int(0)] = true
-		return nil
-	}
-	// Position report: notify vehicles entering a segment with a known
-	// accident (rare).
-	if seg := t.Int(5); o.accidents[seg] {
-		out := c.Borrow()
-		out.Stream = lrNotifyID
-		out.AppendInt(t.Int(1))
-		out.AppendInt(seg)
-		c.Send(out)
-	}
-	return nil
+	return o.one.Process(o, c, t)
 }
 
-// ProcessBatch is the columnar twin of Process: the accident set is
-// usually empty and notifications are rare, so the common case is one
-// map-length check (detect batches) or a tight scan over the segment
-// column that emits nothing.
+// ProcessBatch records a detect batch's segments. The accident set is
+// usually empty and notifications are rare, so a position batch usually
+// costs one map-length check, or a tight scan over the segment column
+// that emits nothing.
 func (o *lrAccidentNotify) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
 	n := b.Len()
 	if b.Stream == lrDetectID {
@@ -538,26 +505,16 @@ func (o *lrAccountBalance) Restore(dec *checkpoint.Decoder) error {
 
 // lrDispatch routes records by type: position reports (the bulk) on
 // lrPosition, the rare balance/daily queries on their own streams.
-type lrDispatch struct{}
+type lrDispatch struct{ one engine.OneRow }
 
-func (lrDispatch) Process(c engine.Collector, t *tuple.Tuple) error {
-	switch t.Int(0) {
-	case lrTypeBalance:
-		forward(c, t, lrBalanceID)
-	case lrTypeDaily:
-		forward(c, t, lrDailyID)
-	default:
-		forward(c, t, lrPositionID)
-	}
-	return nil
-}
+func (d *lrDispatch) Process(c engine.Collector, t *tuple.Tuple) error { return d.one.Process(d, c, t) }
 
 // ProcessBatch splits the batch into per-type selection vectors over
 // the record-type column and bulk-forwards each on its stream — the
 // dominant position selection covers (nearly) every row and rides the
 // collector's batch-to-batch fast path; the rare query selections are
 // only scanned for when the first pass saw a non-position row.
-func (lrDispatch) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
+func (d *lrDispatch) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
 	n := b.Len()
 	sel := vec.Select(b, b.SelScratch(), func(r int) bool {
 		ty := b.Int(0, r)
@@ -577,11 +534,11 @@ func (lrDispatch) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
 }
 
 func lrOperators() map[string]func() engine.Operator {
-	pass := func() engine.Operator { return passOp{} }
+	pass := func() engine.Operator { return &passOp{} }
 	sink := func() engine.Operator { return nopSink{} }
 	return map[string]func() engine.Operator{
 		"parser":     pass,
-		"dispatcher": func() engine.Operator { return lrDispatch{} },
+		"dispatcher": func() engine.Operator { return &lrDispatch{} },
 		"avg_speed": func() engine.Operator {
 			// Per-segment average speed over the trailing lrStatSpan,
 			// refreshed every lrStatSlide — LR's five-minute speed
@@ -595,11 +552,7 @@ func lrOperators() map[string]func() engine.Operator {
 				Size:     lrStatSpan,
 				Slide:    lrStatSlide,
 				Init:     func(a *segStat) { *a = segStat{} },
-				Add: func(a *segStat, t *tuple.Tuple) {
-					a.sum += t.Int(2)
-					a.count++
-				},
-				AddRow: func(a *segStat, b *tuple.Batch, r int) {
+				Add: func(a *segStat, b *tuple.Batch, r int) {
 					a.sum += b.Int(2, r)
 					a.count++
 				},
@@ -645,8 +598,7 @@ func lrOperators() map[string]func() engine.Operator {
 						clear(a.seen)
 					}
 				},
-				Add:    func(a *distinct, t *tuple.Tuple) { a.seen[t.Int(1)] = true },
-				AddRow: func(a *distinct, b *tuple.Batch, r int) { a.seen[b.Int(1, r)] = true },
+				Add: func(a *distinct, b *tuple.Batch, r int) { a.seen[b.Int(1, r)] = true },
 				Emit: func(c engine.Collector, key tuple.Key, w window.Span, a *distinct) {
 					out := c.Borrow()
 					out.Stream = lrCountsID

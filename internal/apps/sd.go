@@ -95,20 +95,14 @@ func (s *sdSpout) SeekTo(offset int64) error {
 }
 
 // sdSpikeDetect emits a signal per closed window whether or not a spike
-// triggered; the batch path reads the peak/avg columns in place.
-type sdSpikeDetect struct{}
+// triggered, reading the peak/avg columns in place.
+type sdSpikeDetect struct{ one engine.OneRow }
 
-func (sdSpikeDetect) Process(c engine.Collector, t *tuple.Tuple) error {
-	peak, avg := t.Float(1), t.Float(2)
-	out := c.Borrow()
-	out.AppendSym(t.Sym(0))
-	out.AppendFloat(peak)
-	out.AppendBool(peak > sdThreshold*avg)
-	c.Send(out)
-	return nil
+func (d *sdSpikeDetect) Process(c engine.Collector, t *tuple.Tuple) error {
+	return d.one.Process(d, c, t)
 }
 
-func (sdSpikeDetect) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
+func (d *sdSpikeDetect) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
 	n := b.Len()
 	for r := 0; r < n; r++ {
 		peak, avg := b.Float(1, r), b.Float(2, r)
@@ -150,7 +144,7 @@ func SpikeDetection() *App {
 			"spout": func() engine.Spout { return newSDSpout(3000 + sdSpoutSeq.Add(1)) },
 		},
 		Operators: map[string]func() engine.Operator{
-			"parser": func() engine.Operator { return arityParser{min: 2} },
+			"parser": func() engine.Operator { return &arityParser{min: 2} },
 			"moving_avg": func() engine.Operator {
 				type stats struct {
 					sum  float64
@@ -162,16 +156,7 @@ func SpikeDetection() *App {
 					Size:     sdWindowSpan,
 					Slide:    sdSlide,
 					Init:     func(a *stats) { *a = stats{} },
-					Add: func(a *stats, t *tuple.Tuple) {
-						v := t.Float(1)
-						a.sum += v
-						a.n++
-						if v > a.peak {
-							a.peak = v
-						}
-					},
-					// Add's fold, reading the value column in place.
-					AddRow: func(a *stats, b *tuple.Batch, r int) {
+					Add: func(a *stats, b *tuple.Batch, r int) {
 						v := b.Float(1, r)
 						a.sum += v
 						a.n++
@@ -200,7 +185,7 @@ func SpikeDetection() *App {
 					},
 				})
 			},
-			"spike_detect": func() engine.Operator { return sdSpikeDetect{} },
+			"spike_detect": func() engine.Operator { return &sdSpikeDetect{} },
 			"sink":         func() engine.Operator { return nopSink{} },
 		},
 		Schemas: map[string]map[string]*tuple.Schema{

@@ -142,7 +142,7 @@ func TrendingWords() *App {
 					KeyField: 0,
 					Gap:      twGap,
 					Init:     func(a *mentions) { a.n = 0 },
-					Add:      func(a *mentions, t *tuple.Tuple) { a.n++ },
+					Add:      func(a *mentions, b *tuple.Batch, r int) { a.n++ },
 					Merge:    func(dst, src *mentions) { dst.n += src.n },
 					Emit: func(c engine.Collector, key tuple.Key, w window.Span, a *mentions) {
 						out := c.Borrow()
@@ -167,11 +167,11 @@ func TrendingWords() *App {
 					KeyField: -1, // global: rank across all words
 					Size:     twRankWindow,
 					Init:     func(a *board) { a.items = a.items[:0] },
-					Add: func(a *board, t *tuple.Tuple) {
+					Add: func(a *board, b *tuple.Batch, r int) {
 						// The word is a symbol, so Str returns the stable
 						// interned name — safe to keep in the accumulator
 						// without cloning.
-						a.items = append(a.items, entry{word: t.Str(0), mentions: t.Int(1)})
+						a.items = append(a.items, entry{word: b.Str(0, r), mentions: b.Int(1, r)})
 					},
 					Save: func(enc *checkpoint.Encoder, a *board) {
 						// Board entries are encoded in arrival order; the

@@ -109,20 +109,14 @@ func (s *wcSpout) SeekTo(offset int64) error {
 }
 
 // wcParser drops invalid (empty) sentences, selectivity 1 on this
-// workload. The batch path runs a selection-vector filter: one pass
-// marks the surviving rows, one pass forwards them — dropped rows are
-// never materialized.
-type wcParser struct{}
+// workload, with a selection-vector filter: one pass marks the
+// surviving rows, one pass forwards them — dropped rows are never
+// materialized.
+type wcParser struct{ one engine.OneRow }
 
-func (wcParser) Process(c engine.Collector, t *tuple.Tuple) error {
-	if len(t.Str(0)) == 0 {
-		return nil // drop invalid tuples
-	}
-	forward(c, t, tuple.DefaultStreamID)
-	return nil
-}
+func (p *wcParser) Process(c engine.Collector, t *tuple.Tuple) error { return p.one.Process(p, c, t) }
 
-func (wcParser) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
+func (p *wcParser) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
 	sel := vec.SelectStrNonEmpty(b, 0, b.SelScratch())
 	vec.ForwardSel(c, b, sel, tuple.DefaultStreamID)
 	return nil
@@ -130,33 +124,14 @@ func (wcParser) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
 
 // wcSplitter tokenizes each sentence in place and emits every word as
 // an interned symbol: no strings.Fields slice, no per-word boxing — the
-// whole split path is allocation-free. The batch path reads the
-// sentence column straight out of the shared arena (one contiguous
-// byte run per batch) and stamps each word with its source row's
-// metadata.
-type wcSplitter struct{}
+// whole split path is allocation-free. It reads the sentence column
+// straight out of the batch arena (one contiguous byte run per batch)
+// and stamps each word with its source row's metadata.
+type wcSplitter struct{ one engine.OneRow }
 
-func (wcSplitter) Process(c engine.Collector, t *tuple.Tuple) error {
-	sentence := t.Str(0)
-	for i := 0; i < len(sentence); {
-		for i < len(sentence) && sentence[i] == ' ' {
-			i++
-		}
-		start := i
-		for i < len(sentence) && sentence[i] != ' ' {
-			i++
-		}
-		if i == start {
-			continue
-		}
-		out := c.Borrow()
-		out.AppendSym(tuple.InternSym(sentence[start:i]))
-		c.Send(out)
-	}
-	return nil
-}
+func (s *wcSplitter) Process(c engine.Collector, t *tuple.Tuple) error { return s.one.Process(s, c, t) }
 
-func (wcSplitter) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
+func (s *wcSplitter) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
 	n := b.Len()
 	for r := 0; r < n; r++ {
 		sentence := b.Str(0, r)
@@ -212,16 +187,15 @@ func WordCount() *App {
 			"spout": func() engine.Spout { return newWCSpout(1000 + wcSpoutSeq.Add(1)) },
 		},
 		Operators: map[string]func() engine.Operator{
-			"parser":   func() engine.Operator { return wcParser{} },
-			"splitter": func() engine.Operator { return wcSplitter{} },
+			"parser":   func() engine.Operator { return &wcParser{} },
+			"splitter": func() engine.Operator { return &wcSplitter{} },
 			"counter": func() engine.Operator {
 				type count struct{ n int64 }
 				return window.New(window.Op[count]{
 					KeyField: 0,
 					Size:     wcWindow,
 					Init:     func(a *count) { a.n = 0 },
-					Add:      func(a *count, t *tuple.Tuple) { a.n++ },
-					AddRow:   func(a *count, b *tuple.Batch, r int) { a.n++ },
+					Add:      func(a *count, b *tuple.Batch, r int) { a.n++ },
 					Emit: func(c engine.Collector, key tuple.Key, w window.Span, a *count) {
 						out := c.Borrow()
 						out.AppendKey(key)

@@ -32,10 +32,11 @@ type EngineClass struct {
 // OnEngine returns the topology and engine configuration that run topo
 // as this system would: every operator is wrapped so that it pays the
 // system's EngineClass on each input tuple before its own Process. The
-// wrapper implements only Process, so the engine wires every edge into
-// it pointer-passing — exactly what a distributed engine does — and the
-// sink multiset stays that of the plain run. The zero System is
-// therefore the scalar reference execution of a vectorized topology.
+// wrapper implements only Process, so the engine feeds it one row at a
+// time and a batch-aware inner operator sees one-row batches through
+// its Process face (engine.OneRow); the sink multiset stays that of
+// the plain run. The zero System is therefore the one-row reference
+// execution of a vectorized topology.
 func (s System) OnEngine(topo engine.Topology) (engine.Topology, engine.Config) {
 	k := s.Engine
 	ops := make(map[string]func() engine.Operator, len(topo.Operators))

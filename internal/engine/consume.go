@@ -9,20 +9,6 @@ import (
 	"briskstream/internal/tuple"
 )
 
-// batchOperator returns op's vectorized form, or nil when its input
-// must go through the row adapter: a scalar operator, or a
-// BatchOperator whose BatchGater declines.
-func batchOperator(op Operator) BatchOperator {
-	bop, ok := op.(BatchOperator)
-	if !ok {
-		return nil
-	}
-	if g, ok := op.(BatchGater); ok && !g.WantsBatches() {
-		return nil
-	}
-	return bop
-}
-
 // consumeJumbo processes one received jumbo: the batch goes to the
 // operator through consumeBatch, then the header's control record, if
 // any, to the watermark fan-in merge or the checkpoint alignment
@@ -150,8 +136,8 @@ func (e *Engine) invokeOperator(t *task, c *collector, in *tuple.Tuple, qwait in
 	return c.fail
 }
 
-// consumeBatch processes the batch of a received jumbo. A willing
-// BatchOperator (see batchOperator) gets the whole batch in one
+// consumeBatch processes the batch of a received jumbo. A task with a
+// vectorized face (task.batchOp) gets the whole batch in one
 // ProcessBatch call — the vectorized path, traced rows included.
 // Everything else goes through the row adapter: each row is copied into
 // the task's one input tuple and handed to Process.
@@ -160,7 +146,7 @@ func (e *Engine) consumeBatch(t *task, c *collector, b *tuple.Batch, qwait int64
 	if t.isSink {
 		e.arrived(b)
 	}
-	if bop := batchOperator(t.operator); bop != nil {
+	if bop := t.batchOp; bop != nil {
 		// Vectorized path. Profile sampling covers the whole batch when
 		// the k-th-invocation counter crosses a period boundary inside
 		// it; serviceSamples advances by the row count so the

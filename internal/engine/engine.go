@@ -98,7 +98,7 @@ type OperatorFunc func(c Collector, t *tuple.Tuple) error
 func (f OperatorFunc) Process(c Collector, t *tuple.Tuple) error { return f(c, t) }
 
 // BatchOperator is the vectorized processing interface: an operator
-// that also implements ProcessBatch consumes each received batch (see
+// that implements ProcessBatch consumes each received batch (see
 // tuple.Batch) in one call, iterating its column vectors in tight
 // per-kind loops instead of being invoked once per tuple. The contract
 // mirrors Process:
@@ -113,21 +113,44 @@ func (f OperatorFunc) Process(c Collector, t *tuple.Tuple) error { return f(c, t
 //     punctuation is the trailer of the jumbo header carrying the batch
 //     it follows.
 //
-// Process remains required: it serves the row adapter while a
-// BatchGater declines batches, and decorators that drive the operator
-// one row at a time (the Storm-like baseline). Traced batches take
-// ProcessBatch like any other; the engine records their per-row spans.
+// ProcessBatch is the operator's one body. Process is its one-row
+// face, OneRow.Process: decorators that drive an operator a tuple at a
+// time (the Storm-like baseline, fused pairs, isolated profiling) reach
+// ProcessBatch through it. Traced batches take ProcessBatch like any
+// other; the engine records their per-row spans.
 type BatchOperator interface {
 	Operator
 	ProcessBatch(c Collector, b *tuple.Batch) error
 }
 
-// BatchGater lets a BatchOperator decline vectorized delivery: while
+// OneRow is the one-row face every batch-aware operator shares: it
+// keeps ProcessBatch as its only body and implements Process as
+//
+//	func (o *op) Process(c engine.Collector, t *tuple.Tuple) error { return o.one.Process(o, c, t) }
+//
+// The zero value is ready; the scratch batch is allocated on first use,
+// so a task the engine feeds whole batches never allocates one.
+type OneRow struct{ b *tuple.Batch }
+
+// Process resets the scratch batch, appends t (adopting its stream,
+// layout and header metadata) and hands the one-row batch to
+// op.ProcessBatch.
+func (o *OneRow) Process(op BatchOperator, c Collector, t *tuple.Tuple) error {
+	if o.b == nil {
+		o.b = tuple.NewBatch(1)
+	}
+	o.b.Reset()
+	o.b.Append(t)
+	return op.ProcessBatch(c, o.b)
+}
+
+// BatchGater lets a BatchOperator decline vectorized delivery: when
 // WantsBatches reports false the engine feeds it through the row
-// adapter like a scalar operator — the right call when ProcessBatch
-// would only loop over Process anyway, e.g. a window without an AddRow
-// hook. Operators without this method get ProcessBatch
-// whenever they implement BatchOperator.
+// adapter like a scalar operator. The engine reads it once, at New. No
+// operator needs it any more; it stays for decorators that wrap scalar
+// and batch-aware operators alike and must not turn a scalar one
+// columnar. Operators without this method get ProcessBatch whenever
+// they implement BatchOperator.
 type BatchGater interface {
 	WantsBatches() bool
 }
@@ -325,9 +348,12 @@ type task struct {
 	// watermark advances, processing-time timers (and the engine's own
 	// jumbo linger flushes) fired by the wall clock, all on this task's
 	// goroutine. onTimer is the operator or spout as a TimerHandler (nil
-	// if it is not one), resolved once at New.
+	// if it is not one), and batchOp the operator's vectorized face (nil:
+	// the row adapter feeds it Process; see consumeBatch), both resolved
+	// once at New.
 	tm      *Timers
 	onTimer TimerHandler
+	batchOp BatchOperator
 	// wmIn/idleIn track the low watermark (and idleness) last received
 	// from each producer task, indexed by producer task id; the task's
 	// own watermark is the min over its non-idle producers. prods lists
@@ -630,6 +656,11 @@ func New(topo Topology, cfg Config) (*Engine, error) {
 			ta.SetTimers(t.tm)
 		}
 		t.onTimer, _ = t.operator.(TimerHandler)
+		if bop, ok := t.operator.(BatchOperator); ok {
+			if g, ok := t.operator.(BatchGater); !ok || g.WantsBatches() {
+				t.batchOp = bop
+			}
+		}
 		if t.spout != nil {
 			t.onTimer, _ = t.spout.(TimerHandler)
 		}

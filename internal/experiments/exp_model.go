@@ -145,7 +145,10 @@ type OpProfile struct {
 // 3.1): every operator of a runs alone, in topological order, on up to
 // `samples` input tuples prepared by the operators upstream of it
 // (spouts are timed over `samples` Next calls), and each invocation's
-// duration, input size and output count is recorded. An operator no
+// duration, input size and output count is recorded. Operators are
+// invoked one tuple at a time through Process, so a batch-aware
+// operator is timed on its one-row face (engine.OneRow): each sample
+// includes copying the tuple into a one-row batch. An operator no
 // sample input reaches comes back with an empty profile.
 func ProfileIsolated(a *apps.App, samples int) ([]OpProfile, error) {
 	order, err := a.Graph.TopoSort()

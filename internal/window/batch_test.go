@@ -1,11 +1,12 @@
 package window
 
-// Vectorized-path equivalence as a property: one event stream fed per
-// tuple (Process) and per columnar batch (ProcessBatch) must produce
-// identical emissions and drop the same number of late tuples, for
-// randomly drawn window sizes and slides, lateness, watermark lag,
-// event-time disorder, key cardinalities and batch sizes.
-// FuzzWindowBatchEquivalence lets the fuzzer draw them.
+// Batch-size invariance as a property: one event stream fed per tuple
+// (Process, which hands ProcessBatch one-row batches) and in columnar
+// batches of many rows (ProcessBatch) must produce identical emissions
+// and drop the same number of late tuples, for randomly drawn window
+// sizes and slides, lateness, watermark lag, event-time disorder, key
+// cardinalities and batch sizes. FuzzWindowBatchEquivalence lets the
+// fuzzer draw them.
 
 import (
 	"fmt"
@@ -15,27 +16,6 @@ import (
 	"briskstream/internal/engine"
 	"briskstream/internal/tuple"
 )
-
-func countOpBatch(size, slide, lateness int64, out *[]emission) engine.Operator {
-	return New(Op[countAcc]{
-		KeyField: 0,
-		Size:     size,
-		Slide:    slide,
-		Lateness: lateness,
-		Init:     func(a *countAcc) { *a = countAcc{} },
-		Add: func(a *countAcc, t *tuple.Tuple) {
-			a.count++
-			a.sum += t.Int(1)
-		},
-		AddRow: func(a *countAcc, b *tuple.Batch, r int) {
-			a.count++
-			a.sum += b.Int(1, r)
-		},
-		Emit: func(c engine.Collector, key tuple.Key, w Span, a *countAcc) {
-			*out = append(*out, emission{key: key, w: w, count: a.count, sum: a.sum})
-		},
-	})
-}
 
 // feedBatches drives events through ProcessBatch in batches of
 // batchRows, advancing the watermark between batches like feed does
@@ -122,8 +102,8 @@ func newEquivCase(seed int64, size, slide, lateness, lag, disorder, batch uint8,
 func checkBatchEquivalence(t *testing.T, c equivCase) uint64 {
 	t.Helper()
 	var scalar, batched []emission
-	sop := countOpBatch(c.size, c.slide, c.lateness, &scalar)
-	bop := countOpBatch(c.size, c.slide, c.lateness, &batched)
+	sop := countOp(c.size, c.slide, c.lateness, &scalar)
+	bop := countOp(c.size, c.slide, c.lateness, &batched)
 	feed(t, sop, c.events, c.batch, c.lag)
 	feedBatches(t, bop, c.events, c.batch, c.lag)
 	if len(scalar) != len(batched) {

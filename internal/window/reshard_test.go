@@ -148,7 +148,7 @@ func TestReshardRejectsMissingCodecsAndBadCounts(t *testing.T) {
 	bad := New(Op[countAcc]{
 		KeyField: 0, Size: 100,
 		Init: func(a *countAcc) { *a = countAcc{} },
-		Add:  func(a *countAcc, t *tuple.Tuple) { a.count++ },
+		Add:  func(a *countAcc, b *tuple.Batch, r int) { a.count++ },
 		Emit: func(c engine.Collector, key tuple.Key, w Span, a *countAcc) {},
 	}).(checkpoint.Resharder)
 	if _, err := bad.Reshard(nil, 2); err == nil {

@@ -1,6 +1,7 @@
 package window
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -26,8 +27,9 @@ type SessionOp[A any] struct {
 	Lateness int64
 	// Init resets a (possibly recycled) accumulator.
 	Init func(acc *A)
-	// Add folds one tuple into the accumulator.
-	Add func(acc *A, t *tuple.Tuple)
+	// Add folds row r of a batch into the accumulator — the spec's one
+	// accumulate hook, as Op.Add.
+	Add func(acc *A, b *tuple.Batch, r int)
 	// Merge folds src into dst when a bridging event fuses two
 	// sessions. src is recycled afterward.
 	Merge func(dst, src *A)
@@ -61,6 +63,7 @@ type sessList[A any] struct {
 type skBucket struct{ keys []tuple.Key }
 
 type sessionOp[A any] struct {
+	one    engine.OneRow
 	cfg    SessionOp[A]
 	tm     *engine.Timers
 	byKey  *state.Map[tuple.Key, sessList[A]]
@@ -97,84 +100,86 @@ func (op *sessionOp[A]) watermark() int64 {
 	return op.tm.Watermark()
 }
 
-// Process implements engine.Operator: place the event's own [et,
-// et+Gap) proto-session, merging every open session it overlaps.
+// Process implements engine.Operator: t takes ProcessBatch's path as
+// a one-row batch.
 func (op *sessionOp[A]) Process(c engine.Collector, t *tuple.Tuple) error {
-	et := t.Event
-	var key tuple.Key
-	if op.cfg.KeyField >= 0 {
-		if op.cfg.KeyField >= t.Len() {
-			return fmt.Errorf("window: key field %d but tuple has %d values", op.cfg.KeyField, t.Len())
+	return op.one.Process(op, c, t)
+}
+
+// ProcessBatch implements engine.BatchOperator: each row, in order,
+// places its event's [et, et+Gap) proto-session, merging every open
+// session of its key it overlaps. The watermark is read once: it only
+// advances between batches.
+func (op *sessionOp[A]) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
+	if op.cfg.KeyField >= 0 && op.cfg.KeyField >= b.Cols() {
+		return fmt.Errorf("window: key field %d but batch has %d columns", op.cfg.KeyField, b.Cols())
+	}
+	wm := op.watermark()
+	for r := 0; r < b.Len(); r++ {
+		et := b.Event(r)
+		if et+op.cfg.Gap+op.cfg.Lateness <= wm {
+			// Even a session containing only this event would already
+			// have fired; any session it could have extended has, too.
+			op.late++
+			continue
 		}
-		key = t.Key(op.cfg.KeyField)
-	}
-	if et+op.cfg.Gap+op.cfg.Lateness <= op.watermark() {
-		// Even a session containing only this event would already have
-		// fired; any session it could have extended has, too.
-		op.late++
-		return nil
-	}
-
-	sl := op.byKey.Get(key)
-	if sl == nil {
-		// New key: canonicalize the borrowed key before it is stored (a
-		// no-op, and allocation-free, for every non-string kind).
-		key = key.Canon()
-		sl, _ = op.byKey.GetOrCreate(key)
-		sl.s = sl.s[:0]
-		sl.key = key
-	}
-	// Build the event's [et, et+Gap) proto-session in a claimed slot at
-	// the end of the key's list — not in a local, which would escape to
-	// the heap through the Init/Add calls. Reviving recycled capacity
-	// (rather than appending a zero value) hands Init an accumulator
-	// with its previous life's internals, per the pooling contract.
-	n := len(sl.s)
-	if cap(sl.s) > n {
-		sl.s = sl.s[:n+1]
-	} else {
-		sl.s = append(sl.s, session[A]{})
-	}
-	ns := &sl.s[n]
-	ns.start, ns.end = et, et+op.cfg.Gap
-	op.cfg.Init(&ns.acc)
-	op.cfg.Add(&ns.acc, t)
-
-	// Merge overlapping sessions (at most a contiguous run, list is
-	// sorted by start), compacting the kept prefix in place.
-	// Accumulators merge in start order so the result is
-	// permutation-independent for commutative aggregates.
-	kept := sl.s[:0]
-	for i := 0; i < n; i++ {
-		s := &sl.s[i]
-		if s.start < ns.end && ns.start < s.end {
-			if s.start < ns.start {
-				// s precedes: fold ns into s's position keeping order.
-				op.cfg.Merge(&s.acc, &ns.acc)
-				ns.acc = s.acc
-				ns.start = s.start
-			} else {
-				op.cfg.Merge(&ns.acc, &s.acc)
-			}
-			if s.end > ns.end {
-				ns.end = s.end
-			}
+		var key tuple.Key
+		if op.cfg.KeyField >= 0 {
+			key = b.Key(op.cfg.KeyField, r)
+		}
+		sl := op.byKey.Get(key)
+		if sl == nil {
+			// New key: canonicalize the borrowed key before it is stored (a
+			// no-op, and allocation-free, for every non-string kind).
+			key = key.Canon()
+			sl, _ = op.byKey.GetOrCreate(key)
+			sl.s = sl.s[:0]
+			sl.key = key
+		}
+		// Build the event's [et, et+Gap) proto-session in a claimed slot at
+		// the end of the key's list — not in a local, which would escape to
+		// the heap through the Init/Add calls. Reviving recycled capacity
+		// (rather than appending a zero value) hands Init an accumulator
+		// with its previous life's internals, per the pooling contract.
+		n := len(sl.s)
+		if cap(sl.s) > n {
+			sl.s = sl.s[:n+1]
 		} else {
-			kept = append(kept, *s)
+			sl.s = append(sl.s, session[A]{})
 		}
+		ns := &sl.s[n]
+		ns.start, ns.end = et, et+op.cfg.Gap
+		op.cfg.Init(&ns.acc)
+		op.cfg.Add(&ns.acc, b, r)
+
+		// Merge overlapping sessions (at most a contiguous run, list is
+		// sorted by start), compacting the kept prefix in place.
+		// Accumulators merge in start order so the result is
+		// permutation-independent for commutative aggregates.
+		kept := sl.s[:0]
+		for i := 0; i < n; i++ {
+			s := &sl.s[i]
+			if s.start < ns.end && ns.start < s.end {
+				if s.start < ns.start {
+					// s precedes: fold ns into s's position keeping order.
+					op.cfg.Merge(&s.acc, &ns.acc)
+					ns.acc = s.acc
+					ns.start = s.start
+				} else {
+					op.cfg.Merge(&ns.acc, &s.acc)
+				}
+				if s.end > ns.end {
+					ns.end = s.end
+				}
+			} else {
+				kept = append(kept, *s)
+			}
+		}
+		merged := *ns
+		sl.s = append(kept, merged)
+		slices.SortFunc(sl.s, func(x, y session[A]) int { return cmp.Compare(x.start, y.start) })
+		op.scheduleFire(sl.key, merged.end+op.cfg.Lateness)
 	}
-	merged := *ns
-	sl.s = append(kept, merged)
-	slices.SortFunc(sl.s, func(a, b session[A]) int {
-		switch {
-		case a.start < b.start:
-			return -1
-		case a.start > b.start:
-			return 1
-		}
-		return 0
-	})
-	op.scheduleFire(sl.key, merged.end+op.cfg.Lateness)
 	return nil
 }
 

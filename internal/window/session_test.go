@@ -16,9 +16,9 @@ func sessionCountOp(gap, lateness int64, out *[]emission) engine.Operator {
 		Gap:      gap,
 		Lateness: lateness,
 		Init:     func(a *countAcc) { *a = countAcc{} },
-		Add: func(a *countAcc, t *tuple.Tuple) {
+		Add: func(a *countAcc, b *tuple.Batch, r int) {
 			a.count++
-			a.sum += t.Int(1)
+			a.sum += b.Int(1, r)
 		},
 		Merge: func(dst, src *countAcc) {
 			dst.count += src.count

@@ -24,9 +24,9 @@ func snapCountOp(size, slide, lateness int64, out *[]emission) engine.Operator {
 		Slide:    slide,
 		Lateness: lateness,
 		Init:     func(a *countAcc) { *a = countAcc{} },
-		Add: func(a *countAcc, t *tuple.Tuple) {
+		Add: func(a *countAcc, b *tuple.Batch, r int) {
 			a.count++
-			a.sum += t.Int(1)
+			a.sum += b.Int(1, r)
 		},
 		Emit: func(c engine.Collector, key tuple.Key, w Span, a *countAcc) {
 			*out = append(*out, emission{key: key, w: w, count: a.count, sum: a.sum})
@@ -187,7 +187,7 @@ func snapSessionOp(gap, lateness int64, out *[]sessEmission) engine.Operator {
 		Gap:      gap,
 		Lateness: lateness,
 		Init:     func(a *acc) { a.n = 0 },
-		Add:      func(a *acc, t *tuple.Tuple) { a.n++ },
+		Add:      func(a *acc, b *tuple.Batch, r int) { a.n++ },
 		Merge:    func(dst, src *acc) { dst.n += src.n },
 		Emit: func(c engine.Collector, key tuple.Key, w Span, a *acc) {
 			*out = append(*out, sessEmission{key: key, w: w, n: a.n})
@@ -343,7 +343,7 @@ func TestValidateSnapshotReportsMissingCodecs(t *testing.T) {
 	badS := NewSession(SessionOp[struct{ n int64 }]{
 		KeyField: 0, Gap: 8,
 		Init:  func(a *struct{ n int64 }) {},
-		Add:   func(a *struct{ n int64 }, t *tuple.Tuple) {},
+		Add:   func(a *struct{ n int64 }, b *tuple.Batch, r int) {},
 		Merge: func(dst, src *struct{ n int64 }) {},
 		Emit:  func(c engine.Collector, key tuple.Key, w Span, a *struct{ n int64 }) {},
 	})

@@ -13,22 +13,24 @@
 //
 // # Mechanics
 //
-// A window operator implements engine.Operator plus the engine's
-// TimerAware/TimerHandler hooks. Process (one tuple) and ProcessBatch
-// (one columnar batch) do the same thing per row: compute the windows
-// covering the row's event timestamp, skip those that already fired,
-// fetch each remaining (key, window) pane's accumulator from the pane
-// table of the window's fire time (end + allowed lateness; recycled
-// tables make this allocation-free in steady state) and fold the row
-// straight into it. The first pane of a fire time registers an
-// event-time timer there; when the task's watermark passes it, the
-// engine calls OnTimer on the task goroutine and the operator drains
-// that fire time's table whole, emitting its panes in first-touch
-// order, then recycles it. Fire times themselves fire in ascending
-// order. (SessionOp still fires each instant in ascending key order.)
-// A row arriving behind the watermark skips panes that already fired;
-// one none of whose windows remain open is dropped and counted
-// (LateCount).
+// A window operator implements engine.BatchOperator plus the engine's
+// TimerAware/TimerHandler hooks. ProcessBatch is its one body: for each
+// row of a columnar batch it computes the windows covering the row's
+// event timestamp, skips those that already fired, fetches each
+// remaining (key, window) pane's accumulator from the pane table of the
+// window's fire time (end + allowed lateness; recycled tables make this
+// allocation-free in steady state) and folds the row straight into it
+// with the spec's one accumulate hook, Add, which reads the row's
+// columns in place. Process is the shared one-row face
+// (engine.OneRow): a tuple fed one at a time travels as a one-row
+// batch. The first pane of a fire time registers an event-time timer
+// there; when the task's watermark passes it, the engine calls OnTimer
+// on the task goroutine and the operator drains that fire time's table
+// whole, emitting its panes in first-touch order, then recycles it.
+// Fire times themselves fire in ascending order. (SessionOp still fires
+// each instant in ascending key order.) A row arriving behind the
+// watermark skips panes that already fired; one none of whose windows
+// remain open is dropped and counted (LateCount).
 //
 // Operators without a timer service (isolated profiling harnesses) can
 // still run: windows accumulate and are drained explicitly via
@@ -71,10 +73,13 @@ type Op[A any] struct {
 	Lateness int64
 	// Init resets a (possibly recycled) accumulator.
 	Init func(acc *A)
-	// Add folds one tuple into the accumulator. The tuple is only valid
-	// during the call (the engine recycles it); values read out of it
-	// are immutable and may be kept.
-	Add func(acc *A, t *tuple.Tuple)
+	// Add folds row r of a batch into the accumulator, reading the
+	// batch's columns in place. It is the spec's one accumulate hook:
+	// the engine delivers batches, and a tuple fed through Process
+	// arrives as a one-row batch. The batch is only valid during the
+	// call: numbers and symbols read from it may be kept, string views
+	// (Batch.Str on a string column) must be cloned.
+	Add func(acc *A, b *tuple.Batch, r int)
 	// Emit publishes one completed window. The key is the typed group
 	// key (KindNone for global windows); re-emit it with
 	// Tuple.AppendKey. Emissions inherit the firing watermark as their
@@ -91,16 +96,6 @@ type Op[A any] struct {
 	// aggregates identically.
 	Save func(enc *checkpoint.Encoder, acc *A)
 	Load func(dec *checkpoint.Decoder, acc *A) error
-
-	// AddRow folds row r of a batch into a window's accumulator, reading
-	// the batch's columns in place; optional. With it set the engine
-	// delivers the operator's input as columnar batches (ProcessBatch);
-	// without it the operator reports WantsBatches false and is fed one
-	// row at a time through Process. AddRow must leave the accumulator
-	// exactly as Add would for the same row as a tuple — the
-	// batch/scalar equivalence tests hold operators to this. The batch
-	// is only valid during the call.
-	AddRow func(acc *A, b *tuple.Batch, row int)
 }
 
 // winKey identifies one (key, window start) accumulator in snapshot
@@ -210,6 +205,7 @@ type paneRef[A any] struct {
 
 // windowOp is the runtime for Op.
 type windowOp[A any] struct {
+	one    engine.OneRow
 	cfg    Op[A]
 	tm     *engine.Timers
 	byFire map[int64]*panes[A]
@@ -257,13 +253,12 @@ func (op *windowOp[A]) fireAt(start int64) int64 {
 }
 
 // pane returns the accumulator of the window (key, start), opening it
-// on first touch. This is the one new-window protocol Process,
-// ProcessBatch and Restore share: the key — possibly a view into a
-// tuple's or batch's arena — is canonicalized before the state outlives
-// it (a clone for string keys, free for every other kind: intern hot
-// string keys as symbols), the accumulator is Init-reset, and the pane
-// joins the table of its fire time, whose event timer is registered
-// when the table opens.
+// on first touch. This is the one new-window protocol ProcessBatch and
+// Restore share: the key — possibly a view into a batch's arena — is
+// canonicalized before the state outlives it (a clone for string keys,
+// free for every other kind: intern hot string keys as symbols), the
+// accumulator is Init-reset, and the pane joins the table of its fire
+// time, whose event timer is registered when the table opens.
 func (op *windowOp[A]) pane(key tuple.Key, start int64) *A {
 	p := op.table(start)
 	i, slot := p.lookup(key)
@@ -295,45 +290,18 @@ func (op *windowOp[A]) table(start int64) *panes[A] {
 	return p
 }
 
-// Process implements engine.Operator: the tuple folds into the pane of
-// every window covering its event time — the starts in (et-Size, et] on
-// the Slide grid — that has not fired yet.
+// Process implements engine.Operator: t takes ProcessBatch's path as
+// a one-row batch.
 func (op *windowOp[A]) Process(c engine.Collector, t *tuple.Tuple) error {
-	var key tuple.Key
-	if op.cfg.KeyField >= 0 {
-		if op.cfg.KeyField >= t.Len() {
-			return fmt.Errorf("window: key field %d but tuple has %d values", op.cfg.KeyField, t.Len())
-		}
-		key = t.Key(op.cfg.KeyField)
-	}
-	wm, et := op.watermark(), t.Event
-	accepted := false
-	for start := floorDiv(et, op.cfg.Slide) * op.cfg.Slide; start > et-op.cfg.Size; start -= op.cfg.Slide {
-		if op.fireAt(start) > wm {
-			op.cfg.Add(op.pane(key, start), t)
-			accepted = true
-		}
-	}
-	if !accepted {
-		op.late++ // every window covering the tuple had fired: it is dropped
-	}
-	return nil
+	return op.one.Process(op, c, t)
 }
 
-// WantsBatches implements engine.BatchGater: without an AddRow hook
-// ProcessBatch could only copy each row out and run Process on it, so
-// the operator asks the engine to feed it rows instead.
-func (op *windowOp[A]) WantsBatches() bool { return op.cfg.AddRow != nil }
-
-// ProcessBatch implements engine.BatchOperator: each row takes
-// Process's path — AddRow into the pane of every covering window that
-// has not fired — with its key and event time read from the batch's
-// columns in place. The watermark is read once: it only advances
-// between batches, never inside one.
+// ProcessBatch implements engine.BatchOperator: each row folds into the
+// pane of every window covering its event time — the starts in
+// (et-Size, et] on the Slide grid — that has not fired yet, with its key
+// and event time read from the batch's columns in place. The watermark
+// is read once: it only advances between batches, never inside one.
 func (op *windowOp[A]) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
-	if !op.WantsBatches() {
-		return fmt.Errorf("window: batch delivered to an operator without an AddRow hook")
-	}
 	if op.cfg.KeyField >= 0 && op.cfg.KeyField >= b.Cols() {
 		return fmt.Errorf("window: key field %d but batch has %d columns", op.cfg.KeyField, b.Cols())
 	}
@@ -347,7 +315,7 @@ func (op *windowOp[A]) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
 		accepted := false
 		for start := floorDiv(et, op.cfg.Slide) * op.cfg.Slide; start > et-op.cfg.Size; start -= op.cfg.Slide {
 			if op.fireAt(start) > wm {
-				op.cfg.AddRow(op.pane(key, start), b, r)
+				op.cfg.Add(op.pane(key, start), b, r)
 				accepted = true
 			}
 		}

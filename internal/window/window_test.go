@@ -44,9 +44,9 @@ func countOp(size, slide, lateness int64, out *[]emission) engine.Operator {
 		Slide:    slide,
 		Lateness: lateness,
 		Init:     func(a *countAcc) { *a = countAcc{} },
-		Add: func(a *countAcc, t *tuple.Tuple) {
+		Add: func(a *countAcc, b *tuple.Batch, r int) {
 			a.count++
-			a.sum += t.Int(1)
+			a.sum += b.Int(1, r)
 		},
 		Emit: func(c engine.Collector, key tuple.Key, w Span, a *countAcc) {
 			*out = append(*out, emission{key: key, w: w, count: a.count, sum: a.sum})
@@ -455,8 +455,7 @@ func symCountOp(size int64, fired *int) engine.Operator {
 		KeyField: 0,
 		Size:     size,
 		Init:     func(a *int64) { *a = 0 },
-		Add:      func(a *int64, t *tuple.Tuple) { *a++ },
-		AddRow:   func(a *int64, b *tuple.Batch, r int) { *a++ },
+		Add:      func(a *int64, b *tuple.Batch, r int) { *a++ },
 		Emit:     func(c engine.Collector, key tuple.Key, w Span, a *int64) { *fired++ },
 	})
 }
