@@ -89,8 +89,9 @@ race-multicore:
 
 # obs-check is the live-telemetry smoke test CI gates on: it runs the
 # windowed demo app with /metrics served on a loopback port, scrapes
-# /healthz, /metrics and /events mid-run, and validates every
-# exposition line with the same parser the unit tests use; the second
+# /healthz, /metrics and /events mid-run, validates every exposition
+# line with the same parser the unit tests use, and requires a non-zero
+# brisk_task_service_ns_total on every operator task; the second
 # pass does the same for the tracing surface, validating the /traces
 # invariants (monotonic hop times, topology-only spans, attribution
 # bounded by elapsed time, breakdown summing to the mean e2e).
@@ -126,10 +127,14 @@ fuzz-smoke:
 
 # benchmark/ is its own module (the benchmark of record), so the root
 # ./... does not reach its tests; check runs them explicitly, then the
-# planner and window benchmarks once (bench-planner, bench-window).
+# planner and window benchmarks once (bench-planner, bench-window), the
+# fuzz smoke, the multicore pinned race pass and the live-telemetry
+# gates — the same steps as .github/workflows/ci.yml.
 check: vet fmt-check build
 	BRISK_VALIDATE_EVERY=1 $(GO) test -race ./...
 	$(GO) -C benchmark test ./...
 	$(MAKE) bench-planner
 	$(MAKE) bench-window
 	$(MAKE) fuzz-smoke
+	$(MAKE) race-multicore
+	$(MAKE) obs-check

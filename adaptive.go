@@ -34,9 +34,6 @@ type AdaptiveConfig struct {
 	Stats map[string]OperatorStats
 	// Interval is the profiling/evaluation period (default 200ms).
 	Interval time.Duration
-	// SampleEvery times every k-th operator invocation for live
-	// profiling (default 64).
-	SampleEvery int
 	// Drift is the relative statistics change that counts as stale
 	// (default 0.2); Gain the minimum predicted relative improvement
 	// that justifies a rescale (default 0.1).
@@ -118,10 +115,6 @@ func (t *Topology) runAdaptive(cfg RunConfig) (*RunResult, error) {
 	ecfg.Checkpoint = co
 	ecfg.CheckpointInterval = cfg.CheckpointInterval
 	ecfg.AlignTimeout = cfg.AlignTimeout
-	ecfg.ProfileSampleEvery = ac.SampleEvery
-	if ecfg.ProfileSampleEvery <= 0 {
-		ecfg.ProfileSampleEvery = 64
-	}
 	applyObsEngineConfig(&ecfg, cfg)
 
 	sess, err := startObs(cfg)

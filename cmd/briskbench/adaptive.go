@@ -196,7 +196,6 @@ func adaptiveBench() (*adaptiveBenchRow, error) {
 		Machine:     machine,
 		Stats:       stats,
 		Interval:    50 * time.Millisecond,
-		SampleEvery: 32,
 		MaxRescales: 2,
 	}})
 	if err != nil {

@@ -12,8 +12,9 @@ package main
 // every metric family — task counters, queue depths, watermark lag,
 // checkpoint durations, rolling latency quantiles — carries live data.
 // -obs-check is the CI smoke test: it binds to a free port, waits for
-// real traffic, fetches /healthz, /metrics and /events, and validates
-// the exposition with the same parser the unit tests use. -trace-check
+// real traffic, fetches /healthz, /metrics and /events, validates the
+// exposition with the same parser the unit tests use, and requires
+// every operator task to report service time. -trace-check
 // does the same for the tracing surface: it runs with TraceEvery on,
 // fetches /traces in both formats, and validates the trace invariants
 // (hop times monotonic, spans on topology operators only, queue-wait +
@@ -67,8 +68,8 @@ func runObsDemo(d time.Duration, addr string, ckptEvery time.Duration) error {
 
 // obsSelfCheck runs the demo app on a loopback port, scrapes its own
 // endpoints mid-run, and fails on any HTTP error, malformed exposition
-// line, or missing core metric family. It is the CI gate for the
-// /metrics surface.
+// line, missing core metric family, or operator task without service
+// time. It is the CI gate for the /metrics surface.
 func obsSelfCheck() error {
 	t := adaptiveBenchTopology(obsDemoLimit, obsDemoLimit/2)
 	co := briskstream.NewCheckpointCoordinator(nil)
@@ -140,6 +141,9 @@ func obsSelfCheck() error {
 			return fmt.Errorf("obs-check: /metrics is missing family %s", want)
 		}
 	}
+	if err := checkOperatorsTimed(body); err != nil {
+		return fmt.Errorf("obs-check: %v", err)
+	}
 	events, err := get("/events")
 	if err != nil {
 		return fmt.Errorf("obs-check: %v", err)
@@ -154,6 +158,38 @@ func obsSelfCheck() error {
 		return fmt.Errorf("obs-check: run failed: %v", err)
 	}
 	fmt.Println("obs-check: ok")
+	return nil
+}
+
+// checkOperatorsTimed requires a non-zero brisk_task_service_ns_total
+// for every operator task in a /metrics body. Operator tasks are the
+// ones with an inbox, i.e. a brisk_task_queue_depth series; spouts have
+// none and are never timed. The engine times every batch an operator
+// consumes, so a zero mid-run means a task whose input never arrived
+// or a timing path that went missing.
+func checkOperatorsTimed(body string) error {
+	serviceNs := map[string]string{}
+	var ops []string
+	for _, line := range strings.Split(body, "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 {
+			continue
+		}
+		series, v := line[:i], line[i+1:]
+		if labels, ok := strings.CutPrefix(series, "brisk_task_service_ns_total{"); ok {
+			serviceNs[labels] = v
+		} else if labels, ok := strings.CutPrefix(series, "brisk_task_queue_depth{"); ok {
+			ops = append(ops, labels)
+		}
+	}
+	if len(ops) == 0 {
+		return fmt.Errorf("/metrics lists no operator task")
+	}
+	for _, labels := range ops {
+		if v, ok := serviceNs[labels]; !ok || v == "0" {
+			return fmt.Errorf("operator task {%s has no service time (brisk_task_service_ns_total = %q)", labels, v)
+		}
+	}
 	return nil
 }
 

@@ -2,8 +2,8 @@ package main
 
 // -live closes the loop the optimizer otherwise only predicts: the
 // optimized plan is translated into an engine configuration
-// (plan.Apply), executed on the real engine with live profiling on, and
-// the observed statistics are fed back through the adaptive advisor,
+// (plan.Apply), executed on the real engine, which times every batch
+// its operators consume, and the observed statistics are fed back through the adaptive advisor,
 // which reports how far the calibrated baseline drifted from this
 // machine's measured behaviour and whether re-optimization would pay.
 
@@ -67,7 +67,6 @@ func runLive(a *apps.App, m *numa.Machine, r *rlas.Result, d time.Duration, metr
 	}
 
 	cfg := engine.DefaultConfig()
-	cfg.ProfileSampleEvery = 64
 	cfg.TraceSampleEvery = 64
 	cfg.Placement = ec.Placement
 	cfg.Host = host
@@ -122,7 +121,7 @@ func runLive(a *apps.App, m *numa.Machine, r *rlas.Result, d time.Duration, metr
 		fmt.Printf("telemetry: http://%s/metrics (traces at /traces)\n", srv.Addr())
 	}
 
-	fmt.Printf("\nrunning live for %v (profile sampling every %d tuples)...\n", d, cfg.ProfileSampleEvery)
+	fmt.Printf("\nrunning live for %v...\n", d)
 	done := make(chan *engine.Result, 1)
 	go func() {
 		res, _ := e.Run(d)

@@ -143,7 +143,6 @@ func main() {
 		Machine:     briskstream.SyntheticMachine("demo", 2, 8),
 		Stats:       stats,
 		Interval:    50 * time.Millisecond,
-		SampleEvery: 32,
 		MaxRescales: 2,
 		OnDecision: func(d briskstream.AdaptiveDecision) {
 			switch {

@@ -141,7 +141,7 @@ func (a *Advisor) Rates() (map[string]float64, error) {
 // ObservedStats re-estimates operator statistics from live data. When
 // the advisor has engine profile snapshots (RecordEngine), the measured
 // deltas win: Te, N, and selectivity come straight from the engine's
-// sampled counters via profile.FromEngine. Otherwise it falls back to
+// per-batch counters via profile.FromEngine. Otherwise it falls back to
 // the rate heuristic: for every operator whose consumers each have it
 // as their only producer, the observed total selectivity is the ratio
 // of consumer arrival rate to its own processing rate, redistributed

@@ -19,7 +19,6 @@ func snap(at time.Time, scale uint64, wait map[string]uint64) profile.EngineSnap
 			Processed:      processed,
 			Emitted:        uint64(float64(processed) * st[op].TotalSelectivity()),
 			ServiceNs:      processed * te,
-			ServiceSamples: processed,
 			QueueWaitNs:    wait[op],
 			QueueWaitBatch: processed / 64,
 		}

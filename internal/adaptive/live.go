@@ -10,8 +10,8 @@ import (
 
 // Live ingestion: the engine-facing half of the advisor. Instead of
 // bare processed-count observations (Record), a running engine hands
-// over full profile snapshots — sampled service times, input sizes,
-// emit counts, queue depths — and the advisor derives the model's
+// over full profile snapshots — service times, input sizes, emit
+// counts, queue depths — and the advisor derives the model's
 // statistics from measured deltas (profile.FromEngine) rather than
 // from the consumer-rate attribution heuristic.
 
@@ -73,10 +73,10 @@ func (a *Advisor) Backpressured() []string {
 		dWait := float64(c.QueueWaitNs - p.QueueWaitNs)
 		dProc := float64(c.Processed - p.Processed)
 		// Service time per tuple: live-measured when the interval holds
-		// profile samples, the baseline Te otherwise.
+		// service time, the baseline Te otherwise (spouts are untimed).
 		te := a.stats[op].Te
-		if ds := c.ServiceSamples - p.ServiceSamples; ds > 0 {
-			te = float64(c.ServiceNs-p.ServiceNs) / float64(ds)
+		if c.ServiceNs > p.ServiceNs {
+			te = float64(c.ServiceNs-p.ServiceNs) / dProc
 		}
 		if te <= 0 {
 			continue

@@ -16,11 +16,13 @@ type collector struct {
 	t *task
 	// rows is the free list of the scratch rows Borrow hands out.
 	rows tuple.Pool
-	// processed and emitted are the task's exact counts this run;
-	// publish copies them to the task's atomics.
+	// processed, emitted, serviceNs, inBytes, qwaitNs and qwaitRows are
+	// the task's exact counts this run (see task); publish copies them
+	// to the task's atomics.
 	processed, emitted uint64
+	serviceNs, inBytes uint64
+	qwaitNs, qwaitRows uint64
 	seq                uint64    // spout output counter driving latency sampling
-	pseq               uint64    // input-tuple counter driving profile sampling
 	tseq               uint64    // spout output counter driving trace sampling
 	curTs              time.Time // latency timestamp of the input tuple being processed
 	curEvent           int64     // event time of the input tuple (or the advancing watermark)
@@ -39,11 +41,16 @@ type collector struct {
 // publish makes the collector's counts visible to readers on other
 // goroutines. The task is their only writer, so a store suffices; it
 // runs once per consumed jumbo (spouts: every few Nexts) and at task
-// exit, which keeps two LOCK XADDs per row off the hot path and the
-// published counts exact whenever a run has ended.
+// exit, which keeps atomic adds off the hot path and the published
+// counts exact whenever a run has ended.
 func (c *collector) publish() {
-	atomic.StoreUint64(&c.t.processed, c.processed)
-	atomic.StoreUint64(&c.t.emitted, c.emitted)
+	t := c.t
+	atomic.StoreUint64(&t.processed, c.processed)
+	atomic.StoreUint64(&t.emitted, c.emitted)
+	atomic.StoreUint64(&t.serviceNs, c.serviceNs)
+	atomic.StoreUint64(&t.inBytes, c.inBytes)
+	atomic.StoreUint64(&t.qwaitNs, c.qwaitNs)
+	atomic.StoreUint64(&t.qwaitRows, c.qwaitRows)
 }
 
 // Borrow implements Collector.

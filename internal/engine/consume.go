@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"briskstream/internal/obs"
@@ -28,14 +27,10 @@ func (e *Engine) consumeJumbo(t *task, c *collector, j tuple.Jumbo) error {
 	// The rolling window still observes the raw per-jumbo wait.
 	var qwait int64
 	if j.EnqNs != 0 {
-		qwait = time.Now().UnixNano() - j.EnqNs
-		if qwait < 0 {
-			qwait = 0
-		}
-		if n := uint64(j.Len()); n > 0 {
-			atomic.AddUint64(&t.qwaitNs, uint64(qwait)*n)
-			atomic.AddUint64(&t.qwaitBatches, n)
-		}
+		qwait = max(time.Now().UnixNano()-j.EnqNs, 0)
+		n := uint64(j.Len())
+		c.qwaitNs += uint64(qwait) * n
+		c.qwaitRows += n
 		if t.qwaitWin != nil {
 			t.qwaitWin.Observe(float64(qwait))
 		}
@@ -86,87 +81,25 @@ func (e *Engine) arrived(b *tuple.Batch) {
 	}
 }
 
-// invokeOperator runs the operator on one materialized input tuple.
-//
-// Profile sampling: time every k-th invocation and record the input
-// tuple's size, so a running engine yields the Te/N the performance
-// model consumes without instrumenting every tuple. A traced input
-// tuple gets its invocation timed too, and a span recorded after
-// Process: this hop's queue wait, service time and output fan-out.
-// Untraced tuples pay exactly one predictable branch here.
-func (e *Engine) invokeOperator(t *task, c *collector, in *tuple.Tuple, qwait int64) error {
-	var started time.Time
-	sampled := false
-	if e.cfg.ProfileSampleEvery > 0 {
-		if c.pseq++; c.pseq%uint64(e.cfg.ProfileSampleEvery) == 0 {
-			sampled = true
-			atomic.AddUint64(&t.inBytes, uint64(in.Size()))
-			started = time.Now()
-		}
-	}
-	traced := in.TraceID != 0 && t.spans != nil
-	emit0 := c.emitted
-	if traced && started.IsZero() {
-		started = time.Now()
-	}
-	if err := t.operator.Process(c, in); err != nil {
-		return fmt.Errorf("engine: operator %s: %w", t.label, err)
-	}
-	if sampled || traced {
-		dur := time.Since(started)
-		if sampled {
-			atomic.AddUint64(&t.serviceNs, uint64(dur))
-			atomic.AddUint64(&t.serviceSamples, 1)
-		}
-		if t.svcWin != nil {
-			t.svcWin.Observe(float64(dur))
-		}
-		if traced {
-			t.spans.Append(obs.Span{
-				TraceID:     in.TraceID,
-				OriginNs:    in.TraceOrigin,
-				AtNs:        started.UnixNano() + int64(dur),
-				QueueWaitNs: qwait,
-				ServiceNs:   int64(dur),
-				Emitted:     c.emitted - emit0,
-				Kind:        obs.SpanHop,
-			})
-		}
-	}
-	return c.fail
-}
-
 // consumeBatch processes the batch of a received jumbo. A task with a
 // vectorized face (task.batchOp) gets the whole batch in one
 // ProcessBatch call — the vectorized path, traced rows included.
 // Everything else goes through the row adapter: each row is copied into
 // the task's one input tuple and handed to Process.
+//
+// Either face runs inside one timed region: every batch adds its
+// service time and input bytes to the task's counters (the Te and N the
+// performance model consumes), feeds the rolling service window, and
+// leaves one hop span per traced row.
 func (e *Engine) consumeBatch(t *task, c *collector, b *tuple.Batch, qwait int64) error {
 	n := b.Len()
 	if t.isSink {
 		e.arrived(b)
 	}
+	size := b.Size()
+	emit0 := c.emitted
+	started := time.Now()
 	if bop := t.batchOp; bop != nil {
-		// Vectorized path. Profile sampling covers the whole batch when
-		// the k-th-invocation counter crosses a period boundary inside
-		// it; serviceSamples advances by the row count so the
-		// ns-per-tuple averages stay comparable with the row adapter's.
-		var started time.Time
-		sampled := false
-		if e.cfg.ProfileSampleEvery > 0 {
-			k := uint64(e.cfg.ProfileSampleEvery)
-			if (c.pseq+uint64(n))/k != c.pseq/k {
-				sampled = true
-				atomic.AddUint64(&t.inBytes, uint64(b.Size()))
-				started = time.Now()
-			}
-			c.pseq += uint64(n)
-		}
-		traced := b.HasTrace() && t.spans != nil
-		emit0 := c.emitted
-		if traced && started.IsZero() {
-			started = time.Now()
-		}
 		// inBatch suspends the collector's ambient meta stamping: one
 		// batch spans many source rows, so a single curTs/curEvent would
 		// smear the first row's context over every output. Batch
@@ -177,23 +110,9 @@ func (e *Engine) consumeBatch(t *task, c *collector, b *tuple.Batch, qwait int64
 		if err != nil {
 			return fmt.Errorf("engine: operator %s: %w", t.label, err)
 		}
-		if sampled || traced {
-			dur := time.Since(started)
-			if sampled {
-				atomic.AddUint64(&t.serviceNs, uint64(dur))
-				atomic.AddUint64(&t.serviceSamples, uint64(n))
-			}
-			if t.svcWin != nil {
-				t.svcWin.Observe(float64(dur) / float64(max(n, 1)))
-			}
-			if traced {
-				batchSpans(t, b, started.UnixNano()+int64(dur), int64(dur), qwait, c.emitted-emit0)
-			}
-		}
 		if c.fail != nil {
 			return c.fail
 		}
-		c.processed += uint64(n)
 	} else {
 		// Row adapter: the task's input tuple is refilled row after row,
 		// so nothing is got or released per row.
@@ -202,19 +121,32 @@ func (e *Engine) consumeBatch(t *task, c *collector, b *tuple.Batch, qwait int64
 			b.CopyRowTo(r, in)
 			c.curTs, c.curEvent = in.Ts, in.Event
 			c.curTrace, c.curOrigin = in.TraceID, in.TraceOrigin
-			if err := e.invokeOperator(t, c, in, qwait); err != nil {
-				return err
+			if err := t.operator.Process(c, in); err != nil {
+				return fmt.Errorf("engine: operator %s: %w", t.label, err)
 			}
-			c.processed++
+			if c.fail != nil {
+				return c.fail
+			}
 		}
+	}
+	dur := time.Since(started)
+	c.processed += uint64(n)
+	c.serviceNs += uint64(dur)
+	c.inBytes += uint64(size)
+	if t.svcWin != nil {
+		t.svcWin.Observe(float64(dur) / float64(max(n, 1)))
+	}
+	if b.HasTrace() && t.spans != nil {
+		batchSpans(t, b, started.UnixNano()+int64(dur), int64(dur), qwait, c.emitted-emit0)
 	}
 	return nil
 }
 
-// batchSpans records one hop span per traced row of a batch one
-// ProcessBatch call consumed, all ending when the call did. The rows
-// shared the call, so each is charged an equal share of its service
-// time and of the rows it emitted.
+// batchSpans records one hop span per traced row of a consumed batch,
+// all ending when the batch's timed region did. The rows shared that
+// region — one ProcessBatch call or one pass of the row adapter — so
+// each is charged an equal share of its service time and of the rows
+// it emitted.
 func batchSpans(t *task, b *tuple.Batch, atNs, serviceNs, qwait int64, emitted uint64) {
 	n := b.Len()
 	for r := 0; r < n; r++ {

@@ -167,7 +167,9 @@ type SpoutFunc func(c Collector) error
 // Next implements Spout.
 func (f SpoutFunc) Next(c Collector) error { return f(c) }
 
-// Config tunes the runtime.
+// Config tunes the runtime. No field gates the operator clock: every
+// batch an operator consumes is timed (one clock pair per batch) and
+// counted in ProfileSnapshot and the obs layer's service metrics.
 type Config struct {
 	// QueueCapacity bounds each task input queue (in queue slots; a
 	// slot holds a jumbo tuple). Default 64. The budget is split across
@@ -206,11 +208,6 @@ type Config struct {
 	// cannot park unbounded memory. Zero disables the bound.
 	AlignTimeout time.Duration
 
-	// ProfileSampleEvery times every k-th operator invocation (service
-	// time and input tuple size) for live profiling; ProfileSnapshot
-	// exposes the counters. Default 0 (off — the only data-path cost is
-	// one predictable branch per tuple).
-	ProfileSampleEvery int
 	// TraceSampleEvery stamps every k-th spout tuple with a trace id and
 	// origin timestamp; the context propagates input→output like Event,
 	// and every hop a traced tuple crosses appends a span record into
@@ -387,25 +384,23 @@ type task struct {
 	// sources' input forever.
 	doneIn []bool
 
-	// Live counters, all atomically updated and read by Result,
-	// ProfileSnapshot and the obs layer while the task runs. processed
-	// and emitted are published from the collector's exact counts once
-	// per consumed jumbo, so mid-run they may trail the truth by one
-	// batch, never lead it. serviceNs/serviceSamples/inBytes accumulate
-	// the sampled operator invocations (every Config.ProfileSampleEvery
-	// input tuples).
-	processed      uint64
-	emitted        uint64
-	serviceNs      uint64
-	serviceSamples uint64
-	inBytes        uint64
-	// Queue-wait attribution (atomically updated like the profiling
-	// counters): cumulative nanoseconds the task's input batches spent
-	// in its communication queue, and how many batches that covers. One
-	// clock read per jumbo — every tuple's queueing is attributed
-	// without any per-tuple cost.
-	qwaitNs      uint64
-	qwaitBatches uint64
+	// Live counters, read atomically by Result, ProfileSnapshot and the
+	// obs layer while the task runs. The collector keeps the exact
+	// counts and publishes them once per consumed jumbo, so mid-run they
+	// may trail the truth by one batch, never lead it. serviceNs and
+	// inBytes cover every batch an operator consumed (one timed region
+	// per batch, so over exactly the processed rows); spouts stay
+	// untimed.
+	processed uint64
+	emitted   uint64
+	serviceNs uint64
+	inBytes   uint64
+	// Queue-wait attribution: cumulative nanoseconds the task's input
+	// batches spent in its communication queue, weighted per row, and
+	// how many rows that covers. One clock read per jumbo — every
+	// tuple's queueing is attributed without any per-tuple cost.
+	qwaitNs   uint64
+	qwaitRows uint64
 	// spans is this task's trace span ring (nil without RegisterTrace);
 	// qwaitWin/svcWin are the rolling queue-wait and service-time
 	// windows (nil without RegisterObs). All written before Run starts.
@@ -819,10 +814,9 @@ func (e *Engine) Run(d time.Duration) (*Result, error) {
 		atomic.StoreUint64(&t.processed, 0)
 		atomic.StoreUint64(&t.emitted, 0)
 		atomic.StoreUint64(&t.serviceNs, 0)
-		atomic.StoreUint64(&t.serviceSamples, 0)
 		atomic.StoreUint64(&t.inBytes, 0)
 		atomic.StoreUint64(&t.qwaitNs, 0)
-		atomic.StoreUint64(&t.qwaitBatches, 0)
+		atomic.StoreUint64(&t.qwaitRows, 0)
 		t.tm.reset()
 		atomic.StoreInt64(&t.wmLive, WatermarkMin)
 		for i := range t.wmIn {
@@ -1128,10 +1122,10 @@ func (e *Engine) Snapshot() map[string]uint64 {
 func (e *Engine) SinkCount() uint64 { return e.sink.Load() }
 
 // ProfileSnapshot captures every task's live-profiling counters at this
-// instant: processed/emitted tuple counts, the sampled service-time and
-// input-size accumulators (populated when Config.ProfileSampleEvery is
-// set), and the live inbox depth. It is safe to call while the engine
-// runs; profile.FromEngine differences two snapshots into the Set the
+// instant: processed/emitted tuple counts, the service time and input
+// bytes of every batch an operator consumed, queue wait, and the live
+// inbox depth. It is safe to call while the engine runs;
+// profile.FromEngine differences two snapshots into the Set the
 // optimizer consumes.
 func (e *Engine) ProfileSnapshot() profile.EngineSnapshot {
 	s := profile.EngineSnapshot{At: time.Now(), Tasks: make([]profile.TaskSnapshot, 0, len(e.tasks))}
@@ -1142,10 +1136,9 @@ func (e *Engine) ProfileSnapshot() profile.EngineSnapshot {
 			Processed:      atomic.LoadUint64(&t.processed),
 			Emitted:        atomic.LoadUint64(&t.emitted),
 			ServiceNs:      atomic.LoadUint64(&t.serviceNs),
-			ServiceSamples: atomic.LoadUint64(&t.serviceSamples),
 			InBytes:        atomic.LoadUint64(&t.inBytes),
 			QueueWaitNs:    atomic.LoadUint64(&t.qwaitNs),
-			QueueWaitBatch: atomic.LoadUint64(&t.qwaitBatches),
+			QueueWaitBatch: atomic.LoadUint64(&t.qwaitRows),
 		}
 		if t.in != nil {
 			ts.QueueDepth = t.in.Len()

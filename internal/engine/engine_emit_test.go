@@ -301,7 +301,7 @@ func TestRowAdapterCarriesPerRowContext(t *testing.T) {
 }
 
 // timedBatchOp is a batch-aware consumer that counts its ProcessBatch
-// calls and records how long the last one took.
+// calls and records how long they took.
 type timedBatchOp struct {
 	OperatorFunc
 	calls *int
@@ -312,62 +312,87 @@ func (o timedBatchOp) ProcessBatch(Collector, *tuple.Batch) error {
 	start := time.Now()
 	time.Sleep(3 * time.Millisecond)
 	*o.calls++
-	*o.took = time.Since(start)
+	*o.took += time.Since(start)
 	return nil
+}
+
+// timedRowOp is a row-only consumer that counts its Process calls and
+// records how long they took. Only the first row is slow, so a span
+// charged its own row's time instead of an equal share would miss.
+func timedRowOp(calls *int, took *time.Duration) Operator {
+	return OperatorFunc(func(Collector, *tuple.Tuple) error {
+		start := time.Now()
+		if *calls == 0 {
+			time.Sleep(3 * time.Millisecond)
+		}
+		*calls++
+		*took += time.Since(start)
+		return nil
+	})
 }
 
 // TestTracedBatchStaysVectorized: tracing does not change which path a
 // batch takes. A traced 3-row batch into a BatchOperator is one
-// ProcessBatch call, and it leaves one hop span per traced row, each
-// charged a third of the call's service time.
+// ProcessBatch call, into a row-only operator three Process calls; both
+// leave one hop span per traced row, each charged a third of the
+// batch's service time.
 func TestTracedBatchStaysVectorized(t *testing.T) {
-	var calls int
-	var took time.Duration
-	cfg := DefaultConfig()
-	cfg.LatencySampleEvery = 0
-	cfg.TraceSampleEvery = 1
-	e := buildBatchEngine(t, cfg, func() Operator {
-		return timedBatchOp{OperatorFunc(func(Collector, *tuple.Tuple) error {
-			return errors.New("a traced batch took the row adapter")
-		}), &calls, &took}
-	})
-	e.RegisterTrace(obs.NewTracer())
-	producer, sink := e.byOp["spout"][0], e.byOp["sink"][0]
-	c := &collector{e: e, t: producer}
-	for i := int64(1); i <= 3; i++ {
-		out := c.Borrow()
-		out.AppendInt(i)
-		c.Send(out)
-	}
-	traces := map[uint64]bool{}
-	for _, s := range producer.spans.Snapshot(nil) {
-		traces[s.TraceID] = true
-	}
-	e.flushAll(producer)
-	j, ok, _ := sink.in.TryGet()
-	if !ok || !j.Batch.HasTrace() || j.Len() != 3 {
-		t.Fatalf("want one traced 3-row batch, got %+v", j)
-	}
-	start := time.Now()
-	if err := e.consumeJumbo(sink, &collector{e: e, t: sink}, j); err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	if calls != 1 {
-		t.Fatalf("ProcessBatch called %d times, want 1", calls)
-	}
-	spans := sink.spans.Snapshot(nil)
-	if len(spans) != 3 || len(traces) != 3 {
-		t.Fatalf("traced 3-row batch left %d hop spans for %d traces, want 3 and 3", len(spans), len(traces))
-	}
-	lo, hi := int64(took)/3, int64(elapsed)/3
-	for i, s := range spans {
-		if s.Kind != obs.SpanHop || !traces[s.TraceID] {
-			t.Errorf("span %d = %+v, want a hop span on one of the sent traces", i, s)
+	for _, tc := range []struct {
+		name  string
+		calls int
+		mk    func(calls *int, took *time.Duration) Operator
+	}{
+		{"batch-aware", 1, func(calls *int, took *time.Duration) Operator {
+			return timedBatchOp{OperatorFunc(func(Collector, *tuple.Tuple) error {
+				return errors.New("a traced batch took the row adapter")
+			}), calls, took}
+		}},
+		{"row-only", 3, timedRowOp},
+	} {
+		var calls int
+		var took time.Duration
+		cfg := DefaultConfig()
+		cfg.LatencySampleEvery = 0
+		cfg.TraceSampleEvery = 1
+		e := buildBatchEngine(t, cfg, func() Operator { return tc.mk(&calls, &took) })
+		e.RegisterTrace(obs.NewTracer())
+		producer, sink := e.byOp["spout"][0], e.byOp["sink"][0]
+		c := &collector{e: e, t: producer}
+		for i := int64(1); i <= 3; i++ {
+			out := c.Borrow()
+			out.AppendInt(i)
+			c.Send(out)
 		}
-		delete(traces, s.TraceID)
-		if s.ServiceNs < lo || s.ServiceNs > hi {
-			t.Errorf("span %d charged %dns, want a third of the batch's service time (%d..%dns)", i, s.ServiceNs, lo, hi)
+		traces := map[uint64]bool{}
+		for _, s := range producer.spans.Snapshot(nil) {
+			traces[s.TraceID] = true
+		}
+		e.flushAll(producer)
+		j, ok, _ := sink.in.TryGet()
+		if !ok || !j.Batch.HasTrace() || j.Len() != 3 {
+			t.Fatalf("%s: want one traced 3-row batch, got %+v", tc.name, j)
+		}
+		start := time.Now()
+		if err := e.consumeJumbo(sink, &collector{e: e, t: sink}, j); err != nil {
+			t.Fatal(err)
+		}
+		elapsed := time.Since(start)
+		if calls != tc.calls {
+			t.Fatalf("%s: operator called %d times, want %d", tc.name, calls, tc.calls)
+		}
+		spans := sink.spans.Snapshot(nil)
+		if len(spans) != 3 || len(traces) != 3 {
+			t.Fatalf("%s: traced 3-row batch left %d hop spans for %d traces, want 3 and 3", tc.name, len(spans), len(traces))
+		}
+		lo, hi := int64(took)/3, int64(elapsed)/3
+		for i, s := range spans {
+			if s.Kind != obs.SpanHop || !traces[s.TraceID] {
+				t.Errorf("%s: span %d = %+v, want a hop span on one of the sent traces", tc.name, i, s)
+			}
+			delete(traces, s.TraceID)
+			if s.ServiceNs < lo || s.ServiceNs > hi {
+				t.Errorf("%s: span %d charged %dns, want a third of the batch's service time (%d..%dns)", tc.name, i, s.ServiceNs, lo, hi)
+			}
 		}
 	}
 }

@@ -71,23 +71,20 @@ func (e *Engine) RegisterObs(g *obs.Group, jr *obs.Journal) {
 		g.Counter("brisk_task_emitted_total", "Tuples emitted per task this run.", tl, func() uint64 {
 			return atomic.LoadUint64(&t.emitted)
 		})
-		g.Counter("brisk_task_service_ns_total", "Sampled operator service time per task (ns, profiling).", tl, func() uint64 {
+		g.Counter("brisk_task_service_ns_total", "Operator service time per task this run (ns; every consumed batch, so per row it divides by the processed counter; 0 for spouts).", tl, func() uint64 {
 			return atomic.LoadUint64(&t.serviceNs)
-		})
-		g.Counter("brisk_task_service_samples_total", "Sampled operator invocations per task (profiling).", tl, func() uint64 {
-			return atomic.LoadUint64(&t.serviceSamples)
 		})
 		g.Counter("brisk_task_queue_wait_ns_total", "Cumulative queue wait of the task's input, weighted per tuple (each input batch's wait counted once per tuple it carries, ns), so the ratio to the batches counter is a per-tuple mean comparable across batch sizes.", tl, func() uint64 {
 			return atomic.LoadUint64(&t.qwaitNs)
 		})
 		g.Counter("brisk_task_queue_wait_batches_total", "Tuples covered by the queue-wait accounting this run (per-tuple weighted, matching the ns counter).", tl, func() uint64 {
-			return atomic.LoadUint64(&t.qwaitBatches)
+			return atomic.LoadUint64(&t.qwaitRows)
 		})
 		if t.in != nil {
 			t.qwaitWin = g.ValueWindow("brisk_task_queue_wait_ns", "Rolling per-batch queue wait of the task's input (ns).", tl)
 		}
 		if t.operator != nil {
-			t.svcWin = g.ValueWindow("brisk_task_service_ns", "Rolling measured operator invocation time (ns; fed by profile-sampled and traced invocations).", tl)
+			t.svcWin = g.ValueWindow("brisk_task_service_ns", "Rolling operator service time per row (ns; every consumed batch, its time split equally over its rows).", tl)
 		}
 		if t.in != nil {
 			g.Gauge("brisk_task_queue_depth", "Jumbo batches waiting in the task's inbox.", tl, func() float64 {

@@ -6,12 +6,11 @@ import (
 )
 
 // Live profiling: the bridge from a running engine to the statistics
-// the performance model consumes. The engine samples per-task service
-// time, input bytes, and output counts while it runs (every k-th tuple,
-// k = Config.ProfileSampleEvery) and exposes the cumulative counters as
-// an EngineSnapshot; FromEngine differences two snapshots into a
-// profile.Set, replacing the paper's offline overseer/classmexer pass
-// with an online one. Unlike offline profiling the live numbers include
+// the performance model consumes. The engine times every batch an
+// operator consumes — service time, input bytes, output counts — and
+// exposes the cumulative counters as an EngineSnapshot; FromEngine
+// differences two snapshots into a profile.Set, replacing the paper's
+// offline overseer/classmexer pass with an online one. Unlike offline profiling the live numbers include
 // co-runner interference, so they shift the model's inputs toward the
 // currently observed regime — exactly what the adaptive re-optimization
 // loop wants.
@@ -27,12 +26,11 @@ type TaskSnapshot struct {
 	Processed uint64
 	// Emitted counts output tuples produced downstream.
 	Emitted uint64
-	// ServiceNs is total sampled service time in nanoseconds across
-	// ServiceSamples sampled invocations.
-	ServiceNs      uint64
-	ServiceSamples uint64
-	// InBytes is total sampled input tuple bytes across ServiceSamples
-	// sampled invocations.
+	// ServiceNs is the total operator service time in nanoseconds over
+	// the Processed input tuples (0 for spouts, which are not timed).
+	ServiceNs uint64
+	// InBytes is the total input tuple bytes over the Processed input
+	// tuples (0 for spouts).
 	InBytes uint64
 	// QueueDepth is the task inbox's live depth (0 for spouts).
 	QueueDepth int
@@ -61,7 +59,6 @@ type OpTotals struct {
 	Processed      uint64
 	Emitted        uint64
 	ServiceNs      uint64
-	ServiceSamples uint64
 	InBytes        uint64
 	QueueWaitNs    uint64
 	QueueWaitBatch uint64
@@ -77,7 +74,6 @@ func (s EngineSnapshot) ByOp() map[string]OpTotals {
 		o.Processed += t.Processed
 		o.Emitted += t.Emitted
 		o.ServiceNs += t.ServiceNs
-		o.ServiceSamples += t.ServiceSamples
 		o.InBytes += t.InBytes
 		o.QueueWaitNs += t.QueueWaitNs
 		o.QueueWaitBatch += t.QueueWaitBatch
@@ -94,9 +90,11 @@ func (s EngineSnapshot) ByOp() map[string]OpTotals {
 // relative weights) and the fallback statistics for operators that saw
 // no traffic in the interval; measured Te, N, and total selectivity
 // override the base values, with the measured total selectivity
-// redistributed over the base per-stream proportions. M (memory traffic
-// per tuple) is not observable from the engine's counters and is always
-// carried over from base.
+// redistributed over the base per-stream proportions. Te and N are
+// per-processed-tuple means, measured only where the interval has
+// service time: spouts are untimed and keep their base Te and N. M
+// (memory traffic per tuple) is not observable from the engine's
+// counters and is always carried over from base.
 func FromEngine(base Set, prev, cur EngineSnapshot) (Set, error) {
 	if base == nil {
 		return nil, fmt.Errorf("profile: FromEngine requires a base Set")
@@ -109,17 +107,15 @@ func FromEngine(base Set, prev, cur EngineSnapshot) (Set, error) {
 			continue
 		}
 		p := pOps[op]
-		if c.Processed < p.Processed || c.ServiceSamples < p.ServiceSamples {
+		if c.Processed < p.Processed || c.ServiceNs < p.ServiceNs {
 			return nil, fmt.Errorf("profile: operator %q counters went backwards (snapshots from different runs?)", op)
 		}
-		dSamples := c.ServiceSamples - p.ServiceSamples
-		if dSamples > 0 {
-			if te := float64(c.ServiceNs-p.ServiceNs) / float64(dSamples); te > 0 {
-				st.Te = te
-			}
-			st.N = float64(c.InBytes-p.InBytes) / float64(dSamples)
+		dIn := c.Processed - p.Processed
+		if dIn > 0 && c.ServiceNs > p.ServiceNs {
+			st.Te = float64(c.ServiceNs-p.ServiceNs) / float64(dIn)
+			st.N = float64(c.InBytes-p.InBytes) / float64(dIn)
 		}
-		if dIn := c.Processed - p.Processed; dIn > 0 && len(st.Selectivity) > 0 {
+		if dIn > 0 && len(st.Selectivity) > 0 {
 			measured := float64(c.Emitted-p.Emitted) / float64(dIn)
 			baseTotal := st.TotalSelectivity()
 			sel := make(map[string]float64, len(st.Selectivity))

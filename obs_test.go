@@ -36,7 +36,6 @@ func TestObsServesDuringAdaptiveRescale(t *testing.T) {
 				Machine:     SyntheticMachine("autoscale", 2, 8),
 				Stats:       skewStats(),
 				Interval:    15 * time.Millisecond,
-				SampleEvery: 8,
 				Drift:       0.2,
 				Gain:        0.05,
 				MaxRescales: 2,
