@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-planner bench-window vet fmt-check fuzz-smoke check
+.PHONY: all build test race bench bench-planner bench-window bench-symbols vet fmt-check fuzz-smoke check
 
 all: build test
 
@@ -13,7 +13,8 @@ build:
 test:
 	$(GO) test ./...
 
-# race focuses on the concurrent hot path (queue + engine) plus the
+# race focuses on the concurrent hot path (queue + engine), the symbol
+# table (lock-free readers beside in-place inserts), the
 # window/state/checkpoint subsystems, the windowed apps (including
 # the end-to-end kill/restore/replay recovery and rescale tests) and
 # the Storm-like baseline, which drives every batch-aware operator
@@ -24,7 +25,7 @@ test:
 # an operator whose layout drifts after its first emit fails the race
 # suite instead of corrupting state silently.
 race:
-	BRISK_VALIDATE_EVERY=1 $(GO) test -race ./internal/queue/ ./internal/engine/ ./internal/window/ ./internal/state/ ./internal/checkpoint/ ./internal/obs/ ./internal/apps/ ./internal/baseline/ .
+	BRISK_VALIDATE_EVERY=1 $(GO) test -race ./internal/queue/ ./internal/engine/ ./internal/tuple/ ./internal/window/ ./internal/state/ ./internal/checkpoint/ ./internal/obs/ ./internal/apps/ ./internal/baseline/ .
 
 .PHONY: race-all
 race-all:
@@ -49,6 +50,16 @@ bench-planner:
 # emitted exactly once, not on its timings; raise -benchtime for numbers.
 bench-window:
 	$(GO) test -run '^$$' -bench WindowWideSymKeys -benchtime 1x ./internal/window/
+
+# bench-symbols runs the symbol-table benchmarks once each:
+# BenchmarkInternSym{Cold,Hot,Wide} (a fresh name in a 10 000-name
+# table; 32 known words; random hits in a 400 000-name table) and
+# BenchmarkSymCacheHit (32 words through a warm SymCache). check and CI
+# gate on them completing, not on their timings; every cold iteration
+# grows the table for good, so for numbers raise -benchtime to a fixed
+# count (e.g. 20000x), not a duration.
+bench-symbols:
+	$(GO) test -run '^$$' -bench 'InternSym|SymCacheHit' -benchtime 1x ./internal/tuple/
 
 # bench-json runs the benchmark apps (the paper's four plus the
 # windowed TW) on the real engine across the GOMAXPROCS x replication
@@ -127,7 +138,8 @@ fuzz-smoke:
 
 # benchmark/ is its own module (the benchmark of record), so the root
 # ./... does not reach its tests; check runs them explicitly, then the
-# planner and window benchmarks once (bench-planner, bench-window), the
+# planner, window and symbol benchmarks once (bench-planner,
+# bench-window, bench-symbols), the
 # fuzz smoke, the multicore pinned race pass and the live-telemetry
 # gates — the same steps as .github/workflows/ci.yml.
 check: vet fmt-check build
@@ -135,6 +147,7 @@ check: vet fmt-check build
 	$(GO) -C benchmark test ./...
 	$(MAKE) bench-planner
 	$(MAKE) bench-window
+	$(MAKE) bench-symbols
 	$(MAKE) fuzz-smoke
 	$(MAKE) race-multicore
 	$(MAKE) obs-check

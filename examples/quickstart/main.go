@@ -19,13 +19,15 @@ func main() {
 	// A spout producing sentences forever; the run is time-bounded. The
 	// Borrow/Send surface reuses scratch rows (typed slots + string
 	// arena), so the only per-event allocation is formatting the
-	// sentence itself. Emits declares the stream's typed schema.
+	// sentence itself. Emits declares the stream's typed schema. The
+	// event number cycles through 1000 values: the splitter interns
+	// every word, and symbols must come from a bounded set.
 	t.Spout("sentences", func() briskstream.Spout {
 		i := 0
 		return briskstream.SpoutFunc(func(c briskstream.Collector) error {
 			i++
 			out := c.Borrow()
-			out.AppendStr(fmt.Sprintf("event %d from the quickstart stream pipeline", i))
+			out.AppendStr(fmt.Sprintf("event %d from the quickstart stream pipeline", i%1000))
 			c.Send(out)
 			return nil
 		})

@@ -125,9 +125,13 @@ func (p *wcParser) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
 // wcSplitter tokenizes each sentence in place and emits every word as
 // an interned symbol: no strings.Fields slice, no per-word boxing — the
 // whole split path is allocation-free. It reads the sentence column
-// straight out of the batch arena (one contiguous byte run per batch)
-// and stamps each word with its source row's metadata.
-type wcSplitter struct{ one engine.OneRow }
+// straight out of the batch arena (one contiguous byte run per batch),
+// interns through its own SymCache (one per task, so no locking) and
+// stamps each word with its source row's metadata.
+type wcSplitter struct {
+	syms tuple.SymCache // first: keeps the cache's entries line-aligned
+	one  engine.OneRow
+}
 
 func (s *wcSplitter) Process(c engine.Collector, t *tuple.Tuple) error { return s.one.Process(s, c, t) }
 
@@ -147,7 +151,7 @@ func (s *wcSplitter) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
 				continue
 			}
 			out := c.Borrow()
-			out.AppendSym(tuple.InternSym(sentence[start:i]))
+			out.AppendSym(s.syms.Intern(sentence[start:i]))
 			b.StampMeta(r, out)
 			c.Send(out)
 		}

@@ -59,7 +59,7 @@ func TestSymWatermarkWarnsOnce(t *testing.T) {
 		t.Errorf("disarmed watermark fired %d times", fires)
 	}
 
-	// Re-interning existing names rebuilds nothing and must not fire,
+	// Re-interning existing names registers nothing and must not fire,
 	// even with the table already past the armed limit.
 	SetSymWatermark(SymCount()-1, func(count, bytes int) { fires++ })
 	InternSym("wmark-silent")

@@ -152,9 +152,6 @@ func TestSymbolInterning(t *testing.T) {
 	if InternSym("sym-one") != a {
 		t.Error("interning is not idempotent")
 	}
-	if InternSymBytes([]byte("sym-one")) != a {
-		t.Error("InternSymBytes disagrees with InternSym")
-	}
 	if a.Name() != "sym-one" {
 		t.Errorf("Name = %q", a.Name())
 	}
