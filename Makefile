@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-planner bench-window bench-symbols vet fmt-check fuzz-smoke check
+.PHONY: all build test test-repeat race bench bench-planner bench-window bench-symbols vet fmt-check fuzz-smoke check
 
 all: build test
 
@@ -12,6 +12,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# test-repeat runs the packages that keep process-global state (the
+# symbol table, the queue waiters, the engine's tasks) twice in one
+# process, so a test that only passes on a fresh process — say, one
+# that interns a fixed name and expects the table to grow — fails here.
+test-repeat:
+	$(GO) test -count=2 -short ./internal/tuple/ ./internal/queue/ ./internal/engine/
 
 # race focuses on the concurrent hot path (queue + engine), the symbol
 # table (lock-free readers beside in-place inserts), the
@@ -138,12 +145,14 @@ fuzz-smoke:
 
 # benchmark/ is its own module (the benchmark of record), so the root
 # ./... does not reach its tests; check runs them explicitly, then the
-# planner, window and symbol benchmarks once (bench-planner,
+# repeated-run pass (test-repeat), the planner, window and symbol
+# benchmarks once (bench-planner,
 # bench-window, bench-symbols), the
 # fuzz smoke, the multicore pinned race pass and the live-telemetry
 # gates — the same steps as .github/workflows/ci.yml.
 check: vet fmt-check build
 	BRISK_VALIDATE_EVERY=1 $(GO) test -race ./...
+	$(MAKE) test-repeat
 	$(GO) -C benchmark test ./...
 	$(MAKE) bench-planner
 	$(MAKE) bench-window

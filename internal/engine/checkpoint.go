@@ -332,18 +332,14 @@ func (e *Engine) abandonAlignment(t *task, c *collector) error {
 	return e.replayParked(t, c, buf)
 }
 
-// replayParked consumes batches parked during an alignment, with the
-// same edge gating as the live loop: a batch from an edge that is (now)
+// replayParked consumes batches parked during an alignment through the
+// same gate as live input (admit): a batch from an edge that is (now)
 // aligned for a newer checkpoint parks again. Nested barriers in the
 // parked input are handled like live ones, so back-to-back checkpoints
 // compose.
 func (e *Engine) replayParked(t *task, c *collector, buf []tuple.Jumbo) error {
 	for _, j := range buf {
-		if t.alignID != 0 && t.alignSeen[j.Producer] {
-			t.alignBuf = append(t.alignBuf, j)
-			continue
-		}
-		if err := e.consumeJumbo(t, c, j); err != nil {
+		if err := e.admit(t, c, j); err != nil {
 			return err // the task is failing; the rest of buf goes to the GC
 		}
 	}
@@ -355,15 +351,15 @@ func (e *Engine) replayParked(t *task, c *collector, buf []tuple.Jumbo) error {
 // never arrive, so the in-flight checkpoint is abandoned — but the
 // parked batches are still processed, because shutdown must not drop
 // data (a checkpoint may even complete here, if all its barriers were
-// already parked). Errors during the drain fail the task like any
+// already parked). An error during the drain fails the task like any
 // processing error.
-func (e *Engine) drainAlignment(t *task, c *collector) {
+func (e *Engine) drainAlignment(t *task, c *collector) error {
 	for t.alignID != 0 || len(t.alignBuf) > 0 {
 		if err := e.abandonAlignment(t, c); err != nil {
-			e.failTask(err)
-			return
+			return err
 		}
 	}
+	return nil
 }
 
 // applyRestore rebuilds every task from a completed checkpoint. It runs

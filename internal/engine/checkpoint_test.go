@@ -128,6 +128,7 @@ func waitFor(timeout time.Duration, cond func() bool) bool {
 // completed checkpoint, finish the (now finite) stream, and verify the
 // final state equals an uninterrupted run's exactly.
 func TestCheckpointKillRestoreReplay(t *testing.T) {
+	noGoroutineLeak(t)
 	co := checkpoint.NewCoordinator(nil)
 	spout := &seqSpout{replica: 0, limit: 1 << 62}
 	agg := newSumOp()

@@ -22,6 +22,7 @@ type collector struct {
 	processed, emitted uint64
 	serviceNs, inBytes uint64
 	qwaitNs, qwaitRows uint64
+	nexts              uint64    // spout Next calls, pacing publish and the timer poll
 	seq                uint64    // spout output counter driving latency sampling
 	tseq               uint64    // spout output counter driving trace sampling
 	curTs              time.Time // latency timestamp of the input tuple being processed

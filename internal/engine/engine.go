@@ -12,6 +12,17 @@
 // tuples: each rides the header of the jumbo that carries the data it
 // follows (tuple.Jumbo.Punct) and is applied after that payload.
 //
+// # Steps and the driver
+//
+// A task runs as steps: stepSpout makes one Next call on a source;
+// stepTask admits one received jumbo through admit, the one
+// barrier-alignment gate, and fires the timers that are due
+// (fireDueTimers). A step never waits for input. It ends its task by
+// returning an error: errTaskDone for a natural end, any other for a
+// failure. runTask, the goroutine driver, pins the thread, does the
+// waiting (one Inbox.GetUntil up to the earliest timer) and classifies
+// the ending error once, into finishTask or failTask.
+//
 // # Row ownership
 //
 // The steady-state emit→dispatch→process path allocates nothing and no
@@ -750,11 +761,19 @@ func (e *Engine) handlePunct(t *task, c *collector, wm int64, ts time.Time, prod
 	return e.broadcastPunct(t, tuple.PunctWatermark, merged, ts)
 }
 
-// fireProcTimers advances the task's processing-time wheel to now:
-// linger timers flush their edge's partial buffer (if it is still the
-// one they were armed for), operator/spout timers get OnTimer.
-func (e *Engine) fireProcTimers(t *task, c *collector) error {
-	err := t.tm.fireProcDue(time.Now(), func(en wheelEntry) error {
+// fireDueTimers fires the processing-time timers that are due by now,
+// if any: linger timers flush their edge's partial buffer (if it is
+// still the one they were armed for), alignment timeouts abandon their
+// alignment, operator/spout timers get OnTimer.
+func (e *Engine) fireDueTimers(t *task, c *collector) error {
+	if !t.tm.procPending() {
+		return nil
+	}
+	now := time.Now()
+	if now.Before(t.tm.nextProc()) {
+		return nil
+	}
+	err := t.tm.fireProcDue(now, func(en wheelEntry) error {
 		if en.edge >= 0 {
 			if oe := t.outList[en.edge]; oe.seq == en.seq {
 				return e.flushEdge(t, oe)
@@ -947,6 +966,14 @@ func (e *Engine) QueueStats() (puts, gets uint64) {
 	return puts, gets
 }
 
+// errTaskDone is what a step returns when its task has ended naturally:
+// the spout reached EOF, or the inbox closed and drained. runTask hands
+// it to finishTask and any other step error to failTask.
+var errTaskDone = errors.New("engine: task done")
+
+// runTask is the goroutine driver of one task (see the package doc).
+// Its deferred exit classifies the error that ended the task, a
+// recovered panic included.
 func (e *Engine) runTask(t *task) {
 	// Pinning first, so its deferred undo runs last: the final flush
 	// still happens on the pinned thread, and the thread returns to the
@@ -957,11 +984,15 @@ func (e *Engine) runTask(t *task) {
 		defer unpin()
 	}
 	c := &collector{e: e, t: t}
+	var err error
 	defer func() {
 		if r := recover(); r != nil {
-			e.recordErr(fmt.Errorf("engine: operator %s panicked: %v", t.label, r))
-			e.stop.Store(true)
-			e.closeAllQueues()
+			err = fmt.Errorf("engine: operator %s panicked: %v", t.label, r)
+		}
+		if err == errTaskDone {
+			e.finishTask(t)
+		} else if err != nil {
+			e.failTask(err)
 		}
 		e.flushAll(t)
 		e.finishProducing(t)
@@ -969,111 +1000,99 @@ func (e *Engine) runTask(t *task) {
 	}()
 
 	if t.spout != nil {
-		iter := 0
-		for !e.stop.Load() {
-			err := t.spout.Next(c)
-			if c.fail != nil {
-				e.failTask(c.fail)
-				return
-			}
-			if err == io.EOF {
-				// Finite stream: broadcast the final watermark so every
-				// open window downstream fires before shutdown, and —
-				// under checkpointing — the done marker, so consumers
-				// stop expecting barriers from this source while other
-				// sources keep running.
-				c.EmitWatermark(WatermarkMax)
-				if c.fail == nil && e.coord != nil {
-					if err := e.broadcastPunct(t, tuple.PunctBarrier, barrierDone, time.Time{}); err != nil {
-						c.fail = err
-					}
-				}
-				if c.fail != nil && !errors.Is(c.fail, ErrStopped) {
-					e.failTask(c.fail)
-					return
-				}
-				e.finishTask(t)
-				return
-			}
-			if err != nil {
-				e.recordErr(fmt.Errorf("engine: spout %s: %w", t.label, err))
-				return
-			}
-			// Checkpoint injection point: between Next calls the source
-			// is at a well-defined offset, so this is where the barrier
-			// (and the source's own snapshot) is taken.
-			if e.coord != nil {
-				if req := e.ckptReq.Load(); req > t.lastCkpt {
-					if err := e.sourceBarrier(t, c, req); err != nil {
-						e.failTask(err)
-						return
-					}
-				}
-			}
-			// Spouts have no blocking input to piggyback on, so every few
-			// iterations publish the counters and, while timers (the
-			// linger flush, spout-registered proc timers) pend, poll the
-			// clock.
-			if iter++; iter&31 != 0 {
-				continue
-			}
-			c.publish()
-			if t.tm.procPending() && !time.Now().Before(t.tm.nextProc()) {
-				if err := e.fireProcTimers(t, c); err != nil {
-					e.failTask(err)
-					return
-				}
-			}
+		for err == nil && !e.stop.Load() {
+			err = e.stepSpout(t, c)
 		}
 		return
 	}
-
-	for {
-		var j tuple.Jumbo
+	for err == nil {
+		// Wake at the earliest processing-time deadline even if no input
+		// flows: that is what bounds the linger latency. With no timer
+		// pending the deadline stays zero, which waits for input alone.
+		var deadline time.Time
 		if t.tm.procPending() {
-			// Wake at the earliest processing-time deadline even if no
-			// input flows: that is what bounds the linger latency.
-			jj, ok, err := t.in.GetUntil(t.tm.nextProc())
-			if err != nil {
-				e.drainAlignment(t, c) // closed and drained
-				e.finishTask(t)
-				return
-			}
-			if !ok {
-				if err := e.fireProcTimers(t, c); err != nil {
-					e.failTask(err)
-					return
-				}
-				continue
-			}
-			j = jj
-		} else {
-			jj, err := t.in.Get()
-			if err != nil {
-				e.drainAlignment(t, c) // closed and drained
-				e.finishTask(t)
-				return
-			}
-			j = jj
+			deadline = t.tm.nextProc()
 		}
-		if t.alignID != 0 && t.alignSeen[j.Producer] {
-			// Barrier alignment in progress and this edge's barrier has
-			// already arrived: everything it sends now belongs after the
-			// snapshot, so park the batch until alignment completes.
-			t.alignBuf = append(t.alignBuf, j)
-			continue
+		j, ok, gerr := t.in.GetUntil(deadline)
+		switch {
+		case gerr != nil: // closed and drained
+			if err = e.drainAlignment(t, c); err == nil {
+				err = errTaskDone
+			}
+		case ok:
+			err = e.stepTask(t, c, j)
+		default:
+			err = e.fireDueTimers(t, c)
 		}
-		if err := e.consumeJumbo(t, c, j); err != nil {
-			e.failTask(err)
-			return
+	}
+}
+
+// stepSpout makes one Next call on the task's spout and handles what
+// follows it: EOF ends the task, between calls is the checkpoint
+// injection point, and every 32nd call publishes the counters and
+// fires the timers that are due.
+func (e *Engine) stepSpout(t *task, c *collector) error {
+	err := t.spout.Next(c)
+	if c.fail != nil {
+		return c.fail
+	}
+	if err == io.EOF {
+		// Finite stream: broadcast the final watermark so every open
+		// window downstream fires before shutdown, and — under
+		// checkpointing — the done marker, so consumers stop expecting
+		// barriers from this source while other sources keep running.
+		c.EmitWatermark(WatermarkMax)
+		if c.fail == nil && e.coord != nil {
+			c.fail = e.broadcastPunct(t, tuple.PunctBarrier, barrierDone, time.Time{})
 		}
-		if t.tm.procPending() && !time.Now().Before(t.tm.nextProc()) {
-			if err := e.fireProcTimers(t, c); err != nil {
-				e.failTask(err)
-				return
+		if c.fail != nil && !errors.Is(c.fail, ErrStopped) {
+			return c.fail
+		}
+		return errTaskDone
+	}
+	if err != nil {
+		return fmt.Errorf("engine: spout %s: %w", t.label, err)
+	}
+	// Checkpoint injection point: between Next calls the source is at a
+	// well-defined offset, so this is where the barrier (and the
+	// source's own snapshot) is taken.
+	if e.coord != nil {
+		if req := e.ckptReq.Load(); req > t.lastCkpt {
+			if err := e.sourceBarrier(t, c, req); err != nil {
+				return err
 			}
 		}
 	}
+	// Spouts have no blocking input to piggyback on, so every few calls
+	// publish the counters and, while timers (the linger flush,
+	// spout-registered proc timers) pend, poll the clock.
+	if c.nexts++; c.nexts&31 != 0 {
+		return nil
+	}
+	c.publish()
+	return e.fireDueTimers(t, c)
+}
+
+// stepTask admits one received jumbo and then fires the timers that
+// are due.
+func (e *Engine) stepTask(t *task, c *collector, j tuple.Jumbo) error {
+	if err := e.admit(t, c, j); err != nil {
+		return err
+	}
+	return e.fireDueTimers(t, c)
+}
+
+// admit is the barrier-alignment gate every jumbo passes, live or
+// replayed: while an alignment is in progress and the jumbo's edge has
+// already delivered its barrier, everything that edge sends belongs
+// after the snapshot, so the jumbo parks until the alignment completes.
+// Any other jumbo is consumed.
+func (e *Engine) admit(t *task, c *collector, j tuple.Jumbo) error {
+	if t.alignID != 0 && t.alignSeen[j.Producer] {
+		t.alignBuf = append(t.alignBuf, j)
+		return nil
+	}
+	return e.consumeJumbo(t, c, j)
 }
 
 // failTask handles a task-fatal dispatch or operator error: a routing

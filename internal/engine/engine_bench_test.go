@@ -16,8 +16,8 @@ import (
 )
 
 // benchDispatch pushes b.N tuples through one producer task's
-// Borrow/Send into `consumers` scalar sink replicas, each drained by a
-// goroutine running the engine's own consume path.
+// Borrow/Send into `consumers` scalar sink replicas, each drained by
+// the engine's own task driver.
 func benchDispatch(b *testing.B, consumers int, part graph.Partitioning) {
 	b.Helper()
 	g := graph.New("dispatch")
@@ -45,17 +45,7 @@ func benchDispatch(b *testing.B, consumers int, part graph.Partitioning) {
 		wg.Add(1)
 		go func(ct *task) {
 			defer wg.Done()
-			c := &collector{e: e, t: ct}
-			for {
-				j, err := ct.in.Get()
-				if err != nil {
-					return
-				}
-				if err := e.consumeJumbo(ct, c, j); err != nil {
-					b.Error(err)
-					return
-				}
-			}
+			e.runTask(ct)
 		}(ct)
 	}
 	// The measured loop is the emit→dispatch path itself (borrow, fill
@@ -75,6 +65,9 @@ func benchDispatch(b *testing.B, consumers int, part graph.Partitioning) {
 	e.flushAll(producer)
 	e.finishProducing(producer)
 	wg.Wait()
+	if len(e.errs) != 0 {
+		b.Fatal(e.errs)
+	}
 }
 
 func BenchmarkEngineDispatch(b *testing.B) {

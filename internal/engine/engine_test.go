@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -332,7 +333,74 @@ func TestOperatorErrorStopsPipeline(t *testing.T) {
 	}
 }
 
+// noGoroutineLeak records the goroutine count now and, when the test
+// ends, polls until the count is back to it: once Run has returned,
+// every goroutine the run started (task drivers, the checkpoint
+// trigger) must be gone.
+func noGoroutineLeak(t *testing.T) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		if t.Failed() {
+			return
+		}
+		if !waitFor(5*time.Second, func() bool { return runtime.NumGoroutine() <= before }) {
+			buf := make([]byte, 1<<20)
+			t.Errorf("%d goroutines running after Run returned, %d before the test:\n%s",
+				runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+	})
+}
+
+// TestSpoutErrorEndsRun: a spout's non-EOF error fails the run like an
+// operator error does — it is reported, and every other task stops,
+// here an endless second spout replica.
+func TestSpoutErrorEndsRun(t *testing.T) {
+	noGoroutineLeak(t)
+	errSource := errors.New("source unreachable")
+	built := 0
+	spout := func() Spout {
+		failing := built == 0
+		built++
+		i := 0
+		return SpoutFunc(func(c Collector) error {
+			if i++; failing && i > 100 {
+				return errSource
+			}
+			sendInt(c, int64(i))
+			return nil
+		})
+	}
+	topo := Topology{
+		App:         sinkGraph(t, 2),
+		Spouts:      map[string]func() Spout{"spout": spout},
+		Operators:   map[string]func() Operator{"agg": sinkOp},
+		Replication: map[string]int{"spout": 2},
+	}
+	e, err := New(topo, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan *Result, 1)
+	go func() { res, _ := e.Run(0); done <- res }()
+	select {
+	case res := <-done:
+		found := false
+		for _, err := range res.Errors {
+			found = found || errors.Is(err, errSource)
+		}
+		if !found {
+			t.Fatalf("spout error not reported: %v", res.Errors)
+		}
+	case <-time.After(10 * time.Second):
+		e.Kill()
+		<-done
+		t.Fatal("run still going 10s after a spout failed")
+	}
+}
+
 func TestOperatorPanicIsIsolated(t *testing.T) {
+	noGoroutineLeak(t)
 	panicking := func() Operator {
 		n := 0
 		return OperatorFunc(func(c Collector, t *tuple.Tuple) error {

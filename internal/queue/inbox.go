@@ -1,9 +1,6 @@
 package queue
 
-import (
-	"runtime"
-	"time"
-)
+import "time"
 
 // Inbox is the consumer-side fan-in over per-producer SPSC rings. The
 // engine gives every task one Inbox and binds one Ring per distinct
@@ -68,110 +65,43 @@ func (ib *Inbox[T]) Len() int {
 // closed and drained. An inbox with no bound rings is permanently
 // empty-and-closed.
 func (ib *Inbox[T]) Get() (T, error) {
-	var zero T
-	n := len(ib.rings)
-	for i := 0; ; i++ {
-		open := false
-		for k := 0; k < n; k++ {
-			idx := ib.cursor + k
-			if idx >= n {
-				idx -= n
-			}
-			v, ok, err := ib.rings[idx].TryGet()
-			if ok {
-				ib.cursor = idx + 1
-				if ib.cursor == n {
-					ib.cursor = 0
-				}
-				return v, nil
-			}
-			if err == nil {
-				open = true
-			}
-		}
-		if !open {
-			return zero, ErrClosed
-		}
-		if i < spinLimit {
-			runtime.Gosched()
-			continue
-		}
-		// Park on the shared waiter. Publish the flag first, then
-		// re-validate every ring: a producer that made a ring non-empty
-		// (or closed it) after our scan must observe the flag and wake
-		// us — the same two-sided handshake the Ring uses.
-		ib.cons.parked.Store(true)
-		changed := false
-		open = false
-		for _, r := range ib.rings {
-			if r.Len() > 0 {
-				changed = true
-			}
-			if !r.Closed() {
-				open = true
-			}
-		}
-		if changed || !open {
-			ib.cons.parked.Store(false)
-			i = 0
-			continue
-		}
-		<-ib.cons.ch
-		ib.cons.parked.Store(false)
-		i = 0
-	}
+	v, _, err := ib.GetUntil(time.Time{})
+	return v, err
 }
 
 // GetUntil behaves like Get but gives up at the deadline: it returns
-// (zero, false, nil) if no element arrives before then. The engine uses
-// it when a task has pending processing-time timers — the task must
-// wake to fire them even if no input is flowing. The timer needed for
-// parking is allocated only on the park path (an inbox with data never
-// parks), so a busy consumer pays nothing for the deadline.
+// (zero, false, nil) if no element arrives before then. A zero deadline
+// means no deadline: GetUntil then blocks like Get. The engine passes
+// its earliest processing-time timer — the task must wake to fire it
+// even if no input is flowing. The clock is read only after a scan
+// came up empty, and the timer needed for parking only on the park
+// path, so a busy consumer pays nothing for the deadline.
 func (ib *Inbox[T]) GetUntil(deadline time.Time) (T, bool, error) {
-	var zero T
-	for i := 0; ; i++ {
+	for round := 0; ; {
 		v, ok, err := ib.TryGet()
 		if ok || err != nil {
 			return v, ok, err
 		}
-		if !time.Now().Before(deadline) {
-			return zero, false, nil
+		if !deadline.IsZero() && !time.Now().Before(deadline) {
+			return v, false, nil
 		}
-		if i < spinLimit {
-			runtime.Gosched()
-			continue
-		}
-		// Park with a timeout, using the same two-sided handshake as
-		// Get: publish the flag, re-validate every ring, then sleep.
-		ib.cons.parked.Store(true)
-		changed := false
-		open := false
-		for _, r := range ib.rings {
-			if r.Len() > 0 {
-				changed = true
-			}
-			if !r.Closed() {
-				open = true
-			}
-		}
-		if changed || !open {
-			ib.cons.parked.Store(false)
-			i = 0
-			continue
-		}
-		t := time.NewTimer(time.Until(deadline))
-		select {
-		case <-ib.cons.ch:
-		case <-t.C:
-			t.Stop()
-			ib.cons.parked.Store(false)
-			return zero, false, nil
-		}
-		t.Stop()
-		ib.cons.parked.Store(false)
-		i = 0
+		round = ib.cons.wait(round, ib.ready, deadline)
 	}
+}
+
+// ready reports whether a parked consumer has something to retry: some
+// ring holds an element, or every ring is closed.
+func (ib *Inbox[T]) ready() bool {
+	open := false
+	for _, r := range ib.rings {
+		if r.Len() > 0 {
+			return true
+		}
+		if !r.Closed() {
+			open = true
+		}
+	}
+	return !open
 }
 
 // TryGet removes the oldest element of some non-empty ring without

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"runtime"
 	"sync/atomic"
+	"time"
 )
 
 // ErrClosed is returned by Put after Close, and by Get after Close once
@@ -62,6 +63,37 @@ func (w *waiter) wake() {
 		default:
 		}
 	}
+}
+
+// wait is the one blocking strategy every blocking call shares, run
+// after a failed nonblocking attempt. round counts the caller's failed
+// attempts since it last parked; wait returns the next round. For the
+// first spinLimit rounds it only yields. Past them it parks: publish
+// the flag, then re-check ready — the waking side checks the flag after
+// its own store, so one of the two sides must see the other's — and
+// sleep until woken, or until the deadline if it is non-zero. The
+// caller retries its attempt (and checks its deadline) after every
+// return.
+func (w *waiter) wait(round int, ready func() bool, deadline time.Time) int {
+	if round < spinLimit {
+		runtime.Gosched()
+		return round + 1
+	}
+	w.parked.Store(true)
+	if !ready() {
+		if deadline.IsZero() {
+			<-w.ch
+		} else {
+			t := time.NewTimer(time.Until(deadline))
+			select {
+			case <-w.ch:
+			case <-t.C:
+			}
+			t.Stop()
+		}
+	}
+	w.parked.Store(false)
+	return 0
 }
 
 // Ring is a bounded single-producer/single-consumer FIFO implemented as
@@ -143,37 +175,18 @@ func (q *Ring[T]) Closed() bool { return q.closed.Load() }
 // Put appends v, blocking while the ring is full. It returns ErrClosed
 // if the ring is closed before space becomes available.
 func (q *Ring[T]) Put(v T) error {
-	for i := 0; ; i++ {
-		if q.closed.Load() {
-			return ErrClosed
+	for round := 0; ; {
+		if ok, err := q.TryPut(v); ok || err != nil {
+			return err
 		}
-		tail := q.tail.Load()
-		if tail-q.cachedHead == uint64(len(q.buf)) {
-			q.cachedHead = q.head.Load()
-		}
-		if tail-q.cachedHead < uint64(len(q.buf)) {
-			q.buf[tail&q.mask] = v
-			q.tail.Store(tail + 1)
-			q.cons.wake()
-			return nil
-		}
-		if i < spinLimit {
-			runtime.Gosched()
-			continue
-		}
-		// Park: publish the flag, re-validate (the consumer checks the
-		// flag after advancing head, so one of the two sides must see
-		// the other's store), then sleep until woken.
-		q.prod.parked.Store(true)
-		if q.tail.Load()-q.head.Load() < uint64(len(q.buf)) || q.closed.Load() {
-			q.prod.parked.Store(false)
-			i = 0
-			continue
-		}
-		<-q.prod.ch
-		q.prod.parked.Store(false)
-		i = 0
+		round = q.prod.wait(round, q.putReady, time.Time{})
 	}
+}
+
+// putReady reports whether a parked producer has something to retry:
+// free space, or a close to report.
+func (q *Ring[T]) putReady() bool {
+	return q.tail.Load()-q.head.Load() < uint64(len(q.buf)) || q.closed.Load()
 }
 
 // TryPut appends v without blocking. It reports whether the element was
@@ -199,41 +212,18 @@ func (q *Ring[T]) TryPut(v T) (bool, error) {
 // is empty. After Close, Get keeps returning queued elements until the
 // ring drains and then returns ErrClosed.
 func (q *Ring[T]) Get() (T, error) {
-	var zero T
-	for i := 0; ; i++ {
-		head := q.head.Load()
-		if q.cachedTail == head {
-			q.cachedTail = q.tail.Load()
+	for round := 0; ; {
+		if v, ok, err := q.TryGet(); ok || err != nil {
+			return v, err
 		}
-		if q.cachedTail != head {
-			v := q.buf[head&q.mask]
-			q.buf[head&q.mask] = zero // release the reference for GC
-			q.head.Store(head + 1)
-			q.prod.wake()
-			return v, nil
-		}
-		if q.closed.Load() {
-			// A final Put sequenced before Close is visible by now; one
-			// more tail check decides between drain and ErrClosed.
-			if q.cachedTail = q.tail.Load(); q.cachedTail != head {
-				continue
-			}
-			return zero, ErrClosed
-		}
-		if i < spinLimit {
-			runtime.Gosched()
-			continue
-		}
-		q.cons.parked.Store(true)
-		if q.tail.Load() != head || q.closed.Load() {
-			q.cons.parked.Store(false)
-			i = 0
-			continue
-		}
-		<-q.cons.ch
-		q.cons.parked.Store(false)
-		i = 0
+		round = q.cons.wait(round, q.getReady, time.Time{})
 	}
+}
+
+// getReady reports whether a parked consumer has something to retry:
+// an element, or a close to report.
+func (q *Ring[T]) getReady() bool {
+	return q.tail.Load() != q.head.Load() || q.closed.Load()
 }
 
 // TryGet removes the oldest element without blocking. The boolean
@@ -247,7 +237,8 @@ func (q *Ring[T]) TryGet() (T, bool, error) {
 	}
 	if q.cachedTail == head {
 		if q.closed.Load() {
-			// Same final-Put re-check as Get.
+			// A final Put sequenced before Close is visible by now; one
+			// more tail check decides between drain and ErrClosed.
 			if q.cachedTail = q.tail.Load(); q.cachedTail != head {
 				return q.TryGet()
 			}

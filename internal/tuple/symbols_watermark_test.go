@@ -5,8 +5,15 @@ import (
 	"testing"
 )
 
+// symWatermarkRuns numbers the runs of TestSymWatermarkWarnsOnce. The
+// symbol table is process-global and never forgets a name, so every run
+// (go test -count=N) interns names of its own.
+var symWatermarkRuns int
+
 func TestSymWatermarkWarnsOnce(t *testing.T) {
 	defer SetSymWatermark(0, nil)
+	symWatermarkRuns++
+	p := fmt.Sprintf("wmark%d-", symWatermarkRuns)
 
 	base, baseBytes := SymCount(), SymBytes()
 	if baseBytes <= 0 && base > 0 {
@@ -23,7 +30,7 @@ func TestSymWatermarkWarnsOnce(t *testing.T) {
 	names := make([]string, 4)
 	var want int
 	for i := range names {
-		names[i] = fmt.Sprintf("wmark-one-%d", i)
+		names[i] = fmt.Sprintf("%sone-%d", p, i)
 		want += len(names[i])
 	}
 	for _, n := range names {
@@ -45,8 +52,8 @@ func TestSymWatermarkWarnsOnce(t *testing.T) {
 	// Re-arming resets the fired state; bulk interning fires it too.
 	fires = 0
 	SetSymWatermark(SymCount(), func(count, bytes int) { fires++ })
-	InternSyms("wmark-bulk-a", "wmark-bulk-b")
-	InternSym("wmark-seq-c")
+	InternSyms(p+"bulk-a", p+"bulk-b")
+	InternSym(p + "seq-c")
 	if fires != 1 {
 		t.Errorf("re-armed watermark fired %d times, want exactly 1", fires)
 	}
@@ -54,7 +61,7 @@ func TestSymWatermarkWarnsOnce(t *testing.T) {
 	// Disarmed: further growth is silent.
 	fires = 0
 	SetSymWatermark(0, nil)
-	InternSym("wmark-silent")
+	InternSym(p + "silent")
 	if fires != 0 {
 		t.Errorf("disarmed watermark fired %d times", fires)
 	}
@@ -62,8 +69,8 @@ func TestSymWatermarkWarnsOnce(t *testing.T) {
 	// Re-interning existing names registers nothing and must not fire,
 	// even with the table already past the armed limit.
 	SetSymWatermark(SymCount()-1, func(count, bytes int) { fires++ })
-	InternSym("wmark-silent")
-	InternSyms("wmark-bulk-a")
+	InternSym(p + "silent")
+	InternSyms(p + "bulk-a")
 	if fires != 0 {
 		t.Errorf("re-interning existing names fired the watermark %d times", fires)
 	}
