@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-repeat race bench bench-planner bench-window bench-symbols vet fmt-check fuzz-smoke check
+.PHONY: all build test test-repeat race bench bench-planner bench-window bench-symbols bench-emit vet fmt-check fuzz-smoke check
 
 all: build test
 
@@ -67,6 +67,14 @@ bench-window:
 # count (e.g. 20000x), not a duration.
 bench-symbols:
 	$(GO) test -run '^$$' -bench 'InternSym|SymCacheHit' -benchtime 1x ./internal/tuple/
+
+# bench-emit runs BenchmarkEngineEmit once per row: one operator task
+# emitting through Send and through Out (put rows), into one sink over
+# shuffle and fields routes and into four fields replicas. check and CI
+# gate on every row reaching the sinks, not on the timings; for
+# ns/row, raise -benchtime (e.g. 1s).
+bench-emit:
+	$(GO) test -run '^$$' -bench EngineEmit -benchtime 1x ./internal/engine/
 
 # bench-json runs the benchmark apps (the paper's four plus the
 # windowed TW) on the real engine across the GOMAXPROCS x replication
@@ -145,9 +153,9 @@ fuzz-smoke:
 
 # benchmark/ is its own module (the benchmark of record), so the root
 # ./... does not reach its tests; check runs them explicitly, then the
-# repeated-run pass (test-repeat), the planner, window and symbol
-# benchmarks once (bench-planner,
-# bench-window, bench-symbols), the
+# repeated-run pass (test-repeat), the planner, window, symbol and
+# emit benchmarks once (bench-planner, bench-window, bench-symbols,
+# bench-emit), the
 # fuzz smoke, the multicore pinned race pass and the live-telemetry
 # gates — the same steps as .github/workflows/ci.yml.
 check: vet fmt-check build
@@ -157,6 +165,7 @@ check: vet fmt-check build
 	$(MAKE) bench-planner
 	$(MAKE) bench-window
 	$(MAKE) bench-symbols
+	$(MAKE) bench-emit
 	$(MAKE) fuzz-smoke
 	$(MAKE) race-multicore
 	$(MAKE) obs-check

@@ -15,16 +15,25 @@ import (
 )
 
 // drainCollector is a minimal engine.Collector that recycles every
-// emission straight back to its pool, isolating the app-side emit path
-// from engine dispatch (which has its own allocation guard).
+// emission straight back to its pool, or drops it for rows put through
+// Out, isolating the app-side emit path from engine dispatch (which has
+// its own allocation guard).
 type drainCollector struct {
+	engine.RowOut
 	pool *tuple.Pool
 }
 
-func newDrainCollector() *drainCollector { return &drainCollector{pool: tuple.NewPool()} }
+func newDrainCollector() *drainCollector {
+	d := &drainCollector{pool: tuple.NewPool()}
+	d.Sink = func(*tuple.Tuple) {}
+	return d
+}
 
-func (d *drainCollector) Borrow() *tuple.Tuple   { return d.pool.Get() }
-func (d *drainCollector) Send(t *tuple.Tuple)    { t.Release() }
+func (d *drainCollector) Borrow() *tuple.Tuple { return d.pool.Get() }
+func (d *drainCollector) Send(t *tuple.Tuple) {
+	d.Drain()
+	t.Release()
+}
 func (d *drainCollector) EmitWatermark(wm int64) {}
 
 // assertZeroAllocs warms fn, then requires exactly zero allocations per
@@ -107,6 +116,7 @@ func TestWCEmitPathAllocFree(t *testing.T) {
 		if err := split.Process(c, sentence); err != nil {
 			t.Fatal(err)
 		}
+		c.Drain()
 	})
 
 	word := func(et int64, in *tuple.Tuple) {
@@ -192,6 +202,7 @@ func TestFDEmitPathAllocFree(t *testing.T) {
 		if err := predict.Process(c, warm); err != nil {
 			t.Fatal(err)
 		}
+		c.Drain()
 	}
 	// Warm over the full entity population so the state map stops
 	// growing, then measure.

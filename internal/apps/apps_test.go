@@ -352,7 +352,12 @@ func TestSpoutsAreDeterministicPerReplica(t *testing.T) {
 	}
 }
 
-type captureCollector struct{ out *[]string }
+// captureCollector records the first string field of every emission;
+// the spouts it serves emit through Send, so Out's rows are dropped.
+type captureCollector struct {
+	engine.RowOut
+	out *[]string
+}
 
 func (c *captureCollector) Borrow() *tuple.Tuple { return tuple.New() }
 

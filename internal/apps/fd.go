@@ -90,30 +90,34 @@ func (s *fdSpout) SeekTo(offset int64) error {
 // per-record probe hashes four bytes, not the name.
 type fdPredict struct {
 	last map[tuple.Sym]int64
+	one  engine.OneRow
 }
 
-// Process implements engine.Operator.
-func (p *fdPredict) Process(c engine.Collector, t *tuple.Tuple) error {
-	// The record is an arena view, only read within this call.
-	entity := t.Sym(0)
-	record := t.Str(1)
-	// Score: a cheap stand-in for a Markov-model probability lookup —
-	// bucket the record hash and compare with the entity's previous
-	// bucket.
-	var h int64
-	for i := 0; i < len(record); i++ {
-		h = h*31 + int64(record[i])
+func (p *fdPredict) Process(c engine.Collector, t *tuple.Tuple) error { return p.one.Process(p, c, t) }
+
+func (p *fdPredict) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
+	n := b.Len()
+	for r := 0; r < n; r++ {
+		// The record is an arena view, only read within this call.
+		entity := b.Sym(0, r)
+		record := b.Str(1, r)
+		// Score: a cheap stand-in for a Markov-model probability lookup
+		// — bucket the record hash and compare with the entity's
+		// previous bucket.
+		var h int64
+		for i := 0; i < len(record); i++ {
+			h = h*31 + int64(record[i])
+		}
+		bucket := (h%97 + 97) % 97
+		prev, seen := p.last[entity]
+		p.last[entity] = bucket
+		// A signal is emitted for every input row regardless of the
+		// detection outcome.
+		out := c.Out(tuple.DefaultStreamID)
+		out.PutSym(entity)
+		out.PutBool(seen && (bucket-prev) > 80)
+		out.EndRowFrom(b, r)
 	}
-	bucket := (h%97 + 97) % 97
-	prev, seen := p.last[entity]
-	p.last[entity] = bucket
-	fraud := seen && (bucket-prev) > 80
-	// A signal is emitted for every input tuple regardless of the
-	// detection outcome.
-	out := c.Borrow()
-	out.AppendSym(entity)
-	out.AppendBool(fraud)
-	c.Send(out)
 	return nil
 }
 

@@ -94,6 +94,11 @@ func conformCases() []conformCase {
 				t.AppendStr(fmt.Sprintf("cust,%d,%d", r.Intn(1000), r.Intn(24)))
 			}
 		}},
+		{app: "FD", op: "predict", gen: func(r *rand.Rand, i int, t *tuple.Tuple) {
+			t.AppendSym(fdEntitySyms[r.Intn(64)]) // entities recur, so scores do
+			t.AppendStr(fmt.Sprintf("cust,%d,%d,%d", r.Intn(100000), r.Intn(9999), r.Intn(24)))
+			t.Event = int64(i)
+		}},
 		{app: "LR", op: "parser", gen: func(r *rand.Rand, i int, t *tuple.Tuple) {
 			lrRecord(r, t, lrTypePosition)
 			t.Event = int64(i)
@@ -175,18 +180,26 @@ func conformRows(c conformCase, seed int64, n int) []*tuple.Tuple {
 // stream's own order reaches a consumer (lrDispatch emits a batch's
 // position reports before its queries).
 type recordColl struct {
+	engine.RowOut
 	pool *tuple.Pool
 	got  map[tuple.StreamID][]string
 }
 
 func newRecordColl() *recordColl {
-	return &recordColl{pool: tuple.NewPool(), got: map[tuple.StreamID][]string{}}
+	c := &recordColl{pool: tuple.NewPool(), got: map[tuple.StreamID][]string{}}
+	c.Sink = c.record
+	return c
+}
+
+func (c *recordColl) record(t *tuple.Tuple) {
+	c.got[t.Stream] = append(c.got[t.Stream], fmt.Sprintf("%v ev=%d ts=%d trace=%d/%d",
+		t, t.Event, t.Ts.UnixNano(), t.TraceID, t.TraceOrigin))
 }
 
 func (c *recordColl) Borrow() *tuple.Tuple { return c.pool.Get() }
 func (c *recordColl) Send(t *tuple.Tuple) {
-	c.got[t.Stream] = append(c.got[t.Stream], fmt.Sprintf("%v ev=%d ts=%d trace=%d/%d",
-		t, t.Event, t.Ts.UnixNano(), t.TraceID, t.TraceOrigin))
+	c.Drain()
+	c.record(t)
 	t.Release()
 }
 func (c *recordColl) EmitWatermark(int64) {}
@@ -222,7 +235,7 @@ func startConform(t *testing.T, c conformCase, coll engine.Collector) (engine.Ba
 // by one through Process or as batches of maximal same-layout runs
 // through ProcessBatch, advancing the watermark as c describes (a
 // pending batch is processed first), then to the end of time.
-func runConform(t *testing.T, c conformCase, rows []*tuple.Tuple, coll engine.Collector, batched bool) {
+func runConform(t *testing.T, c conformCase, rows []*tuple.Tuple, coll *recordColl, batched bool) {
 	t.Helper()
 	op, advance := startConform(t, c, coll)
 	b := tuple.NewBatch(len(rows))
@@ -232,6 +245,7 @@ func runConform(t *testing.T, c conformCase, rows []*tuple.Tuple, coll engine.Co
 				t.Fatal(err)
 			}
 			b.Reset()
+			coll.Drain()
 		}
 	}
 	maxEt := int64(engine.WatermarkMin)
@@ -243,15 +257,19 @@ func runConform(t *testing.T, c conformCase, rows []*tuple.Tuple, coll engine.Co
 			b.Append(in)
 		} else if err := op.Process(coll, in); err != nil {
 			t.Fatal(err)
+		} else {
+			coll.Drain()
 		}
 		maxEt = max(maxEt, in.Event)
 		if c.wmEvery > 0 && (i+1)%c.wmEvery == 0 {
 			flush()
 			advance(maxEt - c.lag)
+			coll.Drain()
 		}
 	}
 	flush()
 	advance(engine.WatermarkMax)
+	coll.Drain()
 }
 
 func TestOneRowFaceMatchesProcessBatch(t *testing.T) {
@@ -299,6 +317,7 @@ func TestOneRowFaceAllocFree(t *testing.T) {
 				if err := op.Process(coll, in); err != nil {
 					t.Fatal(err)
 				}
+				coll.Drain()
 				i++
 				maxEt = max(maxEt, in.Event)
 				if c.wmEvery > 0 && i%c.wmEvery == 0 {

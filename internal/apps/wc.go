@@ -127,7 +127,8 @@ func (p *wcParser) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
 // whole split path is allocation-free. It reads the sentence column
 // straight out of the batch arena (one contiguous byte run per batch),
 // interns through its own SymCache (one per task, so no locking) and
-// stamps each word with its source row's metadata.
+// puts each word straight into the output batch with its source row's
+// metadata.
 type wcSplitter struct {
 	syms tuple.SymCache // first: keeps the cache's entries line-aligned
 	one  engine.OneRow
@@ -150,10 +151,9 @@ func (s *wcSplitter) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
 			if i == start {
 				continue
 			}
-			out := c.Borrow()
-			out.AppendSym(s.syms.Intern(sentence[start:i]))
-			b.StampMeta(r, out)
-			c.Send(out)
+			out := c.Out(tuple.DefaultStreamID)
+			out.PutSym(s.syms.Intern(sentence[start:i]))
+			out.EndRowFrom(b, r)
 		}
 	}
 	return nil

@@ -37,6 +37,7 @@ func (s *pacedSpout) Next(c Collector) error {
 }
 
 func TestAlignTimeoutAbandonsSkewedAlignmentWithoutLoss(t *testing.T) {
+	noGoroutineLeak(t)
 	g := graph.New("align-timeout")
 	g.AddNode(&graph.Node{Name: "fast", IsSpout: true, Selectivity: map[string]float64{"default": 1}})
 	g.AddNode(&graph.Node{Name: "slow", IsSpout: true, Selectivity: map[string]float64{"default": 1}})

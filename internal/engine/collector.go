@@ -37,6 +37,19 @@ type collector struct {
 	// stamps per-row context itself via Batch.StampMeta.
 	inBatch bool
 	fail    error
+
+	// Out state (see Out). From an Out call to the next settle, outB is
+	// the batch handed out for stream outS: the open batch of edge outE,
+	// the stream's one destination through route outR, which held
+	// outMark rows when Out took it — or, with outE nil, stage, the
+	// staging batch settle routes through ForwardRows. stage is
+	// allocated on first use, so runs that never stage allocate none.
+	outS    tuple.StreamID
+	outB    *tuple.Batch
+	outE    *outEdge
+	outR    *route
+	outMark int
+	stage   *tuple.Batch
 }
 
 // publish makes the collector's counts visible to readers on other
@@ -63,12 +76,106 @@ func (c *collector) Borrow() *tuple.Tuple { return c.rows.Get() }
 // Pool: a scalar operator Sending its own input (the task-local row the
 // adapter fills) must not turn that row into the next Borrow's scratch.
 func (c *collector) Send(out *tuple.Tuple) {
+	c.settle()
 	if c.fail == nil {
 		c.stamp(out)
 		c.emitted++
 		c.fail = c.e.dispatch(c.t, out)
 	}
 	out.Release()
+}
+
+// Out implements Collector. While the batch it handed out last is for
+// the same stream and has room, it is handed out again; anything else
+// settles that batch and opens the next (openOut).
+func (c *collector) Out(s tuple.StreamID) *tuple.Batch {
+	if b := c.outB; b != nil && c.outS == s && !b.Full() {
+		return b
+	}
+	return c.openOut(s)
+}
+
+// openOut settles the batch Out handed out last and picks the one rows
+// on stream s go into. A stream with one non-broadcast route to one
+// edge — every route at replication 1 — puts its rows straight into
+// that edge's open batch: no row is copied twice, and nothing is routed
+// per row. Rows of any other stream (several replicas, several routes,
+// broadcast, or no subscriber) go into the staging batch, which settle
+// routes through ForwardRows. After a failure, and from a spout, the
+// rows go into the staging batch and are dropped.
+func (c *collector) openOut(s tuple.StreamID) *tuple.Batch {
+	c.settle()
+	t := c.t
+	if c.fail == nil && t.spout != nil {
+		c.fail = fmt.Errorf("engine: spout %s: Out is for operators; a spout emits with Borrow and Send", t.label)
+	}
+	if c.fail != nil {
+		return c.staged(s)
+	}
+	if routes := t.routesOf(s); len(routes) == 1 && routes[0].part != graph.Broadcast && len(routes[0].edges) == 1 {
+		oe := routes[0].edges[0]
+		// An open batch of Send rows, or of another stream, is flushed
+		// (openBatch) and a fresh one takes the put rows.
+		if oe.batch == nil || !oe.batch.ReadyFor(s) {
+			if c.fail = c.e.openBatch(t, oe); c.fail != nil {
+				return c.staged(s)
+			}
+			oe.batch.ReadyFor(s)
+		}
+		c.outB, c.outS, c.outE, c.outR, c.outMark = oe.batch, s, oe, routes[0], oe.batch.Len()
+		return oe.batch
+	}
+	c.outB, c.outS, c.outE = c.staged(s), s, nil
+	return c.outB
+}
+
+// staged returns the emptied staging batch, readied for stream s.
+func (c *collector) staged(s tuple.StreamID) *tuple.Batch {
+	if c.stage == nil {
+		c.stage = tuple.NewBatch(c.e.cfg.BatchSize)
+	}
+	c.stage.Reset()
+	c.stage.ReadyFor(s)
+	return c.stage
+}
+
+// settle finishes the batch Out handed out last, if any. It runs before
+// every emit or punctuation that leaves the task (Send, ForwardRows,
+// EmitWatermark, the next Out of another batch) and after every
+// operator callback the engine makes, so put rows keep their emission
+// order, precede any punctuation, and never outlive the callback that
+// wrote them.
+func (c *collector) settle() {
+	if c.outB != nil {
+		c.settleOut()
+	}
+}
+
+// settleOut fails the task on a put row the batch refused, then routes
+// a staged batch; an edge batch gets its route's checks, its new rows
+// counted as emitted, and a flush if Out filled it.
+func (c *collector) settleOut() {
+	b, oe := c.outB, c.outE
+	c.outB = nil
+	if c.fail != nil {
+		return // a failed task emits nothing more
+	}
+	if err := b.PutErr(); err != nil {
+		c.fail = fmt.Errorf("engine: task %s stream %q: %w", c.t.label, c.outS.String(), err)
+		return
+	}
+	if oe == nil {
+		c.ForwardRows(b, nil, c.outS)
+		b.Reset()
+		return
+	}
+	if b.Len() == c.outMark {
+		return
+	}
+	c.emitted += uint64(b.Len() - c.outMark)
+	if c.fail = c.outR.check(c.t, b, c.e.cfg.ValidateEvery); c.fail == nil && b.Full() {
+		c.fail = c.e.flushEdge(c.t, oe)
+	}
 }
 
 // stamp fills the metadata the engine owns on an outgoing row.
@@ -133,6 +240,7 @@ func (c *collector) stamp(out *tuple.Tuple) {
 // pass-through row from lanes into a tuple and straight back into
 // lanes.
 func (c *collector) ForwardRows(b *tuple.Batch, sel []int32, stream tuple.StreamID) {
+	c.settle()
 	if c.fail != nil || b == nil {
 		return
 	}
@@ -148,15 +256,7 @@ func (c *collector) ForwardRows(b *tuple.Batch, sel []int32, stream tuple.Stream
 	// Every row of a batch shares its layout, so one check per route
 	// covers them all.
 	for _, r := range routes {
-		if r.schema != nil && (!r.checked || e.cfg.ValidateEvery) {
-			r.checked = true
-			if err := r.schema.CheckBatch(b); err != nil {
-				c.fail = r.schemaError(t, err)
-				return
-			}
-		}
-		if r.part == graph.Fields && (r.keyField < 0 || r.keyField >= b.Cols()) {
-			c.fail = r.keyError(t, b.Cols())
+		if c.fail = r.check(t, b, e.cfg.ValidateEvery); c.fail != nil {
 			return
 		}
 	}
@@ -190,6 +290,7 @@ func (c *collector) ForwardRows(b *tuple.Batch, sel []int32, stream tuple.Stream
 // every consumer of this task and flushes the pending output batches so
 // event time is never stuck behind batching.
 func (c *collector) EmitWatermark(wm int64) {
+	c.settle()
 	if c.fail != nil {
 		return
 	}
@@ -223,12 +324,22 @@ func (c *collector) advanceWatermark(wm int64) error {
 		if t.onTimer == nil {
 			return nil
 		}
-		return t.onTimer.OnTimer(c, EventTimer, at)
+		return c.settled(t.onTimer.OnTimer(c, EventTimer, at))
 	}); err != nil {
 		return err
 	}
 	atomic.StoreInt64(&t.wmLive, wm)
 	return nil
+}
+
+// settled settles after an operator callback that returned err, and
+// returns err or else the collector's failure.
+func (c *collector) settled(err error) error {
+	c.settle()
+	if err != nil {
+		return err
+	}
+	return c.fail
 }
 
 // dispatch routes one output row through the task's partition
@@ -377,6 +488,9 @@ func (t *task) routesOf(s tuple.StreamID) []*route {
 // pick returns the edge a row with key hash h leaves a non-broadcast
 // route on.
 func (r *route) pick(h uint64) *outEdge {
+	if len(r.edges) == 1 {
+		return r.edges[0]
+	}
 	switch r.part {
 	case graph.Fields:
 		return r.edges[h%uint64(len(r.edges))]
@@ -389,6 +503,22 @@ func (r *route) pick(h uint64) *outEdge {
 		}
 		return r.edges[idx]
 	}
+}
+
+// check validates a batch bound for the route: its layout against the
+// route's schema on the route's first batch, or every batch when every
+// is set, and its width against a fields key.
+func (r *route) check(t *task, b *tuple.Batch, every bool) error {
+	if r.schema != nil && (!r.checked || every) {
+		r.checked = true
+		if err := r.schema.CheckBatch(b); err != nil {
+			return r.schemaError(t, err)
+		}
+	}
+	if r.part == graph.Fields && (r.keyField < 0 || r.keyField >= b.Cols()) {
+		return r.keyError(t, b.Cols())
+	}
+	return nil
 }
 
 func (r *route) schemaError(t *task, err error) error {

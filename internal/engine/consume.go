@@ -103,14 +103,15 @@ func (e *Engine) consumeBatch(t *task, c *collector, b *tuple.Batch, qwait int64
 		// inBatch suspends the collector's ambient meta stamping: one
 		// batch spans many source rows, so a single curTs/curEvent would
 		// smear the first row's context over every output. Batch
-		// operators stamp per row via Batch.StampMeta.
+		// operators stamp per row: EndRowFrom for put rows,
+		// Batch.StampMeta for sent ones.
 		c.inBatch = true
 		err := bop.ProcessBatch(c, b)
 		c.inBatch = false
 		if err != nil {
 			return fmt.Errorf("engine: operator %s: %w", t.label, err)
 		}
-		if c.fail != nil {
+		if c.settle(); c.fail != nil {
 			return c.fail
 		}
 	} else {
@@ -127,6 +128,11 @@ func (e *Engine) consumeBatch(t *task, c *collector, b *tuple.Batch, qwait int64
 			if c.fail != nil {
 				return c.fail
 			}
+		}
+		// The Storm-like decorator reaches ProcessBatch, and so Out,
+		// through this face.
+		if c.settle(); c.fail != nil {
+			return c.fail
 		}
 	}
 	dur := time.Since(started)

@@ -36,6 +36,10 @@
 //     valid until Collector.Send. Send copies the row into the open
 //     batch of every edge its stream routes to and takes the row back;
 //     a row that is only ever copied has one owner and no refcount.
+//   - Collector.Out hands a batch operator the batch its next row goes
+//     into — the open batch of the stream's one destination edge, or
+//     the task's staging batch — to write that one row in place. The
+//     batch stays the engine's.
 //   - A drained batch returns to its producer over the edge's free
 //     ring.
 //   - An operator that processes one row at a time gets each input row
@@ -66,6 +70,8 @@ import (
 )
 
 // Collector receives the tuples an operator emits during one invocation.
+// It has two emit paths; a producer's rows reach each consumer in the
+// order it emitted them, whichever path each took.
 //
 // Borrow returns a scratch row whose slot arrays and string arena are
 // reused across emissions, the caller fills fields with the typed
@@ -74,15 +80,31 @@ import (
 // are interned globally and never evicted, so they must come from the
 // topology's fixed set), and Send hands it back to the engine. After
 // Send the caller must not touch the tuple.
+//
+// Out is the batch operators' path: it returns the output batch a row
+// on the stream goes into, the operator writes the row in place with
+// the batch's typed Put methods and commits it with EndRowFrom, which
+// copies an input row's metadata. No tuple is built, and a stream with
+// one destination edge hands out that edge's own batch.
 type Collector interface {
 	// Borrow returns an empty row on the default stream, owned by the
 	// caller until passed to Send. Outstanding rows are distinct.
 	Borrow() *tuple.Tuple
 	// Send emits a tuple, consuming the caller's ownership of it: a
 	// borrowed row is recycled, any other tuple (the operator's own
-	// input, say) is only copied. The engine stamps the event
-	// timestamp; callers only fill Values and Stream.
+	// input, say) is only copied. Callers fill the payload and Stream;
+	// the engine stamps the latency timestamp, the trace context and —
+	// when left zero — the event time from the current input (outside
+	// ProcessBatch; see BatchOperator).
 	Send(t *tuple.Tuple)
+	// Out returns a batch with room for at least one more row on the
+	// stream, never nil. Write exactly one row (Put methods, then
+	// EndRowFrom) before the next call on the collector; the batch is
+	// the engine's until then and only valid for that row. The first
+	// row of a batch fixes its layout: a later row of other kinds fails
+	// the task. Only operators may call it — a spout's Out fails its
+	// task.
+	Out(stream tuple.StreamID) *tuple.Batch
 	// EmitWatermark broadcasts a low-watermark punctuation to every
 	// consumer of the task: a promise that no tuple with Event < wm will
 	// follow on any of its streams. Sources drive event time with it
@@ -116,10 +138,12 @@ func (f OperatorFunc) Process(c Collector, t *tuple.Tuple) error { return f(c, t
 //
 //   - The batch is valid only during the call (it is recycled after);
 //     string views read from it die with it.
-//   - Outputs go through the collector as usual (Borrow/Send), but the
-//     engine does NOT stamp ambient per-invocation metadata during
-//     ProcessBatch — emit per-row context explicitly with
-//     Batch.StampMeta(row, out) before Send.
+//   - Outputs go through Collector.Out: put the row's fields into the
+//     batch it returns and commit with EndRowFrom(b, row), which copies
+//     input row's latency timestamp, event time and trace context.
+//     Borrow/Send still work, but the engine does NOT stamp ambient
+//     per-invocation metadata during ProcessBatch — stamp a sent row
+//     with Batch.StampMeta(row, out) before Send.
 //   - Watermarks and barriers never appear inside a batch: a
 //     punctuation is the trailer of the jumbo header carrying the batch
 //     it follows.
@@ -153,6 +177,40 @@ func (o *OneRow) Process(op BatchOperator, c Collector, t *tuple.Tuple) error {
 	o.b.Reset()
 	o.b.Append(t)
 	return op.ProcessBatch(c, o.b)
+}
+
+// RowOut is Collector.Out for a collector that takes rows one tuple at
+// a time (a fused pair's chain, isolated profiling, test collectors):
+// a one-row batch whose committed row it hands, materialised, to Sink.
+// Embedding it gives a collector its Out; the collector calls Drain in
+// Send, before its own row, and after each operator call it makes, so
+// rows keep their emission order and none outlives the call.
+type RowOut struct {
+	// Sink receives each committed row, valid until Sink returns.
+	Sink func(*tuple.Tuple)
+	b    *tuple.Batch
+	row  tuple.Tuple
+}
+
+// Out implements Collector.Out: it drains the row committed since the
+// last call, then returns the emptied batch readied for stream s.
+func (o *RowOut) Out(s tuple.StreamID) *tuple.Batch {
+	o.Drain()
+	if o.b == nil {
+		o.b = tuple.NewBatch(1)
+	}
+	o.b.ReadyFor(s)
+	return o.b
+}
+
+// Drain hands the committed row, if any, to Sink and empties the batch.
+func (o *RowOut) Drain() {
+	if o.b == nil || o.b.Len() == 0 {
+		return
+	}
+	o.b.CopyRowTo(0, &o.row)
+	o.b.Reset()
+	o.Sink(&o.row)
 }
 
 // BatchGater lets a BatchOperator decline vectorized delivery: when
@@ -751,7 +809,7 @@ func (e *Engine) handlePunct(t *task, c *collector, wm int64, ts time.Time, prod
 		return err
 	}
 	if wh, ok := t.operator.(WatermarkHandler); ok {
-		if err := wh.OnWatermark(c, merged); err != nil {
+		if err := c.settled(wh.OnWatermark(c, merged)); err != nil {
 			return err
 		}
 	}
@@ -786,7 +844,7 @@ func (e *Engine) fireDueTimers(t *task, c *collector) error {
 		if t.onTimer == nil {
 			return nil
 		}
-		return t.onTimer.OnTimer(c, ProcTimer, en.at)
+		return c.settled(t.onTimer.OnTimer(c, ProcTimer, en.at))
 	})
 	c.publish() // timers emit too
 	if err != nil {
@@ -994,6 +1052,7 @@ func (e *Engine) runTask(t *task) {
 		} else if err != nil {
 			e.failTask(err)
 		}
+		c.settle() // what an operator put before it failed
 		e.flushAll(t)
 		e.finishProducing(t)
 		c.publish() // however the task ended, its final counts are exact

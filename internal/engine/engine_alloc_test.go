@@ -45,13 +45,18 @@ func allocHarness(t testing.TB, cfg Config, consumers int, part graph.Partitioni
 	if err != nil {
 		t.Fatal(err)
 	}
-	sinks := e.byOp["sink"]
-	cols := make([]*collector, len(sinks))
-	for i, ct := range sinks {
+	return &collector{e: e, t: e.byOp["spout"][0]}, inlineDrain(e, e.byOp["sink"])
+}
+
+// inlineDrain returns a func that empties the consumers' inboxes
+// through consumeJumbo on the calling goroutine (see allocHarness).
+func inlineDrain(e *Engine, consumers []*task) func() {
+	cols := make([]*collector, len(consumers))
+	for i, ct := range consumers {
 		cols[i] = &collector{e: e, t: ct}
 	}
-	drain := func() {
-		for i, ct := range sinks {
+	return func() {
+		for i, ct := range consumers {
 			for {
 				j, ok, _ := ct.in.TryGet()
 				if !ok {
@@ -63,7 +68,6 @@ func allocHarness(t testing.TB, cfg Config, consumers int, part graph.Partitioni
 			}
 		}
 	}
-	return &collector{e: e, t: e.byOp["spout"][0]}, drain
 }
 
 // TestEmitDispatchAllocFreeBriskMode covers Borrow+Send into a scalar

@@ -1,10 +1,10 @@
 package engine
 
-// engine_bench_test.go measures the dispatch hot path in isolation: the
-// partition controller, per-consumer batch accumulation and the SPSC
-// enqueue, without spout/operator work on top. Run with:
+// engine_bench_test.go measures the emit→dispatch hot path in
+// isolation: the partition controller, per-consumer batch accumulation
+// and the SPSC enqueue, without spout/operator work on top. Run with:
 //
-//	go test -bench EngineDispatch -run xxx ./internal/engine/
+//	go test -bench 'EngineDispatch|EngineEmit' -run xxx ./internal/engine/
 
 import (
 	"fmt"
@@ -13,17 +13,23 @@ import (
 	"testing"
 
 	"briskstream/internal/graph"
+	"briskstream/internal/tuple"
 )
 
-// benchDispatch pushes b.N tuples through one producer task's
-// Borrow/Send into `consumers` scalar sink replicas, each drained by
-// the engine's own task driver.
-func benchDispatch(b *testing.B, consumers int, part graph.Partitioning) {
+// benchDispatch emits b.N one-integer rows from an operator task into
+// `consumers` no-op batch sink replicas, each drained by the engine's
+// own task driver. emit "send" fills borrowed rows and Sends them; "out"
+// puts them through Out. Either way the task settles every 64 rows, as
+// the engine does after each ProcessBatch call, and the benchmark fails
+// unless every row reaches a sink.
+func benchDispatch(b *testing.B, consumers int, part graph.Partitioning, emit string) {
 	b.Helper()
 	g := graph.New("dispatch")
 	g.AddNode(&graph.Node{Name: "spout", IsSpout: true, Selectivity: map[string]float64{"default": 1}})
+	g.AddNode(&graph.Node{Name: "op", Selectivity: map[string]float64{"default": 1}})
 	g.AddNode(&graph.Node{Name: "sink", IsSink: true})
-	g.AddEdge(graph.Edge{From: "spout", To: "sink", Stream: "default", Partitioning: part, KeyField: 0})
+	g.AddEdge(graph.Edge{From: "spout", To: "op", Stream: "default"})
+	g.AddEdge(graph.Edge{From: "op", To: "sink", Stream: "default", Partitioning: part, KeyField: 0})
 	if err := g.Validate(); err != nil {
 		b.Fatal(err)
 	}
@@ -32,14 +38,14 @@ func benchDispatch(b *testing.B, consumers int, part graph.Partitioning) {
 		Spouts: map[string]func() Spout{"spout": func() Spout {
 			return SpoutFunc(func(c Collector) error { return io.EOF })
 		}},
-		Operators:   map[string]func() Operator{"sink": func() Operator { return sinkOp() }},
+		Operators:   map[string]func() Operator{"op": sinkOp, "sink": func() Operator { return batchSink{} }},
 		Replication: map[string]int{"sink": consumers},
 	}
 	e, err := New(topo, DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	producer := e.byOp["spout"][0]
+	producer := e.byOp["op"][0]
 	var wg sync.WaitGroup
 	for _, ct := range e.byOp["sink"] {
 		wg.Add(1)
@@ -48,17 +54,31 @@ func benchDispatch(b *testing.B, consumers int, part graph.Partitioning) {
 			e.runTask(ct)
 		}(ct)
 	}
-	// The measured loop is the emit→dispatch path itself (borrow, fill
-	// typed slots, route, append to the edge's batch, enqueue), which
-	// must not allocate in steady state.
+	// The measured loop is the emit→dispatch path itself (fill typed
+	// slots, route, land in the edge's batch, enqueue), which must not
+	// allocate in steady state. src is the input row put rows copy their
+	// metadata from.
+	src := tuple.NewBatch(1)
+	src.Append(tuple.New(int64(0)))
 	c := &collector{e: e, t: producer}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := c.Borrow()
-		out.AppendInt(1042)
-		c.Send(out)
+		key := int64(i & 1023)
+		if emit == "out" {
+			out := c.Out(tuple.DefaultStreamID)
+			out.PutInt(key)
+			out.EndRowFrom(src, 0)
+		} else {
+			out := c.Borrow()
+			out.AppendInt(key)
+			c.Send(out)
+		}
+		if i&63 == 63 {
+			c.settle()
+		}
 	}
+	c.settle()
 	if c.fail != nil {
 		b.Fatal(c.fail)
 	}
@@ -68,15 +88,37 @@ func benchDispatch(b *testing.B, consumers int, part graph.Partitioning) {
 	if len(e.errs) != 0 {
 		b.Fatal(e.errs)
 	}
+	if got := e.sink.Load(); got != uint64(b.N) {
+		b.Fatalf("%d of %d rows reached the sinks", got, b.N)
+	}
 }
 
 func BenchmarkEngineDispatch(b *testing.B) {
 	for _, consumers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("shuffle-c%d", consumers), func(b *testing.B) {
-			benchDispatch(b, consumers, graph.Shuffle)
+			benchDispatch(b, consumers, graph.Shuffle, "send")
 		})
 	}
-	b.Run("fields-c4", func(b *testing.B) {
-		benchDispatch(b, 4, graph.Fields)
-	})
+	for _, consumers := range []int{1, 4} {
+		b.Run(fmt.Sprintf("fields-c%d", consumers), func(b *testing.B) {
+			benchDispatch(b, consumers, graph.Fields, "send")
+		})
+	}
+}
+
+// BenchmarkEngineEmit compares the two emit paths, Send and Out, over a
+// single edge (shuffle-c1, fields-c1: Out fills the edge's own batch)
+// and over four replicas (fields-c4: Out stages, ForwardRows routes).
+func BenchmarkEngineEmit(b *testing.B) {
+	for _, emit := range []string{"send", "out"} {
+		for _, r := range []struct {
+			name      string
+			part      graph.Partitioning
+			consumers int
+		}{{"shuffle-c1", graph.Shuffle, 1}, {"fields-c1", graph.Fields, 1}, {"fields-c4", graph.Fields, 4}} {
+			b.Run(emit+"/"+r.name, func(b *testing.B) {
+				benchDispatch(b, r.consumers, r.part, emit)
+			})
+		}
+	}
 }

@@ -100,6 +100,7 @@ func TestLingerFlushBoundsLowRateLatency(t *testing.T) {
 }
 
 func TestNoLingerStrandsPartialBatch(t *testing.T) {
+	noGoroutineLeak(t)
 	// Control: with linger disabled the partial batch sits until the
 	// run's shutdown flush — proving the previous test observes the
 	// linger mechanism and not some other flush.

@@ -34,6 +34,7 @@ func rewindingSpout(n int) func() Spout {
 }
 
 func TestRunTwiceDoesNotDoubleCount(t *testing.T) {
+	noGoroutineLeak(t)
 	topo := Topology{
 		App:       pipelineGraph(t),
 		Spouts:    map[string]func() Spout{"spout": rewindingSpout(1000)},
@@ -67,6 +68,7 @@ func TestRunTwiceDoesNotDoubleCount(t *testing.T) {
 }
 
 func TestRunTwiceResetsLatency(t *testing.T) {
+	noGoroutineLeak(t)
 	topo := Topology{
 		App:       pipelineGraph(t),
 		Spouts:    map[string]func() Spout{"spout": rewindingSpout(2000)},
@@ -234,6 +236,7 @@ func TestRerunResetsTimersAndWatermarkCursors(t *testing.T) {
 // restored run's routing (and thus any replica-local state) diverges
 // from the failure-free execution.
 func TestRunTwiceShuffleCursorsReset(t *testing.T) {
+	noGoroutineLeak(t)
 	topo := Topology{
 		App:       pipelineGraph(t),
 		Spouts:    map[string]func() Spout{"spout": rewindingSpout(999)},
@@ -283,6 +286,7 @@ func TestRunTwiceShuffleCursorsReset(t *testing.T) {
 }
 
 func TestRunTwiceDurationBounded(t *testing.T) {
+	noGoroutineLeak(t)
 	infinite := func() Spout {
 		return SpoutFunc(func(c Collector) error {
 			sendInt(c, 1)

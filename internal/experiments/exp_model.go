@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"briskstream/internal/apps"
+	"briskstream/internal/engine"
 	"briskstream/internal/model"
 	"briskstream/internal/numa"
 	"briskstream/internal/profile"
@@ -156,7 +157,7 @@ func ProfileIsolated(a *apps.App, samples int) ([]OpProfile, error) {
 		return nil, err
 	}
 	inputs := map[string][]*tuple.Tuple{}
-	c := &capture{}
+	c := newCapture()
 	profs := make([]OpProfile, len(order))
 	for i, op := range order {
 		p := &profs[i]
@@ -166,7 +167,8 @@ func ProfileIsolated(a *apps.App, samples int) ([]OpProfile, error) {
 			sp := a.Spouts[op]()
 			for range samples {
 				n0, t0 := len(c.buf), time.Now()
-				if err := sp.Next(c); err != nil {
+				err := sp.Next(c)
+				if c.Drain(); err != nil {
 					break
 				}
 				p.Record(profile.Sample{Duration: time.Since(t0), OutCount: len(c.buf) - n0})
@@ -175,7 +177,8 @@ func ProfileIsolated(a *apps.App, samples int) ([]OpProfile, error) {
 			impl := a.Operators[op]()
 			for _, in := range inputs[op] {
 				n0, t0 := len(c.buf), time.Now()
-				if err := impl.Process(c, in); err != nil {
+				err := impl.Process(c, in)
+				if c.Drain(); err != nil {
 					return nil, fmt.Errorf("%s: %w", op, err)
 				}
 				p.Record(profile.Sample{Duration: time.Since(t0), InBytes: in.Size(), OutCount: len(c.buf) - n0})
@@ -183,7 +186,8 @@ func ProfileIsolated(a *apps.App, samples int) ([]OpProfile, error) {
 			// Window operators emit on window close, not per tuple:
 			// drain open windows so downstream operators get inputs.
 			if f, ok := impl.(window.Flusher); ok {
-				if err := f.FlushOpen(c); err != nil {
+				err := f.FlushOpen(c)
+				if c.Drain(); err != nil {
 					return nil, fmt.Errorf("%s: %w", op, err)
 				}
 			}
@@ -217,9 +221,22 @@ func cdfRow(name string, p *profile.Profiler, quantiles []float64) []string {
 	return row
 }
 
-// capture is a minimal Collector accumulating emitted tuples.
-type capture struct{ buf []*tuple.Tuple }
+// capture is a minimal Collector accumulating emitted tuples; rows put
+// through Out are kept as clones.
+type capture struct {
+	engine.RowOut
+	buf []*tuple.Tuple
+}
 
-func (c *capture) Borrow() *tuple.Tuple  { return tuple.New() }
-func (c *capture) Send(t *tuple.Tuple)   { c.buf = append(c.buf, t) }
+func newCapture() *capture {
+	c := &capture{}
+	c.Sink = func(t *tuple.Tuple) { c.buf = append(c.buf, t.Clone()) }
+	return c
+}
+
+func (c *capture) Borrow() *tuple.Tuple { return tuple.New() }
+func (c *capture) Send(t *tuple.Tuple) {
+	c.Drain()
+	c.buf = append(c.buf, t)
+}
 func (c *capture) EmitWatermark(w int64) {} // isolated profiling has no downstream

@@ -189,27 +189,32 @@ func Apply(app *graph.Graph, stats profile.Set, ops map[string]func() engine.Ope
 // TimerHandler contract.
 func Compose(mkU, mkV func() engine.Operator) func() engine.Operator {
 	return func() engine.Operator {
-		return &fusedOp{u: mkU(), v: mkV(), pool: tuple.NewPool()}
+		f := &fusedOp{u: mkU(), v: mkV()}
+		f.cc = chainCollector{downstream: f.v, pool: tuple.NewPool()}
+		f.cc.Sink = f.cc.process
+		return f
 	}
 }
 
 // fusedOp is a fused producer-consumer pair running as one operator.
-// pool is the free list of the rows u borrows to emit into v: they
-// never reach the engine, v sees each as its input, valid until v's
-// Process returns, and the row then goes back to pool. Like the task
-// running the pair, the pool belongs to one goroutine.
+// cc is the collector u emits into: it feeds each row to v. Like the
+// task running the pair, it belongs to one goroutine.
 type fusedOp struct {
 	u, v engine.Operator
-	pool *tuple.Pool
+	cc   chainCollector
+}
+
+// chain readies the pair's chain collector for one call of u whose
+// consumer v emits into c.
+func (f *fusedOp) chain(c engine.Collector) *chainCollector {
+	f.cc.out, f.cc.err = c, nil
+	return &f.cc
 }
 
 // Process implements engine.Operator.
 func (f *fusedOp) Process(c engine.Collector, t *tuple.Tuple) error {
-	cc := &chainCollector{downstream: f.v, out: c, pool: f.pool}
-	if err := f.u.Process(cc, t); err != nil {
-		return err
-	}
-	return cc.err
+	cc := f.chain(c)
+	return cc.done(f.u.Process(cc, t))
 }
 
 // SetTimers implements engine.TimerAware by injecting the task's timer
@@ -228,12 +233,9 @@ func (f *fusedOp) SetTimers(tm *engine.Timers) {
 // consumer, then the consumer's own timers fire.
 func (f *fusedOp) OnTimer(c engine.Collector, kind engine.TimerKind, at int64) error {
 	if h, ok := f.u.(engine.TimerHandler); ok {
-		cc := &chainCollector{downstream: f.v, out: c, pool: f.pool}
-		if err := h.OnTimer(cc, kind, at); err != nil {
+		cc := f.chain(c)
+		if err := cc.done(h.OnTimer(cc, kind, at)); err != nil {
 			return err
-		}
-		if cc.err != nil {
-			return cc.err
 		}
 	}
 	if h, ok := f.v.(engine.TimerHandler); ok {
@@ -293,12 +295,9 @@ func (f *fusedOp) Restore(dec *checkpoint.Decoder) error {
 // OnWatermark implements engine.WatermarkHandler, upstream first.
 func (f *fusedOp) OnWatermark(c engine.Collector, wm int64) error {
 	if h, ok := f.u.(engine.WatermarkHandler); ok {
-		cc := &chainCollector{downstream: f.v, out: c, pool: f.pool}
-		if err := h.OnWatermark(cc, wm); err != nil {
+		cc := f.chain(c)
+		if err := cc.done(h.OnWatermark(cc, wm)); err != nil {
 			return err
-		}
-		if cc.err != nil {
-			return cc.err
 		}
 	}
 	if h, ok := f.v.(engine.WatermarkHandler); ok {
@@ -308,8 +307,13 @@ func (f *fusedOp) OnWatermark(c engine.Collector, wm int64) error {
 }
 
 // chainCollector routes the producer's emissions straight into the
-// consumer's Process.
+// consumer's Process. pool is the free list of the rows u borrows to
+// emit into v: they never reach the engine, v sees each as its input,
+// valid until v's Process returns, and the row then goes back to pool.
+// Rows u puts through Out reach v the same way, materialised by the
+// embedded RowOut.
 type chainCollector struct {
+	engine.RowOut
 	downstream engine.Operator
 	out        engine.Collector
 	pool       *tuple.Pool
@@ -319,6 +323,23 @@ type chainCollector struct {
 // Borrow implements engine.Collector from the fused pair's own pool, so
 // fused operators keep the zero-allocation emit path.
 func (c *chainCollector) Borrow() *tuple.Tuple { return c.pool.Get() }
+
+// process feeds one row to the consumer, unless it already failed.
+func (c *chainCollector) process(t *tuple.Tuple) {
+	if c.err == nil {
+		c.err = c.downstream.Process(c.out, t)
+	}
+}
+
+// done ends one call of the producer that returned err: its last put
+// row reaches the consumer, and the first error wins.
+func (c *chainCollector) done(err error) error {
+	c.Drain()
+	if err != nil {
+		return err
+	}
+	return c.err
+}
 
 // EmitWatermark implements engine.Collector by passing the punctuation
 // through to the real collector (the engine broadcasts task-level
@@ -331,8 +352,7 @@ func (c *chainCollector) EmitWatermark(wm int64) { c.out.EmitWatermark(wm) }
 // went to the real collector during Process). A row that did not come
 // from the pair's pool — u forwarding its own input — is left alone.
 func (c *chainCollector) Send(t *tuple.Tuple) {
-	if c.err == nil {
-		c.err = c.downstream.Process(c.out, t)
-	}
+	c.Drain()
+	c.process(t)
 	t.Release()
 }

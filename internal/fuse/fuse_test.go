@@ -364,3 +364,85 @@ func TestFusedPairSendInputThenBorrow(t *testing.T) {
 		t.Fatalf("sink got %d tuples summing to %d, want %d summing to %d", res.SinkTuples, sum, 4*n, want)
 	}
 }
+
+// tripler emits 3v, 3v+1 and 3v+2 for each input v: the first and last
+// through Out, the middle one through Send.
+type tripler struct{ one engine.OneRow }
+
+func (o *tripler) Process(c engine.Collector, t *tuple.Tuple) error { return o.one.Process(o, c, t) }
+
+func (o *tripler) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
+	for r := 0; r < b.Len(); r++ {
+		v := 3 * b.Int(0, r)
+		put := func(v int64) {
+			out := c.Out(tuple.DefaultStreamID)
+			out.PutInt(v)
+			out.EndRowFrom(b, r)
+		}
+		put(v)
+		out := c.Borrow()
+		out.AppendInt(v + 1)
+		b.StampMeta(r, out)
+		c.Send(out)
+		put(v + 2)
+	}
+	return nil
+}
+
+// TestFusedPairOutKeepsOrder: rows a fused producer puts through Out
+// reach the consumer in emission order among its Send rows, and none is
+// left behind when the producer's call returns.
+func TestFusedPairOutKeepsOrder(t *testing.T) {
+	const n = 1000
+	g := graph.New("fused-out")
+	g.AddNode(&graph.Node{Name: "spout", IsSpout: true, Selectivity: map[string]float64{"default": 1}})
+	g.AddNode(&graph.Node{Name: "pair", Selectivity: map[string]float64{"default": 9}})
+	g.AddNode(&graph.Node{Name: "sink", IsSink: true})
+	g.AddEdge(graph.Edge{From: "spout", To: "pair", Stream: "default"})
+	g.AddEdge(graph.Edge{From: "pair", To: "sink", Stream: "default"})
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var next, want int64
+	var bad error
+	e, err := engine.New(engine.Topology{
+		App: g,
+		Spouts: map[string]func() engine.Spout{"spout": func() engine.Spout {
+			return engine.SpoutFunc(func(c engine.Collector) error {
+				if next == n {
+					return io.EOF
+				}
+				out := c.Borrow()
+				out.AppendInt(next)
+				c.Send(out)
+				next++
+				return nil
+			})
+		}},
+		Operators: map[string]func() engine.Operator{
+			"pair": Compose(func() engine.Operator { return &tripler{} }, func() engine.Operator { return &tripler{} }),
+			"sink": func() engine.Operator {
+				return engine.OperatorFunc(func(_ engine.Collector, in *tuple.Tuple) error {
+					if v := in.Int(0); v != want && bad == nil {
+						bad = fmt.Errorf("sink got %d, want %d", v, want)
+					}
+					want++
+					return nil
+				})
+			},
+		},
+	}, engine.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Errors) != 0 {
+		t.Fatalf("errors: %v", res.Errors)
+	}
+	if bad != nil || want != 9*n {
+		t.Fatalf("%v; sink got %d rows, want %d", bad, want, 9*n)
+	}
+}

@@ -10,16 +10,21 @@
 // time.
 //
 // A batch's layout (stream, arity, field kinds) is adopted from the
-// first tuple appended and stays fixed until Reset; Fits reports
-// whether another tuple shares it. Batches recycle through per-edge
-// free rings, so the steady-state path allocates nothing: Append is a
-// slot store per numeric field plus a byte copy per string field into
-// the recycled arena.
+// first row written and stays fixed until Reset; Fits reports whether
+// another tuple shares it. Rows are written three ways: Append copies
+// a tuple, AppendRowFrom copies a row of another batch, and the Put
+// methods write one field after another in place, committed by
+// EndRowFrom — the emit path of batch operators (engine Collector.Out),
+// which never builds a tuple. Batches recycle through per-edge free
+// rings, so the steady-state path allocates nothing: a row is a slot
+// store per numeric field plus a byte copy per string field into the
+// recycled arena.
 //
 // A batch carries copies, not references, so recycling needs no
-// refcount — the consumer resets and returns it when done. String values read from a batch (Str, Key with
-// a string key) are views into the batch arena, valid only while the
-// consumer holds the batch; symbol fields are exempt as always.
+// refcount — the consumer resets and returns it when done. String
+// values read from a batch (Str, Key with a string key) are views into
+// the batch arena, valid only while the consumer holds the batch;
+// symbol fields are exempt as always.
 package tuple
 
 import (
@@ -63,6 +68,16 @@ type Batch struct {
 	// SelScratch (owned by whoever holds the batch; kernels fill it
 	// with the row indices that survive a filter).
 	sel []int32
+
+	// The row being put: wcol fields written so far, tagged in wkinds
+	// (KindNone past wcol). byPut records that the layout was adopted
+	// from a put row; misput, with bad set, the layout of the first put
+	// row EndRowFrom refused for not matching it.
+	wcol   int
+	wkinds [MaxFields]Kind
+	byPut  bool
+	bad    bool
+	misput [MaxFields]Kind
 }
 
 // NewBatch creates an empty batch with capacity for rows rows.
@@ -106,6 +121,8 @@ func (b *Batch) Reset() {
 	b.Stream = DefaultStreamID
 	b.arena = b.arena[:0]
 	b.hasTrace = false
+	b.wcol, b.wkinds = 0, [MaxFields]Kind{}
+	b.byPut, b.bad = false, false
 }
 
 // Fits reports whether t shares the batch's layout (stream, arity and
@@ -134,6 +151,7 @@ func (b *Batch) Append(t *Tuple) {
 		b.Stream = t.Stream
 		b.cols = int(t.n)
 		b.kinds = t.kinds
+		b.byPut = false
 	}
 	r := b.n
 	idx := r
@@ -187,6 +205,7 @@ func (b *Batch) AppendRowFrom(src *Batch, r int, stream StreamID) {
 		b.Stream = stream
 		b.cols = src.cols
 		b.kinds = src.kinds
+		b.byPut = false
 	}
 	row := b.n
 	dst, from := row, r
@@ -210,6 +229,106 @@ func (b *Batch) AppendRowFrom(src *Batch, r int, stream StreamID) {
 		b.hasTrace = true
 	}
 	b.n = row + 1
+}
+
+// ReadyFor readies b for one more row put on stream s and reports
+// whether it can take one: an empty batch adopts s; a non-empty one
+// needs room and a layout adopted from a row put on s (rows of Append
+// or AppendRowFrom may not share the layout past their arity).
+func (b *Batch) ReadyFor(s StreamID) bool {
+	if b.n == 0 {
+		b.Stream = s
+		return true
+	}
+	return b.n < b.rows && b.Stream == s && b.byPut
+}
+
+// PutInt writes the next field of the row being put as an int64. The
+// Put methods write one row in place, field after field, into a batch
+// with room for it (see ReadyFor); EndRowFrom commits it.
+func (b *Batch) PutInt(v int64) { b.put(KindInt, uint64(v)) }
+
+// PutFloat writes the next field of the row being put as a float64.
+func (b *Batch) PutFloat(v float64) { b.put(KindFloat, math.Float64bits(v)) }
+
+// PutBool writes the next field of the row being put as a bool.
+func (b *Batch) PutBool(v bool) {
+	var x uint64
+	if v {
+		x = 1
+	}
+	b.put(KindBool, x)
+}
+
+// PutSym writes the next field of the row being put as a symbol.
+func (b *Batch) PutSym(s Sym) { b.put(KindSym, uint64(s)) }
+
+// PutStr writes the next field of the row being put as a string,
+// copied into the batch arena.
+func (b *Batch) PutStr(s string) {
+	off := len(b.arena)
+	b.arena = append(b.arena, s...)
+	b.put(KindStr, uint64(off)<<32|uint64(len(s)))
+}
+
+// PutStrBytes is PutStr from a byte slice, copied into the arena.
+func (b *Batch) PutStrBytes(s []byte) {
+	off := len(b.arena)
+	b.arena = append(b.arena, s...)
+	b.put(KindStr, uint64(off)<<32|uint64(len(s)))
+}
+
+func (b *Batch) put(k Kind, v uint64) {
+	c := b.wcol
+	b.wkinds[c] = k // past MaxFields: index out of range
+	b.slots[c*b.rows+b.n] = v
+	b.wcol = c + 1
+}
+
+// EndRowFrom commits the row being put, with row r of src's metadata —
+// latency timestamp, event time and trace context — as StampMeta
+// stamps a tuple. The first row of a batch fixes its layout (Stream
+// comes from ReadyFor). A row whose kinds differ from that layout is
+// not stored: the batch keeps it out and reports it through PutErr.
+func (b *Batch) EndRowFrom(src *Batch, r int) {
+	k, cols := b.wkinds, b.wcol
+	b.wcol, b.wkinds = 0, [MaxFields]Kind{}
+	row := b.n
+	if row == 0 {
+		b.cols, b.kinds, b.byPut = cols, k, true
+	} else if k != b.kinds {
+		if !b.bad {
+			b.bad, b.misput = true, k
+		}
+		return
+	}
+	b.ts[row] = src.ts[r]
+	b.event[row] = src.event[r]
+	b.traceID[row] = src.traceID[r]
+	b.traceOrigin[row] = src.traceOrigin[r]
+	if src.traceID[r] != 0 {
+		b.hasTrace = true
+	}
+	b.n = row + 1
+}
+
+// PutErr reports a put row EndRowFrom refused since the last Reset,
+// nil if none.
+func (b *Batch) PutErr() error {
+	if !b.bad {
+		return nil
+	}
+	return fmt.Errorf("tuple: put row %v does not match the batch layout %v",
+		kindList(&b.misput), kindList(&b.kinds))
+}
+
+// kindList lists the set kinds of a layout, for messages.
+func kindList(k *[MaxFields]Kind) []Kind {
+	n := 0
+	for n < MaxFields && k[n] != KindNone {
+		n++
+	}
+	return k[:n]
 }
 
 // Col returns column c's raw slot lane (length Len). Kernels that have

@@ -198,6 +198,97 @@ func TestBatchKeyHashParity(t *testing.T) {
 	}
 }
 
+// TestBatchPutParity: a row put field by field and committed with
+// EndRowFrom lands exactly as Append of the same tuple stamped with
+// StampMeta from the same source row — payload, metadata lanes and
+// hasTrace — and the stream comes from ReadyFor.
+func TestBatchPutParity(t *testing.T) {
+	src := NewBatch(8)
+	rows := make([]*Tuple, 6)
+	for i := range rows {
+		rows[i] = mkRow(i)
+		if i == 4 {
+			rows[i].TraceID, rows[i].TraceOrigin = 42, 7
+		}
+		src.Append(rows[i])
+	}
+	out := Intern("put")
+	want, got := NewBatch(8), NewBatch(8)
+	for i, tp := range rows {
+		row := &Tuple{Stream: out}
+		row.CopyValuesFrom(tp)
+		src.StampMeta(i, row)
+		want.Append(row)
+
+		if !got.ReadyFor(out) {
+			t.Fatalf("row %d: batch of put rows refused another", i)
+		}
+		got.PutSym(tp.Sym(0))
+		got.PutStrBytes([]byte(tp.Str(1)))
+		got.PutInt(tp.Int(2))
+		got.PutFloat(tp.Float(3))
+		got.PutBool(tp.Bool(4))
+		got.EndRowFrom(src, i)
+	}
+	if err := got.PutErr(); err != nil {
+		t.Fatal(err)
+	}
+	if !batchesEqual(got, want) || !got.HasTrace() {
+		t.Fatal("put rows diverged from StampMeta+Append")
+	}
+	one := NewBatch(1)
+	one.ReadyFor(out)
+	one.PutStr("x")
+	one.EndRowFrom(src, 0)
+	if one.Str(0, 0) != "x" || one.ReadyFor(out) {
+		t.Error("PutStr row wrong, or a full batch accepted another")
+	}
+}
+
+// TestBatchReadyForAndMismatch: ReadyFor accepts an empty batch for any
+// stream and a batch of put rows for its own stream, never a batch of
+// appended rows or another stream's; EndRowFrom refuses a put row of
+// other kinds — it is not stored, PutErr names both layouts — until
+// Reset.
+func TestBatchReadyForAndMismatch(t *testing.T) {
+	src := NewBatch(1)
+	src.Append(mkRow(0))
+	b := NewBatch(4)
+	s, other := Intern("put"), Intern("put-other")
+	if !b.ReadyFor(s) || b.Stream != s {
+		t.Fatal("empty batch must adopt the stream")
+	}
+	b.PutSym(InternSym("alpha"))
+	b.PutInt(1)
+	b.EndRowFrom(src, 0)
+	if b.ReadyFor(other) {
+		t.Error("ReadyFor accepted a stream change")
+	}
+	b.ReadyFor(s)
+	b.PutInt(2) // one field short, and of another kind
+	b.EndRowFrom(src, 0)
+	b.ReadyFor(s)
+	b.PutSym(InternSym("beta"))
+	b.PutInt(3)
+	b.PutInt(4) // one field too many
+	b.EndRowFrom(src, 0)
+	if b.Len() != 1 {
+		t.Fatalf("mis-typed put rows were stored: Len = %d", b.Len())
+	}
+	err := b.PutErr()
+	if err == nil || err.Error() != "tuple: put row [int64] does not match the batch layout [symbol int64]" {
+		t.Fatalf("PutErr = %v", err)
+	}
+	b.Reset()
+	if b.PutErr() != nil {
+		t.Error("Reset kept the refused row")
+	}
+	b.Append(mkRow(1))
+	if b.ReadyFor(b.Stream) {
+		t.Error("ReadyFor accepted a batch of appended rows")
+	}
+}
+
 func TestBatchStampMeta(t *testing.T) {
 	b := NewBatch(2)
 	src := mkRow(0)
