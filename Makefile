@@ -69,10 +69,11 @@ bench-symbols:
 	$(GO) test -run '^$$' -bench 'InternSym|SymCacheHit' -benchtime 1x ./internal/tuple/
 
 # bench-emit runs BenchmarkEngineEmit once per row: one operator task
-# emitting through Send and through Out (put rows), into one sink over
-# shuffle and fields routes and into four fields replicas. check and CI
-# gate on every row reaching the sinks, not on the timings; for
-# ns/row, raise -benchtime (e.g. 1s).
+# emitting through Send, through Out (put rows) and by forwarding whole
+# input batches (handed over into one sink, copied into several), into
+# one sink over shuffle and fields routes and into four fields
+# replicas. check and CI gate on every row reaching the sinks, not on
+# the timings; for ns/row, raise -benchtime (e.g. 1s).
 bench-emit:
 	$(GO) test -run '^$$' -bench EngineEmit -benchtime 1x ./internal/engine/
 

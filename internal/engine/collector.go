@@ -23,20 +23,32 @@ type collector struct {
 	serviceNs, inBytes uint64
 	qwaitNs, qwaitRows uint64
 	nexts              uint64    // spout Next calls, pacing publish and the timer poll
-	seq                uint64    // spout output counter driving latency sampling
-	tseq               uint64    // spout output counter driving trace sampling
 	curTs              time.Time // latency timestamp of the input tuple being processed
 	curEvent           int64     // event time of the input tuple (or the advancing watermark)
+	// latN and traceN count spout rows since the last latency-sampled
+	// and trace-sampled one; each wraps to 0 when it reaches its
+	// sampling period, so sampling costs no division.
+	latN, traceN int
 	// curTrace/curOrigin carry the trace context of the input tuple
 	// being processed, so derived output tuples stay on the trace.
 	curTrace  uint64
 	curOrigin int64
-	// inBatch is true while the task is inside a vectorized
-	// ProcessBatch invocation: ambient per-invocation stamping is
-	// suspended (there is no single "current input"), and the operator
-	// stamps per-row context itself via Batch.StampMeta.
-	inBatch bool
-	fail    error
+	// inB is the input batch while the task is inside a vectorized
+	// ProcessBatch invocation (nil otherwise): ambient per-invocation
+	// stamping is suspended (there is no single "current input"), the
+	// operator stamps per-row context itself, and a forward of all of
+	// inB may be handed over (see ForwardRows).
+	inB  *tuple.Batch
+	fail error
+
+	// A deferred forward (see ForwardRows): all of inB forwarded on
+	// stream fwdS, whose one edge is fwdE. fwdB is nil when none is
+	// pending. The next emit or punctuation settles it by copying; if
+	// ProcessBatch returns with it pending, consumeJumbo adopts inB as
+	// fwdE's open batch instead.
+	fwdB *tuple.Batch
+	fwdS tuple.StreamID
+	fwdE *outEdge
 
 	// Out state (see Out). From an Out call to the next settle, outB is
 	// the batch handed out for stream outS: the open batch of edge outE,
@@ -96,13 +108,13 @@ func (c *collector) Out(s tuple.StreamID) *tuple.Batch {
 }
 
 // openOut settles the batch Out handed out last and picks the one rows
-// on stream s go into. A stream with one non-broadcast route to one
-// edge — every route at replication 1 — puts its rows straight into
-// that edge's open batch: no row is copied twice, and nothing is routed
-// per row. Rows of any other stream (several replicas, several routes,
-// broadcast, or no subscriber) go into the staging batch, which settle
-// routes through ForwardRows. After a failure, and from a spout, the
-// rows go into the staging batch and are dropped.
+// on stream s go into. A stream with one edge (task.oneEdge) puts its
+// rows straight into that edge's open batch: no row is copied twice,
+// and nothing is routed per row. Rows of any other stream (several
+// replicas, several routes, broadcast, or no subscriber) go into the
+// staging batch, which settle routes through ForwardRows. After a
+// failure, and from a spout, the rows go into the staging batch and
+// are dropped.
 func (c *collector) openOut(s tuple.StreamID) *tuple.Batch {
 	c.settle()
 	t := c.t
@@ -112,17 +124,17 @@ func (c *collector) openOut(s tuple.StreamID) *tuple.Batch {
 	if c.fail != nil {
 		return c.staged(s)
 	}
-	if routes := t.routesOf(s); len(routes) == 1 && routes[0].part != graph.Broadcast && len(routes[0].edges) == 1 {
-		oe := routes[0].edges[0]
-		// An open batch of Send rows, or of another stream, is flushed
-		// (openBatch) and a fresh one takes the put rows.
+	if r, oe := t.oneEdge(s); oe != nil {
+		// An open batch of Send rows, of another stream, or full (an
+		// adopted one may be), is flushed (openBatch) and a fresh one
+		// takes the put rows.
 		if oe.batch == nil || !oe.batch.ReadyFor(s) {
 			if c.fail = c.e.openBatch(t, oe); c.fail != nil {
 				return c.staged(s)
 			}
 			oe.batch.ReadyFor(s)
 		}
-		c.outB, c.outS, c.outE, c.outR, c.outMark = oe.batch, s, oe, routes[0], oe.batch.Len()
+		c.outB, c.outS, c.outE, c.outR, c.outMark = oe.batch, s, oe, r, oe.batch.Len()
 		return oe.batch
 	}
 	c.outB, c.outS, c.outE = c.staged(s), s, nil
@@ -139,15 +151,32 @@ func (c *collector) staged(s tuple.StreamID) *tuple.Batch {
 	return c.stage
 }
 
-// settle finishes the batch Out handed out last, if any. It runs before
-// every emit or punctuation that leaves the task (Send, ForwardRows,
-// EmitWatermark, the next Out of another batch) and after every
-// operator callback the engine makes, so put rows keep their emission
-// order, precede any punctuation, and never outlive the callback that
-// wrote them.
+// settle finishes the batch Out handed out last, or the deferred
+// forward, if either is pending (never both: each settles the other
+// first). It runs before every emit or punctuation that leaves the task
+// (Send, ForwardRows, EmitWatermark, the next Out of another batch) and
+// after every operator callback the engine makes, so rows keep their
+// emission order, precede any punctuation, and never outlive the
+// callback that wrote them. The one exception is the end of
+// ProcessBatch, where consumeBatch settles only Out and leaves a
+// deferred forward for consumeJumbo to hand over.
 func (c *collector) settle() {
 	if c.outB != nil {
 		c.settleOut()
+	}
+	if c.fwdB != nil {
+		c.settleForward()
+	}
+}
+
+// settleForward copies the rows of the deferred forward into the edge,
+// as ForwardRows would have; its check and count were taken at the
+// call.
+func (c *collector) settleForward() {
+	b := c.fwdB
+	c.fwdB = nil
+	if c.fail == nil {
+		c.fail = c.copyRows(b, nil, b.Len(), c.fwdS, c.t.routesOf(c.fwdS))
 	}
 }
 
@@ -186,18 +215,18 @@ func (c *collector) stamp(out *tuple.Tuple) {
 		// nothing, and rate metrics divide by this counter).
 		c.processed++
 		// Latency sampling: spouts stamp every k-th tuple.
-		if c.e.cfg.LatencySampleEvery > 0 {
-			c.seq++
-			if c.seq%uint64(c.e.cfg.LatencySampleEvery) == 0 {
+		if k := c.e.cfg.LatencySampleEvery; k > 0 {
+			if c.latN++; c.latN == k {
+				c.latN = 0
 				out.Ts = time.Now()
 			}
 		}
 		// Trace sampling: every k-th spout tuple starts a trace — a
 		// fresh id, an origin timestamp, and a source span in this
 		// task's ring. Off (the default) this is one predictable branch.
-		if c.e.cfg.TraceSampleEvery > 0 && c.t.spans != nil {
-			c.tseq++
-			if c.tseq%uint64(c.e.cfg.TraceSampleEvery) == 0 {
+		if k := c.e.cfg.TraceSampleEvery; k > 0 && c.t.spans != nil {
+			if c.traceN++; c.traceN == k {
+				c.traceN = 0
 				out.TraceID = c.e.traceSeq.Add(1)
 				out.TraceOrigin = time.Now().UnixNano()
 				c.t.spans.Append(obs.Span{
@@ -220,7 +249,7 @@ func (c *collector) stamp(out *tuple.Tuple) {
 	// stamp per-row context themselves via Batch.StampMeta, and the
 	// ambient stamp would smear one row's context over the whole
 	// batch's outputs.
-	if !c.inBatch {
+	if c.inB == nil {
 		out.Ts = c.curTs
 		if out.Event == 0 {
 			out.Event = c.curEvent
@@ -239,6 +268,13 @@ func (c *collector) stamp(out *tuple.Tuple) {
 // Borrow/CopyRowTo/Send/Append round trip that would rebuild each
 // pass-through row from lanes into a tuple and straight back into
 // lanes.
+//
+// A forward of every row of the batch ProcessBatch is running on (a nil
+// or identity sel), on a stream with one edge (task.oneEdge), copies
+// nothing: it is deferred. The route is checked and the rows counted
+// now; the next emit or punctuation in the same call settles it by
+// copying (settleForward), and if none comes, consumeJumbo hands the
+// input batch itself over to the edge (adopt).
 func (c *collector) ForwardRows(b *tuple.Batch, sel []int32, stream tuple.StreamID) {
 	c.settle()
 	if c.fail != nil || b == nil {
@@ -252,6 +288,15 @@ func (c *collector) ForwardRows(b *tuple.Batch, sel []int32, stream tuple.Stream
 		return
 	}
 	t, e := c.t, c.e
+	if b == c.inB && isIdentity(sel, b.Len()) {
+		if r, oe := t.oneEdge(stream); oe != nil {
+			if c.fail = r.check(t, b, e.cfg.ValidateEvery); c.fail == nil {
+				c.fwdB, c.fwdS, c.fwdE = b, stream, oe
+				c.emitted += uint64(n)
+			}
+			return
+		}
+	}
 	routes := t.routesOf(stream)
 	// Every row of a batch shares its layout, so one check per route
 	// covers them all.
@@ -260,6 +305,32 @@ func (c *collector) ForwardRows(b *tuple.Batch, sel []int32, stream tuple.Stream
 			return
 		}
 	}
+	if c.fail = c.copyRows(b, sel, n, stream, routes); c.fail == nil {
+		c.emitted += uint64(n)
+	}
+}
+
+// isIdentity reports whether sel selects every row of a batch of the
+// given length in order: nil, or 0, 1, …, rows-1.
+func isIdentity(sel []int32, rows int) bool {
+	if sel == nil {
+		return true
+	}
+	if len(sel) != rows {
+		return false
+	}
+	for i, r := range sel {
+		if int(r) != i {
+			return false
+		}
+	}
+	return true
+}
+
+// copyRows copies the first n selected rows of b (every row when sel is
+// nil) into the open batches of the routes' edges.
+func (c *collector) copyRows(b *tuple.Batch, sel []int32, n int, stream tuple.StreamID, routes []*route) error {
+	t, e := c.t, c.e
 	for i := 0; i < n; i++ {
 		row := i
 		if sel != nil {
@@ -268,8 +339,8 @@ func (c *collector) ForwardRows(b *tuple.Batch, sel []int32, stream tuple.Stream
 		for _, r := range routes {
 			if r.part == graph.Broadcast {
 				for _, oe := range r.edges {
-					if c.fail = e.forwardRow(t, oe, b, row, stream); c.fail != nil {
-						return
+					if err := e.forwardRow(t, oe, b, row, stream); err != nil {
+						return err
 					}
 				}
 				continue
@@ -278,12 +349,32 @@ func (c *collector) ForwardRows(b *tuple.Batch, sel []int32, stream tuple.Stream
 			if r.part == graph.Fields && len(r.edges) > 1 {
 				h = b.Hash(r.keyField, row)
 			}
-			if c.fail = e.forwardRow(t, r.pick(h), b, row, stream); c.fail != nil {
-				return
+			if err := e.forwardRow(t, r.pick(h), b, row, stream); err != nil {
+				return err
 			}
 		}
 	}
-	c.emitted += uint64(n)
+	return nil
+}
+
+// adopt hands the deferred forward's batch — the input batch of jumbo
+// j — over to its edge as the open batch, after flushing the rows
+// already open there, instead of returning it to j's producer. That
+// producer's free ring gets a batch off the forward edge's free ring in
+// its place, if one is there: the task is that ring's producer and the
+// other's consumer, so each ring keeps one writer and one reader, and
+// batches circulate without allocation.
+func (e *Engine) adopt(t *task, c *collector, j tuple.Jumbo) error {
+	oe := c.fwdE
+	if err := e.flushEdge(t, oe); err != nil {
+		return err
+	}
+	j.Batch.Restream(c.fwdS)
+	oe.batch = j.Batch
+	if spare, ok := oe.free.TryGet(); ok {
+		e.tasks[j.Producer].out[t.id].free.TryPut(spare)
+	}
+	return nil
 }
 
 // EmitWatermark implements Collector: it broadcasts a punctuation to
@@ -383,9 +474,10 @@ func (e *Engine) dispatch(t *task, out *tuple.Tuple) error {
 }
 
 // appendRow copies one row into the batch open on the edge, flushing it
-// when that reaches BatchSize.
+// when that reaches BatchSize. An open batch is full only when it was
+// adopted full (see adopt); it is flushed like one that does not fit.
 func (e *Engine) appendRow(t *task, oe *outEdge, out *tuple.Tuple) error {
-	if oe.batch == nil || !oe.batch.Fits(out) {
+	if oe.batch == nil || oe.batch.Full() || !oe.batch.Fits(out) {
 		if err := e.openBatch(t, oe); err != nil {
 			return err
 		}
@@ -400,7 +492,7 @@ func (e *Engine) appendRow(t *task, oe *outEdge, out *tuple.Tuple) error {
 // forwardRow is appendRow for a row forwarded column-to-column from an
 // input batch.
 func (e *Engine) forwardRow(t *task, oe *outEdge, src *tuple.Batch, r int, stream tuple.StreamID) error {
-	if oe.batch == nil || !oe.batch.FitsRowFrom(src, stream) {
+	if oe.batch == nil || oe.batch.Full() || !oe.batch.FitsRowFrom(src, stream) {
 		if err := e.openBatch(t, oe); err != nil {
 			return err
 		}
@@ -413,9 +505,9 @@ func (e *Engine) forwardRow(t *task, oe *outEdge, src *tuple.Batch, r int, strea
 }
 
 // openBatch starts a fresh batch on the edge, first flushing an open
-// one (its layout does not fit the next row). The batch comes off the
-// edge's free ring, allocated only while the ring warms up, and is
-// linger-armed.
+// one (its layout does not fit the next row, or it is full). The batch
+// comes off the edge's free ring, allocated only while the ring warms
+// up, and is stamped with its opening time for the linger bound.
 func (e *Engine) openBatch(t *task, oe *outEdge) error {
 	if err := e.flushEdge(t, oe); err != nil {
 		return err
@@ -425,12 +517,15 @@ func (e *Engine) openBatch(t *task, oe *outEdge) error {
 		b = tuple.NewBatch(e.cfg.BatchSize)
 	}
 	oe.batch = b
-	oe.seq++
 	if e.cfg.Linger > 0 {
-		// Bound how long the batch may stay partial. The timer addresses
-		// (edge, seq); if the batch flushes first, the fire finds a newer
-		// seq — or nothing buffered — and skips.
-		t.tm.registerLinger(oe.idx, oe.seq, time.Now().Add(e.cfg.Linger))
+		// Bound how long the batch may stay partial. The edge's one
+		// timer, if pending, covers it: when that fires early for this
+		// batch, it re-arms for openNs + Linger (fireLinger).
+		oe.openNs = time.Now().UnixNano()
+		if !oe.armed {
+			oe.armed = true
+			t.tm.registerLinger(oe.idx, oe.openNs+int64(e.cfg.Linger))
+		}
 	}
 	return nil
 }
@@ -454,8 +549,8 @@ func (e *Engine) send(t *task, oe *outEdge, p tuple.Punct) error {
 	oe.batch = nil
 	if oe.ring.Put(j) != nil {
 		// Never enqueued (ring closed during shutdown): nobody
-		// downstream will ever see these rows. They are copies, so
-		// leaving the batch to the GC strands nothing.
+		// downstream will ever see these rows. The batch has no other
+		// owner, so leaving it to the GC strands nothing.
 		return ErrStopped
 	}
 	return nil
@@ -474,6 +569,18 @@ type route struct {
 	// is validated, so conformance costs one boolean branch per tuple.
 	schema  *tuple.Schema
 	checked bool
+}
+
+// oneEdge returns the route and edge of a stream with one
+// non-broadcast route to one edge — every route at replication 1 — and
+// nils for any other stream. Its rows need no routing: Out puts them
+// straight into the edge's open batch, and a forward of a whole input
+// batch hands that batch over (ForwardRows).
+func (t *task) oneEdge(s tuple.StreamID) (*route, *outEdge) {
+	if routes := t.routesOf(s); len(routes) == 1 && routes[0].part != graph.Broadcast && len(routes[0].edges) == 1 {
+		return routes[0], routes[0].edges[0]
+	}
+	return nil, nil
 }
 
 // routesOf returns the routes subscribed to one of the task's output

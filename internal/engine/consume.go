@@ -11,9 +11,15 @@ import (
 // consumeJumbo processes one received jumbo: the batch goes to the
 // operator through consumeBatch, then the header's control record, if
 // any, to the watermark fan-in merge or the checkpoint alignment
-// protocol. It consumes the jumbo (the batch goes back to its producer)
-// and publishes the task's counters — after the trailer, because a
-// watermark that fires windows emits rows past the payload.
+// protocol. It consumes the jumbo and publishes the task's counters —
+// after the trailer, because a watermark that fires windows emits rows
+// past the payload.
+//
+// The batch goes back to its producer, unless the operator forwarded
+// all of it to one edge and nothing after (see ForwardRows): then it is
+// handed over (adopt) and leaves on that edge, by the end of this call —
+// with the trailer, if the trailer is forwarded, so a pass-through puts
+// no more jumbos than it receives.
 func (e *Engine) consumeJumbo(t *task, c *collector, j tuple.Jumbo) error {
 	// Queue-wait attribution: diff the producer's enqueue stamp once per
 	// batch, then charge it once per carried tuple — a 64-tuple jumbo
@@ -36,13 +42,22 @@ func (e *Engine) consumeJumbo(t *task, c *collector, j tuple.Jumbo) error {
 		}
 	}
 	var err error
+	var fwd *outEdge // the edge the batch was handed over to
 	if j.Batch != nil {
 		err = e.consumeBatch(t, c, j.Batch, qwait)
-		// Park the drained batch on the reverse free ring of the edge it
-		// arrived over — consumer puts, producer gets, the FreeRing's
-		// SPSC discipline. A full ring drops it to the GC.
-		j.Batch.Reset()
-		e.tasks[j.Producer].out[t.id].free.TryPut(j.Batch)
+		if c.fwdB != nil && err == nil {
+			if err = e.adopt(t, c, j); err == nil {
+				fwd = c.fwdE
+			}
+		}
+		c.fwdB = nil // a pending forward dies with a failed call
+		if fwd == nil {
+			// Park the drained batch on the reverse free ring of the edge
+			// it arrived over — consumer puts, producer gets, the
+			// FreeRing's SPSC discipline. A full ring drops it to the GC.
+			j.Batch.Reset()
+			e.tasks[j.Producer].out[t.id].free.TryPut(j.Batch)
+		}
 	}
 	if err == nil {
 		switch p := j.Punct; {
@@ -53,6 +68,9 @@ func (e *Engine) consumeJumbo(t *task, c *collector, j tuple.Jumbo) error {
 		case p.Kind == tuple.PunctBarrier:
 			err = e.handleBarrier(t, c, uint64(p.Event), j.Producer)
 		}
+	}
+	if err == nil && fwd != nil && fwd.batch == j.Batch {
+		err = e.flushEdge(t, fwd) // the trailer did not take it along
 	}
 	c.publish()
 	return err
@@ -100,18 +118,23 @@ func (e *Engine) consumeBatch(t *task, c *collector, b *tuple.Batch, qwait int64
 	emit0 := c.emitted
 	started := time.Now()
 	if bop := t.batchOp; bop != nil {
-		// inBatch suspends the collector's ambient meta stamping: one
-		// batch spans many source rows, so a single curTs/curEvent would
-		// smear the first row's context over every output. Batch
-		// operators stamp per row: EndRowFrom for put rows,
-		// Batch.StampMeta for sent ones.
-		c.inBatch = true
+		// inB suspends the collector's ambient meta stamping: one batch
+		// spans many source rows, so a single curTs/curEvent would smear
+		// the first row's context over every output. Batch operators
+		// stamp per row: EndRowFrom for put rows, Batch.StampMeta for
+		// sent ones.
+		c.inB = b
 		err := bop.ProcessBatch(c, b)
-		c.inBatch = false
+		c.inB = nil
 		if err != nil {
 			return fmt.Errorf("engine: operator %s: %w", t.label, err)
 		}
-		if c.settle(); c.fail != nil {
+		// Settle Out only: a deferred forward is consumeJumbo's to hand
+		// over, after the timed region and the spans have read b.
+		if c.outB != nil {
+			c.settleOut()
+		}
+		if c.fail != nil {
 			return c.fail
 		}
 	} else {

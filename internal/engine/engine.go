@@ -41,7 +41,10 @@
 //     the task's staging batch — to write that one row in place. The
 //     batch stays the engine's.
 //   - A drained batch returns to its producer over the edge's free
-//     ring.
+//     ring. A batch operator that forwards all of its input batch to a
+//     one-edge stream hands the batch itself on (ForwardRows) instead:
+//     it leaves on the output edge, and one batch moves from that
+//     edge's free ring to the input edge's in its place.
 //   - An operator that processes one row at a time gets each input row
 //     copied into one task-local tuple, which the next row overwrites:
 //     it is valid until Process returns. To keep the row longer
@@ -254,10 +257,12 @@ type Config struct {
 	// for end-to-end latency measurement. Default 64; 0 disables.
 	LatencySampleEvery int
 	// Linger bounds how long a partial jumbo batch may wait for more
-	// tuples before it is flushed anyway: the task's timer service
-	// schedules a flush when the batch is started, so low-rate streams
-	// see at most Linger of batching delay instead of stranding tuples
-	// until shutdown. Default 5ms; 0 disables (flush only when full).
+	// tuples before it is flushed anyway, so low-rate streams see at
+	// most Linger of batching delay instead of stranding tuples until
+	// shutdown. Each out-edge keeps at most one timer in the task's
+	// timer service: opening a batch arms it if none is pending, and a
+	// fire flushes a batch at least Linger old or re-arms for a younger
+	// one. Default 5ms; 0 disables (flush only when full).
 	Linger time.Duration
 
 	// Checkpoint enables aligned-barrier checkpointing: the coordinator
@@ -487,7 +492,8 @@ type task struct {
 // producer's private SPSC ring into the consumer's inbox plus the batch
 // being accumulated for the next single-slot insertion. A jumbo's
 // header travels by value in the ring slot, so only batches need
-// recycling.
+// recycling. The open batch is filled row by row, or is an input batch
+// handed over whole (adopt), which may already be full.
 type outEdge struct {
 	consumer *task
 	ring     *queue.Ring[tuple.Jumbo]
@@ -497,12 +503,13 @@ type outEdge struct {
 	// the producer's socket, and the steady state allocates none.
 	batch *tuple.Batch
 	free  *queue.FreeRing[*tuple.Batch]
-	// idx is this edge's index in the producer's outList (linger-flush
-	// timers address edges by it); seq numbers the batches started on
-	// this edge, so a linger timer for one that already flushed full is
-	// recognized as stale and skipped.
-	idx int
-	seq uint32
+	// idx is this edge's index in the producer's outList (linger timers
+	// address edges by it). openNs is when the open batch was opened,
+	// and armed whether the edge's one linger timer is pending: batches
+	// that fill before their deadline cost no timer of their own.
+	idx    int
+	openNs int64
+	armed  bool
 }
 
 // Engine executes one topology. An engine may be Run repeatedly; each
@@ -820,9 +827,9 @@ func (e *Engine) handlePunct(t *task, c *collector, wm int64, ts time.Time, prod
 }
 
 // fireDueTimers fires the processing-time timers that are due by now,
-// if any: linger timers flush their edge's partial buffer (if it is
-// still the one they were armed for), alignment timeouts abandon their
-// alignment, operator/spout timers get OnTimer.
+// if any: linger timers flush or re-arm their edge (fireLinger),
+// alignment timeouts abandon their alignment, operator/spout timers get
+// OnTimer.
 func (e *Engine) fireDueTimers(t *task, c *collector) error {
 	if !t.tm.procPending() {
 		return nil
@@ -833,10 +840,7 @@ func (e *Engine) fireDueTimers(t *task, c *collector) error {
 	}
 	err := t.tm.fireProcDue(now, func(en wheelEntry) error {
 		if en.edge >= 0 {
-			if oe := t.outList[en.edge]; oe.seq == en.seq {
-				return e.flushEdge(t, oe)
-			}
-			return nil
+			return e.fireLinger(t, t.outList[en.edge], now.UnixNano())
 		}
 		if en.edge == alignTimeoutEdge {
 			return e.alignTimedOut(t, c, en.seq)
@@ -851,6 +855,23 @@ func (e *Engine) fireDueTimers(t *task, c *collector) error {
 		return err
 	}
 	return c.fail
+}
+
+// fireLinger handles the linger timer of edge oe firing at now: the
+// open batch, if any, flushes once it is Linger old, and a younger one
+// (opened after the timer was armed) re-arms the timer for its own
+// deadline.
+func (e *Engine) fireLinger(t *task, oe *outEdge, now int64) error {
+	oe.armed = false
+	if oe.batch == nil {
+		return nil
+	}
+	if at := oe.openNs + int64(e.cfg.Linger); at > now {
+		oe.armed = true
+		t.tm.registerLinger(oe.idx, at)
+		return nil
+	}
+	return e.flushEdge(t, oe)
 }
 
 // flushAll flushes all pending buffers of a task.
@@ -895,6 +916,9 @@ func (e *Engine) Run(d time.Duration) (*Result, error) {
 		atomic.StoreUint64(&t.qwaitNs, 0)
 		atomic.StoreUint64(&t.qwaitRows, 0)
 		t.tm.reset()
+		for _, oe := range t.outList {
+			oe.armed = false // the reset wheel holds no linger timer
+		}
 		atomic.StoreInt64(&t.wmLive, WatermarkMin)
 		for i := range t.wmIn {
 			t.wmIn[i] = WatermarkMin
@@ -1052,7 +1076,8 @@ func (e *Engine) runTask(t *task) {
 		} else if err != nil {
 			e.failTask(err)
 		}
-		c.settle() // what an operator put before it failed
+		c.fwdB = nil // a pending forward dies with a failed task
+		c.settle()   // what an operator put before it failed
 		e.flushAll(t)
 		e.finishProducing(t)
 		c.publish() // however the task ended, its final counts are exact

@@ -20,7 +20,10 @@ import (
 // `consumers` no-op batch sink replicas, each drained by the engine's
 // own task driver. emit "send" fills borrowed rows and Sends them; "out"
 // puts them through Out. Either way the task settles every 64 rows, as
-// the engine does after each ProcessBatch call, and the benchmark fails
+// the engine does after each ProcessBatch call. emit "forward" feeds
+// the task full 64-row input batches through consumeJumbo, and the
+// operator forwards each whole (ForwardRows): over one edge the batch
+// is handed over, over several its rows are copied. The benchmark fails
 // unless every row reaches a sink.
 func benchDispatch(b *testing.B, consumers int, part graph.Partitioning, emit string) {
 	b.Helper()
@@ -38,7 +41,7 @@ func benchDispatch(b *testing.B, consumers int, part graph.Partitioning, emit st
 		Spouts: map[string]func() Spout{"spout": func() Spout {
 			return SpoutFunc(func(c Collector) error { return io.EOF })
 		}},
-		Operators:   map[string]func() Operator{"op": sinkOp, "sink": func() Operator { return batchSink{} }},
+		Operators:   map[string]func() Operator{"op": func() Operator { return &passBatch{} }, "sink": func() Operator { return batchSink{} }},
 		Replication: map[string]int{"sink": consumers},
 	}
 	e, err := New(topo, DefaultConfig())
@@ -61,10 +64,32 @@ func benchDispatch(b *testing.B, consumers int, part graph.Partitioning, emit st
 	src := tuple.NewBatch(1)
 	src.Append(tuple.New(int64(0)))
 	c := &collector{e: e, t: producer}
+	// forward's input batches arrive over the spout's edge and come back
+	// on its free ring, the hand-over's replacements included.
+	spout := e.byOp["spout"][0]
+	in, row := spout.out[producer.id], tuple.New(int64(0))
+	var fill *tuple.Batch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		key := int64(i & 1023)
+		if emit == "forward" {
+			if fill == nil {
+				var ok bool
+				if fill, ok = in.free.TryGet(); !ok {
+					fill = tuple.NewBatch(e.cfg.BatchSize)
+				}
+			}
+			row.Reset()
+			row.AppendInt(key)
+			if fill.Append(row); fill.Full() || i == b.N-1 {
+				if err := e.consumeJumbo(producer, c, tuple.Jumbo{Producer: spout.id, Batch: fill}); err != nil {
+					b.Fatal(err)
+				}
+				fill = nil
+			}
+			continue
+		}
 		if emit == "out" {
 			out := c.Out(tuple.DefaultStreamID)
 			out.PutInt(key)
@@ -106,11 +131,13 @@ func BenchmarkEngineDispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineEmit compares the two emit paths, Send and Out, over a
-// single edge (shuffle-c1, fields-c1: Out fills the edge's own batch)
-// and over four replicas (fields-c4: Out stages, ForwardRows routes).
+// BenchmarkEngineEmit compares the emit paths — Send, Out, and the
+// whole-batch forward — over a single edge (shuffle-c1, fields-c1: Out
+// fills the edge's own batch, a forward hands its input over) and over
+// four replicas (fields-c4: Out stages and ForwardRows routes, a
+// forward copies every row).
 func BenchmarkEngineEmit(b *testing.B) {
-	for _, emit := range []string{"send", "out"} {
+	for _, emit := range []string{"send", "out", "forward"} {
 		for _, r := range []struct {
 			name      string
 			part      graph.Partitioning

@@ -61,11 +61,10 @@ type WatermarkHandler interface {
 }
 
 // wheelEntry is one pending timer. Operator timers carry edge ==
-// operatorEdge; the engine's jumbo linger-flush timers carry the index
-// of the output edge whose partial batch should flush, plus the batch's
-// sequence number (a stale entry whose batch already flushed full is
-// skipped); barrier-alignment timeout timers carry alignTimeoutEdge
-// plus the alignment attempt they were armed for.
+// operatorEdge; the engine's jumbo linger timers carry the index of the
+// output edge they watch (at most one is pending per edge, see
+// outEdge); barrier-alignment timeout timers carry alignTimeoutEdge plus
+// seq, the alignment attempt they were armed for.
 type wheelEntry struct {
 	at   int64
 	edge int32
@@ -239,11 +238,11 @@ func (tm *Timers) RegisterProcAt(at time.Time) {
 	tm.proc.add(wheelEntry{at: at.UnixNano(), edge: operatorEdge})
 }
 
-// registerLinger schedules the engine-internal flush timer for a
-// partial jumbo batch: output edge index plus the batch sequence the
-// timer belongs to.
-func (tm *Timers) registerLinger(edge int, seq uint32, at time.Time) {
-	tm.proc.add(wheelEntry{at: at.UnixNano(), edge: int32(edge), seq: seq})
+// registerLinger schedules the engine-internal linger timer of output
+// edge edge at wall-clock time at (UnixNano). The fire checks the age of
+// whatever batch the edge then has open (see Engine.fireLinger).
+func (tm *Timers) registerLinger(edge int, at int64) {
+	tm.proc.add(wheelEntry{at: at, edge: int32(edge)})
 }
 
 // registerAlignTimeout schedules the engine-internal barrier-alignment

@@ -20,8 +20,11 @@
 // store per numeric field plus a byte copy per string field into the
 // recycled arena.
 //
-// A batch carries copies, not references, so recycling needs no
-// refcount — the consumer resets and returns it when done. String
+// A batch has one owner at a time, so recycling needs no refcount —
+// the consumer resets and returns it when done. Rows are copied into a
+// batch, never shared with another batch; a pass-through that forwards
+// a whole batch unchanged passes the batch itself on (Restream) instead
+// of copying it, and the batch is then the next hop's alone. String
 // values read from a batch (Str, Key with a string key) are views into
 // the batch arena, valid only while the consumer holds the batch;
 // symbol fields are exempt as always.
@@ -229,6 +232,16 @@ func (b *Batch) AppendRowFrom(src *Batch, r int, stream StreamID) {
 		b.hasTrace = true
 	}
 	b.n = row + 1
+}
+
+// Restream re-stamps every row onto stream s, as AppendRowFrom would
+// have: the batch forwarded whole (a pass-through's input, handed over
+// by reference) leaves on the stream it was forwarded on. Its layout
+// then counts as appended, not put, so ReadyFor refuses put rows and the
+// putter starts a fresh batch instead of joining this one.
+func (b *Batch) Restream(s StreamID) {
+	b.Stream = s
+	b.byPut = false
 }
 
 // ReadyFor readies b for one more row put on stream s and reports

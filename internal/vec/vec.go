@@ -47,8 +47,12 @@ func SelectStrNonEmpty(b *tuple.Batch, c int, sel []int32) []int32 {
 
 // RowForwarder is the optional bulk-forwarding extension of Emitter:
 // the engine's collector implements it to land forwarded rows with a
-// direct batch-to-batch column copy (no intermediate tuple) whenever
-// the downstream edges are columnar. A nil sel forwards every row.
+// direct batch-to-batch column copy (no intermediate tuple). A nil sel
+// forwards every row. A forward of every row of the operator's input
+// batch (nil sel, or one keeping every row in order) to a stream with
+// one destination edge copies nothing: the engine hands the input
+// batch itself on once the operator call returns, so b must not be
+// changed after the call.
 type RowForwarder interface {
 	ForwardRows(b *tuple.Batch, sel []int32, stream tuple.StreamID)
 }
