@@ -38,10 +38,10 @@ race:
 race-all:
 	BRISK_VALIDATE_EVERY=1 $(GO) test -race ./...
 
-# bench runs the queue/dispatch microbenchmarks: per-edge SPSC rings
-# fanned into an inbox, the uncontended ring, and the dispatch path.
+# bench runs the queue/emit microbenchmarks: per-edge SPSC rings
+# fanned into an inbox, the uncontended ring, and the emit path.
 bench:
-	$(GO) test -bench 'PutGet|EngineDispatch' -benchtime 1s -run xxx ./internal/queue/ ./internal/engine/
+	$(GO) test -bench 'PutGet|EngineEmit' -benchtime 1s -run xxx ./internal/queue/ ./internal/engine/
 
 # bench-planner runs the branch-and-bound ablation benchmarks
 # (BenchmarkAblationBnB{Dedup,NoDedup,WarmStart}: one 3000-node
@@ -71,7 +71,7 @@ bench-symbols:
 # bench-emit runs BenchmarkEngineEmit once per row: one operator task
 # emitting through Send, through Out (put rows) and by forwarding whole
 # input batches (handed over into one sink, copied into several), into
-# one sink over shuffle and fields routes and into four fields
+# one sink over shuffle and fields routes and into four or eight
 # replicas. check and CI gate on every row reaching the sinks, not on
 # the timings; for ns/row, raise -benchtime (e.g. 1s).
 bench-emit:
@@ -97,11 +97,11 @@ bench-json:
 	mv $(BENCH_JSON).tmp $(BENCH_JSON)
 
 # bench-multicore runs the parallel-sensitive microbenchmarks (SPSC
-# ring + reverse free ring + engine dispatch) at GOMAXPROCS=4,
+# ring + reverse free ring + engine emit) at GOMAXPROCS=4,
 # the setting the multicore bench matrix rows use.
 .PHONY: bench-multicore
 bench-multicore:
-	GOMAXPROCS=4 $(GO) test -bench 'PutGet|FreeRing|EngineDispatch' -benchtime 1s -run xxx ./internal/queue/ ./internal/engine/
+	GOMAXPROCS=4 $(GO) test -bench 'PutGet|FreeRing|EngineEmit' -benchtime 1s -run xxx ./internal/queue/ ./internal/engine/
 
 # race-multicore re-runs the concurrent hot path with real parallelism
 # and pinned executors (BRISK_PIN; a no-op where affinity is

@@ -43,8 +43,8 @@
 //	go build ./...                                   # compile everything
 //	go test ./...                                    # full test suite
 //	go test -race ./internal/queue/ ./internal/engine/
-//	go test -bench 'PutGet|EngineDispatch' -run xxx \
-//	    ./internal/queue/ ./internal/engine/         # queue/dispatch microbenchmarks
+//	go test -bench 'PutGet|EngineEmit' -run xxx \
+//	    ./internal/queue/ ./internal/engine/         # queue/emit microbenchmarks
 //	go test -bench . -benchtime 1x .                 # paper artifacts as benchmarks
 //	go run ./cmd/briskbench -engine 3s               # engine hot-path report
 package briskstream
@@ -86,7 +86,7 @@ type Tuple = tuple.Tuple
 type Batch = tuple.Batch
 
 // Tuple schemas. Streams declare their typed layout at wiring time via
-// Decl.Emits; the engine validates the first tuple of each declared
+// Decl.Emits; the engine validates the first batch of each declared
 // route, so a mis-typed emit fails at its source.
 
 // Schema declares the typed field layout of one output stream.
@@ -407,7 +407,7 @@ func (d *Decl) Subscribe(producer string, g Grouping) *Decl {
 
 // Emits declares the schema of this operator's output on the given
 // stream (DefaultStream for single-output operators): field names and
-// kinds, fixed at wiring time. The engine validates the first tuple
+// kinds, fixed at wiring time. The engine validates the first batch
 // emitted on each declared route against it.
 func (d *Decl) Emits(stream string, fields ...Field) *Decl {
 	if stream == "" {

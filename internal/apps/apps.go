@@ -31,7 +31,7 @@ type App struct {
 	Operators map[string]func() engine.Operator
 	// Schemas declares the typed tuple layout of every operator's
 	// output streams (operator name → stream name → schema); the engine
-	// validates the first tuple per route against it.
+	// validates the first batch per route against it.
 	Schemas map[string]map[string]*tuple.Schema
 	// Stats are the canned per-operator statistics (Te in Server A
 	// reference nanoseconds, N/M in bytes, per-stream selectivity) that

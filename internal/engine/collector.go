@@ -71,6 +71,12 @@ type collector struct {
 // counts exact whenever a run has ended.
 func (c *collector) publish() {
 	t := c.t
+	if t.spout != nil {
+		// A source processes what it emits: rows, not Next calls (a
+		// throttled or idle source returning without emitting produced
+		// nothing, and rate metrics divide by this counter).
+		c.processed = c.emitted
+	}
 	atomic.StoreUint64(&t.processed, c.processed)
 	atomic.StoreUint64(&t.emitted, c.emitted)
 	atomic.StoreUint64(&t.serviceNs, c.serviceNs)
@@ -82,17 +88,26 @@ func (c *collector) publish() {
 // Borrow implements Collector.
 func (c *collector) Borrow() *tuple.Tuple { return c.rows.Get() }
 
-// Send implements Collector: it stamps the row's metadata, copies it to
-// every destination, and only then releases it — once, however many
-// edges it fanned out to. Release recycles only a row that came from a
-// Pool: a scalar operator Sending its own input (the task-local row the
-// adapter fills) must not turn that row into the next Borrow's scratch.
+// Send implements Collector as an adapter over Out: it stamps the row,
+// copies it into Out's batch as a put row — a row of another layout
+// starts a fresh batch, and a full one leaves at once — and releases
+// it. Release recycles only a row that came from a Pool: a scalar
+// operator Sending its own input (the task-local row the adapter
+// fills) must not turn that row into the next Borrow's scratch.
 func (c *collector) Send(out *tuple.Tuple) {
-	c.settle()
 	if c.fail == nil {
 		c.stamp(out)
-		c.emitted++
-		c.fail = c.e.dispatch(c.t, out)
+		b := c.Out(out.Stream)
+		if !b.Fits(out) {
+			oe := c.outE
+			if c.settle(); oe != nil && c.fail == nil {
+				c.fail = c.e.flushEdge(c.t, oe)
+			}
+			b = c.Out(out.Stream)
+		}
+		if b.PutTuple(out); b.Full() {
+			c.settle()
+		}
 	}
 	out.Release()
 }
@@ -112,22 +127,19 @@ func (c *collector) Out(s tuple.StreamID) *tuple.Batch {
 // rows straight into that edge's open batch: no row is copied twice,
 // and nothing is routed per row. Rows of any other stream (several
 // replicas, several routes, broadcast, or no subscriber) go into the
-// staging batch, which settle routes through ForwardRows. After a
-// failure, and from a spout, the rows go into the staging batch and
-// are dropped.
+// staging batch, which settle routes through ForwardRows, once per
+// batch. After a failure the rows go into the staging batch and are
+// dropped.
 func (c *collector) openOut(s tuple.StreamID) *tuple.Batch {
 	c.settle()
 	t := c.t
-	if c.fail == nil && t.spout != nil {
-		c.fail = fmt.Errorf("engine: spout %s: Out is for operators; a spout emits with Borrow and Send", t.label)
-	}
 	if c.fail != nil {
 		return c.staged(s)
 	}
 	if r, oe := t.oneEdge(s); oe != nil {
-		// An open batch of Send rows, of another stream, or full (an
-		// adopted one may be), is flushed (openBatch) and a fresh one
-		// takes the put rows.
+		// An open batch of appended rows, of another stream, or full
+		// (an adopted one may be), is flushed (openBatch) and a fresh
+		// one takes the put rows.
 		if oe.batch == nil || !oe.batch.ReadyFor(s) {
 			if c.fail = c.e.openBatch(t, oe); c.fail != nil {
 				return c.staged(s)
@@ -210,10 +222,6 @@ func (c *collector) settleOut() {
 // stamp fills the metadata the engine owns on an outgoing row.
 func (c *collector) stamp(out *tuple.Tuple) {
 	if c.t.spout != nil {
-		// Source tasks count emitted tuples (not Next invocations — a
-		// throttled or idle source returning without emitting produced
-		// nothing, and rate metrics divide by this counter).
-		c.processed++
 		// Latency sampling: spouts stamp every k-th tuple.
 		if k := c.e.cfg.LatencySampleEvery; k > 0 {
 			if c.latN++; c.latN == k {
@@ -433,64 +441,10 @@ func (c *collector) settled(err error) error {
 	return c.fail
 }
 
-// dispatch routes one output row through the task's partition
-// controller: for every route subscribed to its stream it picks the
-// consumer replica(s) and copies the row into the batch open on that
-// edge. The row itself goes nowhere — the caller still owns it after
-// the last copy — so fan-out needs no sharing protocol.
-func (e *Engine) dispatch(t *task, out *tuple.Tuple) error {
-	for _, r := range t.routesOf(out.Stream) {
-		if r.schema != nil && (!r.checked || e.cfg.ValidateEvery) {
-			// First tuple on a declared route: validate the slot layout
-			// against the wiring-time schema, then trust the operator
-			// (every tuple when the ValidateEvery debug mode is on).
-			r.checked = true
-			if err := r.schema.Check(out); err != nil {
-				return r.schemaError(t, err)
-			}
-		}
-		var h uint64
-		switch r.part {
-		case graph.Broadcast:
-			for _, oe := range r.edges {
-				if err := e.appendRow(t, oe, out); err != nil {
-					return err
-				}
-			}
-			continue
-		case graph.Fields:
-			if r.keyField < 0 || r.keyField >= out.Len() {
-				return r.keyError(t, out.Len())
-			}
-			if len(r.edges) > 1 { // one replica: nothing to choose, skip the hash
-				h = out.Hash(r.keyField)
-			}
-		}
-		if err := e.appendRow(t, r.pick(h), out); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// appendRow copies one row into the batch open on the edge, flushing it
-// when that reaches BatchSize. An open batch is full only when it was
-// adopted full (see adopt); it is flushed like one that does not fit.
-func (e *Engine) appendRow(t *task, oe *outEdge, out *tuple.Tuple) error {
-	if oe.batch == nil || oe.batch.Full() || !oe.batch.Fits(out) {
-		if err := e.openBatch(t, oe); err != nil {
-			return err
-		}
-	}
-	oe.batch.Append(out)
-	if oe.batch.Len() >= e.cfg.BatchSize {
-		return e.flushEdge(t, oe)
-	}
-	return nil
-}
-
-// forwardRow is appendRow for a row forwarded column-to-column from an
-// input batch.
+// forwardRow copies one row, forwarded column-to-column from an input
+// batch, into the batch open on the edge, flushing it when that reaches
+// BatchSize. An open batch whose layout the row does not share, or that
+// is full (adopted full, see adopt), is flushed first.
 func (e *Engine) forwardRow(t *task, oe *outEdge, src *tuple.Batch, r int, stream tuple.StreamID) error {
 	if oe.batch == nil || oe.batch.Full() || !oe.batch.FitsRowFrom(src, stream) {
 		if err := e.openBatch(t, oe); err != nil {
@@ -564,9 +518,9 @@ type route struct {
 	keyField int
 	edges    []*outEdge
 	rr       int // round-robin cursor for shuffle
-	// schema is the declared layout of tuples emitted on this route's
-	// stream (nil when undeclared); checked flips after the first tuple
-	// is validated, so conformance costs one boolean branch per tuple.
+	// schema is the declared layout of rows emitted on this route's
+	// stream (nil when undeclared); checked flips after the first batch
+	// is validated, so conformance costs one boolean branch per batch.
 	schema  *tuple.Schema
 	checked bool
 }
@@ -636,10 +590,11 @@ func (r *route) keyError(t *task, width int) error {
 	return &RouteError{Task: t.label, Stream: r.stream.String(), KeyField: r.keyField, Width: width}
 }
 
-// RouteError reports a tuple that could not be routed by a
-// fields-grouping key: the tuple is narrower than the edge's declared
-// key field. It is returned through Result.Errors instead of panicking
-// inside dispatch.
+// RouteError reports rows that could not be routed by a
+// fields-grouping key: they are narrower than the edge's declared key
+// field. It is returned through Result.Errors, from the route check
+// every batch gets before it is routed, instead of panicking on the
+// key read.
 type RouteError struct {
 	Task     string // producing task label, e.g. "split#0"
 	Stream   string // output stream of the offending edge

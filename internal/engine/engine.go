@@ -25,21 +25,23 @@
 //
 // # Row ownership
 //
-// The steady-state emit→dispatch→process path allocates nothing and no
+// The steady-state emit→route→process path allocates nothing and no
 // tuple ever crosses a core: rows carry typed slots (no boxing), stream
 // routing indexes a per-stream route table by interned id,
 // fields-grouping hashes slots inline without a heap hasher, jumbo
-// headers travel by value and batches are recycled. The ownership
-// rules:
+// headers travel by value and batches are recycled. Every emitted row
+// reaches its edges one of two ways: a stream with one edge writes it
+// into that edge's open batch; any other stream writes it into the
+// task's staging batch, routed once per batch. The ownership rules:
 //
+//   - Collector.Out hands the operator (or spout) the batch its next
+//     row goes into — the open batch of the stream's one destination
+//     edge, or the task's staging batch — to write that one row in
+//     place. The batch stays the engine's.
 //   - Collector.Borrow hands the operator a task-local scratch row,
-//     valid until Collector.Send. Send copies the row into the open
-//     batch of every edge its stream routes to and takes the row back;
-//     a row that is only ever copied has one owner and no refcount.
-//   - Collector.Out hands a batch operator the batch its next row goes
-//     into — the open batch of the stream's one destination edge, or
-//     the task's staging batch — to write that one row in place. The
-//     batch stays the engine's.
+//     valid until Collector.Send. Send copies the row into the batch
+//     Out hands out and takes the row back; a row that is only ever
+//     copied has one owner and no refcount.
 //   - A drained batch returns to its producer over the edge's free
 //     ring. A batch operator that forwards all of its input batch to a
 //     one-edge stream hands the batch itself on (ForwardRows) instead:
@@ -73,22 +75,22 @@ import (
 )
 
 // Collector receives the tuples an operator emits during one invocation.
-// It has two emit paths; a producer's rows reach each consumer in the
-// order it emitted them, whichever path each took.
+// It has one emit path, Out, with Send an adapter over it; a producer's
+// rows reach each consumer in the order it emitted them.
+//
+// Out returns the output batch a row on the stream goes into, the
+// caller writes the row in place with the batch's typed Put methods and
+// commits it with EndRowFrom, which copies an input row's metadata. No
+// tuple is built, and a stream with one destination edge hands out that
+// edge's own batch.
 //
 // Borrow returns a scratch row whose slot arrays and string arena are
 // reused across emissions, the caller fills fields with the typed
 // AppendInt/AppendFloat/AppendBool/AppendStr/AppendSym methods (and
 // Stream, for named streams — pre-intern with tuple.Intern; stream names
 // are interned globally and never evicted, so they must come from the
-// topology's fixed set), and Send hands it back to the engine. After
-// Send the caller must not touch the tuple.
-//
-// Out is the batch operators' path: it returns the output batch a row
-// on the stream goes into, the operator writes the row in place with
-// the batch's typed Put methods and commits it with EndRowFrom, which
-// copies an input row's metadata. No tuple is built, and a stream with
-// one destination edge hands out that edge's own batch.
+// topology's fixed set), and Send copies it into the batch Out hands
+// out for its stream. After Send the caller must not touch the tuple.
 type Collector interface {
 	// Borrow returns an empty row on the default stream, owned by the
 	// caller until passed to Send. Outstanding rows are distinct.
@@ -98,15 +100,16 @@ type Collector interface {
 	// input, say) is only copied. Callers fill the payload and Stream;
 	// the engine stamps the latency timestamp, the trace context and —
 	// when left zero — the event time from the current input (outside
-	// ProcessBatch; see BatchOperator).
+	// ProcessBatch; see BatchOperator). A tuple of another layout than
+	// the rows before it starts a fresh batch.
 	Send(t *tuple.Tuple)
 	// Out returns a batch with room for at least one more row on the
 	// stream, never nil. Write exactly one row (Put methods, then
-	// EndRowFrom) before the next call on the collector; the batch is
-	// the engine's until then and only valid for that row. The first
-	// row of a batch fixes its layout: a later row of other kinds fails
-	// the task. Only operators may call it — a spout's Out fails its
-	// task.
+	// EndRowFrom; or PutTuple) before the next call on the collector;
+	// the batch is the engine's until then and only valid for that row.
+	// The first row of a batch fixes its layout: a later put row of
+	// other kinds fails the task. Spouts may call it too; their put
+	// rows carry the metadata they are given, unsampled.
 	Out(stream tuple.StreamID) *tuple.Batch
 	// EmitWatermark broadcasts a low-watermark punctuation to every
 	// consumer of the task: a promise that no tuple with Event < wm will
@@ -289,10 +292,11 @@ type Config struct {
 	// tuples cost one predictable branch at the span site and nothing
 	// else).
 	TraceSampleEvery int
-	// ValidateEvery checks every tuple against its route's declared
+	// ValidateEvery checks every batch against its route's declared
 	// schema instead of only the first per route — the debug mode the
 	// race test suite runs under, catching operators whose layout drifts
-	// after their first emit. DefaultConfig turns it on when the
+	// after their first emit (a batch holds one layout, so every row is
+	// covered). DefaultConfig turns it on when the
 	// BRISK_VALIDATE_EVERY environment variable is non-empty (how `make
 	// race`/`make check` enable it suite-wide).
 	ValidateEvery bool
@@ -348,7 +352,7 @@ type Topology struct {
 	Replication map[string]int
 	// Schemas declares, per operator and output stream name, the typed
 	// layout of the tuples that operator emits on that stream (optional;
-	// wired through to routes). The engine validates the first tuple of
+	// wired through to routes). The engine validates the first batch of
 	// every declared route against its schema, so a mis-typed emit fails
 	// at its source instead of as a kind panic in a downstream consumer.
 	Schemas map[string]map[string]*tuple.Schema
@@ -1114,7 +1118,8 @@ func (e *Engine) runTask(t *task) {
 // stepSpout makes one Next call on the task's spout and handles what
 // follows it: EOF ends the task, between calls is the checkpoint
 // injection point, and every 32nd call publishes the counters and
-// fires the timers that are due.
+// fires the timers that are due. A spout's rows stay open across calls
+// and are settled before the barrier, the publish and the timer poll.
 func (e *Engine) stepSpout(t *task, c *collector) error {
 	err := t.spout.Next(c)
 	if c.fail != nil {
@@ -1142,6 +1147,9 @@ func (e *Engine) stepSpout(t *task, c *collector) error {
 	// source's own snapshot) is taken.
 	if e.coord != nil {
 		if req := e.ckptReq.Load(); req > t.lastCkpt {
+			if c.settle(); c.fail != nil {
+				return c.fail
+			}
 			if err := e.sourceBarrier(t, c, req); err != nil {
 				return err
 			}
@@ -1152,6 +1160,9 @@ func (e *Engine) stepSpout(t *task, c *collector) error {
 	// spout-registered proc timers) pend, poll the clock.
 	if c.nexts++; c.nexts&31 != 0 {
 		return nil
+	}
+	if c.settle(); c.fail != nil {
+		return c.fail
 	}
 	c.publish()
 	return e.fireDueTimers(t, c)
@@ -1179,7 +1190,7 @@ func (e *Engine) admit(t *task, c *collector, j tuple.Jumbo) error {
 	return e.consumeJumbo(t, c, j)
 }
 
-// failTask handles a task-fatal dispatch or operator error: a routing
+// failTask handles a task-fatal routing or operator error: a routing
 // failure (e.g. RouteError) is recorded and aborts the run; ErrStopped
 // only means a downstream queue closed during shutdown, so the task
 // simply exits. Either way all queues are closed so no peer blocks on a

@@ -1,13 +1,12 @@
 package engine
 
-// engine_bench_test.go measures the emit→dispatch hot path in
-// isolation: the partition controller, per-consumer batch accumulation
-// and the SPSC enqueue, without spout/operator work on top. Run with:
+// engine_bench_test.go measures the emit hot path in isolation: the
+// partition controller, per-consumer batch accumulation and the SPSC
+// enqueue, without spout/operator work on top. Run with:
 //
-//	go test -bench 'EngineDispatch|EngineEmit' -run xxx ./internal/engine/
+//	go test -bench EngineEmit -run xxx ./internal/engine/
 
 import (
-	"fmt"
 	"io"
 	"sync"
 	"testing"
@@ -16,7 +15,7 @@ import (
 	"briskstream/internal/tuple"
 )
 
-// benchDispatch emits b.N one-integer rows from an operator task into
+// benchEmit emits b.N one-integer rows from an operator task into
 // `consumers` no-op batch sink replicas, each drained by the engine's
 // own task driver. emit "send" fills borrowed rows and Sends them; "out"
 // puts them through Out. Either way the task settles every 64 rows, as
@@ -25,9 +24,9 @@ import (
 // operator forwards each whole (ForwardRows): over one edge the batch
 // is handed over, over several its rows are copied. The benchmark fails
 // unless every row reaches a sink.
-func benchDispatch(b *testing.B, consumers int, part graph.Partitioning, emit string) {
+func benchEmit(b *testing.B, consumers int, part graph.Partitioning, emit string) {
 	b.Helper()
-	g := graph.New("dispatch")
+	g := graph.New("emit")
 	g.AddNode(&graph.Node{Name: "spout", IsSpout: true, Selectivity: map[string]float64{"default": 1}})
 	g.AddNode(&graph.Node{Name: "op", Selectivity: map[string]float64{"default": 1}})
 	g.AddNode(&graph.Node{Name: "sink", IsSink: true})
@@ -57,7 +56,7 @@ func benchDispatch(b *testing.B, consumers int, part graph.Partitioning, emit st
 			e.runTask(ct)
 		}(ct)
 	}
-	// The measured loop is the emit→dispatch path itself (fill typed
+	// The measured loop is the emit path itself (fill typed
 	// slots, route, land in the edge's batch, enqueue), which must not
 	// allocate in steady state. src is the input row put rows copy their
 	// metadata from.
@@ -118,33 +117,24 @@ func benchDispatch(b *testing.B, consumers int, part graph.Partitioning, emit st
 	}
 }
 
-func BenchmarkEngineDispatch(b *testing.B) {
-	for _, consumers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("shuffle-c%d", consumers), func(b *testing.B) {
-			benchDispatch(b, consumers, graph.Shuffle, "send")
-		})
-	}
-	for _, consumers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("fields-c%d", consumers), func(b *testing.B) {
-			benchDispatch(b, consumers, graph.Fields, "send")
-		})
-	}
-}
-
-// BenchmarkEngineEmit compares the emit paths — Send, Out, and the
-// whole-batch forward — over a single edge (shuffle-c1, fields-c1: Out
-// fills the edge's own batch, a forward hands its input over) and over
-// four replicas (fields-c4: Out stages and ForwardRows routes, a
-// forward copies every row).
+// BenchmarkEngineEmit compares the emit paths — Send (an adapter over
+// Out), Out, and the whole-batch forward — over a single edge
+// (shuffle-c1, fields-c1: Send and Out fill the edge's own batch, a
+// forward hands its input over) and over four or eight replicas
+// (shuffle-c4, shuffle-c8, fields-c4: Send and Out stage and
+// ForwardRows routes once per batch, a forward copies every row).
 func BenchmarkEngineEmit(b *testing.B) {
 	for _, emit := range []string{"send", "out", "forward"} {
 		for _, r := range []struct {
 			name      string
 			part      graph.Partitioning
 			consumers int
-		}{{"shuffle-c1", graph.Shuffle, 1}, {"fields-c1", graph.Fields, 1}, {"fields-c4", graph.Fields, 4}} {
+		}{
+			{"shuffle-c1", graph.Shuffle, 1}, {"shuffle-c4", graph.Shuffle, 4}, {"shuffle-c8", graph.Shuffle, 8},
+			{"fields-c1", graph.Fields, 1}, {"fields-c4", graph.Fields, 4},
+		} {
 			b.Run(emit+"/"+r.name, func(b *testing.B) {
-				benchDispatch(b, r.consumers, r.part, emit)
+				benchEmit(b, r.consumers, r.part, emit)
 			})
 		}
 	}

@@ -91,6 +91,7 @@ func TestSendFansOutIdenticalRowsAndRecyclesOnce(t *testing.T) {
 		t.Error("the sent row was recycled more than once")
 	}
 
+	c.settle()
 	e.flushAll(producer)
 	reached := map[string]int{}
 	for _, oe := range producer.outList {

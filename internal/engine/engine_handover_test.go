@@ -500,9 +500,13 @@ func TestLingerCoversBatchOpenedAfterArming(t *testing.T) {
 	c, drain := allocHarness(t, cfg, 1, graph.Shuffle, func() Operator { return batchSink{} })
 	e, tk := c.e, c.t
 	delivered := func() uint64 { drain(); return e.sink.Load() }
+	// The harness settles before every flush and timer poll, as the
+	// engine's task steps do: no edge batch may leave while the
+	// collector still writes into it.
 	fireAt := func(at time.Time) {
 		t.Helper()
 		time.Sleep(time.Until(at))
+		c.settle()
 		if err := e.fireDueTimers(tk, c); err != nil {
 			t.Fatal(err)
 		}
@@ -511,6 +515,7 @@ func TestLingerCoversBatchOpenedAfterArming(t *testing.T) {
 	// Batch A arms the edge's timer, then flushes before it is due.
 	aOpen := time.Now()
 	sendInt(c, 1)
+	c.settle()
 	e.flushAll(tk)
 	if got := delivered(); got != 1 {
 		t.Fatalf("sink got %d rows after the flush, want 1", got)

@@ -1,8 +1,8 @@
 package engine
 
-// Collector.Out, the batch operators' emit path: rows put straight into
-// the output batch reach every consumer exactly as the same rows sent
-// through Borrow/Send do — payload, metadata and order, interleaved
+// Collector.Out, the one emit path: rows put straight into the output
+// batch reach every consumer exactly as the same rows sent through
+// Borrow/Send (an adapter over Out) do — payload, metadata and order, interleaved
 // with Send rows or not, over a single edge or through the staging
 // batch — punctuation follows them, a mis-typed put row fails its task
 // at the source, the counters stay exact and the path allocates
@@ -529,43 +529,6 @@ func TestOutUnsubscribedStreamDrops(t *testing.T) {
 	drain()
 	if c.fail != nil || c.emitted != 100 || c.e.sink.Load() != 0 {
 		t.Fatalf("fail %v, emitted %d, delivered %d; want no failure, 100 emitted, none delivered", c.fail, c.emitted, c.e.sink.Load())
-	}
-}
-
-// TestSpoutOutFailsTask: Out is for operators; a spout calling it fails
-// its task with an error that says so.
-func TestSpoutOutFailsTask(t *testing.T) {
-	noGoroutineLeak(t)
-	g := graph.New("spout-out")
-	g.AddNode(&graph.Node{Name: "spout", IsSpout: true, Selectivity: map[string]float64{"default": 1}})
-	g.AddNode(&graph.Node{Name: "sink", IsSink: true})
-	g.AddEdge(graph.Edge{From: "spout", To: "sink", Stream: "default"})
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	src := tuple.NewBatch(1)
-	src.Append(tuple.New(int64(0)))
-	e, err := New(Topology{
-		App: g,
-		Spouts: map[string]func() Spout{"spout": func() Spout {
-			return SpoutFunc(func(c Collector) error {
-				b := c.Out(tuple.DefaultStreamID)
-				b.PutInt(1)
-				b.EndRowFrom(src, 0)
-				return nil
-			})
-		}},
-		Operators: map[string]func() Operator{"sink": sinkOp},
-	}, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run(5 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Errors) != 1 || !strings.Contains(res.Errors[0].Error(), "spout#0") || res.SinkTuples != 0 {
-		t.Fatalf("errors = %v, sink tuples = %d; want one failure at spout#0 and nothing delivered", res.Errors, res.SinkTuples)
 	}
 }
 

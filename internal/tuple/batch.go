@@ -11,14 +11,13 @@
 //
 // A batch's layout (stream, arity, field kinds) is adopted from the
 // first row written and stays fixed until Reset; Fits reports whether
-// another tuple shares it. Rows are written three ways: Append copies
-// a tuple, AppendRowFrom copies a row of another batch, and the Put
-// methods write one field after another in place, committed by
-// EndRowFrom — the emit path of batch operators (engine Collector.Out),
-// which never builds a tuple. Batches recycle through per-edge free
-// rings, so the steady-state path allocates nothing: a row is a slot
-// store per numeric field plus a byte copy per string field into the
-// recycled arena.
+// another tuple shares it. Rows are written two ways: Append and
+// AppendRowFrom copy a tuple or another batch's row, and put rows —
+// the Put methods committed by EndRowFrom, or PutTuple — are the
+// engine's one emit path (Collector.Out, and Send over it). Batches
+// recycle through per-edge free rings, so the steady-state path
+// allocates nothing: a row is a slot store per numeric field plus a
+// byte copy per string field into the recycled arena.
 //
 // A batch has one owner at a time, so recycling needs no refcount —
 // the consumer resets and returns it when done. Rows are copied into a
@@ -156,6 +155,22 @@ func (b *Batch) Append(t *Tuple) {
 		b.kinds = t.kinds
 		b.byPut = false
 	}
+	b.copyTuple(t)
+}
+
+// PutTuple is the Put methods and EndRowFrom for a whole tuple: it
+// copies t's fields and header metadata into the next row as a put
+// row (Stream comes from ReadyFor). The batch must not be full.
+func (b *Batch) PutTuple(t *Tuple) {
+	k := t.kinds
+	clear(k[t.n:]) // a put layout has no kinds past its arity
+	if b.admitPut(int(t.n), &k) {
+		b.copyTuple(t)
+	}
+}
+
+// copyTuple copies t into the next row under the batch's layout.
+func (b *Batch) copyTuple(t *Tuple) {
 	r := b.n
 	idx := r
 	for c := 0; c < b.cols; c++ {
@@ -306,15 +321,10 @@ func (b *Batch) put(k Kind, v uint64) {
 func (b *Batch) EndRowFrom(src *Batch, r int) {
 	k, cols := b.wkinds, b.wcol
 	b.wcol, b.wkinds = 0, [MaxFields]Kind{}
-	row := b.n
-	if row == 0 {
-		b.cols, b.kinds, b.byPut = cols, k, true
-	} else if k != b.kinds {
-		if !b.bad {
-			b.bad, b.misput = true, k
-		}
+	if !b.admitPut(cols, &k) {
 		return
 	}
+	row := b.n
 	b.ts[row] = src.ts[r]
 	b.event[row] = src.event[r]
 	b.traceID[row] = src.traceID[r]
@@ -325,7 +335,23 @@ func (b *Batch) EndRowFrom(src *Batch, r int) {
 	b.n = row + 1
 }
 
-// PutErr reports a put row EndRowFrom refused since the last Reset,
+// admitPut reports whether a put row of these kinds may be committed:
+// the first fixes the layout, a later mismatch is kept for PutErr.
+func (b *Batch) admitPut(cols int, k *[MaxFields]Kind) bool {
+	if b.n == 0 {
+		b.cols, b.kinds, b.byPut = cols, *k, true
+		return true
+	}
+	if *k == b.kinds {
+		return true
+	}
+	if !b.bad {
+		b.bad, b.misput = true, *k
+	}
+	return false
+}
+
+// PutErr reports a put row the batch refused since the last Reset,
 // nil if none.
 func (b *Batch) PutErr() error {
 	if !b.bad {

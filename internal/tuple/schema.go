@@ -21,9 +21,9 @@ func SymField(name string) Field   { return Field{Name: name, Kind: KindSym} }
 
 // Schema declares the typed layout of the tuples an operator emits on
 // one stream: field names and kinds, fixed at wiring time. The engine
-// validates the first tuple of every (task, stream) route against the
-// declared schema, so a mis-typed emit fails loudly at its source
-// instead of as a kind panic inside a downstream consumer.
+// validates the first batch of every (task, stream) route against the
+// declared schema (CheckBatch), so a mis-typed emit fails loudly at its
+// source instead of as a kind panic inside a downstream consumer.
 //
 // Schemas are declarative: tuples do not carry a schema pointer (their
 // slots are self-describing), so undeclared streams still flow — a
@@ -73,17 +73,15 @@ func (s *Schema) FieldIndex(name string) int {
 	return -1
 }
 
-// Check validates a tuple against the schema: the arity must match and
-// every slot's kind must equal its declaration. Strings and symbols
-// are deliberately NOT interchangeable here: they hash and route
-// identically, but grouping keys distinguish the kinds — replicas
-// mixing AppendStr and AppendSym on one keyed stream would pass a lax
-// check, land on the same consumer, and silently split its keyed state
-// into two accumulators per logical key. A declared schema pins the
-// representation so that class of bug dies at the first tuple.
-func (s *Schema) Check(t *Tuple) error { return s.check(int(t.n), &t.kinds) }
-
-// CheckBatch validates the layout every row of b shares.
+// CheckBatch validates the layout every row of b shares against the
+// schema: the arity must match and every column's kind must equal its
+// declaration. Strings and symbols are deliberately NOT
+// interchangeable here: they hash and route identically, but grouping
+// keys distinguish the kinds — replicas mixing string and symbol puts
+// on one keyed stream would pass a lax check, land on the same
+// consumer, and silently split its keyed state into two accumulators
+// per logical key. A declared schema pins the representation so that
+// class of bug dies at the first batch.
 func (s *Schema) CheckBatch(b *Batch) error { return s.check(b.cols, &b.kinds) }
 
 func (s *Schema) check(n int, kinds *[MaxFields]Kind) error {

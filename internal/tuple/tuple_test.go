@@ -426,10 +426,17 @@ func TestSchemaCheck(t *testing.T) {
 	if s.FieldIndex("missing") != -1 {
 		t.Error("FieldIndex of a missing field must be -1")
 	}
+	// Each case is checked as the one row of a batch: a batch's rows
+	// share its layout, so CheckBatch covers every one of them.
+	check := func(row *Tuple) error {
+		b := NewBatch(1)
+		b.Append(row)
+		return s.CheckBatch(b)
+	}
 	ok := &Tuple{}
 	ok.AppendSym(InternSym("schema-word"))
 	ok.AppendInt(3)
-	if err := s.Check(ok); err != nil {
+	if err := check(ok); err != nil {
 		t.Errorf("valid tuple rejected: %v", err)
 	}
 	// str and sym are distinct key kinds: a string slot against a
@@ -438,18 +445,18 @@ func TestSchemaCheck(t *testing.T) {
 	asStr := &Tuple{}
 	asStr.AppendStr("schema-word")
 	asStr.AppendInt(3)
-	if s.Check(asStr) == nil {
+	if check(asStr) == nil {
 		t.Error("string against sym field accepted; kinds must match exactly")
 	}
 	short := &Tuple{}
 	short.AppendInt(1)
-	if s.Check(short) == nil {
+	if check(short) == nil {
 		t.Error("arity mismatch accepted")
 	}
 	wrong := &Tuple{}
 	wrong.AppendSym(InternSym("schema-word"))
 	wrong.AppendFloat(3)
-	if s.Check(wrong) == nil {
+	if check(wrong) == nil {
 		t.Error("kind mismatch accepted")
 	}
 	if got := s.String(); got != "(word symbol, count int64)" {
