@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-repeat race bench bench-planner bench-window bench-symbols bench-emit vet fmt-check fuzz-smoke check
+.PHONY: all build test test-repeat race bench bench-planner bench-window bench-symbols bench-emit bench-timers vet fmt-check fuzz-smoke check
 
 all: build test
 
@@ -76,6 +76,14 @@ bench-symbols:
 # the timings; for ns/row, raise -benchtime (e.g. 1s).
 bench-emit:
 	$(GO) test -run '^$$' -bench EngineEmit -benchtime 1x ./internal/engine/
+
+# bench-timers runs BenchmarkTimers once per row: the timer service's
+# public API (RegisterEvent + AdvanceWatermark) with one event timer
+# pending, and with 1024 pending at spread timestamps. check and CI
+# gate on every registered timer firing exactly once, in timestamp
+# order, not on the timings; for ns/op, raise -benchtime (e.g. 1s).
+bench-timers:
+	$(GO) test -run '^$$' -bench '^BenchmarkTimers$$' -benchtime 1x ./internal/engine/
 
 # bench-json runs the benchmark apps (the paper's four plus the
 # windowed TW) on the real engine across the GOMAXPROCS x replication
@@ -154,9 +162,9 @@ fuzz-smoke:
 
 # benchmark/ is its own module (the benchmark of record), so the root
 # ./... does not reach its tests; check runs them explicitly, then the
-# repeated-run pass (test-repeat), the planner, window, symbol and
-# emit benchmarks once (bench-planner, bench-window, bench-symbols,
-# bench-emit), the
+# repeated-run pass (test-repeat), the planner, window, symbol, emit
+# and timer benchmarks once (bench-planner, bench-window,
+# bench-symbols, bench-emit, bench-timers), the
 # fuzz smoke, the multicore pinned race pass and the live-telemetry
 # gates — the same steps as .github/workflows/ci.yml.
 check: vet fmt-check build
@@ -167,6 +175,7 @@ check: vet fmt-check build
 	$(MAKE) bench-window
 	$(MAKE) bench-symbols
 	$(MAKE) bench-emit
+	$(MAKE) bench-timers
 	$(MAKE) fuzz-smoke
 	$(MAKE) race-multicore
 	$(MAKE) obs-check

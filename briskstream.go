@@ -177,8 +177,8 @@ type RouteError = engine.RouteError
 // WatermarkHandler. The internal/window package builds tumbling,
 // sliding and session windows on these hooks.
 
-// Timers is the per-task timer service (event-time and
-// processing-time hashed timer wheels).
+// Timers is the per-task timer service (a min-heap of timestamps per
+// time domain: event time and processing time).
 type Timers = engine.Timers
 
 // TimerKind distinguishes event-time from processing-time timers.

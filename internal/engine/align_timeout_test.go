@@ -110,8 +110,8 @@ func TestAlignTimeoutAbandonsSkewedAlignmentWithoutLoss(t *testing.T) {
 }
 
 // TestAlignTimeoutStaleTimerIsNoOp: a timeout armed for an alignment
-// that completed in time must not disturb the next alignment (the
-// attempt sequence gates firing).
+// that completed in time must not disturb the next alignment
+// (completing an alignment clears its deadline).
 func TestAlignTimeoutStaleTimerIsNoOp(t *testing.T) {
 	g := graph.New("align-timeout-stale")
 	g.AddNode(&graph.Node{Name: "a", IsSpout: true, Selectivity: map[string]float64{"default": 1}})
@@ -160,5 +160,68 @@ func TestAlignTimeoutStaleTimerIsNoOp(t *testing.T) {
 	}
 	if res.SinkTuples != res.Processed["a"]+res.Processed["b"] {
 		t.Fatalf("sink received %d of %d tuples", res.SinkTuples, res.Processed["a"]+res.Processed["b"])
+	}
+}
+
+// TestAlignDeadlineLivesWithItsAlignment: the task's alignment deadline
+// is set when an alignment over several live edges starts and cleared
+// when it completes or is abandoned, so no deadline outlives its
+// alignment.
+func TestAlignDeadlineLivesWithItsAlignment(t *testing.T) {
+	g := graph.New("align-deadline")
+	g.AddNode(&graph.Node{Name: "a", IsSpout: true, Selectivity: map[string]float64{"default": 1}})
+	g.AddNode(&graph.Node{Name: "b", IsSpout: true, Selectivity: map[string]float64{"default": 1}})
+	g.AddNode(&graph.Node{Name: "sink", IsSink: true})
+	g.AddEdge(graph.Edge{From: "a", To: "sink", Stream: "default"})
+	g.AddEdge(graph.Edge{From: "b", To: "sink", Stream: "default"})
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Checkpoint = checkpoint.NewCoordinator(nil)
+	cfg.AlignTimeout = time.Hour
+	e, err := New(Topology{
+		App: g,
+		Spouts: map[string]func() Spout{
+			"a": func() Spout { return &pacedSpout{} },
+			"b": func() Spout { return &pacedSpout{} },
+		},
+		Operators: map[string]func() Operator{
+			"sink": func() Operator {
+				return OperatorFunc(func(c Collector, in *tuple.Tuple) error { return nil })
+			},
+		},
+	}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := e.byOp["sink"][0]
+	c := &collector{e: e, t: sink}
+	a, b := e.byOp["a"][0].id, e.byOp["b"][0].id
+	barrier := func(id uint64, producer int) {
+		t.Helper()
+		if err := e.handleBarrier(sink, c, id, producer); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	id := e.TriggerCheckpoint()
+	barrier(id, a)
+	if sink.alignAt == 0 {
+		t.Fatal("alignment started without a deadline")
+	}
+	barrier(id, b)
+	if sink.alignID != 0 || sink.alignAt != 0 {
+		t.Fatalf("completed alignment left alignID %d, alignAt %d", sink.alignID, sink.alignAt)
+	}
+	barrier(e.TriggerCheckpoint(), a)
+	if sink.alignAt == 0 {
+		t.Fatal("second alignment started without a deadline")
+	}
+	if err := e.drainAlignment(sink, c); err != nil {
+		t.Fatal(err)
+	}
+	if sink.alignID != 0 || sink.alignAt != 0 {
+		t.Fatalf("abandoned alignment left alignID %d, alignAt %d", sink.alignID, sink.alignAt)
 	}
 }

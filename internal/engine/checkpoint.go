@@ -224,11 +224,10 @@ func (e *Engine) handleBarrier(t *task, c *collector, id uint64, producer int) e
 		}
 		// Arm the skew bound: if the slowest edges have not delivered
 		// their barrier by the deadline, the attempt is abandoned and the
-		// parked input replayed (alignTimedOut). A completed alignment
-		// leaves the timer stale via alignSeq.
-		t.alignSeq++
+		// parked input replayed (alignTimedOut). Completing or abandoning
+		// the alignment clears the deadline.
 		if e.cfg.AlignTimeout > 0 && t.alignLeft > 1 {
-			t.tm.registerAlignTimeout(t.alignSeq, time.Now().Add(e.cfg.AlignTimeout))
+			t.alignAt = time.Now().Add(e.cfg.AlignTimeout).UnixNano()
 		}
 	}
 	if id != t.alignID {
@@ -277,6 +276,7 @@ func (e *Engine) completeAlignment(t *task, c *collector) error {
 	id := t.alignID
 	t.alignID = 0
 	t.alignLeft = 0
+	t.alignAt = 0
 	clear(t.alignSeen)
 	t.lastCkpt = id
 	snap, err := t.snapshot()
@@ -299,10 +299,7 @@ func (e *Engine) completeAlignment(t *task, c *collector) error {
 // (the laggard barriers become stale on arrival) and the parked jumbos
 // replay, so pathological producer skew bounds parked memory by the
 // timeout instead of by the skew.
-func (e *Engine) alignTimedOut(t *task, c *collector, seq uint32) error {
-	if t.alignID == 0 || seq != t.alignSeq {
-		return nil // stale: that alignment completed or was superseded
-	}
+func (e *Engine) alignTimedOut(t *task, c *collector) error {
 	e.alignTimeouts.Add(1)
 	e.event("checkpoint_timeout", t.label, map[string]string{"id": strconv.FormatUint(t.alignID, 10)})
 	if t.alignID > t.lastCkpt {
@@ -326,6 +323,7 @@ func (e *Engine) giveUpAlignment(t *task, c *collector) error {
 func (e *Engine) abandonAlignment(t *task, c *collector) error {
 	t.alignID = 0
 	t.alignLeft = 0
+	t.alignAt = 0
 	clear(t.alignSeen)
 	buf := t.alignBuf
 	t.alignBuf = nil

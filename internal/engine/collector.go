@@ -402,7 +402,7 @@ func (c *collector) EmitWatermark(wm int64) {
 	if wm <= c.t.tm.wm {
 		return // watermarks are monotonic
 	}
-	// Advance the emitting task's own event wheel first: a source that
+	// Advance the emitting task's own event timers first: a source that
 	// registered event timers (TimerAware spouts) gets its OnTimer
 	// callbacks here, since no punctuation ever flows INTO a source.
 	if err := c.advanceWatermark(wm); err != nil {
@@ -414,7 +414,7 @@ func (c *collector) EmitWatermark(wm int64) {
 	}
 }
 
-// advanceWatermark moves the task's event-time wheel to wm, handing
+// advanceWatermark moves the task's event-time timers to wm, handing
 // every due event timer to the task's TimerHandler, and publishes the
 // new watermark to the obs mirror.
 func (c *collector) advanceWatermark(wm int64) error {
@@ -472,13 +472,12 @@ func (e *Engine) openBatch(t *task, oe *outEdge) error {
 	}
 	oe.batch = b
 	if e.cfg.Linger > 0 {
-		// Bound how long the batch may stay partial. The edge's one
-		// timer, if pending, covers it: when that fires early for this
-		// batch, it re-arms for openNs + Linger (fireLinger).
+		// Bound how long the batch may stay partial. A pending linger
+		// deadline is no later than this batch's, so it covers it: when
+		// it fires early for this batch, fireLinger moves it here.
 		oe.openNs = time.Now().UnixNano()
-		if !oe.armed {
-			oe.armed = true
-			t.tm.registerLinger(oe.idx, oe.openNs+int64(e.cfg.Linger))
+		if t.lingerAt == 0 {
+			t.lingerAt = oe.openNs + int64(e.cfg.Linger)
 		}
 	}
 	return nil

@@ -20,8 +20,8 @@
 // (fireDueTimers). A step never waits for input. It ends its task by
 // returning an error: errTaskDone for a natural end, any other for a
 // failure. runTask, the goroutine driver, pins the thread, does the
-// waiting (one Inbox.GetUntil up to the earliest timer) and classifies
-// the ending error once, into finishTask or failTask.
+// waiting (one Inbox.GetUntil up to the task's nextDeadline) and
+// classifies the ending error once, into finishTask or failTask.
 //
 // # Row ownership
 //
@@ -262,10 +262,11 @@ type Config struct {
 	// Linger bounds how long a partial jumbo batch may wait for more
 	// tuples before it is flushed anyway, so low-rate streams see at
 	// most Linger of batching delay instead of stranding tuples until
-	// shutdown. Each out-edge keeps at most one timer in the task's
-	// timer service: opening a batch arms it if none is pending, and a
-	// fire flushes a batch at least Linger old or re-arms for a younger
-	// one. Default 5ms; 0 disables (flush only when full).
+	// shutdown. The task keeps one linger deadline for all its
+	// out-edges: opening a batch sets it if none is pending, and when
+	// it passes every batch at least Linger old flushes and it moves to
+	// the earliest younger one. Default 5ms; 0 disables (flush only
+	// when full).
 	Linger time.Duration
 
 	// Checkpoint enables aligned-barrier checkpointing: the coordinator
@@ -450,11 +451,13 @@ type task struct {
 	alignSeen []bool
 	alignLeft int
 	alignBuf  []tuple.Jumbo
-	// alignSeq numbers this task's alignment attempts; the align-timeout
-	// timer records the attempt it was armed for, so a timer whose
-	// alignment already completed (or was superseded) is recognized as
-	// stale and skipped.
-	alignSeq uint32
+	// The engine's own processing-time deadlines (UnixNano; 0 means
+	// none). lingerAt is no later than the linger deadline of every open
+	// out-edge batch (see openBatch, fireLinger); alignAt is the
+	// AlignTimeout deadline of the alignment in progress, set when it
+	// starts and cleared when it completes or is abandoned.
+	lingerAt int64
+	alignAt  int64
 	// doneIn marks producer tasks that finished (EOF) and so will never
 	// emit another barrier: alignment skips them — the barrier analogue
 	// of the watermark path's idle-source exclusion — or a checkpoint
@@ -507,13 +510,9 @@ type outEdge struct {
 	// the producer's socket, and the steady state allocates none.
 	batch *tuple.Batch
 	free  *queue.FreeRing[*tuple.Batch]
-	// idx is this edge's index in the producer's outList (linger timers
-	// address edges by it). openNs is when the open batch was opened,
-	// and armed whether the edge's one linger timer is pending: batches
-	// that fill before their deadline cost no timer of their own.
-	idx    int
+	// openNs is when the open batch was opened (its linger deadline is
+	// openNs + Linger).
 	openNs int64
-	armed  bool
 }
 
 // Engine executes one topology. An engine may be Run repeatedly; each
@@ -692,7 +691,6 @@ func New(topo Topology, cfg Config) (*Engine, error) {
 							consumer: ct,
 							ring:     ct.in.Bind(),
 							free:     queue.NewFreeRing[*tuple.Batch](max(8, cfg.QueueCapacity)),
-							idx:      len(pt.outList),
 						}
 						pt.outList = append(pt.outList, pt.out[ct.id])
 					}
@@ -830,30 +828,35 @@ func (e *Engine) handlePunct(t *task, c *collector, wm int64, ts time.Time, prod
 	return e.broadcastPunct(t, tuple.PunctWatermark, merged, ts)
 }
 
-// fireDueTimers fires the processing-time timers that are due by now,
-// if any: linger timers flush or re-arm their edge (fireLinger),
-// alignment timeouts abandon their alignment, operator/spout timers get
-// OnTimer.
+// nextDeadline returns the task's earliest processing-time deadline
+// (UnixNano): the linger bound, the alignment timeout or the earliest
+// operator timer; 0 when none is pending.
+func (t *task) nextDeadline() int64 {
+	return earliest(earliest(t.lingerAt, t.alignAt), t.tm.nextProc())
+}
+
+// earliest returns the earlier of two deadlines, where 0 means none.
+func earliest(a, b int64) int64 {
+	if a == 0 || (b != 0 && b < a) {
+		return b
+	}
+	return a
+}
+
+// fireDueTimers fires the processing-time deadlines that are due by
+// now, if any: the linger deadline flushes the batches old enough
+// (fireLinger), the alignment timeout abandons its alignment, and due
+// operator/spout timers get OnTimer, popped one at a time.
 func (e *Engine) fireDueTimers(t *task, c *collector) error {
-	if !t.tm.procPending() {
+	next := t.nextDeadline()
+	if next == 0 {
 		return nil
 	}
-	now := time.Now()
-	if now.Before(t.tm.nextProc()) {
+	now := time.Now().UnixNano()
+	if now < next {
 		return nil
 	}
-	err := t.tm.fireProcDue(now, func(en wheelEntry) error {
-		if en.edge >= 0 {
-			return e.fireLinger(t, t.outList[en.edge], now.UnixNano())
-		}
-		if en.edge == alignTimeoutEdge {
-			return e.alignTimedOut(t, c, en.seq)
-		}
-		if t.onTimer == nil {
-			return nil
-		}
-		return c.settled(t.onTimer.OnTimer(c, ProcTimer, en.at))
-	})
+	err := e.fireDue(t, c, now)
 	c.publish() // timers emit too
 	if err != nil {
 		return err
@@ -861,21 +864,51 @@ func (e *Engine) fireDueTimers(t *task, c *collector) error {
 	return c.fail
 }
 
-// fireLinger handles the linger timer of edge oe firing at now: the
-// open batch, if any, flushes once it is Linger old, and a younger one
-// (opened after the timer was armed) re-arms the timer for its own
-// deadline.
-func (e *Engine) fireLinger(t *task, oe *outEdge, now int64) error {
-	oe.armed = false
-	if oe.batch == nil {
-		return nil
+// fireDue fires what is due by now: the linger deadline, then the
+// alignment timeout, then the operator timers in timestamp order.
+func (e *Engine) fireDue(t *task, c *collector, now int64) error {
+	if t.lingerAt != 0 && t.lingerAt <= now {
+		if err := e.fireLinger(t, now); err != nil {
+			return err
+		}
 	}
-	if at := oe.openNs + int64(e.cfg.Linger); at > now {
-		oe.armed = true
-		t.tm.registerLinger(oe.idx, at)
-		return nil
+	if t.alignAt != 0 && t.alignAt <= now {
+		if err := e.alignTimedOut(t, c); err != nil {
+			return err
+		}
 	}
-	return e.flushEdge(t, oe)
+	for {
+		at, ok := t.tm.proc.popDue(now)
+		if !ok {
+			return nil
+		}
+		if t.onTimer == nil {
+			continue
+		}
+		if err := c.settled(t.onTimer.OnTimer(c, ProcTimer, at)); err != nil {
+			return err
+		}
+	}
+}
+
+// fireLinger runs when the linger deadline passes: every open batch at
+// least Linger old by now flushes, and lingerAt moves to the earliest
+// deadline among the younger ones (0 when none is open).
+func (e *Engine) fireLinger(t *task, now int64) error {
+	t.lingerAt = 0
+	for _, oe := range t.outList {
+		if oe.batch == nil {
+			continue
+		}
+		if at := oe.openNs + int64(e.cfg.Linger); at > now {
+			t.lingerAt = earliest(t.lingerAt, at)
+			continue
+		}
+		if err := e.flushEdge(t, oe); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // flushAll flushes all pending buffers of a task.
@@ -890,8 +923,8 @@ func (e *Engine) flushAll(t *task) {
 // metrics; operator errors are collected in Result.Errors.
 //
 // Run may be called repeatedly on the same engine (not concurrently):
-// each call resets the sink/latency/processed counters, the timer
-// wheels, the watermark cursors, the checkpoint alignment state and the
+// each call resets the sink/latency/processed counters, the timers and
+// deadlines, the watermark cursors, the checkpoint alignment state and the
 // shuffle round-robin cursors, and reopens the task queues the previous
 // run closed, so results never double-count and a recovery restart
 // observes no residue of the failed run. Operator and spout instances
@@ -920,9 +953,7 @@ func (e *Engine) Run(d time.Duration) (*Result, error) {
 		atomic.StoreUint64(&t.qwaitNs, 0)
 		atomic.StoreUint64(&t.qwaitRows, 0)
 		t.tm.reset()
-		for _, oe := range t.outList {
-			oe.armed = false // the reset wheel holds no linger timer
-		}
+		t.lingerAt, t.alignAt = 0, 0
 		atomic.StoreInt64(&t.wmLive, WatermarkMin)
 		for i := range t.wmIn {
 			t.wmIn[i] = WatermarkMin
@@ -1095,11 +1126,11 @@ func (e *Engine) runTask(t *task) {
 	}
 	for err == nil {
 		// Wake at the earliest processing-time deadline even if no input
-		// flows: that is what bounds the linger latency. With no timer
-		// pending the deadline stays zero, which waits for input alone.
+		// flows: that is what bounds the linger latency. With no deadline
+		// pending it stays zero, which waits for input alone.
 		var deadline time.Time
-		if t.tm.procPending() {
-			deadline = t.tm.nextProc()
+		if at := t.nextDeadline(); at != 0 {
+			deadline = time.Unix(0, at)
 		}
 		j, ok, gerr := t.in.GetUntil(deadline)
 		switch {

@@ -7,9 +7,9 @@ package engine
 // emits after the forward in the same call keep their order, the
 // operator's input stays intact, a pass-through puts no more jumbos
 // than it receives, and the steady state allocates nothing. Beside it,
-// the per-edge linger timer: at most one wheel entry per out-edge, and
-// a batch the pending entry does not cover still flushes once Linger
-// old. And the spout's sampling counters stamp exactly rows k, 2k, …
+// the linger deadline: one task field, no timer, covers every out-edge,
+// and a batch opened after it was set still flushes once Linger old.
+// And the spout's sampling counters stamp exactly rows k, 2k, …
 
 import (
 	"errors"
@@ -467,9 +467,10 @@ func TestHandoverAllocFree(t *testing.T) {
 	}
 }
 
-// TestLingerOneTimerPerEdge: however many batches an edge opens, it
-// keeps at most one linger timer pending.
-func TestLingerOneTimerPerEdge(t *testing.T) {
+// TestLingerArmsNoTimer: however many batches the edges open, linger
+// registers no processing-time timer; the task's one lingerAt deadline
+// covers them all.
+func TestLingerArmsNoTimer(t *testing.T) {
 	noGoroutineLeak(t)
 	cfg := DefaultConfig()
 	cfg.Linger = time.Hour // nothing fires during the test
@@ -483,15 +484,18 @@ func TestLingerOneTimerPerEdge(t *testing.T) {
 	if c.fail != nil {
 		t.Fatal(c.fail)
 	}
-	if n, edges := c.t.tm.proc.n, len(c.t.outList); n > edges {
-		t.Errorf("%d linger timers pending over %d out-edges, want at most one each", n, edges)
+	if n := len(c.t.tm.proc); n != 0 {
+		t.Errorf("%d processing-time timers pending after linger batches, want 0", n)
+	}
+	if c.t.lingerAt == 0 {
+		t.Error("lingerAt unset with batches open")
 	}
 }
 
 // TestLingerCoversBatchOpenedAfterArming: a batch opened while the
-// edge's timer is armed for an earlier batch is not flushed early when
-// that timer fires, but once it is Linger old; and a batch opened after
-// the timer fired with nothing open arms a new one.
+// linger deadline is set for an earlier batch is not flushed early when
+// that deadline passes, but once it is Linger old; and a batch opened
+// after the deadline fired with nothing open sets a new one.
 func TestLingerCoversBatchOpenedAfterArming(t *testing.T) {
 	noGoroutineLeak(t)
 	const linger = 40 * time.Millisecond
@@ -512,30 +516,32 @@ func TestLingerCoversBatchOpenedAfterArming(t *testing.T) {
 		}
 	}
 
-	// Batch A arms the edge's timer, then flushes before it is due.
+	// Batch A sets the linger deadline, then flushes before it is due.
 	aOpen := time.Now()
 	sendInt(c, 1)
 	c.settle()
+	aAt := tk.lingerAt
 	e.flushAll(tk)
 	if got := delivered(); got != 1 {
 		t.Fatalf("sink got %d rows after the flush, want 1", got)
 	}
-	// Batch B opens while A's timer is pending and adds none.
+	// Batch B opens while A's deadline is pending and leaves it as is.
 	time.Sleep(linger / 2)
 	bOpen := time.Now()
 	sendInt(c, 2)
-	if n := tk.tm.proc.n; n != 1 {
-		t.Fatalf("%d timers pending, want A's one", n)
+	c.settle()
+	if tk.lingerAt == 0 || tk.lingerAt != aAt {
+		t.Fatalf("lingerAt %d after B opened, want A's %d", tk.lingerAt, aAt)
 	}
-	// A's timer fires while B is younger than Linger: B stays open and
-	// the timer re-arms for B.
+	// A's deadline passes while B is younger than Linger: B stays open
+	// and the deadline moves to B's.
 	fireAt(aOpen.Add(linger + time.Millisecond))
 	if time.Since(bOpen) < linger {
 		if got := delivered(); got != 1 {
-			t.Errorf("B flushed when A's timer fired, %v after it opened", time.Since(bOpen))
+			t.Errorf("B flushed when A's deadline fired, %v after it opened", time.Since(bOpen))
 		}
-		if n := tk.tm.proc.n; n != 1 {
-			t.Errorf("%d timers pending after the early fire, want B's one", n)
+		if want := tk.outList[0].openNs + int64(linger); tk.lingerAt != want {
+			t.Errorf("lingerAt %d after the early fire, want B's %d", tk.lingerAt, want)
 		}
 	} else {
 		t.Logf("the first fire came %v late; the early-fire check is skipped", time.Since(aOpen)-linger)
@@ -545,18 +551,89 @@ func TestLingerCoversBatchOpenedAfterArming(t *testing.T) {
 	if got := delivered(); got != 2 {
 		t.Errorf("sink got %d rows once B was %v old, want 2", got, time.Since(bOpen))
 	}
-	if n := tk.tm.proc.n; n != 0 {
-		t.Errorf("%d timers pending with nothing open, want 0", n)
+	if tk.lingerAt != 0 {
+		t.Errorf("lingerAt %d with nothing open, want 0", tk.lingerAt)
 	}
-	// Batch C opens after the timer fired: it arms a fresh one.
+	// Batch C opens after the deadline fired: it sets a fresh one.
 	cOpen := time.Now()
 	sendInt(c, 3)
-	if n := tk.tm.proc.n; n != 1 {
-		t.Fatalf("%d timers pending after C opened, want 1", n)
+	c.settle()
+	if tk.lingerAt == 0 {
+		t.Fatal("lingerAt unset after C opened")
 	}
 	fireAt(cOpen.Add(linger + 2*time.Millisecond))
 	if got := delivered(); got != 3 {
 		t.Errorf("sink got %d rows once C was %v old, want 3", got, time.Since(cOpen))
+	}
+}
+
+// TestLingerOneDeadlineCoversEdges: batches open on two out-edges
+// Linger/2 apart share the task's one linger deadline. Its first fire
+// flushes only the older batch and moves the deadline to the younger
+// one's, which flushes at that deadline.
+func TestLingerOneDeadlineCoversEdges(t *testing.T) {
+	noGoroutineLeak(t)
+	const linger = 40 * time.Millisecond
+	cfg := DefaultConfig()
+	cfg.Linger = linger
+	c, drain := allocHarness(t, cfg, 2, graph.Shuffle, func() Operator { return batchSink{} })
+	e, tk := c.e, c.t
+	delivered := func() uint64 { drain(); return e.sink.Load() }
+	fireAt := func(at time.Time) {
+		t.Helper()
+		time.Sleep(time.Until(at))
+		c.settle()
+		if err := e.fireDueTimers(tk, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// openEdge sends one row and returns the edge whose batch it opened
+	// (shuffle deals consecutive rows to different edges).
+	openEdge := func(v int64) *outEdge {
+		t.Helper()
+		sendInt(c, v)
+		c.settle()
+		for _, oe := range tk.outList {
+			if oe.batch != nil && oe.batch.Len() == 1 && oe.batch.Int(0, 0) == v {
+				return oe
+			}
+		}
+		t.Fatalf("row %d opened no batch", v)
+		return nil
+	}
+
+	oldOpen := time.Now()
+	older := openEdge(1)
+	time.Sleep(linger / 2)
+	youngOpen := time.Now()
+	younger := openEdge(2)
+	if older == younger {
+		t.Fatal("both rows went to one edge")
+	}
+	if want := older.openNs + int64(linger); tk.lingerAt != want {
+		t.Fatalf("lingerAt %d, want the older batch's deadline %d", tk.lingerAt, want)
+	}
+	fireAt(oldOpen.Add(linger + time.Millisecond))
+	if time.Since(youngOpen) < linger {
+		if older.batch != nil || younger.batch == nil {
+			t.Errorf("first fire: older open %v, younger open %v; want only the older flushed",
+				older.batch != nil, younger.batch != nil)
+		}
+		if got := delivered(); got != 1 {
+			t.Errorf("sink got %d rows after the first fire, want 1", got)
+		}
+		if want := younger.openNs + int64(linger); tk.lingerAt != want {
+			t.Errorf("lingerAt %d after the first fire, want the younger batch's deadline %d", tk.lingerAt, want)
+		}
+	} else {
+		t.Logf("the first fire came %v late; the early-fire check is skipped", time.Since(oldOpen)-linger)
+	}
+	fireAt(time.Unix(0, younger.openNs+int64(linger)))
+	if got := delivered(); got != 2 {
+		t.Errorf("sink got %d rows at the younger batch's deadline, want 2", got)
+	}
+	if tk.lingerAt != 0 {
+		t.Errorf("lingerAt %d with nothing open, want 0", tk.lingerAt)
 	}
 }
 

@@ -169,8 +169,8 @@ func (p *rerunProbe) rec(s string) {
 // TestRerunResetsTimersAndWatermarkCursors is the recovery-path hygiene
 // regression: a killed run leaves a pending event timer (registered at
 // 25, watermark only reached 17) and populated watermark cursors; the
-// restarted runs must see fresh wheels and cursors — a leaked wheel
-// fires the ghost timer a second time, leaked wmIn cursors suppress the
+// restarted runs must see fresh timers and cursors — a leaked timer
+// fires a second time, leaked wmIn cursors suppress the
 // rerun's watermark advances entirely.
 func TestRerunResetsTimersAndWatermarkCursors(t *testing.T) {
 	script := []wmAction{
@@ -225,7 +225,7 @@ func TestRerunResetsTimersAndWatermarkCursors(t *testing.T) {
 			t.Fatalf("run %d errors: %v", run, res.Errors)
 		}
 		if got := fmt.Sprintf("%v", probe.log); got != want {
-			t.Fatalf("run %d event log = %s, want %s (stale timer wheel or watermark cursor)", run, got, want)
+			t.Fatalf("run %d event log = %s, want %s (stale timer or watermark cursor)", run, got, want)
 		}
 	}
 }

@@ -300,7 +300,7 @@ func (s *timedSpout) OnTimer(c Collector, kind TimerKind, at int64) error {
 	return nil
 }
 
-// TestSpoutEventTimersFire: a source's own event wheel advances on its
+// TestSpoutEventTimersFire: a source's own event timers advance on its
 // emitted watermarks — no punctuation ever flows INTO a source, so
 // EmitWatermark itself must drive its timers.
 func TestSpoutEventTimersFire(t *testing.T) {
@@ -334,6 +334,76 @@ func TestSpoutEventTimersFire(t *testing.T) {
 	}
 	if len(fired) != 2 || fired[0] != 25 || fired[1] != 75 {
 		t.Fatalf("spout timers fired %v, want [25 75] (25 at wm 50, 75 at the EOF flush)", fired)
+	}
+}
+
+// sweepSpout registers processing-time timers at 1 and 2 ns past the
+// epoch (due at the first poll) and event timers at 10 and 20, then
+// emits watermark 30 from the first processing-time timer's callback.
+type sweepSpout struct {
+	tm    *Timers
+	log   *[]string
+	nexts int
+}
+
+func (s *sweepSpout) SetTimers(tm *Timers) { s.tm = tm }
+
+func (s *sweepSpout) Next(c Collector) error {
+	if s.nexts == 0 {
+		s.tm.RegisterProcAt(time.Unix(0, 1))
+		s.tm.RegisterProcAt(time.Unix(0, 2))
+		s.tm.RegisterEvent(10)
+		s.tm.RegisterEvent(20)
+	}
+	if s.nexts++; s.nexts > 64 { // past the spout's timer poll (every 32nd Next)
+		return io.EOF
+	}
+	return nil
+}
+
+func (s *sweepSpout) OnTimer(c Collector, kind TimerKind, at int64) error {
+	*s.log = append(*s.log, fmt.Sprintf("%d:%d", kind, at))
+	if kind == ProcTimer && at == 1 {
+		c.EmitWatermark(30)
+	}
+	return nil
+}
+
+// TestProcTimerEmittingWatermarkKeepsSweep: a processing-time timer
+// whose callback advances the watermark (firing event timers) must not
+// disturb the processing-time sweep it runs in: the second
+// processing-time timer still fires, once, with its own timestamp.
+func TestProcTimerEmittingWatermarkKeepsSweep(t *testing.T) {
+	g := graph.New("sweep")
+	g.AddNode(&graph.Node{Name: "src", IsSpout: true, Selectivity: map[string]float64{"default": 1}})
+	g.AddNode(&graph.Node{Name: "sink", IsSink: true})
+	g.AddEdge(graph.Edge{From: "src", To: "sink", Stream: "default"})
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var log []string
+	e, err := New(Topology{
+		App:    g,
+		Spouts: map[string]func() Spout{"src": func() Spout { return &sweepSpout{log: &log} }},
+		Operators: map[string]func() Operator{
+			"sink": func() Operator {
+				return OperatorFunc(func(c Collector, tp *tuple.Tuple) error { return nil })
+			},
+		},
+	}, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Errors) != 0 {
+		t.Fatalf("errors: %v", res.Errors)
+	}
+	// kind:at, EventTimer = 0, ProcTimer = 1.
+	if got, want := fmt.Sprint(log), "[1:1 0:10 0:20 1:2]"; got != want {
+		t.Fatalf("OnTimer log %s, want %s", got, want)
 	}
 }
 

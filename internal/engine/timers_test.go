@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -38,12 +40,11 @@ func TestWheelFiresInTimestampOrder(t *testing.T) {
 }
 
 func TestWheelDistantTimerDoesNotFireEarly(t *testing.T) {
-	// A timestamp whose slot hash collides with a near tick (one full
-	// wheel round away) must survive until its own time.
+	// A timestamp far past a near one must survive until its own time.
 	tm := NewTimers()
 	tm.AdvanceWatermark(0, func(int64) error { return nil })
 	near := int64(5)
-	far := near + wheelSlots // same slot, next round
+	far := near + 256
 	tm.RegisterEvent(far)
 	tm.RegisterEvent(near)
 	var fired []int64
@@ -69,13 +70,38 @@ func TestWheelHugeJumpIsSafe(t *testing.T) {
 	tm.RegisterEvent(7)
 	var fired []int64
 	// A jump spanning nearly the whole int64 range must complete fast
-	// (full-sweep path, not per-tick iteration) and fire everything due.
+	// (no per-tick iteration) and fire everything due.
 	tm.AdvanceWatermark(WatermarkMax, func(at int64) error {
 		fired = append(fired, at)
 		return nil
 	})
 	if len(fired) != 1 || fired[0] != 7 {
 		t.Fatalf("fired %v, want [7]", fired)
+	}
+}
+
+func TestAdvanceWatermarkErrorKeepsRestPending(t *testing.T) {
+	tm := NewTimers()
+	for _, at := range []int64{10, 20, 30} {
+		tm.RegisterEvent(at)
+	}
+	boom := errors.New("boom")
+	var fired []int64
+	if err := tm.AdvanceWatermark(25, func(at int64) error {
+		fired = append(fired, at)
+		return boom
+	}); err != boom {
+		t.Fatalf("err = %v, want %v", err, boom)
+	}
+	// 10 failed; 20 (due) and 30 stay pending for the next advance.
+	if err := tm.AdvanceWatermark(100, func(at int64) error {
+		fired = append(fired, at)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(fired) != "[10 20 30]" {
+		t.Fatalf("fired %v, want [10 20 30]", fired)
 	}
 }
 
@@ -105,26 +131,27 @@ func TestProcWheelNextDeadlineRecomputes(t *testing.T) {
 	t1, t2 := base.Add(5*time.Millisecond), base.Add(80*time.Millisecond)
 	tm.RegisterProcAt(t2)
 	tm.RegisterProcAt(t1)
-	if !tm.procPending() {
+	if tm.nextProc() == 0 {
 		t.Fatal("no pending proc timer")
 	}
-	if got := tm.nextProc(); got.After(t1) {
-		t.Fatalf("nextProc %v after earliest %v", got, t1)
+	if got := tm.nextProc(); got > t1.UnixNano() {
+		t.Fatalf("nextProc %d after earliest %d", got, t1.UnixNano())
 	}
 	var fired []int64
-	if err := tm.fireProcDue(t1, func(e wheelEntry) error {
-		fired = append(fired, e.at)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	for {
+		at, ok := tm.proc.popDue(t1.UnixNano())
+		if !ok {
+			break
+		}
+		fired = append(fired, at)
 	}
 	if len(fired) != 1 || fired[0] != t1.UnixNano() {
 		t.Fatalf("fired %v", fired)
 	}
 	// After the earliest fired, the deadline must move to t2 exactly —
 	// a stale lower bound here would busy-wake the task loop.
-	if got := tm.nextProc(); !got.Equal(time.Unix(0, t2.UnixNano())) {
-		t.Fatalf("nextProc %v, want %v", got, t2)
+	if got := tm.nextProc(); got != t2.UnixNano() {
+		t.Fatalf("nextProc %d, want %d", got, t2.UnixNano())
 	}
 }
 
@@ -134,7 +161,7 @@ func TestTimersResetDropsPending(t *testing.T) {
 	tm.RegisterProcAt(time.Now())
 	tm.AdvanceWatermark(5, func(int64) error { return nil })
 	tm.reset()
-	if tm.Watermark() != int64(WatermarkMin) || tm.procPending() {
+	if tm.Watermark() != int64(WatermarkMin) || tm.nextProc() != 0 {
 		t.Fatal("reset did not rewind")
 	}
 	fired := 0
@@ -147,8 +174,8 @@ func TestTimersResetDropsPending(t *testing.T) {
 func TestRegisterEventSteadyStateAllocFree(t *testing.T) {
 	tm := NewTimers()
 	at := int64(0)
-	// Warm the slot slices and the expired scratch.
-	for i := 0; i < 4*wheelSlots; i++ {
+	// Warm the heap's backing array.
+	for i := 0; i < 1024; i++ {
 		at++
 		tm.RegisterEvent(at)
 	}

@@ -184,7 +184,7 @@ func Apply(app *graph.Graph, stats profile.Set, ops map[string]func() engine.Ope
 // eliminating the intermediate queue entirely. Timer and watermark
 // callbacks are forwarded to both members (upstream first, so its fired
 // aggregates reach the consumer before the consumer's own callbacks);
-// the members share the task's timer wheel, so each must tolerate
+// the members share the task's timer service, so each must tolerate
 // OnTimer for timestamps it did not register — the documented
 // TimerHandler contract.
 func Compose(mkU, mkV func() engine.Operator) func() engine.Operator {

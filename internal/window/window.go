@@ -335,7 +335,7 @@ func (op *windowOp[A]) OnTimer(c engine.Collector, kind engine.TimerKind, at int
 	}
 	p := op.byFire[at]
 	if p == nil {
-		return nil // shared per-task wheel: someone else's timer
+		return nil // shared per-task timer service: someone else's timer
 	}
 	w := Span{p.start, p.start + op.cfg.Size}
 	for i, key := range p.keys {
