@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-repeat race bench bench-planner bench-window bench-symbols bench-emit bench-timers vet fmt-check fuzz-smoke check
+.PHONY: all build test test-repeat race bench bench-planner bench-window bench-symbols bench-emit bench-timers bench-state vet fmt-check fuzz-smoke check
 
 all: build test
 
@@ -85,6 +85,13 @@ bench-emit:
 bench-timers:
 	$(GO) test -run '^$$' -bench '^BenchmarkTimers$$' -benchtime 1x ./internal/engine/
 
+# bench-state runs BenchmarkStateMap once per row: state.Map upserts
+# over 10 000 symbol keys, 50 000 dense and 100 000 spread int64 keys.
+# check and CI gate on every key's count being exact after the pass,
+# not on the timings; for ns/upsert, raise -benchtime (e.g. 20x).
+bench-state:
+	$(GO) test -run '^$$' -bench '^BenchmarkStateMap$$' -benchtime 1x ./internal/state/
+
 # bench-json runs the benchmark apps (the paper's four plus the
 # windowed TW) on the real engine across the GOMAXPROCS x replication
 # x pinned/unpinned matrix and writes machine-readable rows
@@ -152,19 +159,22 @@ fmt-check:
 # bounded run on every change is the floor; the window target lets the
 # fuzzer pick window shapes, disorder, keys and batch sizes for the
 # batch-size invariance property (one-row batches through Process ≡
-# many-row batches through ProcessBatch). A crasher lands in the package's
-# testdata/fuzz/ and fails plain `go test` from then on.
+# many-row batches through ProcessBatch); the state target runs random
+# operation sequences on state.Map against a Go-map reference. A crasher
+# lands in the package's testdata/fuzz/ and fails plain `go test` from
+# then on.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/tuple/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoderKey$$' -fuzztime $(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz '^FuzzWindowBatchEquivalence$$' -fuzztime $(FUZZTIME) ./internal/window/
+	$(GO) test -run '^$$' -fuzz '^FuzzStateMap$$' -fuzztime $(FUZZTIME) ./internal/state/
 
 # benchmark/ is its own module (the benchmark of record), so the root
 # ./... does not reach its tests; check runs them explicitly, then the
-# repeated-run pass (test-repeat), the planner, window, symbol, emit
-# and timer benchmarks once (bench-planner, bench-window,
-# bench-symbols, bench-emit, bench-timers), the
+# repeated-run pass (test-repeat), the planner, window, symbol, emit,
+# timer and state benchmarks once (bench-planner, bench-window,
+# bench-symbols, bench-emit, bench-timers, bench-state), the
 # fuzz smoke, the multicore pinned race pass and the live-telemetry
 # gates — the same steps as .github/workflows/ci.yml.
 check: vet fmt-check build
@@ -176,6 +186,7 @@ check: vet fmt-check build
 	$(MAKE) bench-symbols
 	$(MAKE) bench-emit
 	$(MAKE) bench-timers
+	$(MAKE) bench-state
 	$(MAKE) fuzz-smoke
 	$(MAKE) race-multicore
 	$(MAKE) obs-check

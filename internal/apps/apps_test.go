@@ -166,12 +166,14 @@ func TestFDSnapshotFramingUnchanged(t *testing.T) {
 		func(e *checkpoint.Encoder, k string) { e.String(k) },
 		func(e *checkpoint.Encoder, v int64) { e.Int64(v) })
 
-	p := &fdPredict{last: map[tuple.Sym]int64{tuple.InternSym("stale"): 1}}
+	p := newFDPredict()
+	stale, _ := p.last.GetOrCreate(tuple.InternSym("stale"))
+	*stale = 1
 	if err := p.Restore(checkpoint.NewDecoder(old.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.last[tuple.InternSym("cust-alpha")]; len(p.last) != 3 || got != 96 {
-		t.Fatalf("restored state = %v", p.last)
+	if got := p.last.Get(tuple.InternSym("cust-alpha")); p.last.Len() != 3 || got == nil || *got != 96 {
+		t.Fatalf("restored %d entities, cust-alpha = %v", p.last.Len(), got)
 	}
 	again := checkpoint.NewEncoder()
 	if err := p.Snapshot(again); err != nil {

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"strings"
 	"sync/atomic"
 
 	"briskstream/internal/checkpoint"
 	"briskstream/internal/engine"
 	"briskstream/internal/graph"
 	"briskstream/internal/profile"
+	"briskstream/internal/state"
 	"briskstream/internal/tuple"
 )
 
@@ -86,11 +88,15 @@ func (s *fdSpout) SeekTo(offset int64) error {
 // fdPredict scores records against per-entity transition state (last
 // amount bucket seen) and snapshots that state, so FD recovers exactly:
 // a replayed record meets the same per-entity history it met originally.
-// The state keys on the entity symbol itself — a dense id — so the
-// per-record probe hashes four bytes, not the name.
+// The state keys on the entity symbol itself — a dense id that is its
+// own hash payload — so the per-record probe never reads the name.
 type fdPredict struct {
-	last map[tuple.Sym]int64
+	last *state.Map[tuple.Sym, int64]
 	one  engine.OneRow
+}
+
+func newFDPredict() *fdPredict {
+	return &fdPredict{last: state.NewMapWith[tuple.Sym, int64](func(s tuple.Sym) uint64 { return uint64(s) })}
 }
 
 func (p *fdPredict) Process(c engine.Collector, t *tuple.Tuple) error { return p.one.Process(p, c, t) }
@@ -109,8 +115,9 @@ func (p *fdPredict) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
 			h = h*31 + int64(record[i])
 		}
 		bucket := (h%97 + 97) % 97
-		prev, seen := p.last[entity]
-		p.last[entity] = bucket
+		last, created := p.last.GetOrCreate(entity)
+		prev, seen := *last, !created
+		*last = bucket
 		// A signal is emitted for every input row regardless of the
 		// detection outcome.
 		out := c.Out(tuple.DefaultStreamID)
@@ -125,21 +132,21 @@ func (p *fdPredict) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
 // name in name order: symbol ids depend on interning order, names are
 // byte-stable across processes.
 func (p *fdPredict) Snapshot(enc *checkpoint.Encoder) error {
-	byName := make(map[string]int64, len(p.last))
-	for sym, bucket := range p.last {
-		byName[sym.Name()] = bucket
-	}
-	checkpoint.SaveMapOrdered(enc, byName,
-		func(e *checkpoint.Encoder, k string) { e.String(k) },
-		func(e *checkpoint.Encoder, v int64) { e.Int64(v) })
+	enc.Len(p.last.Len())
+	p.last.RangeSorted(func(a, b tuple.Sym) int { return strings.Compare(a.Name(), b.Name()) },
+		func(sym tuple.Sym, bucket *int64) bool {
+			enc.String(sym.Name())
+			enc.Int64(*bucket)
+			return true
+		})
 	return nil
 }
 
 // Restore implements checkpoint.Snapshotter.
 func (p *fdPredict) Restore(dec *checkpoint.Decoder) error {
-	return checkpoint.LoadMapOrdered(dec, p.last,
+	return checkpoint.LoadOrdered(dec, p.last,
 		func(d *checkpoint.Decoder) tuple.Sym { return tuple.InternSym(d.String()) },
-		(*checkpoint.Decoder).Int64)
+		func(d *checkpoint.Decoder, bucket *int64) { *bucket = d.Int64() })
 }
 
 // FraudDetection builds the FD application of Figure 18a: Spout emits
@@ -169,11 +176,9 @@ func FraudDetection() *App {
 			"spout": func() engine.Spout { return newFDSpout(2000 + fdSpoutSeq.Add(1)) },
 		},
 		Operators: map[string]func() engine.Operator{
-			"parser": func() engine.Operator { return &arityParser{min: 2} },
-			"predict": func() engine.Operator {
-				return &fdPredict{last: make(map[tuple.Sym]int64)}
-			},
-			"sink": func() engine.Operator { return nopSink{} },
+			"parser":  func() engine.Operator { return &arityParser{min: 2} },
+			"predict": func() engine.Operator { return newFDPredict() },
+			"sink":    func() engine.Operator { return nopSink{} },
 		},
 		Schemas: map[string]map[string]*tuple.Schema{
 			"spout":   {"default": tuple.NewSchema(tuple.SymField("entity"), tuple.StrField("record"))},

@@ -3,7 +3,6 @@ package apps
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync/atomic"
 
 	"briskstream/internal/checkpoint"
@@ -237,48 +236,65 @@ func (s *lrSpoutT) SeekTo(offset int64) error {
 	return nil
 }
 
-// LR's non-window stateful operators. Each snapshots its maps in sorted
-// key order so a recovered LR run re-applies replayed records against
-// exactly the state it had at the cut — without this, balances would
-// double-increment and stop counters would flag spurious accidents on
-// replay. (LR's toll output still depends on the arrival interleaving
-// of its three input streams, so unlike WC/TW/FD/SD its output is not a
-// pure function of the input; state recovery is exact, output equality
-// is not a testable property here.)
+// LR's non-window stateful operators. Each keeps its tables in
+// state.Maps and snapshots them in sorted key order, so a recovered LR
+// run re-applies replayed records against exactly the state it had at
+// the cut — without this, balances would double-increment and stop
+// counters would flag spurious accidents on replay. (LR's toll output
+// still depends on the arrival interleaving of its three input streams,
+// so unlike WC/TW/FD/SD its output is not a pure function of the input;
+// state recovery is exact, output equality is not a testable property
+// here.) Each implements Process through engine.OneRow and emits through
+// Out, stamping every output with its input row's metadata.
+
+// Value codecs for SaveOrdered/LoadOrdered.
+func saveFloat(e *checkpoint.Encoder, v *float64) { e.Float64(*v) }
+func loadFloat(d *checkpoint.Decoder, v *float64) { *v = d.Float64() }
+func saveInt(e *checkpoint.Encoder, v *int64)     { e.Int64(*v) }
+func loadInt(d *checkpoint.Decoder, v *int64)     { *v = d.Int64() }
+func saveBool(e *checkpoint.Encoder, v *bool)     { e.Bool(*v) }
+func loadBool(d *checkpoint.Decoder, v *bool)     { *v = d.Bool() }
+
+// valueOf returns k's value in m, or V's zero value when k is absent.
+func valueOf[V any](m *state.Map[int64, V], k int64) V {
+	if v := m.Get(k); v != nil {
+		return *v
+	}
+	var zero V
+	return zero
+}
 
 // lrLasAvg smooths the latest average speed per segment (EWMA).
 type lrLasAvg struct {
-	lav map[int64]float64
+	one engine.OneRow
+	lav *state.Map[int64, float64]
 }
 
-func (o *lrLasAvg) Process(c engine.Collector, t *tuple.Tuple) error {
-	seg := t.Int(0)
-	avg := t.Float(1)
-	prev, ok := o.lav[seg]
-	if !ok {
-		prev = avg
+func (o *lrLasAvg) Process(c engine.Collector, t *tuple.Tuple) error { return o.one.Process(o, c, t) }
+
+func (o *lrLasAvg) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
+	for r := 0; r < b.Len(); r++ {
+		seg, avg := b.Int(0, r), b.Float(1, r)
+		lav, created := o.lav.GetOrCreate(seg)
+		if created {
+			*lav = avg
+		}
+		*lav = 0.8**lav + 0.2*avg
+		out := c.Out(lrLasID)
+		out.PutInt(seg)
+		out.PutFloat(*lav)
+		out.EndRowFrom(b, r)
 	}
-	cur := 0.8*prev + 0.2*avg
-	o.lav[seg] = cur
-	out := c.Borrow()
-	out.Stream = lrLasID
-	out.AppendInt(seg)
-	out.AppendFloat(cur)
-	c.Send(out)
 	return nil
 }
 
 func (o *lrLasAvg) Snapshot(enc *checkpoint.Encoder) error {
-	checkpoint.SaveMapOrdered(enc, o.lav,
-		func(e *checkpoint.Encoder, k int64) { e.Int64(k) },
-		func(e *checkpoint.Encoder, v float64) { e.Float64(v) })
+	checkpoint.SaveOrdered(enc, o.lav, (*checkpoint.Encoder).Int64, saveFloat)
 	return nil
 }
 
 func (o *lrLasAvg) Restore(dec *checkpoint.Decoder) error {
-	return checkpoint.LoadMapOrdered(dec, o.lav,
-		(*checkpoint.Decoder).Int64,
-		(*checkpoint.Decoder).Float64)
+	return checkpoint.LoadOrdered(dec, o.lav, (*checkpoint.Decoder).Int64, loadFloat)
 }
 
 // lrVState is one vehicle's stop-detection state.
@@ -288,37 +304,40 @@ type lrVState struct {
 }
 
 // lrAccidentDetect marks an accident when a vehicle reports speed 0 at
-// the same position four consecutive times; per-vehicle state lives in
-// a pooled keyed store.
+// the same position four consecutive times.
 type lrAccidentDetect struct {
+	one      engine.OneRow
 	vehicles *state.Map[int64, lrVState]
 }
 
 func (o *lrAccidentDetect) Process(c engine.Collector, t *tuple.Tuple) error {
-	v, speed, seg, pos := t.Int(1), t.Int(2), t.Int(5), t.Int(6)
-	s, created := o.vehicles.GetOrCreate(v)
-	if created {
-		*s = lrVState{}
-	}
-	if speed == 0 && s.pos == pos {
-		s.stopped++
-		if s.stopped == 4 {
-			out := c.Borrow()
-			out.Stream = lrDetectID
-			out.AppendInt(seg)
-			out.AppendInt(pos)
-			c.Send(out)
+	return o.one.Process(o, c, t)
+}
+
+func (o *lrAccidentDetect) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
+	for r := 0; r < b.Len(); r++ {
+		speed, pos := b.Int(2, r), b.Int(6, r)
+		s, created := o.vehicles.GetOrCreate(b.Int(1, r))
+		if created {
+			*s = lrVState{}
 		}
-	} else {
-		s.stopped = 0
-		s.pos = pos
+		if speed != 0 || s.pos != pos {
+			s.stopped = 0
+			s.pos = pos
+			continue
+		}
+		if s.stopped++; s.stopped == 4 {
+			out := c.Out(lrDetectID)
+			out.PutInt(b.Int(5, r))
+			out.PutInt(pos)
+			out.EndRowFrom(b, r)
+		}
 	}
 	return nil
 }
 
 func (o *lrAccidentDetect) Snapshot(enc *checkpoint.Encoder) error {
-	checkpoint.SaveOrdered(enc, o.vehicles,
-		func(e *checkpoint.Encoder, k int64) { e.Int64(k) },
+	checkpoint.SaveOrdered(enc, o.vehicles, (*checkpoint.Encoder).Int64,
 		func(e *checkpoint.Encoder, v *lrVState) {
 			e.Int64(v.pos)
 			e.Int64(int64(v.stopped))
@@ -327,8 +346,7 @@ func (o *lrAccidentDetect) Snapshot(enc *checkpoint.Encoder) error {
 }
 
 func (o *lrAccidentDetect) Restore(dec *checkpoint.Decoder) error {
-	return checkpoint.LoadOrdered(dec, o.vehicles,
-		(*checkpoint.Decoder).Int64,
+	return checkpoint.LoadOrdered(dec, o.vehicles, (*checkpoint.Decoder).Int64,
 		func(d *checkpoint.Decoder, v *lrVState) {
 			v.pos = d.Int64()
 			v.stopped = int(d.Int64())
@@ -339,56 +357,54 @@ func (o *lrAccidentDetect) Restore(dec *checkpoint.Decoder) error {
 // statistics and accident flags.
 type lrTollNotify struct {
 	one      engine.OneRow
-	lav      map[int64]float64
-	cnt      map[int64]int64
-	accident map[int64]bool
+	lav      *state.Map[int64, float64]
+	cnt      *state.Map[int64, int64]
+	accident *state.Map[int64, bool]
 }
 
 func (o *lrTollNotify) Process(c engine.Collector, t *tuple.Tuple) error {
 	return o.one.Process(o, c, t)
 }
 
-// notifyRow emits row r's toll notification, stamped with the row's own
-// metadata (ownership passes to Send).
+// notifyRow emits row r's toll notification.
 func (o *lrTollNotify) notifyRow(c engine.Collector, b *tuple.Batch, r int, id int64, toll float64) {
-	out := c.Borrow()
-	out.Stream = lrTollID
-	out.AppendInt(id)
-	out.AppendFloat(toll)
-	b.StampMeta(r, out)
-	c.Send(out)
+	out := c.Out(lrTollID)
+	out.PutInt(id)
+	out.PutFloat(toll)
+	out.EndRowFrom(b, r)
 }
 
 func (o *lrTollNotify) toll(seg int64) float64 {
-	if !o.accident[seg] && o.lav[seg] < 40 && o.cnt[seg] > 50 {
-		base := float64(o.cnt[seg] - 50)
+	if cnt := valueOf(o.cnt, seg); cnt > 50 && valueOf(o.lav, seg) < 40 && !valueOf(o.accident, seg) {
+		base := float64(cnt - 50)
 		return 2 * base * base / 100
 	}
 	return 0
 }
 
 // ProcessBatch makes one stream check per batch, then runs tight per-row
-// loops over the integer columns. Output notifications stamp each row's
-// own metadata (the engine does not stamp ambient context during a
-// vectorized invocation).
+// loops over the integer columns.
 func (o *lrTollNotify) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
 	n := b.Len()
 	switch b.Stream {
 	case lrLasID:
 		for r := 0; r < n; r++ {
 			seg := b.Int(0, r)
-			o.lav[seg] = b.Float(1, r)
+			lav, _ := o.lav.GetOrCreate(seg)
+			*lav = b.Float(1, r)
 			o.notifyRow(c, b, r, seg, 0.0)
 		}
 	case lrCountsID:
 		for r := 0; r < n; r++ {
 			seg := b.Int(0, r)
-			o.cnt[seg] = b.Int(1, r)
+			cnt, _ := o.cnt.GetOrCreate(seg)
+			*cnt = b.Int(1, r)
 			o.notifyRow(c, b, r, seg, 0.0)
 		}
 	case lrDetectID:
 		for r := 0; r < n; r++ {
-			o.accident[b.Int(0, r)] = true
+			acc, _ := o.accident.GetOrCreate(b.Int(0, r))
+			*acc = true
 		}
 	default: // position reports
 		for r := 0; r < n; r++ {
@@ -399,36 +415,27 @@ func (o *lrTollNotify) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
 }
 
 func (o *lrTollNotify) Snapshot(enc *checkpoint.Encoder) error {
-	checkpoint.SaveMapOrdered(enc, o.lav,
-		func(e *checkpoint.Encoder, k int64) { e.Int64(k) },
-		func(e *checkpoint.Encoder, v float64) { e.Float64(v) })
-	checkpoint.SaveMapOrdered(enc, o.cnt,
-		func(e *checkpoint.Encoder, k int64) { e.Int64(k) },
-		func(e *checkpoint.Encoder, v int64) { e.Int64(v) })
-	checkpoint.SaveMapOrdered(enc, o.accident,
-		func(e *checkpoint.Encoder, k int64) { e.Int64(k) },
-		func(e *checkpoint.Encoder, v bool) { e.Bool(v) })
+	checkpoint.SaveOrdered(enc, o.lav, (*checkpoint.Encoder).Int64, saveFloat)
+	checkpoint.SaveOrdered(enc, o.cnt, (*checkpoint.Encoder).Int64, saveInt)
+	checkpoint.SaveOrdered(enc, o.accident, (*checkpoint.Encoder).Int64, saveBool)
 	return nil
 }
 
 func (o *lrTollNotify) Restore(dec *checkpoint.Decoder) error {
-	if err := checkpoint.LoadMapOrdered(dec, o.lav,
-		(*checkpoint.Decoder).Int64, (*checkpoint.Decoder).Float64); err != nil {
+	if err := checkpoint.LoadOrdered(dec, o.lav, (*checkpoint.Decoder).Int64, loadFloat); err != nil {
 		return err
 	}
-	if err := checkpoint.LoadMapOrdered(dec, o.cnt,
-		(*checkpoint.Decoder).Int64, (*checkpoint.Decoder).Int64); err != nil {
+	if err := checkpoint.LoadOrdered(dec, o.cnt, (*checkpoint.Decoder).Int64, loadInt); err != nil {
 		return err
 	}
-	return checkpoint.LoadMapOrdered(dec, o.accident,
-		(*checkpoint.Decoder).Int64, (*checkpoint.Decoder).Bool)
+	return checkpoint.LoadOrdered(dec, o.accident, (*checkpoint.Decoder).Int64, loadBool)
 }
 
 // lrAccidentNotify notifies vehicles entering a segment with a known
 // accident.
 type lrAccidentNotify struct {
 	one       engine.OneRow
-	accidents map[int64]bool
+	accidents *state.Map[int64, bool]
 }
 
 func (o *lrAccidentNotify) Process(c engine.Collector, t *tuple.Tuple) error {
@@ -437,70 +444,74 @@ func (o *lrAccidentNotify) Process(c engine.Collector, t *tuple.Tuple) error {
 
 // ProcessBatch records a detect batch's segments. The accident set is
 // usually empty and notifications are rare, so a position batch usually
-// costs one map-length check, or a tight scan over the segment column
-// that emits nothing.
+// costs one length check, or a tight scan over the segment column that
+// emits nothing.
 func (o *lrAccidentNotify) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
 	n := b.Len()
 	if b.Stream == lrDetectID {
 		for r := 0; r < n; r++ {
-			o.accidents[b.Int(0, r)] = true
+			acc, _ := o.accidents.GetOrCreate(b.Int(0, r))
+			*acc = true
 		}
 		return nil
 	}
-	if len(o.accidents) == 0 {
+	if o.accidents.Len() == 0 {
 		return nil
 	}
 	for r := 0; r < n; r++ {
-		if seg := b.Int(5, r); o.accidents[seg] {
-			out := c.Borrow()
-			out.Stream = lrNotifyID
-			out.AppendInt(b.Int(1, r))
-			out.AppendInt(seg)
-			b.StampMeta(r, out)
-			c.Send(out)
+		if seg := b.Int(5, r); valueOf(o.accidents, seg) {
+			out := c.Out(lrNotifyID)
+			out.PutInt(b.Int(1, r))
+			out.PutInt(seg)
+			out.EndRowFrom(b, r)
 		}
 	}
 	return nil
 }
 
 func (o *lrAccidentNotify) Snapshot(enc *checkpoint.Encoder) error {
-	checkpoint.SaveMapOrdered(enc, o.accidents,
-		func(e *checkpoint.Encoder, k int64) { e.Int64(k) },
-		func(e *checkpoint.Encoder, v bool) { e.Bool(v) })
+	checkpoint.SaveOrdered(enc, o.accidents, (*checkpoint.Encoder).Int64, saveBool)
 	return nil
 }
 
 func (o *lrAccidentNotify) Restore(dec *checkpoint.Decoder) error {
-	return checkpoint.LoadMapOrdered(dec, o.accidents,
-		(*checkpoint.Decoder).Int64, (*checkpoint.Decoder).Bool)
+	return checkpoint.LoadOrdered(dec, o.accidents, (*checkpoint.Decoder).Int64, loadBool)
 }
 
 // lrAccountBalance answers (rare) balance queries from running account
 // state.
 type lrAccountBalance struct {
-	balances map[int64]float64
+	one      engine.OneRow
+	balances *state.Map[int64, float64]
 }
 
 func (o *lrAccountBalance) Process(c engine.Collector, t *tuple.Tuple) error {
-	v := t.Int(1)
-	o.balances[v] += 0.5
-	out := c.Borrow()
-	out.AppendInt(v)
-	out.AppendFloat(o.balances[v])
-	c.Send(out)
+	return o.one.Process(o, c, t)
+}
+
+func (o *lrAccountBalance) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
+	for r := 0; r < b.Len(); r++ {
+		v := b.Int(1, r)
+		bal, created := o.balances.GetOrCreate(v)
+		if created {
+			*bal = 0
+		}
+		*bal += 0.5
+		out := c.Out(tuple.DefaultStreamID)
+		out.PutInt(v)
+		out.PutFloat(*bal)
+		out.EndRowFrom(b, r)
+	}
 	return nil
 }
 
 func (o *lrAccountBalance) Snapshot(enc *checkpoint.Encoder) error {
-	checkpoint.SaveMapOrdered(enc, o.balances,
-		func(e *checkpoint.Encoder, k int64) { e.Int64(k) },
-		func(e *checkpoint.Encoder, v float64) { e.Float64(v) })
+	checkpoint.SaveOrdered(enc, o.balances, (*checkpoint.Encoder).Int64, saveFloat)
 	return nil
 }
 
 func (o *lrAccountBalance) Restore(dec *checkpoint.Decoder) error {
-	return checkpoint.LoadMapOrdered(dec, o.balances,
-		(*checkpoint.Decoder).Int64, (*checkpoint.Decoder).Float64)
+	return checkpoint.LoadOrdered(dec, o.balances, (*checkpoint.Decoder).Int64, loadFloat)
 }
 
 // lrDispatch routes records by type: position reports (the bulk) on
@@ -576,7 +587,7 @@ func lrOperators() map[string]func() engine.Operator {
 			})
 		},
 		"las_avg_speed": func() engine.Operator {
-			return &lrLasAvg{lav: map[int64]float64{}}
+			return &lrLasAvg{lav: state.NewMap[int64, float64]()}
 		},
 		"accident_detect": func() engine.Operator {
 			return &lrAccidentDetect{vehicles: state.NewMap[int64, lrVState]()}
@@ -584,56 +595,50 @@ func lrOperators() map[string]func() engine.Operator {
 		"count_vehicle": func() engine.Operator {
 			// Distinct vehicles per segment per minute: a tumbling
 			// window of lrStatSlide keyed by segment; the accumulator's
-			// distinct-set keeps its buckets across window lives.
+			// distinct-set keeps its table across window lives.
 			type distinct struct {
-				seen map[int64]bool
+				seen *state.Map[int64, struct{}]
 			}
 			return window.New(window.Op[distinct]{
 				KeyField: 5,
 				Size:     lrStatSlide,
 				Init: func(a *distinct) {
 					if a.seen == nil {
-						a.seen = make(map[int64]bool)
+						a.seen = state.NewMap[int64, struct{}]()
 					} else {
-						clear(a.seen)
+						a.seen.Clear()
 					}
 				},
-				Add: func(a *distinct, b *tuple.Batch, r int) { a.seen[b.Int(1, r)] = true },
+				Add: func(a *distinct, b *tuple.Batch, r int) { a.seen.GetOrCreate(b.Int(1, r)) },
 				Emit: func(c engine.Collector, key tuple.Key, w window.Span, a *distinct) {
 					out := c.Borrow()
 					out.Stream = lrCountsID
 					out.AppendKey(key)
-					out.AppendInt(int64(len(a.seen)))
+					out.AppendInt(int64(a.seen.Len()))
 					out.Event = w.End
 					c.Send(out)
 				},
 				Save: func(enc *checkpoint.Encoder, a *distinct) {
 					// Deterministic encoding of the distinct set: sorted
 					// vehicle ids.
-					ids := make([]int64, 0, len(a.seen))
-					for v := range a.seen {
-						ids = append(ids, v)
-					}
-					slices.Sort(ids)
-					enc.Len(len(ids))
-					for _, v := range ids {
-						enc.Int64(v)
-					}
+					checkpoint.SaveOrdered(enc, a.seen, (*checkpoint.Encoder).Int64,
+						func(*checkpoint.Encoder, *struct{}) {})
 				},
 				Load: func(dec *checkpoint.Decoder, a *distinct) error {
-					n := dec.Len()
-					for i := 0; i < n && dec.Err() == nil; i++ {
-						a.seen[dec.Int64()] = true
-					}
-					return dec.Err()
+					return checkpoint.LoadOrdered(dec, a.seen, (*checkpoint.Decoder).Int64,
+						func(*checkpoint.Decoder, *struct{}) {})
 				},
 			})
 		},
 		"toll_notify": func() engine.Operator {
-			return &lrTollNotify{lav: map[int64]float64{}, cnt: map[int64]int64{}, accident: map[int64]bool{}}
+			return &lrTollNotify{
+				lav:      state.NewMap[int64, float64](),
+				cnt:      state.NewMap[int64, int64](),
+				accident: state.NewMap[int64, bool](),
+			}
 		},
 		"accident_notify": func() engine.Operator {
-			return &lrAccidentNotify{accidents: map[int64]bool{}}
+			return &lrAccidentNotify{accidents: state.NewMap[int64, bool]()}
 		},
 		"daily_expen": func() engine.Operator {
 			// Historical daily expenditure lookup: deterministic
@@ -648,7 +653,7 @@ func lrOperators() map[string]func() engine.Operator {
 			})
 		},
 		"account_balance": func() engine.Operator {
-			return &lrAccountBalance{balances: map[int64]float64{}}
+			return &lrAccountBalance{balances: state.NewMap[int64, float64]()}
 		},
 		"sink": sink,
 	}

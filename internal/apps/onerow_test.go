@@ -107,6 +107,29 @@ func conformCases() []conformCase {
 			lrRecord(r, t, []int64{lrTypePosition, lrTypePosition, lrTypeBalance, lrTypeDaily}[r.Intn(4)])
 			t.Event = int64(i)
 		}},
+		{app: "LR", op: "las_avg_speed", gen: func(r *rand.Rand, i int, t *tuple.Tuple) {
+			t.Stream = lrAvgID
+			t.AppendInt(int64(r.Intn(20)))
+			t.AppendFloat(100 * r.Float64())
+			t.Event = int64(i)
+		}},
+		{app: "LR", op: "accident_detect", gen: func(r *rand.Rand, i int, t *tuple.Tuple) {
+			// Few vehicles and positions, mostly stopped: detections fire.
+			t.Stream = lrPositionID
+			t.AppendInt(lrTypePosition)
+			t.AppendInt(int64(r.Intn(8)))       // vehicle
+			t.AppendInt(int64(r.Intn(4) / 3))   // speed: 0 three times in four
+			t.AppendInt(0)                      // xway
+			t.AppendInt(0)                      // lane
+			t.AppendInt(int64(r.Intn(20)))      // segment
+			t.AppendInt(int64(r.Intn(2) * 100)) // position
+			t.Event = int64(i)
+		}},
+		{app: "LR", op: "account_balance", gen: func(r *rand.Rand, i int, t *tuple.Tuple) {
+			t.Stream = lrBalanceID
+			lrRecord(r, t, lrTypeBalance)
+			t.Event = int64(i)
+		}},
 		{app: "LR", op: "toll_notify", gen: func(r *rand.Rand, i int, t *tuple.Tuple) {
 			// All four input streams interleaved, so every run is short
 			// and the scratch batch re-adopts its layout row after row.

@@ -14,6 +14,7 @@ import (
 
 	"briskstream/internal/checkpoint"
 	"briskstream/internal/engine"
+	"briskstream/internal/state"
 	"briskstream/internal/tuple"
 )
 
@@ -71,7 +72,7 @@ func TestPaneTableMatchesMapReference(t *testing.T) {
 		for i := 0; i < 3*len(keys); i++ {
 			k := keys[r.Intn(len(keys))]
 			start := (phase + r.Int63n(2)) * size
-			acc := op.pane(k, start)
+			acc := op.pane(op.table(start), k)
 			acc.count++
 			acc.sum += start
 			ref := want[winKey{k, start}]
@@ -165,21 +166,11 @@ func TestRestoreRejectsDuplicatePane(t *testing.T) {
 // longestProbe fills one pane table with keys and returns the longest
 // distance any of them sits from its home slot.
 func longestProbe(keys []tuple.Key) int {
-	p := newPanes[countAcc]()
+	p := state.NewMapWith[tuple.Key, countAcc](keyHash)
 	for _, k := range keys {
-		if e, slot := p.lookup(k); e < 0 {
-			p.insert(k, slot)
-		}
+		p.GetOrCreate(k)
 	}
-	mask := len(p.idx) - 1
-	longest := 0
-	for s, e := range p.idx {
-		if e != 0 {
-			home := int(keyHash(p.keys[e-1]) >> p.shift)
-			longest = max(longest, (s-home)&mask)
-		}
-	}
-	return longest
+	return p.MaxProbe()
 }
 
 // Keys sharing a long prefix and differing only in their last bytes —

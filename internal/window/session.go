@@ -85,7 +85,7 @@ func NewSession[A any](cfg SessionOp[A]) engine.Operator {
 	}
 	return &sessionOp[A]{
 		cfg:    cfg,
-		byKey:  state.NewMap[tuple.Key, sessList[A]](),
+		byKey:  state.NewMapWith[tuple.Key, sessList[A]](keyHash),
 		byFire: state.NewMap[int64, skBucket](),
 	}
 }

@@ -40,12 +40,12 @@ package window
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 
 	"briskstream/internal/checkpoint"
 	"briskstream/internal/engine"
+	"briskstream/internal/state"
 	"briskstream/internal/tuple"
 )
 
@@ -107,77 +107,22 @@ type winKey struct {
 
 // panes is the pane table of one fire time. Equal fire times mean equal
 // starts (fireAt = start + Size + Lateness), so every pane in it covers
-// the same window. Entries are dense, in first-touch order; idx is an
-// open-addressed index over them (slot -> entry+1, 0 empty), linear
-// probing, load at most 3/4, a power-of-two size indexed by the top
-// bits of keyHash. A recycled table keeps its capacity, and an accs
-// entry re-opened within it keeps its internal capacity for Init to
-// reset.
+// the same window. accs is a state.Map keyed by keyHash, so its panes
+// iterate in first-touch order; a recycled table keeps its capacity,
+// and a pane re-opened within it keeps its accumulator's internal
+// capacity for Init to reset.
 type panes[A any] struct {
 	start int64
-	keys  []tuple.Key
-	accs  []A
-	idx   []int32
-	shift uint // 64 - log2(len(idx))
+	accs  *state.Map[tuple.Key, A]
 }
 
-func newPanes[A any]() *panes[A] { return &panes[A]{idx: make([]int32, 8), shift: 61} }
-
-// lookup returns key's entry, or -1 and the empty slot it would take.
-func (p *panes[A]) lookup(key tuple.Key) (entry, slot int) {
-	mask := len(p.idx) - 1
-	for s := int(keyHash(key) >> p.shift); ; s = (s + 1) & mask {
-		e := p.idx[s]
-		if e == 0 {
-			return -1, s
-		}
-		if p.keys[e-1] == key {
-			return int(e - 1), s
-		}
-	}
-}
-
-// insert adds key at the empty slot lookup returned and returns its
-// (not yet Init-reset) accumulator.
-func (p *panes[A]) insert(key tuple.Key, slot int) *A {
-	n := len(p.keys)
-	p.keys = append(p.keys, key)
-	if n < cap(p.accs) {
-		p.accs = p.accs[:n+1] // a previous life's accumulator
-	} else {
-		p.accs = append(p.accs, *new(A))
-	}
-	p.idx[slot] = int32(n + 1)
-	if 4*(n+1) > 3*len(p.idx) {
-		p.idx = make([]int32, 2*len(p.idx))
-		p.shift--
-		mask := len(p.idx) - 1
-		for i, k := range p.keys {
-			s := int(keyHash(k) >> p.shift)
-			for p.idx[s] != 0 {
-				s = (s + 1) & mask
-			}
-			p.idx[s] = int32(i + 1)
-		}
-	}
-	return &p.accs[n]
-}
-
-// reset empties the table for its next fire time, keeping capacity.
-func (p *panes[A]) reset() {
-	clear(p.keys) // drop string keys' text for the collector
-	p.keys = p.keys[:0]
-	p.accs = p.accs[:0]
-	clear(p.idx)
-}
-
-// keyHash hashes a pane key cheaply: a symbol, int, float or bool key's
-// 64-bit payload, tagged with its kind, times the 64-bit golden ratio
-// (the table indexes by the product's top bits). A string key's payload
-// is its Key.Hash, mixed the same way: FNV-1a leaves keys that differ
-// only in their last bytes apart only in its low bits. Equal keys (==,
-// the Go map equality) hash equally, NaN and ±0.0 included: floats hash
-// by their bits.
+// keyHash is a pane key's hash payload: a symbol, int, float or bool
+// key's 64-bit payload, tagged with its kind (state.Map multiplies it
+// by the golden ratio and indexes by the product's top bits). A string
+// key's payload is its Key.Hash: FNV-1a leaves keys that differ only in
+// their last bytes apart only in its low bits, which the multiply
+// spreads. Equal keys (==, the Go map equality) hash equally, NaN and
+// ±0.0 included: floats hash by their bits.
 func keyHash(k tuple.Key) uint64 {
 	var v uint64
 	switch k.Kind() {
@@ -194,7 +139,7 @@ func keyHash(k tuple.Key) uint64 {
 			v = 1
 		}
 	}
-	return (v ^ uint64(k.Kind())<<59) * 0x9E3779B97F4A7C15
+	return v ^ uint64(k.Kind())<<59
 }
 
 // paneRef is one open pane, collected for snapshot encoding.
@@ -208,8 +153,7 @@ type windowOp[A any] struct {
 	one    engine.OneRow
 	cfg    Op[A]
 	tm     *engine.Timers
-	byFire map[int64]*panes[A]
-	free   []*panes[A] // drained tables
+	byFire *state.Map[int64, panes[A]] // a drained table waits on its free list
 	late   uint64
 }
 
@@ -232,7 +176,7 @@ func New[A any](cfg Op[A]) engine.Operator {
 	if cfg.Init == nil || cfg.Add == nil || cfg.Emit == nil {
 		panic("window: Init, Add and Emit are required")
 	}
-	return &windowOp[A]{cfg: cfg, byFire: make(map[int64]*panes[A])}
+	return &windowOp[A]{cfg: cfg, byFire: state.NewMap[int64, panes[A]]()}
 }
 
 // SetTimers implements engine.TimerAware.
@@ -252,21 +196,25 @@ func (op *windowOp[A]) fireAt(start int64) int64 {
 	return start + op.cfg.Size + op.cfg.Lateness
 }
 
-// pane returns the accumulator of the window (key, start), opening it
-// on first touch. This is the one new-window protocol ProcessBatch and
-// Restore share: the key — possibly a view into a batch's arena — is
-// canonicalized before the state outlives it (a clone for string keys,
-// free for every other kind: intern hot string keys as symbols), the
-// accumulator is Init-reset, and the pane joins the table of its fire
-// time, whose event timer is registered when the table opens.
-func (op *windowOp[A]) pane(key tuple.Key, start int64) *A {
-	p := op.table(start)
-	i, slot := p.lookup(key)
-	if i >= 0 {
-		return &p.accs[i]
+// pane returns the accumulator of key's window in p, the table of the
+// window's start, opening it on first touch. This is the one new-window
+// protocol ProcessBatch and Restore share: the key — possibly a view
+// into a batch's arena — is canonicalized before the state outlives it
+// (a clone for string keys, free for every other kind: intern hot
+// string keys as symbols) and the accumulator is Init-reset. The table,
+// and its fire time's event timer, came from table.
+func (op *windowOp[A]) pane(p *panes[A], key tuple.Key) *A {
+	accs := p.accs
+	if key.Kind() == tuple.KindStr {
+		if acc := accs.Get(key); acc != nil {
+			return acc
+		}
+		key = key.Canon()
 	}
-	acc := p.insert(key.Canon(), slot)
-	op.cfg.Init(acc)
+	acc, created := accs.GetOrCreate(key)
+	if created {
+		op.cfg.Init(acc)
+	}
 	return acc
 }
 
@@ -274,15 +222,12 @@ func (op *windowOp[A]) pane(key tuple.Key, start int64) *A {
 // opening a recycled one (and its timer) on first touch.
 func (op *windowOp[A]) table(start int64) *panes[A] {
 	at := op.fireAt(start)
-	p := op.byFire[at]
-	if p == nil {
-		if n := len(op.free); n > 0 {
-			p, op.free = op.free[n-1], op.free[:n-1]
-		} else {
-			p = newPanes[A]()
+	p, created := op.byFire.GetOrCreate(at)
+	if created {
+		if p.accs == nil {
+			p.accs = state.NewMapWith[tuple.Key, A](keyHash)
 		}
 		p.start = start
-		op.byFire[at] = p
 		if op.tm != nil {
 			op.tm.RegisterEvent(at)
 		}
@@ -306,6 +251,10 @@ func (op *windowOp[A]) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
 		return fmt.Errorf("window: key field %d but batch has %d columns", op.cfg.KeyField, b.Cols())
 	}
 	wm := op.watermark()
+	// Most rows fall in the window the row before them did: last is
+	// that window's table. Nothing drains a table mid-batch, so last
+	// stays valid until the call returns.
+	var last *panes[A]
 	for r := 0; r < b.Len(); r++ {
 		var key tuple.Key
 		if op.cfg.KeyField >= 0 {
@@ -315,7 +264,10 @@ func (op *windowOp[A]) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
 		accepted := false
 		for start := floorDiv(et, op.cfg.Slide) * op.cfg.Slide; start > et-op.cfg.Size; start -= op.cfg.Slide {
 			if op.fireAt(start) > wm {
-				op.cfg.Add(op.pane(key, start), b, r)
+				if last == nil || last.start != start {
+					last = op.table(start)
+				}
+				op.cfg.Add(op.pane(last, key), b, r)
 				accepted = true
 			}
 		}
@@ -333,17 +285,17 @@ func (op *windowOp[A]) OnTimer(c engine.Collector, kind engine.TimerKind, at int
 	if kind != engine.EventTimer {
 		return nil
 	}
-	p := op.byFire[at]
+	p := op.byFire.Get(at)
 	if p == nil {
 		return nil // shared per-task timer service: someone else's timer
 	}
 	w := Span{p.start, p.start + op.cfg.Size}
-	for i, key := range p.keys {
-		op.cfg.Emit(c, key, w, &p.accs[i])
-	}
-	delete(op.byFire, at)
-	p.reset()
-	op.free = append(op.free, p)
+	p.accs.Range(func(key tuple.Key, acc *A) bool {
+		op.cfg.Emit(c, key, w, acc)
+		return true
+	})
+	p.accs.Clear()
+	op.byFire.Delete(at)
 	return nil
 }
 
@@ -352,7 +304,13 @@ func (op *windowOp[A]) OnTimer(c engine.Collector, kind engine.TimerKind, at int
 // infrastructure (operator profiling, batch drains) use it as the
 // end-of-input flush.
 func (op *windowOp[A]) FlushOpen(c engine.Collector) error {
-	for _, at := range slices.Sorted(maps.Keys(op.byFire)) {
+	fires := make([]int64, 0, op.byFire.Len())
+	op.byFire.Range(func(at int64, _ *panes[A]) bool {
+		fires = append(fires, at)
+		return true
+	})
+	slices.Sort(fires)
+	for _, at := range fires {
 		if err := op.OnTimer(c, engine.EventTimer, at); err != nil {
 			return err
 		}
@@ -389,11 +347,13 @@ func (op *windowOp[A]) Snapshot(enc *checkpoint.Encoder) error {
 		return fmt.Errorf("window: checkpointing needs Op.Save and Op.Load")
 	}
 	refs := make([]paneRef[A], 0, op.OpenWindows())
-	for _, p := range op.byFire {
-		for i, key := range p.keys {
-			refs = append(refs, paneRef[A]{winKey{key, p.start}, &p.accs[i]})
-		}
-	}
+	op.byFire.Range(func(_ int64, p *panes[A]) bool {
+		p.accs.Range(func(key tuple.Key, acc *A) bool {
+			refs = append(refs, paneRef[A]{winKey{key, p.start}, acc})
+			return true
+		})
+		return true
+	})
 	slices.SortFunc(refs, func(a, b paneRef[A]) int { return compareWinKeys(a.wk, b.wk) })
 	enc.Uint64(op.late)
 	enc.Len(len(refs))
@@ -412,20 +372,21 @@ func (op *windowOp[A]) Restore(dec *checkpoint.Decoder) error {
 	if op.cfg.Save == nil || op.cfg.Load == nil {
 		return fmt.Errorf("window: checkpointing needs Op.Save and Op.Load")
 	}
-	for _, p := range op.byFire {
-		p.reset()
-		op.free = append(op.free, p)
-	}
-	clear(op.byFire)
+	op.byFire.Range(func(_ int64, p *panes[A]) bool {
+		p.accs.Clear()
+		return true
+	})
+	op.byFire.Clear()
 	op.late = dec.Uint64()
 	n := dec.Len()
 	for i := 0; i < n && dec.Err() == nil; i++ {
 		key := dec.Key()
 		start := dec.Int64()
-		if e, _ := op.table(start).lookup(key); e >= 0 {
+		p := op.table(start)
+		if p.accs.Get(key) != nil {
 			return fmt.Errorf("window: duplicate (key, start) in snapshot")
 		}
-		if err := op.cfg.Load(dec, op.pane(key, start)); err != nil {
+		if err := op.cfg.Load(dec, op.pane(p, key)); err != nil {
 			return err
 		}
 	}
@@ -503,9 +464,10 @@ func (op *windowOp[A]) LateCount() uint64 { return op.late }
 // OpenWindows reports the number of accumulating (key, window) pairs.
 func (op *windowOp[A]) OpenWindows() int {
 	n := 0
-	for _, p := range op.byFire {
-		n += len(p.keys)
-	}
+	op.byFire.Range(func(_ int64, p *panes[A]) bool {
+		n += p.accs.Len()
+		return true
+	})
 	return n
 }
 
