@@ -27,7 +27,7 @@ test-repeat:
 # the Storm-like baseline, which drives every batch-aware operator
 # through its one-row face;
 # `make race-all` covers every package and takes correspondingly
-# longer. Both run with BRISK_VALIDATE_EVERY=1: every tuple is checked
+# longer. Both run with BRISK_VALIDATE_EVERY=1: every batch is checked
 # against its route's declared schema (engine Config.ValidateEvery), so
 # an operator whose layout drifts after its first emit fails the race
 # suite instead of corrupting state silently.
@@ -156,7 +156,10 @@ fmt-check:
 # decoders face bytes from outside the process — checkpoint files, and
 # the tuple frames the Storm-like baseline serializes on every hop
 # (batches cross edges in shared memory and are never encoded) — so a
-# bounded run on every change is the floor; the window target lets the
+# bounded run on every change is the floor; the row-copy target sends
+# random rows of every field kind through every copy between tuples and
+# batches (put, forward, materialize) and back to their encoded bytes;
+# the window target lets the
 # fuzzer pick window shapes, disorder, keys and batch sizes for the
 # batch-size invariance property (one-row batches through Process ≡
 # many-row batches through ProcessBatch); the state target runs random
@@ -166,6 +169,7 @@ fmt-check:
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/tuple/
+	$(GO) test -run '^$$' -fuzz '^FuzzRowCopy$$' -fuzztime $(FUZZTIME) ./internal/tuple/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoderKey$$' -fuzztime $(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz '^FuzzWindowBatchEquivalence$$' -fuzztime $(FUZZTIME) ./internal/window/
 	$(GO) test -run '^$$' -fuzz '^FuzzStateMap$$' -fuzztime $(FUZZTIME) ./internal/state/

@@ -89,8 +89,9 @@ func (c *collector) publish() {
 func (c *collector) Borrow() *tuple.Tuple { return c.rows.Get() }
 
 // Send implements Collector as an adapter over Out: it stamps the row,
-// copies it into Out's batch as a put row — a row of another layout
-// starts a fresh batch, and a full one leaves at once — and releases
+// copies it into Out's batch as a put row (PutTuple, by the row copy a
+// forward uses) — a row of another layout starts a fresh batch, and a
+// full one leaves at once — and releases
 // it. Release recycles only a row that came from a Pool: a scalar
 // operator Sending its own input (the task-local row the adapter
 // fills) must not turn that row into the next Borrow's scratch.
@@ -355,7 +356,7 @@ func (c *collector) copyRows(b *tuple.Batch, sel []int32, n int, stream tuple.St
 			}
 			var h uint64
 			if r.part == graph.Fields && len(r.edges) > 1 {
-				h = b.Hash(r.keyField, row)
+				h = b.Key(r.keyField, row).Hash()
 			}
 			if err := e.forwardRow(t, r.pick(h), b, row, stream); err != nil {
 				return err

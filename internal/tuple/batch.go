@@ -1,13 +1,13 @@
-// Columnar jumbo batches. A Batch is the payload of every jumbo: it
-// stores the rows one producer sends one consumer as kind-tagged column
-// vectors — one uint64 slot lane per field with a fixed stride, a
-// shared byte arena holding every string field's bytes as
-// (offset<<32 | length) ranges, and per-row metadata lanes (latency
-// timestamp, event time, trace context) that replace the per-tuple
-// header fields. Operators that implement the engine's BatchOperator
-// interface receive whole batches and iterate columns in tight per-kind
-// loops; everything else still sees tuples, materialized one row at a
-// time.
+// Columnar jumbo batches. A Batch is the payload of every jumbo: the
+// rows one producer sends one consumer, in the one row payload (see
+// payload.go) — one uint64 slot lane per field with a fixed stride and
+// a shared byte arena for every row's string fields — plus per-row
+// metadata lanes (latency timestamp, event time, trace context) that
+// replace the Tuple header fields. Operators that implement the
+// engine's BatchOperator interface receive whole batches and iterate
+// columns in tight per-kind loops; everything else sees one row at a
+// time, copied into a Tuple by the same row copy that forwards a row
+// from batch to batch.
 //
 // A batch's layout (stream, arity, field kinds) is adopted from the
 // first row written and stays fixed until Reset; Fits reports whether
@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"math"
 	"time"
-	"unsafe"
 )
 
 // Batch is one columnar jumbo batch flowing along a (producer,
@@ -43,10 +42,9 @@ type Batch struct {
 	// never mixes streams — the engine flushes on a stream change).
 	Stream StreamID
 
-	cols  int
-	kinds [MaxFields]Kind
-	n     int // filled rows
-	rows  int // row capacity; also the column stride in slots
+	layout
+	n    int // filled rows
+	rows int // row capacity; also the column stride in slots
 
 	// slots holds MaxFields column lanes of rows entries each; column c
 	// row r lives at slots[c*rows+r]. Allocating all MaxFields lanes up
@@ -71,15 +69,14 @@ type Batch struct {
 	// with the row indices that survive a filter).
 	sel []int32
 
-	// The row being put: wcol fields written so far, tagged in wkinds
-	// (KindNone past wcol). byPut records that the layout was adopted
-	// from a put row; misput, with bad set, the layout of the first put
-	// row EndRowFrom refused for not matching it.
-	wcol   int
-	wkinds [MaxFields]Kind
+	// w is the layout of the row being put, its fields written so far.
+	// byPut records that the batch layout was adopted from a put row;
+	// misput, with bad set, the layout of the first put row EndRowFrom
+	// refused for not matching it.
+	w      layout
 	byPut  bool
 	bad    bool
-	misput [MaxFields]Kind
+	misput layout
 }
 
 // NewBatch creates an empty batch with capacity for rows rows.
@@ -119,29 +116,18 @@ func (b *Batch) HasTrace() bool { return b.hasTrace }
 // capacity. The next Append adopts a fresh layout.
 func (b *Batch) Reset() {
 	b.n = 0
-	b.cols = 0
+	b.layout = layout{}
 	b.Stream = DefaultStreamID
 	b.arena = b.arena[:0]
 	b.hasTrace = false
-	b.wcol, b.wkinds = 0, [MaxFields]Kind{}
+	b.w = layout{}
 	b.byPut, b.bad = false, false
 }
 
 // Fits reports whether t shares the batch's layout (stream, arity and
 // field kinds). An empty batch fits anything — Append adopts.
 func (b *Batch) Fits(t *Tuple) bool {
-	if b.n == 0 {
-		return true
-	}
-	if t.Stream != b.Stream || int(t.n) != b.cols {
-		return false
-	}
-	for c := 0; c < b.cols; c++ {
-		if t.kinds[c] != b.kinds[c] {
-			return false
-		}
-	}
-	return true
+	return b.n == 0 || t.Stream == b.Stream && b.same(&t.layout)
 }
 
 // Append copies one tuple's payload and header metadata into the next
@@ -149,46 +135,36 @@ func (b *Batch) Fits(t *Tuple) bool {
 // (and flush on mismatch) before appending to a non-empty batch. The
 // batch must not be full.
 func (b *Batch) Append(t *Tuple) {
-	if b.n == 0 {
-		b.Stream = t.Stream
-		b.cols = int(t.n)
-		b.kinds = t.kinds
-		b.byPut = false
-	}
-	b.copyTuple(t)
+	b.adopt(t.Stream, &t.layout)
+	b.copyRow(b.slots[b.n:], b.rows, &b.arena, t.slots[:], 1, t.arena)
+	b.commit(t.Ts, t.Event, t.TraceID, t.TraceOrigin)
 }
 
 // PutTuple is the Put methods and EndRowFrom for a whole tuple: it
 // copies t's fields and header metadata into the next row as a put
 // row (Stream comes from ReadyFor). The batch must not be full.
 func (b *Batch) PutTuple(t *Tuple) {
-	k := t.kinds
-	clear(k[t.n:]) // a put layout has no kinds past its arity
-	if b.admitPut(int(t.n), &k) {
-		b.copyTuple(t)
+	if b.admitPut(&t.layout) {
+		b.copyRow(b.slots[b.n:], b.rows, &b.arena, t.slots[:], 1, t.arena)
+		b.commit(t.Ts, t.Event, t.TraceID, t.TraceOrigin)
 	}
 }
 
-// copyTuple copies t into the next row under the batch's layout.
-func (b *Batch) copyTuple(t *Tuple) {
-	r := b.n
-	idx := r
-	for c := 0; c < b.cols; c++ {
-		if b.kinds[c] == KindStr {
-			s := t.strAt(c)
-			off := len(b.arena)
-			b.arena = append(b.arena, s...)
-			b.slots[idx] = uint64(off)<<32 | uint64(len(s))
-		} else {
-			b.slots[idx] = t.slots[c]
-		}
-		idx += b.rows
+// adopt gives an empty batch stream s and layout l, as appended rows.
+func (b *Batch) adopt(s StreamID, l *layout) {
+	if b.n == 0 {
+		b.Stream, b.layout, b.byPut = s, *l, false
 	}
-	b.ts[r] = t.Ts
-	b.event[r] = t.Event
-	b.traceID[r] = t.TraceID
-	b.traceOrigin[r] = t.TraceOrigin
-	if t.TraceID != 0 {
+}
+
+// commit ends the next row with the given header metadata.
+func (b *Batch) commit(ts time.Time, event int64, traceID uint64, traceOrigin int64) {
+	r := b.n
+	b.ts[r] = ts
+	b.event[r] = event
+	b.traceID[r] = traceID
+	b.traceOrigin[r] = traceOrigin
+	if traceID != 0 {
 		b.hasTrace = true
 	}
 	b.n = r + 1
@@ -198,18 +174,7 @@ func (b *Batch) copyTuple(t *Tuple) {
 // stream, share the batch's layout — the batch-to-batch analogue of
 // Fits. An empty batch fits anything — AppendRowFrom adopts.
 func (b *Batch) FitsRowFrom(src *Batch, stream StreamID) bool {
-	if b.n == 0 {
-		return true
-	}
-	if stream != b.Stream || src.cols != b.cols {
-		return false
-	}
-	for c := 0; c < b.cols; c++ {
-		if src.kinds[c] != b.kinds[c] {
-			return false
-		}
-	}
-	return true
+	return b.n == 0 || stream == b.Stream && b.same(&src.layout)
 }
 
 // AppendRowFrom copies row r of src (payload and per-row metadata)
@@ -219,34 +184,14 @@ func (b *Batch) FitsRowFrom(src *Batch, stream StreamID) bool {
 // flush on mismatch) before appending to a non-empty batch. The batch
 // must not be full, and src must not alias b.
 func (b *Batch) AppendRowFrom(src *Batch, r int, stream StreamID) {
-	if b.n == 0 {
-		b.Stream = stream
-		b.cols = src.cols
-		b.kinds = src.kinds
-		b.byPut = false
-	}
-	row := b.n
-	dst, from := row, r
-	for c := 0; c < b.cols; c++ {
-		if b.kinds[c] == KindStr {
-			s := src.strAt(c, r)
-			off := len(b.arena)
-			b.arena = append(b.arena, s...)
-			b.slots[dst] = uint64(off)<<32 | uint64(len(s))
-		} else {
-			b.slots[dst] = src.slots[from]
-		}
-		dst += b.rows
-		from += src.rows
-	}
-	b.ts[row] = src.ts[r]
-	b.event[row] = src.event[r]
-	b.traceID[row] = src.traceID[r]
-	b.traceOrigin[row] = src.traceOrigin[r]
-	if src.traceID[r] != 0 {
-		b.hasTrace = true
-	}
-	b.n = row + 1
+	b.adopt(stream, &src.layout)
+	b.copyRow(b.slots[b.n:], b.rows, &b.arena, src.slots[r:], src.rows, src.arena)
+	b.commitFrom(src, r)
+}
+
+// commitFrom ends the next row with row r of src's metadata.
+func (b *Batch) commitFrom(src *Batch, r int) {
+	b.commit(src.ts[r], src.event[r], src.traceID[r], src.traceOrigin[r])
 }
 
 // Restream re-stamps every row onto stream s, as AppendRowFrom would
@@ -280,37 +225,23 @@ func (b *Batch) PutInt(v int64) { b.put(KindInt, uint64(v)) }
 func (b *Batch) PutFloat(v float64) { b.put(KindFloat, math.Float64bits(v)) }
 
 // PutBool writes the next field of the row being put as a bool.
-func (b *Batch) PutBool(v bool) {
-	var x uint64
-	if v {
-		x = 1
-	}
-	b.put(KindBool, x)
-}
+func (b *Batch) PutBool(v bool) { b.put(KindBool, boolSlot(v)) }
 
 // PutSym writes the next field of the row being put as a symbol.
 func (b *Batch) PutSym(s Sym) { b.put(KindSym, uint64(s)) }
 
 // PutStr writes the next field of the row being put as a string,
 // copied into the batch arena.
-func (b *Batch) PutStr(s string) {
-	off := len(b.arena)
-	b.arena = append(b.arena, s...)
-	b.put(KindStr, uint64(off)<<32|uint64(len(s)))
-}
+func (b *Batch) PutStr(s string) { b.put(KindStr, appendStr(&b.arena, s)) }
 
 // PutStrBytes is PutStr from a byte slice, copied into the arena.
-func (b *Batch) PutStrBytes(s []byte) {
-	off := len(b.arena)
-	b.arena = append(b.arena, s...)
-	b.put(KindStr, uint64(off)<<32|uint64(len(s)))
-}
+func (b *Batch) PutStrBytes(s []byte) { b.PutStr(bytesView(s)) }
 
 func (b *Batch) put(k Kind, v uint64) {
-	c := b.wcol
-	b.wkinds[c] = k // past MaxFields: index out of range
+	c := b.w.cols
+	b.w.kinds[c] = k // past MaxFields: index out of range
 	b.slots[c*b.rows+b.n] = v
-	b.wcol = c + 1
+	b.w.cols = c + 1
 }
 
 // EndRowFrom commits the row being put, with row r of src's metadata —
@@ -319,34 +250,25 @@ func (b *Batch) put(k Kind, v uint64) {
 // comes from ReadyFor). A row whose kinds differ from that layout is
 // not stored: the batch keeps it out and reports it through PutErr.
 func (b *Batch) EndRowFrom(src *Batch, r int) {
-	k, cols := b.wkinds, b.wcol
-	b.wcol, b.wkinds = 0, [MaxFields]Kind{}
-	if !b.admitPut(cols, &k) {
-		return
+	ok := b.admitPut(&b.w)
+	b.w = layout{}
+	if ok {
+		b.commitFrom(src, r)
 	}
-	row := b.n
-	b.ts[row] = src.ts[r]
-	b.event[row] = src.event[r]
-	b.traceID[row] = src.traceID[r]
-	b.traceOrigin[row] = src.traceOrigin[r]
-	if src.traceID[r] != 0 {
-		b.hasTrace = true
-	}
-	b.n = row + 1
 }
 
-// admitPut reports whether a put row of these kinds may be committed:
-// the first fixes the layout, a later mismatch is kept for PutErr.
-func (b *Batch) admitPut(cols int, k *[MaxFields]Kind) bool {
+// admitPut reports whether a put row of layout l may be committed: the
+// first fixes the layout, a later mismatch is kept for PutErr.
+func (b *Batch) admitPut(l *layout) bool {
 	if b.n == 0 {
-		b.cols, b.kinds, b.byPut = cols, *k, true
+		b.layout, b.byPut = *l, true
 		return true
 	}
-	if *k == b.kinds {
+	if b.same(l) {
 		return true
 	}
 	if !b.bad {
-		b.bad, b.misput = true, *k
+		b.bad, b.misput = true, *l
 	}
 	return false
 }
@@ -358,16 +280,7 @@ func (b *Batch) PutErr() error {
 		return nil
 	}
 	return fmt.Errorf("tuple: put row %v does not match the batch layout %v",
-		kindList(&b.misput), kindList(&b.kinds))
-}
-
-// kindList lists the set kinds of a layout, for messages.
-func kindList(k *[MaxFields]Kind) []Kind {
-	n := 0
-	for n < MaxFields && k[n] != KindNone {
-		n++
-	}
-	return k[:n]
+		b.misput.list(), b.list())
 }
 
 // Col returns column c's raw slot lane (length Len). Kernels that have
@@ -378,105 +291,43 @@ func (b *Batch) Col(c int) []uint64 {
 }
 
 // Int returns column c, row r as an int64.
-func (b *Batch) Int(c, r int) int64 {
-	if b.kinds[c] != KindInt {
-		panic(fmt.Sprintf("tuple: batch column %d is %v, not int64", c, b.kinds[c]))
-	}
-	return int64(b.slots[c*b.rows+r])
-}
+func (b *Batch) Int(c, r int) int64 { return b.key(c, r).asInt(c) }
 
 // Float returns column c, row r as a float64 (integer columns convert).
-func (b *Batch) Float(c, r int) float64 {
-	switch b.kinds[c] {
-	case KindFloat:
-		return math.Float64frombits(b.slots[c*b.rows+r])
-	case KindInt:
-		return float64(int64(b.slots[c*b.rows+r]))
-	default:
-		panic(fmt.Sprintf("tuple: batch column %d is %v, not float64", c, b.kinds[c]))
-	}
-}
+func (b *Batch) Float(c, r int) float64 { return b.key(c, r).asFloat(c) }
 
 // Bool returns column c, row r as a bool.
-func (b *Batch) Bool(c, r int) bool {
-	if b.kinds[c] != KindBool {
-		panic(fmt.Sprintf("tuple: batch column %d is %v, not bool", c, b.kinds[c]))
-	}
-	return b.slots[c*b.rows+r] != 0
-}
+func (b *Batch) Bool(c, r int) bool { return b.key(c, r).asBool(c) }
 
 // Sym returns column c, row r as an interned symbol.
-func (b *Batch) Sym(c, r int) Sym {
-	if b.kinds[c] != KindSym {
-		panic(fmt.Sprintf("tuple: batch column %d is %v, not symbol", c, b.kinds[c]))
-	}
-	return Sym(b.slots[c*b.rows+r])
-}
+func (b *Batch) Sym(c, r int) Sym { return b.key(c, r).asSym(c) }
 
 // Str returns column c, row r as a string. For a string column the
 // result is a view into the batch arena, valid only while the caller
 // holds the batch; for a symbol column it is the stable interned name.
-func (b *Batch) Str(c, r int) string {
-	switch b.kinds[c] {
-	case KindStr:
-		return b.strAt(c, r)
-	case KindSym:
-		return Sym(b.slots[c*b.rows+r]).Name()
-	default:
-		panic(fmt.Sprintf("tuple: batch column %d is %v, not string", c, b.kinds[c]))
-	}
-}
+func (b *Batch) Str(c, r int) string { return b.key(c, r).asStr(c) }
 
 // StrLen returns the byte length of string column c, row r without
 // materializing a string header (the filter kernels' fast path).
 func (b *Batch) StrLen(c, r int) int {
 	if b.kinds[c] != KindStr {
-		panic(fmt.Sprintf("tuple: batch column %d is %v, not string", c, b.kinds[c]))
+		panic(kindErr(c, b.kinds[c], KindStr))
 	}
 	return int(b.slots[c*b.rows+r] & 0xffffffff)
 }
 
-func (b *Batch) strAt(c, r int) string {
-	slot := b.slots[c*b.rows+r]
-	off := int(slot >> 32)
-	ln := int(slot & 0xffffffff)
-	if ln == 0 {
-		return ""
-	}
-	return unsafe.String(&b.arena[off], ln)
-}
-
 // Key returns column c, row r as a grouping key. A string column's key
 // borrows the arena view — Canon before storing it past the batch.
-func (b *Batch) Key(c, r int) Key {
-	k := Key{kind: b.kinds[c], num: b.slots[c*b.rows+r]}
-	if k.kind == KindStr {
-		k.num = 0
-		k.str = b.strAt(c, r)
-	}
-	return k
+func (b *Batch) Key(c, r int) Key { return b.key(c, r) }
+
+// key decodes column c, row r.
+func (b *Batch) key(c, r int) Key {
+	return fieldKey(b.kinds[c], b.slots[c*b.rows+r], b.arena)
 }
 
-// Hash hashes column c, row r exactly like Tuple.Hash, so a key routes
-// identically whether it travels row-wise or columnar.
-func (b *Batch) Hash(c, r int) uint64 {
-	switch b.kinds[c] {
-	case KindInt, KindFloat:
-		return hashUint64(b.slots[c*b.rows+r])
-	case KindBool:
-		h := fnvOffset64
-		if b.slots[c*b.rows+r] != 0 {
-			h ^= 1
-		}
-		return h * fnvPrime64
-	case KindStr:
-		return hashString(b.strAt(c, r))
-	case KindSym:
-		return hashString(Sym(b.slots[c*b.rows+r]).Name())
-	default:
-		return fnvOffset64
-	}
-}
+// Hash hashes column c, row r: the Hash of its Key, as Tuple.Hash is,
+// so a key routes identically whether it travels row-wise or columnar.
+func (b *Batch) Hash(c, r int) uint64 { return b.key(c, r).Hash() }
 
 // Ts returns row r's latency timestamp.
 func (b *Batch) Ts(r int) time.Time { return b.ts[r] }
@@ -509,45 +360,14 @@ func (b *Batch) StampMeta(r int, out *Tuple) {
 // copied), stream and all header metadata. The engine's row adapter
 // uses it to feed operators that process one row at a time.
 func (b *Batch) CopyRowTo(r int, dst *Tuple) {
-	dst.n = uint8(b.cols)
-	dst.kinds = b.kinds
+	dst.layout = b.layout
 	dst.arena = dst.arena[:0]
-	for c := 0; c < b.cols; c++ {
-		if b.kinds[c] == KindStr {
-			s := b.strAt(c, r)
-			off := len(dst.arena)
-			dst.arena = append(dst.arena, s...)
-			dst.slots[c] = uint64(off)<<32 | uint64(len(s))
-		} else {
-			dst.slots[c] = b.slots[c*b.rows+r]
-		}
-	}
+	b.copyRow(dst.slots[:], 1, &dst.arena, b.slots[r:], b.rows, b.arena)
 	dst.Stream = b.Stream
 	dst.Ts = b.ts[r]
 	dst.Event = b.event[r]
 	dst.TraceID = b.traceID[r]
 	dst.TraceOrigin = b.traceOrigin[r]
-}
-
-// AppendFieldTo appends field (c, r) onto dst with its kind preserved
-// (arena copy for strings) — the projection kernels' building block.
-func (b *Batch) AppendFieldTo(c, r int, dst *Tuple) {
-	switch b.kinds[c] {
-	case KindInt:
-		dst.AppendInt(int64(b.slots[c*b.rows+r]))
-	case KindFloat:
-		i := dst.grow()
-		dst.kinds[i] = KindFloat
-		dst.slots[i] = b.slots[c*b.rows+r]
-	case KindBool:
-		dst.AppendBool(b.slots[c*b.rows+r] != 0)
-	case KindStr:
-		dst.AppendStr(b.strAt(c, r))
-	case KindSym:
-		dst.AppendSym(Sym(b.slots[c*b.rows+r]))
-	default:
-		panic(fmt.Sprintf("tuple: cannot append %v batch field", b.kinds[c]))
-	}
 }
 
 // SelScratch returns the batch's reusable selection vector, emptied,
@@ -562,7 +382,4 @@ func (b *Batch) SelScratch() []int32 {
 
 // Size estimates the batch's in-memory payload footprint in bytes,
 // the columnar counterpart of Tuple.Size summed over rows.
-func (b *Batch) Size() int {
-	const header = 48
-	return header*b.n + 16*b.cols*b.n + len(b.arena)
-}
+func (b *Batch) Size() int { return b.size(b.n, len(b.arena)) }

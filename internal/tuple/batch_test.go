@@ -1,10 +1,11 @@
 package tuple
 
 // Columnar batch coverage: Append/Fits layout adoption, per-row
-// accessor and metadata parity with the source tuples, CopyRowTo
-// materialization (the engine's row adapter), Key/Hash parity with the
-// row-wise path (a key must route identically whether it travels as a
-// tuple or a batch row).
+// accessors and metadata against the source tuples, CopyRowTo,
+// AppendRowFrom and put-row parity with the tuple path, Key/Hash
+// parity (a key must route identically whether it travels as a tuple
+// or a batch row), and the put-row rules. The same row copies are
+// fuzzed over random layouts in rowcopy_test.go.
 
 import (
 	"math"
@@ -304,20 +305,6 @@ func TestBatchStampMeta(t *testing.T) {
 	b.StampMeta(0, out2)
 	if out2.Event != 777 {
 		t.Errorf("StampMeta overwrote operator-set event %d", out2.Event)
-	}
-}
-
-func TestBatchAppendFieldTo(t *testing.T) {
-	b := NewBatch(2)
-	src := mkRow(2)
-	b.Append(src)
-	dst := &Tuple{}
-	for c := 0; c < src.Len(); c++ {
-		b.AppendFieldTo(c, 0, dst)
-	}
-	dst.Stream, dst.Ts, dst.Event = src.Stream, src.Ts, src.Event
-	if !bitsEqual(dst, src) {
-		t.Errorf("AppendFieldTo projection changed %v -> %v", src, dst)
 	}
 }
 

@@ -31,13 +31,7 @@ func IntKey(v int64) Key { return Key{kind: KindInt, num: uint64(v)} }
 func FloatKey(v float64) Key { return Key{kind: KindFloat, num: math.Float64bits(v)} }
 
 // BoolKey builds a boolean key.
-func BoolKey(v bool) Key {
-	k := Key{kind: KindBool}
-	if v {
-		k.num = 1
-	}
-	return k
-}
+func BoolKey(v bool) Key { return Key{kind: KindBool, num: boolSlot(v)} }
 
 // StrKey builds a string key. The key aliases s; it is stable if s is.
 func StrKey(s string) Key { return Key{kind: KindStr, str: s} }
@@ -50,45 +44,75 @@ func SymKey(s Sym) Key { return Key{kind: KindSym, num: uint64(s)} }
 func (k Key) Kind() Kind { return k.kind }
 
 // Int returns an int64 key's value.
-func (k Key) Int() int64 {
-	if k.kind != KindInt {
-		panic(fmt.Sprintf("tuple: key is %v, not int64", k.kind))
-	}
-	return int64(k.num)
-}
+func (k Key) Int() int64 { return k.asInt(-1) }
 
-// Float returns a float64 key's value.
+// Float returns a float64 key's value. Unlike a field's, an int64 key
+// does not convert.
 func (k Key) Float() float64 {
 	if k.kind != KindFloat {
-		panic(fmt.Sprintf("tuple: key is %v, not float64", k.kind))
+		panic(kindErr(-1, k.kind, KindFloat))
 	}
 	return math.Float64frombits(k.num)
 }
 
 // Bool returns a boolean key's value.
-func (k Key) Bool() bool {
+func (k Key) Bool() bool { return k.asBool(-1) }
+
+// Str returns a string or symbol key's text.
+func (k Key) Str() string { return k.asStr(-1) }
+
+// Sym returns a symbol key's id.
+func (k Key) Sym() Sym { return k.asSym(-1) }
+
+// The per-kind decoders behind the typed reads of a Key, a Tuple field
+// and a Batch cell; c names the field in the kind panic (c < 0: a key).
+
+func (k Key) asInt(c int) int64 {
+	if k.kind != KindInt {
+		panic(kindErr(c, k.kind, KindInt))
+	}
+	return int64(k.num)
+}
+
+// asFloat converts an int64 field.
+func (k Key) asFloat(c int) float64 {
+	switch k.kind {
+	case KindFloat:
+		return math.Float64frombits(k.num)
+	case KindInt:
+		return float64(int64(k.num))
+	}
+	panic(kindErr(c, k.kind, KindFloat))
+}
+
+func (k Key) asBool(c int) bool {
 	if k.kind != KindBool {
-		panic(fmt.Sprintf("tuple: key is %v, not bool", k.kind))
+		panic(kindErr(c, k.kind, KindBool))
 	}
 	return k.num != 0
 }
 
-// Str returns a string or symbol key's text.
-func (k Key) Str() string {
-	switch k.kind {
-	case KindStr:
-		return k.str
-	case KindSym:
-		return Sym(k.num).Name()
-	default:
-		panic(fmt.Sprintf("tuple: key is %v, not string", k.kind))
+// asStr returns a string field's text (an arena view for one taken from
+// a payload) or a symbol's interned name.
+func (k Key) asStr(c int) string {
+	if k.kind != KindStr {
+		return k.symName(c)
 	}
+	return k.str
 }
 
-// Sym returns a symbol key's id.
-func (k Key) Sym() Sym {
+// symName is asStr for a non-string kind, kept out of line so asStr
+// inlines.
+func (k Key) symName(c int) string {
 	if k.kind != KindSym {
-		panic(fmt.Sprintf("tuple: key is %v, not symbol", k.kind))
+		panic(kindErr(c, k.kind, KindStr))
+	}
+	return Sym(k.num).Name()
+}
+
+func (k Key) asSym(c int) Sym {
+	if k.kind != KindSym {
+		panic(kindErr(c, k.kind, KindSym))
 	}
 	return Sym(k.num)
 }
@@ -132,8 +156,12 @@ func (k Key) Compare(o Key) int {
 	}
 }
 
-// Hash hashes the key with the same byte encodings as Tuple.Hash, so a
-// key routes identically however it was extracted.
+// Hash hashes the key for fields-grouping (inline FNV-1a, no heap
+// hasher); Tuple.Hash and Batch.Hash are this hash of the field's key.
+// String and symbol keys hash their text bytes — so a key routes
+// identically whether it travels interned or not — and integers their
+// eight little-endian bytes, matching the historical encoding so
+// key→replica assignments are unchanged.
 func (k Key) Hash() uint64 {
 	switch k.kind {
 	case KindInt, KindFloat:
@@ -153,7 +181,8 @@ func (k Key) Hash() uint64 {
 	}
 }
 
-// String formats the key for debugging.
+// String formats the key for debugging; Tuple.String formats each
+// field this way.
 func (k Key) String() string {
 	switch k.kind {
 	case KindInt:
@@ -162,11 +191,35 @@ func (k Key) String() string {
 		return fmt.Sprintf("%v", math.Float64frombits(k.num))
 	case KindBool:
 		return fmt.Sprintf("%t", k.num != 0)
-	case KindStr:
-		return k.str
-	case KindSym:
-		return Sym(k.num).Name()
+	case KindStr, KindSym:
+		return k.asStr(-1)
 	default:
 		return "<nil>"
 	}
+}
+
+// FNV-1a parameters for the inline key hash.
+const (
+	fnvOffset64 uint64 = 14695981039346656037
+	fnvPrime64  uint64 = 1099511628211
+)
+
+// hashString FNV-1a-hashes the bytes of s.
+func hashString(s string) uint64 {
+	h := fnvOffset64
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	return h
+}
+
+// hashUint64 FNV-1a-hashes the eight little-endian bytes of u.
+func hashUint64(u uint64) uint64 {
+	h := fnvOffset64
+	for i := 0; i < 8; i++ {
+		h ^= (u >> (8 * i)) & 0xff
+		h *= fnvPrime64
+	}
+	return h
 }

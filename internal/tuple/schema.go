@@ -30,6 +30,7 @@ func SymField(name string) Field   { return Field{Name: name, Kind: KindSym} }
 // schema adds checking and documentation, not a new wire format.
 type Schema struct {
 	fields []Field
+	layout layout
 }
 
 // NewSchema builds a schema. It panics on more than MaxFields fields or
@@ -54,7 +55,12 @@ func NewSchema(fields ...Field) *Schema {
 			panic(fmt.Sprintf("tuple: schema field %q has invalid kind %v", f.Name, f.Kind))
 		}
 	}
-	return &Schema{fields: append([]Field(nil), fields...)}
+	s := &Schema{fields: append([]Field(nil), fields...)}
+	s.layout.cols = len(fields)
+	for i, f := range fields {
+		s.layout.kinds[i] = f.Kind
+	}
+	return s
 }
 
 // Arity returns the number of declared fields.
@@ -82,18 +88,19 @@ func (s *Schema) FieldIndex(name string) int {
 // consumer, and silently split its keyed state into two accumulators
 // per logical key. A declared schema pins the representation so that
 // class of bug dies at the first batch.
-func (s *Schema) CheckBatch(b *Batch) error { return s.check(b.cols, &b.kinds) }
-
-func (s *Schema) check(n int, kinds *[MaxFields]Kind) error {
-	if n != len(s.fields) {
-		return fmt.Errorf("tuple: schema %s expects %d fields, tuple has %d", s, len(s.fields), n)
+func (s *Schema) CheckBatch(b *Batch) error {
+	if s.layout.same(&b.layout) {
+		return nil
 	}
-	for i, f := range s.fields {
-		if got := kinds[i]; got != f.Kind {
-			return fmt.Errorf("tuple: schema %s field %q wants %v, tuple has %v", s, f.Name, f.Kind, got)
-		}
+	if b.cols != s.layout.cols {
+		return fmt.Errorf("tuple: schema %s expects %d fields, tuple has %d", s, s.layout.cols, b.cols)
 	}
-	return nil
+	c := 0
+	for b.kinds[c] == s.layout.kinds[c] {
+		c++
+	}
+	f := s.fields[c]
+	return fmt.Errorf("tuple: schema %s field %q wants %v, tuple has %v", s, f.Name, f.Kind, b.kinds[c])
 }
 
 // String formats the schema as "(name kind, ...)".

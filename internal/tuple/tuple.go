@@ -8,16 +8,20 @@
 // pay the cost a distributed DSPS pays, which is what the factor
 // analysis (Figure 16) measures.
 //
-// # Typed slot representation
+// # One row payload
 //
-// A tuple's payload is schema-typed, not boxed: every field lives in a
-// fixed inline slot array (one uint64 per field plus a kind tag), and
-// string fields are byte ranges in a small per-tuple arena that is
-// recycled with the tuple. Nothing on the emit path allocates — writing
-// an int is a slot store, writing a string is a byte copy into the
-// pooled arena — and nothing on the read path type-switches on
-// interfaces. Streams declare a Schema (field names + kinds) at wiring
-// time; the engine checks emitted tuples against it.
+// A row's payload is schema-typed, not boxed, and stored one way: a
+// slot lane per field (one uint64 per field plus a kind tag) and a byte
+// arena holding string fields as (offset, length) ranges. A Batch is
+// that payload over many rows, one column lane per field; a Tuple is
+// the same payload over one row, in an inline slot array, under the
+// header fields a batch keeps in per-row lanes. Every field decoder,
+// hash, layout compare and row copy therefore exists once and serves
+// both. Nothing on the emit path allocates — writing an int is a slot
+// store, writing a string is a byte copy into the recycled arena — and
+// nothing on the read path type-switches on interfaces. Streams may
+// declare a Schema (field names + kinds) at wiring time; the engine
+// checks the layout of emitted batches against it (Schema.CheckBatch).
 //
 // Low-cardinality hot strings (words, device ids) should be interned as
 // symbols (Sym, InternSym): a symbol field stores a 4-byte id, compares
@@ -26,14 +30,14 @@
 //
 // # Ownership and recycling
 //
-// Rows cross tasks by value: a producer fills a row from its task's
-// Pool, the engine copies it into the open columnar batch of every
-// destination edge and releases it, and batches — not tuples — cross
-// cores and recycle over a per-edge free ring. A consumer that
-// processes one row at a time gets each row copied (Batch.CopyRowTo)
-// into one task-local tuple, refilled for the next row. Every tuple has
-// a single owner at a time, so none carries a reference count. The
-// contract for operator code:
+// Rows cross tasks by value: a producer puts a row into the batch its
+// collector's Out hands it (or fills a row from its task's Pool and
+// Sends it, which copies it into that batch and releases it), and
+// batches — not tuples — cross cores and recycle over a per-edge free
+// ring. A consumer that processes one row at a time gets each row
+// copied (Batch.CopyRowTo) into one task-local tuple, refilled for the
+// next row. Every tuple has a single owner at a time, so none carries a
+// reference count. The contract for operator code:
 //
 //   - A tuple received by Process is valid only until Process returns:
 //     the engine refills it with the next input row. To keep the row
@@ -58,9 +62,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
-	"unsafe"
 )
 
 // Value is a dynamically typed field for the convenience surfaces
@@ -142,15 +146,11 @@ type Tuple struct {
 	// attribution. Zero whenever TraceID is zero.
 	TraceOrigin int64
 
-	// n counts the filled slots; kinds tags each slot's type; slots
-	// holds the payload: integer bits, float bits, 0/1 booleans, symbol
-	// ids, or (offset<<32 | length) ranges into arena for strings.
-	n     uint8
-	kinds [MaxFields]Kind
+	// The payload (see payload.go) at one row: the layout, the inline
+	// slots, and the arena holding the string fields, which is recycled
+	// with the tuple, keeping its capacity.
+	layout
 	slots [MaxFields]uint64
-	// arena backs the tuple's string fields; it is recycled with the
-	// tuple, keeping its capacity, so steady-state string fields cost a
-	// byte copy and no allocation.
 	arena []byte
 
 	// pool points back to the Pool the row was got from while its owner
@@ -186,7 +186,7 @@ func OnStream(stream string, values ...Value) *Tuple {
 func (t *Tuple) StreamName() string { return t.Stream.String() }
 
 // Len returns the number of filled fields.
-func (t *Tuple) Len() int { return int(t.n) }
+func (t *Tuple) Len() int { return t.cols }
 
 // Kind returns the kind of field i.
 func (t *Tuple) Kind(i int) Kind {
@@ -195,101 +195,65 @@ func (t *Tuple) Kind(i int) Kind {
 }
 
 // Reset clears the payload (fields and arena, keeping capacity) so the
-// tuple can be refilled. Stream, Ts and Event are untouched.
+// tuple can be refilled. The header fields — Stream, Ts, Event and the
+// trace context — are untouched.
 func (t *Tuple) Reset() {
-	t.n = 0
+	t.layout = layout{}
 	t.arena = t.arena[:0]
 }
 
 // check panics on an out-of-range field index.
 func (t *Tuple) check(i int) {
-	if i < 0 || i >= int(t.n) {
-		panic(fmt.Sprintf("tuple: field %d out of range (tuple has %d)", i, t.n))
+	if i < 0 || i >= t.cols {
+		panic(fmt.Sprintf("tuple: field %d out of range (tuple has %d)", i, t.cols))
 	}
 }
 
-// grow reserves the next slot.
-func (t *Tuple) grow() int {
-	if int(t.n) >= MaxFields {
+// key decodes field i, which must be in range.
+func (t *Tuple) key(i int) Key { return fieldKey(t.kinds[i], t.slots[i], t.arena) }
+
+// push appends a field of kind k holding slot value v.
+func (t *Tuple) push(k Kind, v uint64) {
+	i := t.cols
+	if i >= MaxFields {
 		panic(fmt.Sprintf("tuple: too many fields (max %d)", MaxFields))
 	}
-	i := int(t.n)
-	t.n++
-	return i
+	t.kinds[i], t.slots[i] = k, v
+	t.cols = i + 1
 }
 
 // AppendInt appends an int64 field.
-func (t *Tuple) AppendInt(v int64) {
-	i := t.grow()
-	t.kinds[i] = KindInt
-	t.slots[i] = uint64(v)
-}
+func (t *Tuple) AppendInt(v int64) { t.push(KindInt, uint64(v)) }
 
 // AppendFloat appends a float64 field.
-func (t *Tuple) AppendFloat(v float64) {
-	i := t.grow()
-	t.kinds[i] = KindFloat
-	t.slots[i] = math.Float64bits(v)
-}
+func (t *Tuple) AppendFloat(v float64) { t.push(KindFloat, math.Float64bits(v)) }
 
 // AppendBool appends a boolean field.
-func (t *Tuple) AppendBool(v bool) {
-	i := t.grow()
-	t.kinds[i] = KindBool
-	if v {
-		t.slots[i] = 1
-	} else {
-		t.slots[i] = 0
-	}
-}
+func (t *Tuple) AppendBool(v bool) { t.push(KindBool, boolSlot(v)) }
 
 // AppendStr appends a string field, copying the bytes into the tuple's
 // arena (no allocation once the arena capacity is warm).
-func (t *Tuple) AppendStr(s string) {
-	i := t.grow()
-	t.kinds[i] = KindStr
-	off := len(t.arena)
-	t.arena = append(t.arena, s...)
-	t.slots[i] = uint64(off)<<32 | uint64(len(s))
-}
+func (t *Tuple) AppendStr(s string) { t.push(KindStr, appendStr(&t.arena, s)) }
 
 // AppendStrBytes appends a string field from a byte slice, copying into
 // the arena (sources building records in reusable buffers use it to
 // avoid the string conversion).
-func (t *Tuple) AppendStrBytes(b []byte) {
-	i := t.grow()
-	t.kinds[i] = KindStr
-	off := len(t.arena)
-	t.arena = append(t.arena, b...)
-	t.slots[i] = uint64(off)<<32 | uint64(len(b))
-}
+func (t *Tuple) AppendStrBytes(b []byte) { t.AppendStr(bytesView(b)) }
 
 // AppendSym appends an interned symbol field.
-func (t *Tuple) AppendSym(s Sym) {
-	i := t.grow()
-	t.kinds[i] = KindSym
-	t.slots[i] = uint64(s)
-}
+func (t *Tuple) AppendSym(s Sym) { t.push(KindSym, uint64(s)) }
 
 // AppendKey appends a key extracted from another tuple with its kind
 // preserved (window operators emit their group key this way). Appending
 // the empty key panics.
 func (t *Tuple) AppendKey(k Key) {
 	switch k.kind {
-	case KindInt:
-		t.AppendInt(int64(k.num))
-	case KindFloat:
-		i := t.grow()
-		t.kinds[i] = KindFloat
-		t.slots[i] = k.num
-	case KindBool:
-		t.AppendBool(k.num != 0)
+	case KindNone:
+		panic("tuple: cannot append an empty key")
 	case KindStr:
 		t.AppendStr(k.str)
-	case KindSym:
-		t.AppendSym(Sym(k.num))
 	default:
-		panic("tuple: cannot append an empty key")
+		t.push(k.kind, k.num)
 	}
 }
 
@@ -320,32 +284,19 @@ func (t *Tuple) Append(v Value) {
 // Int returns field i as an int64.
 func (t *Tuple) Int(i int) int64 {
 	t.check(i)
-	if t.kinds[i] != KindInt {
-		panic(fmt.Sprintf("tuple: field %d is %v, not int64", i, t.kinds[i]))
-	}
-	return int64(t.slots[i])
+	return t.key(i).asInt(i)
 }
 
 // Float returns field i as a float64 (an integer field is converted).
 func (t *Tuple) Float(i int) float64 {
 	t.check(i)
-	switch t.kinds[i] {
-	case KindFloat:
-		return math.Float64frombits(t.slots[i])
-	case KindInt:
-		return float64(int64(t.slots[i]))
-	default:
-		panic(fmt.Sprintf("tuple: field %d is %v, not float64", i, t.kinds[i]))
-	}
+	return t.key(i).asFloat(i)
 }
 
 // Bool returns field i as a bool.
 func (t *Tuple) Bool(i int) bool {
 	t.check(i)
-	if t.kinds[i] != KindBool {
-		panic(fmt.Sprintf("tuple: field %d is %v, not bool", i, t.kinds[i]))
-	}
-	return t.slots[i] != 0
+	return t.key(i).asBool(i)
 }
 
 // Str returns field i as a string. For an ordinary string field the
@@ -355,36 +306,13 @@ func (t *Tuple) Bool(i int) bool {
 // the process.
 func (t *Tuple) Str(i int) string {
 	t.check(i)
-	switch t.kinds[i] {
-	case KindStr:
-		return t.strAt(i)
-	case KindSym:
-		return Sym(t.slots[i]).Name()
-	default:
-		panic(fmt.Sprintf("tuple: field %d is %v, not string", i, t.kinds[i]))
-	}
-}
-
-// strAt returns the arena view of string slot i (which must be KindStr).
-// The view aliases the arena: it stays valid while the tuple is held
-// (a grown arena's old backing array is kept alive by the view itself)
-// and dies when the tuple is recycled.
-func (t *Tuple) strAt(i int) string {
-	off := int(t.slots[i] >> 32)
-	ln := int(t.slots[i] & 0xffffffff)
-	if ln == 0 {
-		return ""
-	}
-	return unsafe.String(&t.arena[off], ln)
+	return t.key(i).asStr(i)
 }
 
 // Sym returns field i as an interned symbol.
 func (t *Tuple) Sym(i int) Sym {
 	t.check(i)
-	if t.kinds[i] != KindSym {
-		panic(fmt.Sprintf("tuple: field %d is %v, not symbol", i, t.kinds[i]))
-	}
-	return Sym(t.slots[i])
+	return t.key(i).asSym(i)
 }
 
 // Key returns field i as a grouping key. A string field's key borrows
@@ -392,12 +320,7 @@ func (t *Tuple) Sym(i int) Sym {
 // lifetime (the window operators do, only when creating new state).
 func (t *Tuple) Key(i int) Key {
 	t.check(i)
-	k := Key{kind: t.kinds[i], num: t.slots[i]}
-	if k.kind == KindStr {
-		k.num = 0
-		k.str = t.strAt(i)
-	}
-	return k
+	return t.key(i)
 }
 
 // Value returns field i boxed as a dynamic value (debug/capture
@@ -405,47 +328,27 @@ func (t *Tuple) Key(i int) Key {
 // their interned name, so captured output is representation-agnostic.
 func (t *Tuple) Value(i int) Value {
 	t.check(i)
-	switch t.kinds[i] {
+	k := t.key(i)
+	switch k.kind {
 	case KindInt:
-		return int64(t.slots[i])
+		return int64(k.num)
 	case KindFloat:
-		return math.Float64frombits(t.slots[i])
+		return math.Float64frombits(k.num)
 	case KindBool:
-		return t.slots[i] != 0
+		return k.num != 0
 	case KindStr:
-		return strings.Clone(t.strAt(i))
+		return strings.Clone(k.str)
 	case KindSym:
-		return Sym(t.slots[i]).Name()
+		return Sym(k.num).Name()
 	default:
 		return nil
 	}
 }
 
-// Hash hashes field i for fields-grouping (inline FNV-1a, no heap
-// hasher). String and symbol fields hash their text bytes — so a key
-// routes identically whether it travels interned or not — integers
-// hash their eight little-endian bytes, matching the historical
-// encoding so key→replica assignments are unchanged.
+// Hash hashes field i for fields-grouping: the Hash of its Key.
 func (t *Tuple) Hash(i int) uint64 {
 	t.check(i)
-	switch t.kinds[i] {
-	case KindInt:
-		return hashUint64(t.slots[i])
-	case KindFloat:
-		return hashUint64(t.slots[i])
-	case KindBool:
-		h := fnvOffset64
-		if t.slots[i] != 0 {
-			h ^= 1
-		}
-		return h * fnvPrime64
-	case KindStr:
-		return hashString(t.strAt(i))
-	case KindSym:
-		return hashString(Sym(t.slots[i]).Name())
-	default:
-		return fnvOffset64
-	}
+	return t.key(i).Hash()
 }
 
 // String formats the tuple's payload for debugging, like a value slice:
@@ -453,22 +356,11 @@ func (t *Tuple) Hash(i int) uint64 {
 func (t *Tuple) String() string {
 	var b strings.Builder
 	b.WriteByte('[')
-	for i := 0; i < int(t.n); i++ {
+	for i := 0; i < t.cols; i++ {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		switch t.kinds[i] {
-		case KindInt:
-			fmt.Fprintf(&b, "%d", int64(t.slots[i]))
-		case KindFloat:
-			fmt.Fprintf(&b, "%v", math.Float64frombits(t.slots[i]))
-		case KindBool:
-			fmt.Fprintf(&b, "%t", t.slots[i] != 0)
-		case KindStr:
-			b.WriteString(t.strAt(i))
-		case KindSym:
-			b.WriteString(Sym(t.slots[i]).Name())
-		}
+		b.WriteString(t.key(i).String())
 	}
 	b.WriteByte(']')
 	return b.String()
@@ -477,32 +369,35 @@ func (t *Tuple) String() string {
 // Size estimates the in-memory footprint of the tuple in bytes. This is
 // the N statistic of the performance model (average size per tuple); the
 // paper measures it with the classmexer agent, we compute it directly.
-func (t *Tuple) Size() int {
-	const header = 48 // struct header + stream id + timestamps
-	return header + 16*int(t.n) + len(t.arena)
-}
+func (t *Tuple) Size() int { return t.size(1, len(t.arena)) }
 
 // Clone deep-copies the tuple into a fresh non-pooled allocation: how
 // an operator keeps an input row past Process. The BriskStream path
 // never calls this on the hot path; it is what the Storm-like
 // baseline's defensive copy costs.
 func (t *Tuple) Clone() *Tuple {
-	c := &Tuple{Stream: t.Stream, Ts: t.Ts, Event: t.Event,
-		TraceID: t.TraceID, TraceOrigin: t.TraceOrigin}
-	c.copyPayload(t)
+	c := new(Tuple)
+	c.copyAll(t)
 	return c
 }
 
 // CopyValuesFrom overwrites this tuple's payload with src's, leaving
-// Stream, Ts and Event alone — the forwarding shape of pass-through
+// the header fields alone — the forwarding shape of pass-through
 // operators.
-func (t *Tuple) CopyValuesFrom(src *Tuple) { t.copyPayload(src) }
+func (t *Tuple) CopyValuesFrom(src *Tuple) {
+	t.layout = src.layout
+	// One arena growth for every string field.
+	t.arena = slices.Grow(t.arena[:0], len(src.arena))
+	t.copyRow(t.slots[:], 1, &t.arena, src.slots[:], 1, src.arena)
+}
 
-func (t *Tuple) copyPayload(src *Tuple) {
-	t.n = src.n
-	t.kinds = src.kinds
-	t.slots = src.slots
-	t.arena = append(t.arena[:0], src.arena...)
+// copyAll overwrites the header and the payload with src's (a call of
+// its own keeps Clone inlinable, so a clone that does not escape its
+// caller stays off the heap).
+func (t *Tuple) copyAll(src *Tuple) {
+	t.Stream, t.Ts, t.Event = src.Stream, src.Ts, src.Event
+	t.TraceID, t.TraceOrigin = src.TraceID, src.TraceOrigin
+	t.CopyValuesFrom(src)
 }
 
 // PunctKind says which control record, if any, a jumbo's header carries.
@@ -587,30 +482,26 @@ func Marshal(t *Tuple, buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, uint64(t.Event))
 	buf = binary.BigEndian.AppendUint64(buf, t.TraceID)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(t.TraceOrigin))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(t.n))
-	for i := 0; i < int(t.n); i++ {
-		switch t.kinds[i] {
+	buf = binary.BigEndian.AppendUint16(buf, uint16(t.cols))
+	for i := 0; i < t.cols; i++ {
+		k := t.key(i)
+		switch k.kind {
 		case KindInt:
 			buf = append(buf, wireInt)
-			buf = binary.BigEndian.AppendUint64(buf, t.slots[i])
+			buf = binary.BigEndian.AppendUint64(buf, k.num)
 		case KindFloat:
 			buf = append(buf, wireFloat)
-			buf = binary.BigEndian.AppendUint64(buf, t.slots[i])
+			buf = binary.BigEndian.AppendUint64(buf, k.num)
 		case KindStr:
 			buf = append(buf, wireString)
-			buf = appendString(buf, t.strAt(i))
+			buf = appendString(buf, k.str)
 		case KindBool:
-			buf = append(buf, wireBool)
-			if t.slots[i] != 0 {
-				buf = append(buf, 1)
-			} else {
-				buf = append(buf, 0)
-			}
+			buf = append(buf, wireBool, byte(boolSlot(k.num != 0)))
 		case KindSym:
 			buf = append(buf, wireSym)
-			buf = appendString(buf, Sym(t.slots[i]).Name())
+			buf = appendString(buf, k.asStr(i))
 		default:
-			panic(fmt.Sprintf("tuple: cannot marshal %v field", t.kinds[i]))
+			panic(fmt.Sprintf("tuple: cannot marshal %v field", k.kind))
 		}
 	}
 	return buf
@@ -660,13 +551,11 @@ func Unmarshal(buf []byte) (*Tuple, int, error) {
 			if off+8 > len(buf) {
 				return nil, 0, ErrCorrupt
 			}
-			j := t.grow()
-			if k == wireInt {
-				t.kinds[j] = KindInt
-			} else {
-				t.kinds[j] = KindFloat
+			kind := KindInt
+			if k == wireFloat {
+				kind = KindFloat
 			}
-			t.slots[j] = binary.BigEndian.Uint64(buf[off:])
+			t.push(kind, binary.BigEndian.Uint64(buf[off:]))
 			off += 8
 		case wireString:
 			s, o, err := readString(buf, off)
@@ -710,30 +599,4 @@ func readString(buf []byte, off int) (string, int, error) {
 		return "", 0, ErrCorrupt
 	}
 	return string(buf[off : off+n]), off + n, nil
-}
-
-// FNV-1a parameters for the inline field hash.
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
-)
-
-// hashString FNV-1a-hashes the bytes of s.
-func hashString(s string) uint64 {
-	h := fnvOffset64
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	return h
-}
-
-// hashUint64 FNV-1a-hashes the eight little-endian bytes of u.
-func hashUint64(u uint64) uint64 {
-	h := fnvOffset64
-	for i := 0; i < 8; i++ {
-		h ^= (u >> (8 * i)) & 0xff
-		h *= fnvPrime64
-	}
-	return h
 }

@@ -1,9 +1,9 @@
 // Package vec holds small generic vectorized kernels over columnar
-// tuple batches: selection-vector filters and row forwarding/projection
-// helpers the batch-aware operators compose. Filters produce a
-// selection vector (row indices into the batch) instead of
-// materializing survivors, so a filter→project→emit chain touches each
-// dropped row once and copies nothing for it.
+// tuple batches: selection-vector filters and row forwarding helpers
+// the batch-aware operators compose. Filters produce a selection vector
+// (row indices into the batch) instead of materializing survivors, so a
+// filter→forward chain touches each dropped row once and copies nothing
+// for it.
 package vec
 
 import "briskstream/internal/tuple"
@@ -88,24 +88,5 @@ func ForwardAll(e Emitter, b *tuple.Batch, stream tuple.StreamID) {
 	n := b.Len()
 	for r := 0; r < n; r++ {
 		ForwardRow(e, b, r, stream)
-	}
-}
-
-// ProjectRow emits the given columns of row r (in cols order) on the
-// given stream, stamping the row's metadata.
-func ProjectRow(e Emitter, b *tuple.Batch, r int, stream tuple.StreamID, cols ...int) {
-	out := e.Borrow()
-	for _, c := range cols {
-		b.AppendFieldTo(c, r, out)
-	}
-	out.Stream = stream
-	b.StampMeta(r, out)
-	e.Send(out)
-}
-
-// ProjectSel projects the selected rows in selection order.
-func ProjectSel(e Emitter, b *tuple.Batch, sel []int32, stream tuple.StreamID, cols ...int) {
-	for _, r := range sel {
-		ProjectRow(e, b, int(r), stream, cols...)
 	}
 }

@@ -181,45 +181,3 @@ func TestForwardUsesRowForwarderWhenOffered(t *testing.T) {
 		t.Errorf("bulk forwarding still materialized: %d borrows, %d sends", e.borrows, len(e.sent))
 	}
 }
-
-func TestProject(t *testing.T) {
-	b := testBatch("a", "b", "c")
-	stream := tuple.Intern("vec-test-proj")
-
-	var e sliceEmitter
-	ProjectRow(&e, b, 1, stream, 2, 0) // cols order, not batch order
-	ProjectSel(&e, b, []int32{2, 0}, stream, 1)
-	if len(e.sent) != 3 {
-		t.Fatalf("sent %d tuples, want 3", len(e.sent))
-	}
-	if out := e.sent[0]; out.Len() != 2 || out.Float(0) != 1.5 || out.Str(1) != "b" || out.Stream != stream {
-		t.Errorf("ProjectRow(1; cols 2,0) = %v on %v", out, out.Stream)
-	}
-	wantMeta(t, e.sent[0], 1)
-	for i, r := range []int{2, 0} {
-		out := e.sent[1+i]
-		if out.Len() != 1 || out.Int(0) != int64(r) || out.Stream != stream {
-			t.Errorf("ProjectSel row %d = %v on %v", r, out, out.Stream)
-		}
-		wantMeta(t, out, r)
-	}
-
-	// StampMeta semantics: an event time the operator set itself wins.
-	own := &presetEmitter{event: 77}
-	ProjectRow(own, b, 1, stream, 0)
-	if out := own.sent[0]; out.Event != 77 || out.TraceID != 11 {
-		t.Errorf("preset event overwritten: event %d trace %d", out.Event, out.TraceID)
-	}
-}
-
-// presetEmitter hands out tuples whose Event is already set.
-type presetEmitter struct {
-	sliceEmitter
-	event int64
-}
-
-func (e *presetEmitter) Borrow() *tuple.Tuple {
-	t := tuple.New()
-	t.Event = e.event
-	return t
-}
