@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-repeat race bench bench-planner bench-window bench-symbols bench-emit bench-timers bench-state vet fmt-check fuzz-smoke check
+.PHONY: all build test test-repeat test-briskcheck race bench bench-planner bench-window bench-symbols bench-emit bench-timers bench-state vet fmt-check fuzz-smoke check
 
 all: build test
 
@@ -19,6 +19,16 @@ test:
 # that interns a fixed name and expects the table to grow — fails here.
 test-repeat:
 	$(GO) test -count=2 -short ./internal/tuple/ ./internal/queue/ ./internal/engine/
+
+# test-briskcheck runs the engine, the apps and the Linear Road example
+# under the race detector with the briskcheck build tag: the last
+# release of a batch overwrites its slots and arena with a sentinel, so
+# a consumer that still reads a batch after dropping its hold — a shared
+# batch another consumer already recycled, which the race detector
+# cannot see across the ring's happens-before edge — reads garbage and
+# the exact-output tests fail.
+test-briskcheck:
+	$(GO) test -race -tags briskcheck ./internal/engine ./internal/apps ./examples/linearroad
 
 # race focuses on the concurrent hot path (queue + engine), the symbol
 # table (lock-free readers beside in-place inserts), the
@@ -175,8 +185,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStateMap$$' -fuzztime $(FUZZTIME) ./internal/state/
 
 # benchmark/ is its own module (the benchmark of record), so the root
-# ./... does not reach its tests; check runs them explicitly, then the
-# repeated-run pass (test-repeat), the planner, window, symbol, emit,
+# ./... does not reach its tests; check runs them explicitly, after the
+# repeated-run pass (test-repeat) and the released-batch check
+# (test-briskcheck), then the planner, window, symbol, emit,
 # timer and state benchmarks once (bench-planner, bench-window,
 # bench-symbols, bench-emit, bench-timers, bench-state), the
 # fuzz smoke, the multicore pinned race pass and the live-telemetry
@@ -184,6 +195,7 @@ fuzz-smoke:
 check: vet fmt-check build
 	BRISK_VALIDATE_EVERY=1 $(GO) test -race ./...
 	$(MAKE) test-repeat
+	$(MAKE) test-briskcheck
 	$(GO) -C benchmark test ./...
 	$(MAKE) bench-planner
 	$(MAKE) bench-window

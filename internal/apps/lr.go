@@ -515,8 +515,13 @@ func (o *lrAccountBalance) Restore(dec *checkpoint.Decoder) error {
 }
 
 // lrDispatch routes records by type: position reports (the bulk) on
-// lrPosition, the rare balance/daily queries on their own streams.
-type lrDispatch struct{ one engine.OneRow }
+// lrPosition, the rare balance/daily queries on their own streams. sel
+// is its selection vector, reused across batches: the input batch may
+// be shared with other readers, so it is not the batch's.
+type lrDispatch struct {
+	one engine.OneRow
+	sel []int32
+}
 
 func (d *lrDispatch) Process(c engine.Collector, t *tuple.Tuple) error { return d.one.Process(d, c, t) }
 
@@ -527,7 +532,10 @@ func (d *lrDispatch) Process(c engine.Collector, t *tuple.Tuple) error { return 
 // only scanned for when the first pass saw a non-position row.
 func (d *lrDispatch) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
 	n := b.Len()
-	sel := vec.Select(b, b.SelScratch(), func(r int) bool {
+	if cap(d.sel) < n {
+		d.sel = make([]int32, 0, n)
+	}
+	sel := vec.Select(b, d.sel[:0], func(r int) bool {
 		ty := b.Int(0, r)
 		return ty != lrTypeBalance && ty != lrTypeDaily
 	})

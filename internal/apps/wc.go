@@ -111,14 +111,17 @@ func (s *wcSpout) SeekTo(offset int64) error {
 // wcParser drops invalid (empty) sentences, selectivity 1 on this
 // workload, with a selection-vector filter: one pass marks the
 // surviving rows, one pass forwards them — dropped rows are never
-// materialized.
-type wcParser struct{ one engine.OneRow }
+// materialized. sel is its selection vector, reused across batches.
+type wcParser struct {
+	one engine.OneRow
+	sel []int32
+}
 
 func (p *wcParser) Process(c engine.Collector, t *tuple.Tuple) error { return p.one.Process(p, c, t) }
 
 func (p *wcParser) ProcessBatch(c engine.Collector, b *tuple.Batch) error {
-	sel := vec.SelectStrNonEmpty(b, 0, b.SelScratch())
-	vec.ForwardSel(c, b, sel, tuple.DefaultStreamID)
+	p.sel = vec.SelectStrNonEmpty(b, 0, p.sel[:0])
+	vec.ForwardSel(c, b, p.sel, tuple.DefaultStreamID)
 	return nil
 }
 

@@ -42,24 +42,23 @@ type collector struct {
 	fail error
 
 	// A deferred forward (see ForwardRows): all of inB forwarded on
-	// stream fwdS, whose one edge is fwdE. fwdB is nil when none is
-	// pending. The next emit or punctuation settles it by copying; if
-	// ProcessBatch returns with it pending, consumeJumbo adopts inB as
-	// fwdE's open batch instead.
+	// the shared stream fwdS, whose fanout is fwdF. fwdB is nil when
+	// none is pending. The next emit or punctuation settles it by
+	// copying; if ProcessBatch returns with it pending, consumeJumbo
+	// adopts inB as fwdF's open batch instead.
 	fwdB *tuple.Batch
 	fwdS tuple.StreamID
-	fwdE *outEdge
+	fwdF *fanout
 
 	// Out state (see Out). From an Out call to the next settle, outB is
-	// the batch handed out for stream outS: the open batch of edge outE,
-	// the stream's one destination through route outR, which held
-	// outMark rows when Out took it — or, with outE nil, stage, the
-	// staging batch settle routes through ForwardRows. stage is
-	// allocated on first use, so runs that never stage allocate none.
+	// the batch handed out for stream outS: the open batch of the shared
+	// stream's fanout outF, which held outMark rows when Out took it —
+	// or, with outF nil, stage, the staging batch settle routes through
+	// ForwardRows. stage is allocated on first use, so runs that never
+	// stage allocate none.
 	outS    tuple.StreamID
 	outB    *tuple.Batch
-	outE    *outEdge
-	outR    *route
+	outF    *fanout
 	outMark int
 	stage   *tuple.Batch
 }
@@ -100,9 +99,9 @@ func (c *collector) Send(out *tuple.Tuple) {
 		c.stamp(out)
 		b := c.Out(out.Stream)
 		if !b.Fits(out) {
-			oe := c.outE
-			if c.settle(); oe != nil && c.fail == nil {
-				c.fail = c.e.flushEdge(c.t, oe)
+			f := c.outF
+			if c.settle(); f != nil && c.fail == nil {
+				c.fail = c.e.flushFan(c.t, f)
 			}
 			b = c.Out(out.Stream)
 		}
@@ -124,33 +123,33 @@ func (c *collector) Out(s tuple.StreamID) *tuple.Batch {
 }
 
 // openOut settles the batch Out handed out last and picks the one rows
-// on stream s go into. A stream with one edge (task.oneEdge) puts its
-// rows straight into that edge's open batch: no row is copied twice,
-// and nothing is routed per row. Rows of any other stream (several
-// replicas, several routes, broadcast, or no subscriber) go into the
-// staging batch, which settle routes through ForwardRows, once per
-// batch. After a failure the rows go into the staging batch and are
-// dropped.
+// on stream s go into. A shared stream (task.fanOf: one edge, or
+// several routes each delivering every row to all of its edges) puts
+// its rows straight into its open batch, which leaves on every one of
+// its edges: no row is copied twice, and nothing is routed per row.
+// Rows of any other stream (a shuffle or fields route over several
+// replicas, or no subscriber) go into the staging batch, which settle
+// routes through ForwardRows, once per batch. After a failure the rows
+// go into the staging batch and are dropped.
 func (c *collector) openOut(s tuple.StreamID) *tuple.Batch {
 	c.settle()
 	t := c.t
 	if c.fail != nil {
 		return c.staged(s)
 	}
-	if r, oe := t.oneEdge(s); oe != nil {
-		// An open batch of appended rows, of another stream, or full
-		// (an adopted one may be), is flushed (openBatch) and a fresh
-		// one takes the put rows.
-		if oe.batch == nil || !oe.batch.ReadyFor(s) {
-			if c.fail = c.e.openBatch(t, oe); c.fail != nil {
+	if f := t.fanOf(s); f != nil {
+		// An open batch of appended rows, or full (an adopted one may
+		// be), leaves (openFan) and a fresh one takes the put rows.
+		if f.batch == nil || !f.batch.ReadyFor(s) {
+			if c.fail = c.e.openFan(t, f); c.fail != nil {
 				return c.staged(s)
 			}
-			oe.batch.ReadyFor(s)
+			f.batch.ReadyFor(s)
 		}
-		c.outB, c.outS, c.outE, c.outR, c.outMark = oe.batch, s, oe, r, oe.batch.Len()
-		return oe.batch
+		c.outB, c.outS, c.outF, c.outMark = f.batch, s, f, f.batch.Len()
+		return f.batch
 	}
-	c.outB, c.outS, c.outE = c.staged(s), s, nil
+	c.outB, c.outS, c.outF = c.staged(s), s, nil
 	return c.outB
 }
 
@@ -189,15 +188,15 @@ func (c *collector) settleForward() {
 	b := c.fwdB
 	c.fwdB = nil
 	if c.fail == nil {
-		c.fail = c.copyRows(b, nil, b.Len(), c.fwdS, c.t.routesOf(c.fwdS))
+		c.fail = c.e.fanRows(c.t, c.fwdF, b, nil, b.Len(), c.fwdS)
 	}
 }
 
 // settleOut fails the task on a put row the batch refused, then routes
-// a staged batch; an edge batch gets its route's checks, its new rows
-// counted as emitted, and a flush if Out filled it.
+// a staged batch; a shared stream's batch gets its routes' checks, its
+// new rows counted as emitted, and a flush if Out filled it.
 func (c *collector) settleOut() {
-	b, oe := c.outB, c.outE
+	b, f := c.outB, c.outF
 	c.outB = nil
 	if c.fail != nil {
 		return // a failed task emits nothing more
@@ -206,7 +205,7 @@ func (c *collector) settleOut() {
 		c.fail = fmt.Errorf("engine: task %s stream %q: %w", c.t.label, c.outS.String(), err)
 		return
 	}
-	if oe == nil {
+	if f == nil {
 		c.ForwardRows(b, nil, c.outS)
 		b.Reset()
 		return
@@ -215,9 +214,20 @@ func (c *collector) settleOut() {
 		return
 	}
 	c.emitted += uint64(b.Len() - c.outMark)
-	if c.fail = c.outR.check(c.t, b, c.e.cfg.ValidateEvery); c.fail == nil && b.Full() {
-		c.fail = c.e.flushEdge(c.t, oe)
+	if c.fail = c.check(c.outS, b); c.fail == nil && b.Full() {
+		c.fail = c.e.flushFan(c.t, f)
 	}
+}
+
+// check validates a batch bound for stream s against each of the
+// stream's routes (see route.check).
+func (c *collector) check(s tuple.StreamID, b *tuple.Batch) error {
+	for _, r := range c.t.routesOf(s) {
+		if err := r.check(c.t, b, c.e.cfg.ValidateEvery); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // stamp fills the metadata the engine owns on an outgoing row.
@@ -278,12 +288,16 @@ func (c *collector) stamp(out *tuple.Tuple) {
 // pass-through row from lanes into a tuple and straight back into
 // lanes.
 //
-// A forward of every row of the batch ProcessBatch is running on (a nil
-// or identity sel), on a stream with one edge (task.oneEdge), copies
-// nothing: it is deferred. The route is checked and the rows counted
-// now; the next emit or punctuation in the same call settles it by
-// copying (settleForward), and if none comes, consumeJumbo hands the
-// input batch itself over to the edge (adopt).
+// On a shared stream (task.fanOf) the rows are copied once, into the
+// stream's open batch, which leaves on every one of its edges. A
+// forward of every row of the batch ProcessBatch is running on (a nil
+// or identity sel) to a shared stream copies nothing: it is deferred.
+// The routes are checked and the rows counted now; the next emit or
+// punctuation in the same call settles it by copying (settleForward),
+// and if none comes, consumeJumbo hands the input batch itself over to
+// the stream's edges (adopt). An input batch other readers still hold
+// (Batch.Shared) is never handed over: it is read-only, and they may
+// switch on its stream. Its forward is copied.
 func (c *collector) ForwardRows(b *tuple.Batch, sel []int32, stream tuple.StreamID) {
 	c.settle()
 	if c.fail != nil || b == nil {
@@ -296,25 +310,21 @@ func (c *collector) ForwardRows(b *tuple.Batch, sel []int32, stream tuple.Stream
 	if n == 0 {
 		return
 	}
-	t, e := c.t, c.e
-	if b == c.inB && isIdentity(sel, b.Len()) {
-		if r, oe := t.oneEdge(stream); oe != nil {
-			if c.fail = r.check(t, b, e.cfg.ValidateEvery); c.fail == nil {
-				c.fwdB, c.fwdS, c.fwdE = b, stream, oe
-				c.emitted += uint64(n)
-			}
-			return
-		}
-	}
-	routes := t.routesOf(stream)
 	// Every row of a batch shares its layout, so one check per route
 	// covers them all.
-	for _, r := range routes {
-		if c.fail = r.check(t, b, e.cfg.ValidateEvery); c.fail != nil {
-			return
-		}
+	if c.fail = c.check(stream, b); c.fail != nil {
+		return
 	}
-	if c.fail = c.copyRows(b, sel, n, stream, routes); c.fail == nil {
+	t := c.t
+	switch f := t.fanOf(stream); {
+	case f == nil:
+		c.fail = c.copyRows(b, sel, n, stream, t.routesOf(stream))
+	case b == c.inB && isIdentity(sel, b.Len()) && !b.Shared():
+		c.fwdB, c.fwdS, c.fwdF = b, stream, f
+	default:
+		c.fail = c.e.fanRows(t, f, b, sel, n, stream)
+	}
+	if c.fail == nil {
 		c.emitted += uint64(n)
 	}
 }
@@ -337,7 +347,8 @@ func isIdentity(sel []int32, rows int) bool {
 }
 
 // copyRows copies the first n selected rows of b (every row when sel is
-// nil) into the open batches of the routes' edges.
+// nil) into the open batches of the routes' edges: the routing of a
+// stream that is not shared, row by row.
 func (c *collector) copyRows(b *tuple.Batch, sel []int32, n int, stream tuple.StreamID, routes []*route) error {
 	t, e := c.t, c.e
 	for i := 0; i < n; i++ {
@@ -367,21 +378,27 @@ func (c *collector) copyRows(b *tuple.Batch, sel []int32, n int, stream tuple.St
 }
 
 // adopt hands the deferred forward's batch — the input batch of jumbo
-// j — over to its edge as the open batch, after flushing the rows
-// already open there, instead of returning it to j's producer. That
-// producer's free ring gets a batch off the forward edge's free ring in
-// its place, if one is there: the task is that ring's producer and the
-// other's consumer, so each ring keeps one writer and one reader, and
-// batches circulate without allocation.
+// j, which the task alone holds — over to its shared stream as the open
+// batch on every one of the stream's edges, after each edge sent what
+// it held, instead of returning it to j's producer. That producer's
+// free ring gets a batch off one of those edges' free rings in its
+// place, if one is there: the task takes only from its own out-edges'
+// free rings and parks only on its in-edges', so each ring keeps one
+// writer and one reader, and batches circulate without allocation.
 func (e *Engine) adopt(t *task, c *collector, j tuple.Jumbo) error {
-	oe := c.fwdE
-	if err := e.flushEdge(t, oe); err != nil {
-		return err
+	f := c.fwdF
+	for _, oe := range f.edges {
+		if err := e.flushEdge(t, oe); err != nil {
+			return err
+		}
 	}
 	j.Batch.Restream(c.fwdS)
-	oe.batch = j.Batch
-	if spare, ok := oe.free.TryGet(); ok {
-		e.tasks[j.Producer].out[t.id].free.TryPut(spare)
+	f.open(j.Batch)
+	for _, oe := range f.edges {
+		if spare, ok := oe.free.TryGet(); ok {
+			e.tasks[j.Producer].out[t.id].free.TryPut(spare)
+			break
+		}
 	}
 	return nil
 }
@@ -442,12 +459,44 @@ func (c *collector) settled(err error) error {
 	return c.fail
 }
 
+// fanRows copies the first n selected rows of src (every row when sel
+// is nil), re-stamped onto stream, once into the shared stream's open
+// batch, which leaves on every one of its edges when it reaches
+// BatchSize. An open batch with no room (an adopted one may be full)
+// or of another layout leaves first (openFan).
+func (e *Engine) fanRows(t *task, f *fanout, src *tuple.Batch, sel []int32, n int, stream tuple.StreamID) error {
+	size := e.cfg.BatchSize
+	for i := 0; i < n; {
+		b := f.batch
+		if b == nil || b.Len() >= min(b.Cap(), size) || !b.FitsRowFrom(src, stream) {
+			if err := e.openFan(t, f); err != nil {
+				return err
+			}
+			b = f.batch
+		}
+		for end := min(n, i+min(b.Cap(), size)-b.Len()); i < end; i++ {
+			row := i
+			if sel != nil {
+				row = int(sel[i])
+			}
+			b.AppendRowFrom(src, row, stream)
+		}
+		if b.Len() >= size {
+			if err := e.flushFan(t, f); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // forwardRow copies one row, forwarded column-to-column from an input
 // batch, into the batch open on the edge, flushing it when that reaches
-// BatchSize. An open batch whose layout the row does not share, or that
-// is full (adopted full, see adopt), is flushed first.
+// BatchSize. An open batch whose layout the row does not share, that is
+// full (adopted full, see adopt), or that is a shared stream's, open on
+// other edges too, is flushed first.
 func (e *Engine) forwardRow(t *task, oe *outEdge, src *tuple.Batch, r int, stream tuple.StreamID) error {
-	if oe.batch == nil || oe.batch.Full() || !oe.batch.FitsRowFrom(src, stream) {
+	if oe.batch == nil || oe.fan != nil || oe.batch.Full() || !oe.batch.FitsRowFrom(src, stream) {
 		if err := e.openBatch(t, oe); err != nil {
 			return err
 		}
@@ -473,38 +522,107 @@ func (e *Engine) openBatch(t *task, oe *outEdge) error {
 	}
 	oe.batch = b
 	if e.cfg.Linger > 0 {
-		// Bound how long the batch may stay partial. A pending linger
-		// deadline is no later than this batch's, so it covers it: when
-		// it fires early for this batch, fireLinger moves it here.
-		oe.openNs = time.Now().UnixNano()
-		if t.lingerAt == 0 {
-			t.lingerAt = oe.openNs + int64(e.cfg.Linger)
+		oe.openNs = e.armLinger(t)
+	}
+	return nil
+}
+
+// openFan starts a fresh open batch for the shared stream f. Each of
+// its edges first sends what it holds — rows of another stream, or f's
+// own batch, full or of another layout — so every edge keeps its rows in
+// emission order. The batch comes off the first of the edges' free
+// rings that has one (the last reader of a shared batch parks it on its
+// own edge's), allocated only while they warm up, and is stamped with
+// its opening time for the linger bound.
+func (e *Engine) openFan(t *task, f *fanout) error {
+	var b *tuple.Batch
+	for _, oe := range f.edges {
+		if err := e.flushEdge(t, oe); err != nil {
+			return err
+		}
+		if b == nil {
+			b, _ = oe.free.TryGet()
+		}
+	}
+	if b == nil {
+		b = tuple.NewBatch(e.cfg.BatchSize)
+	}
+	f.open(b)
+	if e.cfg.Linger > 0 {
+		now := e.armLinger(t)
+		for _, oe := range f.edges {
+			oe.openNs = now
 		}
 	}
 	return nil
 }
 
+// armLinger returns the opening time of a batch opened now and bounds
+// how long it may stay partial. A pending linger deadline is no later
+// than this batch's, so it covers it: when it fires early for this
+// batch, fireLinger moves it here.
+func (e *Engine) armLinger(t *task) int64 {
+	now := time.Now().UnixNano()
+	if t.lingerAt == 0 {
+		t.lingerAt = now + int64(e.cfg.Linger)
+	}
+	return now
+}
+
 // flushEdge sends what the edge has buffered, if anything: the one
-// flush behind batch-full, the linger fire and flushAll.
+// flush behind batch-full, the linger fire and flushAll. A shared
+// stream's open batch leaves on all of the stream's edges at once.
 func (e *Engine) flushEdge(t *task, oe *outEdge) error {
-	if oe.batch == nil {
+	switch {
+	case oe.batch == nil:
 		return nil
+	case oe.fan != nil && oe.fan.batch == oe.batch:
+		return e.flushFan(t, oe.fan)
 	}
 	return e.send(t, oe, tuple.Punct{})
 }
 
+// flushFan sends the shared stream's open batch, if any, on every one
+// of its edges.
+func (e *Engine) flushFan(t *task, f *fanout) error {
+	if f.batch == nil {
+		return nil
+	}
+	var err error
+	for _, oe := range f.edges {
+		if serr := e.send(t, oe, tuple.Punct{}); err == nil {
+			err = serr
+		}
+	}
+	return err
+}
+
 // send puts one jumbo on the edge's ring: the open batch, if any, under
-// a header carrying the given trailer.
+// a header carrying the given trailer. A shared stream's open batch is
+// sealed by the first of its edges to send it: Share sets its share
+// count before any consumer can see it, the stream opens a fresh batch
+// for its next row, and each of its other edges still holds the sealed
+// batch until it sends it too — flushFan and broadcastPunct send on
+// every edge in one pass.
 func (e *Engine) send(t *task, oe *outEdge, p tuple.Punct) error {
+	b := oe.batch
+	if f := oe.fan; f != nil {
+		if f.batch == b {
+			f.batch = nil
+			b.Share(len(f.edges))
+		}
+		oe.fan = nil
+	}
 	// Queue-wait attribution: stamp the batch once at enqueue; the
 	// consumer diffs at dequeue. One clock read per jumbo, zero
 	// per-tuple cost.
-	j := tuple.Jumbo{Producer: t.id, EnqNs: time.Now().UnixNano(), Batch: oe.batch, Punct: p}
+	j := tuple.Jumbo{Producer: t.id, EnqNs: time.Now().UnixNano(), Batch: b, Punct: p}
 	oe.batch = nil
 	if oe.ring.Put(j) != nil {
 		// Never enqueued (ring closed during shutdown): nobody
-		// downstream will ever see these rows. The batch has no other
-		// owner, so leaving it to the GC strands nothing.
+		// downstream will ever see these rows, so the share count this
+		// edge's consumer would have released never reaches the last
+		// reader, and the batch is left to the GC.
 		return ErrStopped
 	}
 	return nil
@@ -525,16 +643,52 @@ type route struct {
 	checked bool
 }
 
-// oneEdge returns the route and edge of a stream with one
-// non-broadcast route to one edge — every route at replication 1 — and
-// nils for any other stream. Its rows need no routing: Out puts them
-// straight into the edge's open batch, and a forward of a whole input
-// batch hands that batch over (ForwardRows).
-func (t *task) oneEdge(s tuple.StreamID) (*route, *outEdge) {
-	if routes := t.routesOf(s); len(routes) == 1 && routes[0].part != graph.Broadcast && len(routes[0].edges) == 1 {
-		return routes[0], routes[0].edges[0]
+// fanout is a shared stream of a task: one whose every route delivers
+// each row to all of its edges — a route with one edge (any route at
+// replication 1), or a broadcast route. Its rows need no routing and
+// are written once: Out puts them straight into the stream's one open
+// batch, ForwardRows copies a selection into it, and a forward of a
+// whole input batch hands that batch over (adopt). The batch leaves on
+// all k edges at once, with a share count of k (one edge: none).
+type fanout struct {
+	edges []*outEdge
+	// batch is the open batch, held by every edge as its open batch
+	// (nil when none is open).
+	batch *tuple.Batch
+}
+
+// newFanout returns the fanout of a stream subscribed by the given
+// routes, nil if the stream is not shared: no route, or a shuffle,
+// fields or global route over several edges.
+func newFanout(routes []*route) *fanout {
+	f := &fanout{}
+	for _, r := range routes {
+		if r.part != graph.Broadcast && len(r.edges) > 1 {
+			return nil
+		}
+		f.edges = append(f.edges, r.edges...)
 	}
-	return nil, nil
+	if len(f.edges) == 0 {
+		return nil
+	}
+	return f
+}
+
+// open makes b the stream's open batch, on each of its edges.
+func (f *fanout) open(b *tuple.Batch) {
+	f.batch = b
+	for _, oe := range f.edges {
+		oe.batch, oe.fan = b, f
+	}
+}
+
+// fanOf returns the fanout of one of the task's output streams if it is
+// shared, nil otherwise.
+func (t *task) fanOf(s tuple.StreamID) *fanout {
+	if int(s) < len(t.fans) {
+		return t.fans[s]
+	}
+	return nil
 }
 
 // routesOf returns the routes subscribed to one of the task's output

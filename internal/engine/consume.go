@@ -15,11 +15,12 @@ import (
 // after the trailer, because a watermark that fires windows emits rows
 // past the payload.
 //
-// The batch goes back to its producer, unless the operator forwarded
-// all of it to one edge and nothing after (see ForwardRows): then it is
-// handed over (adopt) and leaves on that edge, by the end of this call —
-// with the trailer, if the trailer is forwarded, so a pass-through puts
-// no more jumbos than it receives.
+// The task then releases its hold on the batch, and the last of its
+// readers returns it to its producer — unless the operator forwarded
+// all of it to a shared stream and nothing after (see ForwardRows):
+// then it is handed over (adopt) and leaves on that stream's edges, by
+// the end of this call — with the trailer, if the trailer is forwarded,
+// so a pass-through puts no more jumbos than it receives.
 func (e *Engine) consumeJumbo(t *task, c *collector, j tuple.Jumbo) error {
 	// Queue-wait attribution: diff the producer's enqueue stamp once per
 	// batch, then charge it once per carried tuple — a 64-tuple jumbo
@@ -42,19 +43,20 @@ func (e *Engine) consumeJumbo(t *task, c *collector, j tuple.Jumbo) error {
 		}
 	}
 	var err error
-	var fwd *outEdge // the edge the batch was handed over to
+	var fwd *fanout // the shared stream the batch was handed over to
 	if j.Batch != nil {
 		err = e.consumeBatch(t, c, j.Batch, qwait)
 		if c.fwdB != nil && err == nil {
 			if err = e.adopt(t, c, j); err == nil {
-				fwd = c.fwdE
+				fwd = c.fwdF
 			}
 		}
 		c.fwdB = nil // a pending forward dies with a failed call
-		if fwd == nil {
-			// Park the drained batch on the reverse free ring of the edge
-			// it arrived over — consumer puts, producer gets, the
-			// FreeRing's SPSC discipline. A full ring drops it to the GC.
+		if fwd == nil && j.Batch.Release() {
+			// The last reader parks the drained batch on the reverse free
+			// ring of the edge it arrived over — consumer puts, producer
+			// gets, the FreeRing's SPSC discipline. A full ring drops it
+			// to the GC.
 			j.Batch.Reset()
 			e.tasks[j.Producer].out[t.id].free.TryPut(j.Batch)
 		}
@@ -70,7 +72,7 @@ func (e *Engine) consumeJumbo(t *task, c *collector, j tuple.Jumbo) error {
 		}
 	}
 	if err == nil && fwd != nil && fwd.batch == j.Batch {
-		err = e.flushEdge(t, fwd) // the trailer did not take it along
+		err = e.flushFan(t, fwd) // the trailer did not take it along
 	}
 	c.publish()
 	return err

@@ -30,23 +30,34 @@
 // routing indexes a per-stream route table by interned id,
 // fields-grouping hashes slots inline without a heap hasher, jumbo
 // headers travel by value and batches are recycled. Every emitted row
-// reaches its edges one of two ways: a stream with one edge writes it
-// into that edge's open batch; any other stream writes it into the
-// task's staging batch, routed once per batch. The ownership rules:
+// reaches its edges one of two ways. A shared stream — one whose every
+// route delivers each row to all of its edges: a route with one edge,
+// or a broadcast route (see fanout) — writes it once, into the stream's
+// one open batch, which leaves on all k of its edges; any other stream
+// writes it into the task's staging batch, routed once per batch. The
+// ownership rules:
 //
 //   - Collector.Out hands the operator (or spout) the batch its next
-//     row goes into — the open batch of the stream's one destination
-//     edge, or the task's staging batch — to write that one row in
-//     place. The batch stays the engine's.
+//     row goes into — a shared stream's open batch, or the task's
+//     staging batch — to write that one row in place. The batch stays
+//     the engine's.
 //   - Collector.Borrow hands the operator a task-local scratch row,
 //     valid until Collector.Send. Send copies the row into the batch
 //     Out hands out and takes the row back; a row that is only ever
 //     copied has one owner and no refcount.
-//   - A drained batch returns to its producer over the edge's free
-//     ring. A batch operator that forwards all of its input batch to a
-//     one-edge stream hands the batch itself on (ForwardRows) instead:
-//     it leaves on the output edge, and one batch moves from that
-//     edge's free ring to the input edge's in its place.
+//   - A sent batch is read-only. A shared stream's batch goes onto its
+//     k edges' rings with a share count of k (Batch.Share; one edge:
+//     none), and each consumer drops its hold with Batch.Release once
+//     it is done. Only the last consumer resets the batch and parks it
+//     on the free ring of its own in-edge, whose only producer it is,
+//     so every free ring stays SPSC; the producer opens its next batch
+//     off whichever of the stream's edges' free rings has one.
+//   - A batch operator that forwards all of its input batch to a shared
+//     stream hands the batch itself on (ForwardRows) instead: it leaves
+//     on the stream's edges, and one batch moves from one of their free
+//     rings to the input edge's in its place. An input batch other
+//     consumers still hold is not handed over but copied: handing it
+//     over would re-stamp its stream under them.
 //   - An operator that processes one row at a time gets each input row
 //     copied into one task-local tuple, which the next row overwrites:
 //     it is valid until Process returns. To keep the row longer
@@ -411,8 +422,10 @@ type task struct {
 
 	// byStream is the partition controller's route table: the logical
 	// out-edges subscribed to each of the task's output streams, indexed
-	// by interned stream id.
+	// by interned stream id. fans, indexed the same way, holds the
+	// stream's fanout when it is a shared stream (nil otherwise).
 	byStream [][]*route
+	fans     []*fanout
 
 	// out is indexed by consumer task id (nil for tasks this one does
 	// not feed); outList is the dense list of the same edges for flush
@@ -504,11 +517,15 @@ type task struct {
 type outEdge struct {
 	consumer *task
 	ring     *queue.Ring[tuple.Jumbo]
-	// batch is the open batch (nil when nothing is buffered). free is
-	// the edge's reverse ring — the consumer parks drained batches, the
-	// producer refills them — so batch memory stays with the edge, on
-	// the producer's socket, and the steady state allocates none.
+	// batch is the open batch (nil when nothing is buffered). It is the
+	// edge's own, or, with fan set, the open batch of that shared
+	// stream, open on all of the stream's edges at once. free is the
+	// edge's reverse ring — the consumer that releases a batch last
+	// parks it, the producer refills them — so batch memory stays with
+	// the producer's edges, on its socket, and the steady state
+	// allocates none.
 	batch *tuple.Batch
+	fan   *fanout
 	free  *queue.FreeRing[*tuple.Batch]
 	// openNs is when the open batch was opened (its linger deadline is
 	// openNs + Linger).
@@ -701,6 +718,12 @@ func New(topo Topology, cfg Config) (*Engine, error) {
 				}
 				pt.byStream[stream] = append(pt.byStream[stream], r)
 			}
+		}
+	}
+	for _, t := range e.tasks {
+		t.fans = make([]*fanout, len(t.byStream))
+		for s, routes := range t.byStream {
+			t.fans[s] = newFanout(routes)
 		}
 	}
 

@@ -22,8 +22,8 @@ import (
 // the engine does after each ProcessBatch call. emit "forward" feeds
 // the task full 64-row input batches through consumeJumbo, and the
 // operator forwards each whole (ForwardRows): over one edge the batch
-// is handed over, over several its rows are copied. The benchmark fails
-// unless every row reaches a sink.
+// is handed over, over several replicas its rows are copied. The
+// benchmark fails unless every row reaches a sink.
 func benchEmit(b *testing.B, consumers int, part graph.Partitioning, emit string) {
 	b.Helper()
 	g := graph.New("emit")

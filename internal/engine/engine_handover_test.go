@@ -1,7 +1,7 @@
 package engine
 
 // Hand-over: a batch operator that forwards all of its input batch to a
-// stream with one edge passes the batch itself on instead of copying
+// shared stream passes the batch itself on instead of copying
 // its rows. Consumers see exactly what a row-by-row copy would have
 // delivered — payload, metadata, order, and the watermarks between —
 // emits after the forward in the same call keep their order, the
@@ -188,10 +188,10 @@ func runFwd(t *testing.T, rt outRoute, op *fwdOp, n int64) (logs [][]string, han
 // TestHandoverMatchesCopy: a forward of every row reaches each consumer
 // exactly as the same rows sent one by one do — payload, metadata,
 // order and watermarks — whether the batch is handed over (shuffle-1,
-// fields-1) or copied (fields-3, broadcast-2), and so does a forward
-// through a selection, which always copies. The operator reads its
-// input batch after every forward and finds it intact (fwdOp fails the
-// run otherwise).
+// fields-1, and broadcast-2, where both replicas get the one batch) or
+// copied (fields-3), and so does a forward through a selection, which
+// always copies. The operator reads its input batch after every
+// forward and finds it intact (fwdOp fails the run otherwise).
 func TestHandoverMatchesCopy(t *testing.T) {
 	noGoroutineLeak(t)
 	const n = 500
@@ -208,10 +208,10 @@ func TestHandoverMatchesCopy(t *testing.T) {
 						t.Errorf("sink#%d: %s differs from %s:\n got %v\nwant %v", i, m.mode, m.ref, got[i], want[i])
 					}
 				}
-				switch oneEdge := rt.repl == 1; {
-				case oneEdge && m.mode == "forward" && handed != total:
+				switch shared := rt.repl == 1 || rt.part == graph.Broadcast; {
+				case shared && m.mode == "forward" && handed != total:
 					t.Errorf("%d of %d batches reached the sink by reference, want all", handed, total)
-				case (!oneEdge || m.mode == "sel") && handed != 0:
+				case (!shared || m.mode == "sel") && handed != 0:
 					t.Errorf("%d of %d batches reached the sink by reference, want none", handed, total)
 				}
 			})

@@ -30,9 +30,9 @@ type outRoute struct {
 	fanTo int // sink replicas each row reaches
 }
 
-// outRoutes are the single-edge cases (shuffle-1, fields-1), where Out
-// hands out the edge's own batch, and the staged ones (fields-3,
-// broadcast-2).
+// outRoutes are the shared streams (shuffle-1, fields-1, broadcast-2),
+// where Out hands out the stream's one open batch, and the staged one
+// (fields-3).
 var outRoutes = []outRoute{
 	{"shuffle-1", graph.Shuffle, 1, 1},
 	{"fields-1", graph.Fields, 1, 1},

@@ -19,11 +19,15 @@
 // allocates nothing: a row is a slot store per numeric field plus a
 // byte copy per string field into the recycled arena.
 //
-// A batch has one owner at a time, so recycling needs no refcount —
-// the consumer resets and returns it when done. Rows are copied into a
-// batch, never shared with another batch; a pass-through that forwards
-// a whole batch unchanged passes the batch itself on (Restream) instead
-// of copying it, and the batch is then the next hop's alone. String
+// A batch is written by one producer and, once sent, only read. A
+// stream whose every route delivers each row to all of its edges (one
+// edge, or a broadcast) puts the same batch on every edge: Share sets
+// its share count, the number of consumers reading it, before the first
+// of them can see it. Each consumer drops its hold with Release; the
+// last one resets the batch and returns it to the producer. No consumer
+// may change a batch it was sent — a shared one has other readers — and
+// a pass-through that forwards a whole batch unchanged passes the batch
+// itself on (Restream) only when it is the batch's one reader. String
 // values read from a batch (Str, Key with a string key) are views into
 // the batch arena, valid only while the consumer holds the batch;
 // symbol fields are exempt as always.
@@ -32,6 +36,7 @@ package tuple
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 )
 
@@ -64,18 +69,24 @@ type Batch struct {
 	// engine's per-batch trace check is one boolean load.
 	hasTrace bool
 
-	// sel is the reusable selection-vector scratch handed out by
-	// SelScratch (owned by whoever holds the batch; kernels fill it
-	// with the row indices that survive a filter).
+	// sel is the reusable selection-vector scratch SelScratch hands the
+	// batch's one reader.
 	sel []int32
 
 	// w is the layout of the row being put, its fields written so far.
 	// byPut records that the batch layout was adopted from a put row;
 	// misput, with bad set, the layout of the first put row EndRowFrom
 	// refused for not matching it.
-	w      layout
-	byPut  bool
-	bad    bool
+	w     layout
+	byPut bool
+	bad   bool
+	// refs is the share count: the readers still holding the batch
+	// (see Share, Release). 1 from NewBatch and Reset; 0 from the last
+	// Release to the Reset after it. It sits in the padding after bad,
+	// which keeps a Batch at 256 bytes (four cache lines, so batches in
+	// one span share none), on the line the put fields use and the
+	// batch's readers do not.
+	refs   atomic.Int32
 	misput layout
 }
 
@@ -84,7 +95,7 @@ func NewBatch(rows int) *Batch {
 	if rows <= 0 {
 		rows = 1
 	}
-	return &Batch{
+	b := &Batch{
 		rows:        rows,
 		slots:       make([]uint64, MaxFields*rows),
 		ts:          make([]time.Time, rows),
@@ -92,6 +103,8 @@ func NewBatch(rows int) *Batch {
 		traceID:     make([]uint64, rows),
 		traceOrigin: make([]int64, rows),
 	}
+	b.refs.Store(1)
+	return b
 }
 
 // Len returns the number of filled rows.
@@ -122,6 +135,43 @@ func (b *Batch) Reset() {
 	b.hasTrace = false
 	b.w = layout{}
 	b.byPut, b.bad = false, false
+	if b.refs.Load() != 1 {
+		b.refs.Store(1) // after a last Release; one-row scratch never leaves 1
+	}
+}
+
+// Share sets the batch's share count: the k consumers it is about to
+// be sent to, each of which reads it and then calls Release once. A
+// batch has a count of one until then, so one sent to one consumer
+// needs no Share. The producer calls it before the first consumer can
+// see the batch, and writes no more rows after it.
+func (b *Batch) Share(k int) {
+	if k > 1 {
+		b.refs.Store(int32(k))
+	}
+}
+
+// Shared reports whether readers besides the caller still hold the
+// batch: it was shared and not all of them have released it. A reader
+// of a shared batch must not change it.
+func (b *Batch) Shared() bool { return b.refs.Load() > 1 }
+
+// Release drops one reader's hold on the batch and reports whether it
+// was the last: that reader alone may Reset and recycle the batch, and
+// no reader may touch it after its own Release. A release that takes
+// the share count below zero — one reader more than the batch was
+// shared with, or one reader releasing twice — panics.
+func (b *Batch) Release() bool {
+	switch n := b.refs.Add(-1); {
+	case n > 0:
+		return false
+	case n < 0:
+		panic("tuple: batch released more often than it was shared")
+	}
+	if poisonReleased {
+		b.poison()
+	}
+	return true
 }
 
 // Fits reports whether t shares the batch's layout (stream, arity and
@@ -198,7 +248,9 @@ func (b *Batch) commitFrom(src *Batch, r int) {
 // have: the batch forwarded whole (a pass-through's input, handed over
 // by reference) leaves on the stream it was forwarded on. Its layout
 // then counts as appended, not put, so ReadyFor refuses put rows and the
-// putter starts a fresh batch instead of joining this one.
+// putter starts a fresh batch instead of joining this one. Only a
+// batch's one reader may restream it: readers of a Shared batch may be
+// reading its stream.
 func (b *Batch) Restream(s StreamID) {
 	b.Stream = s
 	b.byPut = false
@@ -370,10 +422,15 @@ func (b *Batch) CopyRowTo(r int, dst *Tuple) {
 	dst.TraceOrigin = b.traceOrigin[r]
 }
 
-// SelScratch returns the batch's reusable selection vector, emptied,
-// with capacity for every row. Filter kernels append surviving row
-// indices to it; it is owned by whoever holds the batch.
+// SelScratch returns an empty selection vector with capacity for
+// every row, for filter kernels to append surviving row indices to. To
+// the batch's one reader it hands the batch's reusable vector; on a
+// batch other readers still hold (Shared) it returns a fresh one, as
+// the readers would race on a shared vector.
 func (b *Batch) SelScratch() []int32 {
+	if b.Shared() {
+		return make([]int32, 0, b.rows)
+	}
 	if cap(b.sel) < b.rows {
 		b.sel = make([]int32, 0, b.rows)
 	}

@@ -20,8 +20,10 @@ type Emitter interface {
 }
 
 // Select appends to sel the row indices for which pred reports true,
-// returning the extended selection. Pass b.SelScratch() to reuse the
-// batch's scratch vector (valid until the batch is recycled).
+// returning the extended selection. An operator passes a vector of its
+// own, emptied, to reuse it across batches: a batch may be shared with
+// other readers, so its SelScratch vector is the batch's only while the
+// caller is its one reader.
 func Select(b *tuple.Batch, sel []int32, pred func(r int) bool) []int32 {
 	n := b.Len()
 	for r := 0; r < n; r++ {
@@ -49,10 +51,11 @@ func SelectStrNonEmpty(b *tuple.Batch, c int, sel []int32) []int32 {
 // the engine's collector implements it to land forwarded rows with a
 // direct batch-to-batch column copy (no intermediate tuple). A nil sel
 // forwards every row. A forward of every row of the operator's input
-// batch (nil sel, or one keeping every row in order) to a stream with
-// one destination edge copies nothing: the engine hands the input
-// batch itself on once the operator call returns, so b must not be
-// changed after the call.
+// batch (nil sel, or one keeping every row in order) to a stream whose
+// every route delivers each row to all of its edges (one edge, or a
+// broadcast) copies nothing: the engine hands the input batch itself on
+// once the operator call returns, so b must not be changed after the
+// call.
 type RowForwarder interface {
 	ForwardRows(b *tuple.Batch, sel []int32, stream tuple.StreamID)
 }
