@@ -231,8 +231,10 @@ func traceSelfCheck() error {
 	addrCh := make(chan string, 1)
 	errCh := make(chan error, 1)
 	go func() {
+		// The run outlasts the polling bound; the check returns as soon
+		// as it has judged a document, and the process ends the run.
 		_, err := t.Run(briskstream.RunConfig{
-			Duration: 3 * time.Second,
+			Duration: traceCheckWait + 5*time.Second,
 			Obs:      &briskstream.ObsConfig{Addr: "127.0.0.1:0", TraceEvery: 32},
 			OnEvent: func(ev briskstream.ObsEvent) {
 				if ev.Type == "obs_serving" {
@@ -252,10 +254,6 @@ func traceSelfCheck() error {
 		return fmt.Errorf("trace-check: telemetry server never came up")
 	}
 
-	// Let traced tuples cross the whole pipeline (including at least one
-	// window flush, so sink spans exist) before judging.
-	time.Sleep(2 * time.Second)
-
 	get := func(path string) ([]byte, error) {
 		resp, err := http.Get(base + path)
 		if err != nil {
@@ -272,61 +270,34 @@ func traceSelfCheck() error {
 		return b, nil
 	}
 
-	body, err := get("/traces")
-	if err != nil {
-		return fmt.Errorf("trace-check: %v", err)
-	}
+	// Poll until a traced tuple has crossed src -> split -> count, or the
+	// bound passes. Every document fetched meets every invariant.
 	var doc traceDoc
-	if err := json.Unmarshal(body, &doc); err != nil {
-		return fmt.Errorf("trace-check: /traces is not valid JSON: %v", err)
-	}
-	if len(doc.Traces) == 0 {
-		return fmt.Errorf("trace-check: no traces captured")
-	}
-	ops := map[string]bool{"src": true, "split": true, "count": true, "sink": true}
-	propagated := false
-	for _, tr := range doc.Traces {
-		if tr.ID == 0 {
-			return fmt.Errorf("trace-check: trace with zero id")
+	var mean float64
+	for deadline := time.Now().Add(traceCheckWait); ; {
+		body, err := get("/traces")
+		if err != nil {
+			return fmt.Errorf("trace-check: %v", err)
 		}
-		hops := map[string]bool{}
-		for i, s := range tr.Spans {
-			if !ops[s.Op] {
-				return fmt.Errorf("trace-check: trace %d has a span on unknown operator %q", tr.ID, s.Op)
-			}
-			hops[s.Op] = true
-			if i > 0 && s.AtNs < tr.Spans[i-1].AtNs {
-				return fmt.Errorf("trace-check: trace %d hop times not monotonic", tr.ID)
-			}
-			if s.QueueWaitNs < 0 || s.ServiceNs < 0 {
-				return fmt.Errorf("trace-check: trace %d has negative attribution", tr.ID)
-			}
-			if slack := int64(time.Millisecond); s.QueueWaitNs+s.ServiceNs > s.AtNs-tr.OriginNs+slack {
-				return fmt.Errorf("trace-check: trace %d: queue+service %dns exceeds elapsed %dns",
-					tr.ID, s.QueueWaitNs+s.ServiceNs, s.AtNs-tr.OriginNs)
-			}
+		doc = traceDoc{}
+		if err := json.Unmarshal(body, &doc); err != nil {
+			return fmt.Errorf("trace-check: /traces is not valid JSON: %v", err)
 		}
-		if hops["src"] && hops["split"] && hops["count"] {
-			propagated = true
+		propagated, m, err := checkTraceDoc(&doc)
+		if err != nil {
+			return fmt.Errorf("trace-check: %v", err)
 		}
-	}
-	if !propagated {
-		return fmt.Errorf("trace-check: no trace propagated across src -> split -> count")
-	}
-
-	if doc.Analysis.Traces == 0 {
-		return fmt.Errorf("trace-check: analysis covers no traces")
-	}
-	var attributed float64
-	for _, op := range doc.Analysis.Ops {
-		attributed += op.QueueNs + op.ServiceNs + op.TransferNs
-	}
-	mean := doc.Analysis.MeanE2eNs
-	if mean <= 0 {
-		return fmt.Errorf("trace-check: non-positive mean e2e %f", mean)
-	}
-	if diff := attributed - mean; diff > mean*0.1 || diff < -mean*0.1 {
-		return fmt.Errorf("trace-check: breakdown sums to %.0fns but mean e2e is %.0fns (off by >10%%)", attributed, mean)
+		if propagated {
+			mean = m
+			break
+		}
+		if time.Now().After(deadline) {
+			if len(doc.Traces) == 0 {
+				return fmt.Errorf("trace-check: no traces captured in %v", traceCheckWait)
+			}
+			return fmt.Errorf("trace-check: no trace propagated across src -> split -> count in %v", traceCheckWait)
+		}
+		time.Sleep(100 * time.Millisecond)
 	}
 
 	chrome, err := get("/traces?fmt=chrome")
@@ -341,12 +312,73 @@ func traceSelfCheck() error {
 		return fmt.Errorf("trace-check: chrome output is empty")
 	}
 
-	if err := <-errCh; err != nil {
-		return fmt.Errorf("trace-check: run failed: %v", err)
+	select {
+	case err := <-errCh:
+		if err != nil {
+			return fmt.Errorf("trace-check: run failed: %v", err)
+		}
+	default:
 	}
 	fmt.Printf("trace-check: ok (%d traces, mean e2e %.2fms, breakdown within 10%%)\n",
 		len(doc.Traces), mean/1e6)
 	return nil
+}
+
+// traceCheckWait bounds how long -trace-check polls /traces for a trace
+// that crossed the whole pipeline.
+const traceCheckWait = 10 * time.Second
+
+// checkTraceDoc checks one /traces document: every span is on a known
+// operator, hop times are monotonic, attribution is non-negative and
+// within the elapsed end-to-end time, and — once some trace has left
+// its source — the analysis covers it and its per-operator breakdown
+// sums to the mean end-to-end latency within 10%. It reports whether some trace
+// propagated across src -> split -> count, and that mean.
+func checkTraceDoc(doc *traceDoc) (propagated bool, mean float64, err error) {
+	ops := map[string]bool{"src": true, "split": true, "count": true, "sink": true}
+	for _, tr := range doc.Traces {
+		if tr.ID == 0 {
+			return false, 0, fmt.Errorf("trace with zero id")
+		}
+		hops := map[string]bool{}
+		for i, s := range tr.Spans {
+			if !ops[s.Op] {
+				return false, 0, fmt.Errorf("trace %d has a span on unknown operator %q", tr.ID, s.Op)
+			}
+			hops[s.Op] = true
+			if i > 0 && s.AtNs < tr.Spans[i-1].AtNs {
+				return false, 0, fmt.Errorf("trace %d hop times not monotonic", tr.ID)
+			}
+			if s.QueueWaitNs < 0 || s.ServiceNs < 0 {
+				return false, 0, fmt.Errorf("trace %d has negative attribution", tr.ID)
+			}
+			if slack := int64(time.Millisecond); s.QueueWaitNs+s.ServiceNs > s.AtNs-tr.OriginNs+slack {
+				return false, 0, fmt.Errorf("trace %d: queue+service %dns exceeds elapsed %dns",
+					tr.ID, s.QueueWaitNs+s.ServiceNs, s.AtNs-tr.OriginNs)
+			}
+		}
+		if hops["src"] && hops["split"] && hops["count"] {
+			propagated = true
+		}
+	}
+	if doc.Analysis.Traces == 0 {
+		if propagated {
+			return false, 0, fmt.Errorf("analysis covers no traces")
+		}
+		return false, 0, nil // nothing past its source yet
+	}
+	var attributed float64
+	for _, op := range doc.Analysis.Ops {
+		attributed += op.QueueNs + op.ServiceNs + op.TransferNs
+	}
+	mean = doc.Analysis.MeanE2eNs
+	if mean <= 0 {
+		return false, 0, fmt.Errorf("non-positive mean e2e %f", mean)
+	}
+	if diff := attributed - mean; diff > mean*0.1 || diff < -mean*0.1 {
+		return false, 0, fmt.Errorf("breakdown sums to %.0fns but mean e2e is %.0fns (off by >10%%)", attributed, mean)
+	}
+	return propagated, mean, nil
 }
 
 // checkExposition validates a Prometheus text-format file ("-" reads

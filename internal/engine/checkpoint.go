@@ -9,7 +9,7 @@ package engine
 // producer edge has delivered the barrier, batches arriving on that
 // edge are parked (the data belongs after the snapshot) while the other
 // edges keep draining; when the last edge's barrier arrives the task
-// snapshots its operator on its own goroutine, acks, re-broadcasts the
+// snapshots its operator in its own step, acks, re-broadcasts the
 // barrier, and replays the parked batches. The coordinator persists the
 // checkpoint once every task acked — so a completed checkpoint is a
 // consistent global cut: each task's state reflects exactly the tuples
@@ -96,8 +96,8 @@ func (e *Engine) TriggerCheckpoint() uint64 {
 // the recovery tests). The engine stays usable: Restore followed by Run
 // resumes from the latest completed checkpoint.
 func (e *Engine) Kill() {
-	e.stop.Store(true)
 	e.closeAllQueues()
+	e.halt()
 	e.event("kill", "", nil)
 }
 
@@ -361,7 +361,7 @@ func (e *Engine) drainAlignment(t *task, c *collector) error {
 }
 
 // applyRestore rebuilds every task from a completed checkpoint. It runs
-// inside Run, after the re-run reset and before any task goroutine
+// inside Run, after the re-run reset and before any worker
 // starts, so restored timers and watermarks survive into the run.
 func (e *Engine) applyRestore(cp *checkpoint.Checkpoint) error {
 	for _, t := range e.tasks {

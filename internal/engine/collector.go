@@ -22,9 +22,12 @@ type collector struct {
 	processed, emitted uint64
 	serviceNs, inBytes uint64
 	qwaitNs, qwaitRows uint64
-	nexts              uint64    // spout Next calls, pacing publish and the timer poll
-	curTs              time.Time // latency timestamp of the input tuple being processed
-	curEvent           int64     // event time of the input tuple (or the advancing watermark)
+	nexts              uint64 // spout Next calls, pacing publish and the timer poll
+	// emits counts Out, ForwardRows and EmitWatermark calls: a spout
+	// visit whose Next calls made none emitted nothing (visitSpout).
+	emits    uint64
+	curTs    time.Time // latency timestamp of the input tuple being processed
+	curEvent int64     // event time of the input tuple (or the advancing watermark)
 	// latN and traceN count spout rows since the last latency-sampled
 	// and trace-sampled one; each wraps to 0 when it reaches its
 	// sampling period, so sampling costs no division.
@@ -116,6 +119,7 @@ func (c *collector) Send(out *tuple.Tuple) {
 // the same stream and has room, it is handed out again; anything else
 // settles that batch and opens the next (openOut).
 func (c *collector) Out(s tuple.StreamID) *tuple.Batch {
+	c.emits++
 	if b := c.outB; b != nil && c.outS == s && !b.Full() {
 		return b
 	}
@@ -299,6 +303,7 @@ func (c *collector) stamp(out *tuple.Tuple) {
 // (Batch.Shared) is never handed over: it is read-only, and they may
 // switch on its stream. Its forward is copied.
 func (c *collector) ForwardRows(b *tuple.Batch, sel []int32, stream tuple.StreamID) {
+	c.emits++
 	c.settle()
 	if c.fail != nil || b == nil {
 		return
@@ -407,6 +412,7 @@ func (e *Engine) adopt(t *task, c *collector, j tuple.Jumbo) error {
 // every consumer of this task and flushes the pending output batches so
 // event time is never stuck behind batching.
 func (c *collector) EmitWatermark(wm int64) {
+	c.emits++
 	c.settle()
 	if c.fail != nil {
 		return
@@ -579,18 +585,19 @@ func (e *Engine) flushEdge(t *task, oe *outEdge) error {
 	case oe.fan != nil && oe.fan.batch == oe.batch:
 		return e.flushFan(t, oe.fan)
 	}
-	return e.send(t, oe, tuple.Punct{})
+	return e.send(t, oe, tuple.Punct{}, time.Now().UnixNano())
 }
 
 // flushFan sends the shared stream's open batch, if any, on every one
-// of its edges.
+// of its edges, all k jumbos stamped with one clock read.
 func (e *Engine) flushFan(t *task, f *fanout) error {
 	if f.batch == nil {
 		return nil
 	}
+	now := time.Now().UnixNano()
 	var err error
 	for _, oe := range f.edges {
-		if serr := e.send(t, oe, tuple.Punct{}); err == nil {
+		if serr := e.send(t, oe, tuple.Punct{}, now); err == nil {
 			err = serr
 		}
 	}
@@ -598,13 +605,19 @@ func (e *Engine) flushFan(t *task, f *fanout) error {
 }
 
 // send puts one jumbo on the edge's ring: the open batch, if any, under
-// a header carrying the given trailer. A shared stream's open batch is
-// sealed by the first of its edges to send it: Share sets its share
-// count before any consumer can see it, the stream opens a fresh batch
-// for its next row, and each of its other edges still holds the sealed
-// batch until it sends it too — flushFan and broadcastPunct send on
-// every edge in one pass.
-func (e *Engine) send(t *task, oe *outEdge, p tuple.Punct) error {
+// a header carrying the given trailer and enqueue stamp now. A shared
+// stream's open batch is sealed by the first of its edges to send it:
+// Share sets its share count before any consumer can see it, the stream
+// opens a fresh batch for its next row, and each of its other edges
+// still holds the sealed batch until it sends it too — flushFan and
+// broadcastPunct send on every edge in one pass.
+//
+// send never blocks. A jumbo the ring has no room for, or that would
+// overtake the edge's overflow, joins the overflow FIFO with its stamp,
+// so its queue wait includes the time it spent there, and the task's
+// worker moves it on (drain) before the task steps again. A successful
+// put wakes a worker of the consumer's group if one is parked.
+func (e *Engine) send(t *task, oe *outEdge, p tuple.Punct, now int64) error {
 	b := oe.batch
 	if f := oe.fan; f != nil {
 		if f.batch == b {
@@ -613,18 +626,29 @@ func (e *Engine) send(t *task, oe *outEdge, p tuple.Punct) error {
 		}
 		oe.fan = nil
 	}
-	// Queue-wait attribution: stamp the batch once at enqueue; the
-	// consumer diffs at dequeue. One clock read per jumbo, zero
-	// per-tuple cost.
-	j := tuple.Jumbo{Producer: t.id, EnqNs: time.Now().UnixNano(), Batch: b, Punct: p}
+	// Queue-wait attribution: the consumer diffs the enqueue stamp at
+	// dequeue. One clock read per flush, zero per-tuple cost.
+	j := tuple.Jumbo{Producer: t.id, EnqNs: now, Batch: b, Punct: p}
 	oe.batch = nil
-	if oe.ring.Put(j) != nil {
-		// Never enqueued (ring closed during shutdown): nobody
-		// downstream will ever see these rows, so the share count this
-		// edge's consumer would have released never reaches the last
-		// reader, and the batch is left to the GC.
-		return ErrStopped
+	if oe.overHead == len(oe.over) {
+		ok, err := oe.ring.TryPut(j)
+		if err != nil {
+			// Never enqueued (ring closed during shutdown): nobody
+			// downstream will ever see these rows, so the share count this
+			// edge's consumer would have released never reaches the last
+			// reader, and the batch is left to the GC.
+			return ErrStopped
+		}
+		if ok {
+			oe.consumer.grp.wake()
+			return nil
+		}
+		if t.over == 0 {
+			t.st.blocked.Store(oe.ring)
+		}
 	}
+	oe.over = append(oe.over, j)
+	t.over++
 	return nil
 }
 

@@ -1,8 +1,9 @@
 // Package engine is BriskStream's shared-memory streaming runtime
 // (Section 5 and Appendix A). An application runs inside one process;
-// every operator replica is a task executed by its own goroutine (the
-// paper uses Java threads), consisting of an executor and a partition
-// controller. What two tasks share across cores is one thing only: the
+// every operator replica is a task (the paper's executor, which runs on
+// a Java thread), consisting of an executor and a partition controller,
+// and a fixed pool of workers, one per core, steps the tasks (see
+// worker.go). What two tasks share across cores is one thing only: the
 // jumbo tuple (Section 5.2) — the rows a producer has accumulated for
 // one consumer as a columnar batch (tuple.Batch) under one header, at
 // the cost of a single queue insertion. Every edge carries batches;
@@ -12,16 +13,21 @@
 // tuples: each rides the header of the jumbo that carries the data it
 // follows (tuple.Jumbo.Punct) and is applied after that payload.
 //
-// # Steps and the driver
+// # Steps and the workers
 //
 // A task runs as steps: stepSpout makes one Next call on a source;
 // stepTask admits one received jumbo through admit, the one
 // barrier-alignment gate, and fires the timers that are due
-// (fireDueTimers). A step never waits for input. It ends its task by
-// returning an error: errTaskDone for a natural end, any other for a
-// failure. runTask, the goroutine driver, pins the thread, does the
-// waiting (one Inbox.GetUntil up to the task's nextDeadline) and
-// classifies the ending error once, into finishTask or failTask.
+// (fireDueTimers). A step never waits: not for input, and not for room
+// on a ring either — a jumbo that does not fit waits in its edge's
+// overflow, and a task with overflow is not stepped again until that
+// drains. A step ends its task by returning an error: errTaskDone for a
+// natural end, any other for a failure. The workers scan the tasks in
+// topological order and step each one that has work (visit); endTask
+// classifies the ending error once, into finishTask or failTask, and a
+// task closes its rings once its overflow has drained. A worker that
+// finds nothing to do parks until a put wakes it or the earliest
+// deadline of its tasks passes.
 //
 // # Row ownership
 //
@@ -243,6 +249,12 @@ type BatchGater interface {
 
 // Spout produces input tuples. Next is called in a loop; it emits zero or
 // more tuples per call and returns io.EOF when the stream is exhausted.
+//
+// Next runs on one of the engine's workers, which step every other task
+// too, so it must not block indefinitely: a source with nothing to emit
+// returns nil. A Next that emitted nothing is called again at once while
+// the engine is busy, and within a millisecond once the workers park. A
+// Next that sleeps (a paced source) holds only its own worker meanwhile.
 type Spout interface {
 	Next(c Collector) error
 }
@@ -314,16 +326,19 @@ type Config struct {
 	ValidateEvery bool
 
 	// Placement maps "op#replica" labels to sockets. On platforms with
-	// affinity support a placement is physical: each placed task thread
-	// is bound to its socket's CPUs, exactly as if Pin were on.
+	// affinity support a placement is physical: each placed task is
+	// stepped only by workers bound to its socket's CPUs, exactly as if
+	// Pin were on.
 	Placement map[string]numa.SocketID
 
-	// Pin executes every task goroutine on a locked OS thread bound to
-	// its socket's CPU set (sched_setaffinity on Linux; a no-op where
-	// unsupported). The socket comes from Placement; without a placement
-	// tasks spread round-robin across the host's sockets. Affinity is
-	// restored and the thread unlocked when the task exits, so Run stays
-	// reusable and threads return clean to the runtime's pool.
+	// Pin gives each socket its own workers, in proportion to its CPUs,
+	// each on a locked OS thread bound to the socket's CPU set
+	// (sched_setaffinity on Linux; a no-op where unsupported), and steps
+	// every task only on its socket's workers. The socket comes from
+	// Placement; without a placement tasks spread round-robin across the
+	// host's sockets. Affinity is restored and the thread unlocked when
+	// the worker exits, so Run stays reusable and threads return clean
+	// to the runtime's pool.
 	// DefaultConfig turns it on when the BRISK_PIN environment variable
 	// is non-empty (how CI's multicore race step enables it suite-wide).
 	Pin bool
@@ -392,9 +407,9 @@ type Result struct {
 	// exceeded Config.AlignTimeout (each one is a dropped checkpoint
 	// attempt at that task, never a dropped tuple).
 	AlignTimeouts uint64
-	// PinnedTasks counts the tasks whose goroutine ran bound to its
-	// socket's CPU set this run (0 unless Config.Pin is on and the
-	// platform supports thread affinity).
+	// PinnedTasks counts the tasks stepped by workers bound to their
+	// socket's CPU set this run (0 unless Config.Pin or a Placement is
+	// set and the platform supports thread affinity).
 	PinnedTasks int
 	// Errors aggregates operator failures (panics are recovered and
 	// reported here; the rest of the pipeline is shut down cleanly).
@@ -411,9 +426,23 @@ type task struct {
 	isSink   bool
 	in       *queue.Inbox[tuple.Jumbo]
 	socket   numa.SocketID
-	// pinCPUs is the CPU set this task's thread binds to (empty: run
-	// unpinned); set at New when Config.Pin is on and supported.
-	pinCPUs []int
+
+	// st is what other workers read of the task (claim, overflow ring,
+	// done), on its own cache line; grp is the group of workers that
+	// steps it. The rest of the task belongs to whichever worker holds
+	// the claim: c is the run's collector, over counts the jumbos
+	// waiting in the out-edges' overflow, exiting marks a task that
+	// ended but still drains its overflow before closing its rings,
+	// wakeAt and idle are the last values published to st, and ahead
+	// marks a spout that ran into a full ring (see spoutVisitAhead).
+	st      taskState
+	grp     *group
+	c       *collector
+	over    int
+	exiting bool
+	idle    bool
+	ahead   bool
+	wakeAt  int64
 
 	// row is the one tuple the row adapter copies each input row into
 	// for a scalar operator (see consumeBatch). It never comes from a
@@ -435,8 +464,8 @@ type task struct {
 
 	// tm is the task's timer service: event-time timers fired by
 	// watermark advances, processing-time timers (and the engine's own
-	// jumbo linger flushes) fired by the wall clock, all on this task's
-	// goroutine. onTimer is the operator or spout as a TimerHandler (nil
+	// jumbo linger flushes) fired by the wall clock, all in this task's
+	// steps. onTimer is the operator or spout as a TimerHandler (nil
 	// if it is not one), and batchOp the operator's vectorized face (nil:
 	// the row adapter feeds it Process; see consumeBatch), both resolved
 	// once at New.
@@ -501,8 +530,8 @@ type task struct {
 	spans    *obs.TraceRing
 	qwaitWin *obs.Window
 	svcWin   *obs.Window
-	// wmLive mirrors the task's low watermark (tm.wm, task-goroutine
-	// private) atomically, so the obs layer can publish per-task
+	// wmLive mirrors the task's low watermark (tm.wm, private to the
+	// task's stepper) atomically, so the obs layer can publish per-task
 	// watermark lag without touching timer state mid-run. Stored only
 	// on watermark advance — rare relative to tuples.
 	wmLive int64
@@ -530,6 +559,10 @@ type outEdge struct {
 	// openNs is when the open batch was opened (its linger deadline is
 	// openNs + Linger).
 	openNs int64
+	// over[overHead:] is the edge's overflow: jumbos sent while the ring
+	// was full, in order, each behind the one before (see send).
+	over     []tuple.Jumbo
+	overHead int
 }
 
 // Engine executes one topology. An engine may be Run repeatedly; each
@@ -549,9 +582,15 @@ type Engine struct {
 	errs   []error
 	errsMu sync.Mutex
 
-	// pinned counts successfully pinned task threads (reset per run,
+	// pinned counts the tasks stepped by pinned workers (reset per run,
 	// reported in Result.PinnedTasks).
 	pinned atomic.Int32
+
+	// groups partition the tasks among the workers (see worker.go);
+	// workers are this run's, and live counts the tasks not yet done.
+	groups  []*group
+	workers []*worker
+	live    atomic.Int32
 
 	// coord receives checkpoint acks (nil disables checkpointing);
 	// ckptReq is the id of the most recently triggered checkpoint, read
@@ -638,24 +677,31 @@ func New(topo Topology, cfg Config) (*Engine, error) {
 	}
 
 	// Make the placement physical: with Pin on — or any Placement given,
-	// since a socket assignment the threads ignore is decorative — every
-	// task thread binds to its socket's CPU set. Tasks without a
-	// placement spread round-robin over the host sockets, so plain
-	// `Pin: true` on a multi-socket box already separates replicas.
+	// since a socket assignment the threads ignore is decorative — each
+	// host socket gets workers bound to its CPU set, and a task is
+	// stepped only by its socket's. Tasks without a placement spread
+	// round-robin over the host sockets, so plain `Pin: true` on a
+	// multi-socket box already separates replicas.
+	var sockets [][]int
 	if (cfg.Pin || cfg.Placement != nil) && numa.PinSupported() {
 		host := cfg.Host
 		if host == nil {
 			host = numa.DetectHost()
 		}
-		if len(host.Sockets) > 0 {
+		for _, s := range host.Sockets {
+			sockets = append(sockets, s.CPUs)
+		}
+		if cfg.Placement == nil {
 			for _, t := range e.tasks {
-				if cfg.Placement == nil {
-					t.socket = numa.SocketID(t.id % len(host.Sockets))
-				}
-				t.pinCPUs = host.CPUsOf(t.socket)
+				t.socket = numa.SocketID(t.id % max(len(sockets), 1))
 			}
 		}
 	}
+	order, err := topo.App.TopoSort()
+	if err != nil {
+		return nil, err
+	}
+	e.buildGroups(order, sockets)
 
 	// QueueCapacity bounds a task's whole input queue, so split it
 	// across the task's per-producer rings: with the budget divided, a
@@ -790,9 +836,12 @@ var ErrStopped = errors.New("engine: stopped")
 // behind exactly the data it follows, costs no insertion of its own
 // behind a partial buffer, and neither event time nor a checkpoint is
 // ever delayed by batching.
+//
+// All k jumbos share one enqueue stamp, one clock read.
 func (e *Engine) broadcastPunct(t *task, kind tuple.PunctKind, ev int64, ts time.Time) error {
+	now := time.Now().UnixNano()
 	for _, oe := range t.outList {
-		if err := e.send(t, oe, tuple.Punct{Kind: kind, Event: ev, Ts: ts}); err != nil {
+		if err := e.send(t, oe, tuple.Punct{Kind: kind, Event: ev, Ts: ts}, now); err != nil {
 			return err
 		}
 	}
@@ -954,11 +1003,12 @@ func (e *Engine) flushAll(t *task) {
 // persist across runs and keep their state — unless a Restore is
 // pending, in which case every task is rebuilt from the restored
 // checkpoint after the reset (and sources are sought back to their
-// recorded offsets) before any task goroutine starts.
+// recorded offsets) before any worker starts.
 func (e *Engine) Run(d time.Duration) (*Result, error) {
 	start := time.Now()
 	var wg sync.WaitGroup
 	e.stop.Store(false)
+	e.live.Store(int32(len(e.tasks)))
 	e.sink.Store(0)
 	lat0 := e.lat.Snapshot()
 	e.errs = nil
@@ -977,6 +1027,17 @@ func (e *Engine) Run(d time.Duration) (*Result, error) {
 		atomic.StoreUint64(&t.qwaitRows, 0)
 		t.tm.reset()
 		t.lingerAt, t.alignAt = 0, 0
+		t.c = &collector{e: e, t: t}
+		t.over, t.exiting, t.idle, t.ahead, t.wakeAt = 0, false, false, false, 0
+		t.st.done.Store(false)
+		t.st.owner.Store(nil)
+		t.st.idle.Store(false)
+		t.st.wakeAt.Store(0)
+		t.st.blocked.Store(nil)
+		for _, oe := range t.outList {
+			clear(oe.over) // whatever a killed run left behind
+			oe.over, oe.overHead = oe.over[:0], 0
+		}
 		atomic.StoreInt64(&t.wmLive, WatermarkMin)
 		for i := range t.wmIn {
 			t.wmIn[i] = WatermarkMin
@@ -1018,13 +1079,7 @@ func (e *Engine) Run(d time.Duration) (*Result, error) {
 		"tasks": strconv.Itoa(len(e.tasks)),
 	})
 
-	for _, t := range e.tasks {
-		wg.Add(1)
-		go func(t *task) {
-			defer wg.Done()
-			e.runTask(t)
-		}(t)
-	}
+	e.startWorkers(&wg)
 
 	// The periodic trigger lives exactly as long as the tasks do: Run
 	// waits for it to exit, so it can never begin a checkpoint on the
@@ -1056,7 +1111,7 @@ func (e *Engine) Run(d time.Duration) (*Result, error) {
 	}
 
 	if d > 0 {
-		timer := time.AfterFunc(d, func() { e.stop.Store(true) })
+		timer := time.AfterFunc(d, e.halt)
 		defer timer.Stop()
 	}
 	wg.Wait()
@@ -1107,67 +1162,9 @@ func (e *Engine) QueueStats() (puts, gets uint64) {
 }
 
 // errTaskDone is what a step returns when its task has ended naturally:
-// the spout reached EOF, or the inbox closed and drained. runTask hands
+// the spout reached EOF, or the inbox closed and drained. endTask hands
 // it to finishTask and any other step error to failTask.
 var errTaskDone = errors.New("engine: task done")
-
-// runTask is the goroutine driver of one task (see the package doc).
-// Its deferred exit classifies the error that ended the task, a
-// recovered panic included.
-func (e *Engine) runTask(t *task) {
-	// Pinning first, so its deferred undo runs last: the final flush
-	// still happens on the pinned thread, and the thread returns to the
-	// runtime's pool with its original mask however the task exits
-	// (EOF, kill, panic) — which is what keeps Run re-runnable.
-	if unpin := pinThread(t.pinCPUs); unpin != nil {
-		e.pinned.Add(1)
-		defer unpin()
-	}
-	c := &collector{e: e, t: t}
-	var err error
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("engine: operator %s panicked: %v", t.label, r)
-		}
-		if err == errTaskDone {
-			e.finishTask(t)
-		} else if err != nil {
-			e.failTask(err)
-		}
-		c.fwdB = nil // a pending forward dies with a failed task
-		c.settle()   // what an operator put before it failed
-		e.flushAll(t)
-		e.finishProducing(t)
-		c.publish() // however the task ended, its final counts are exact
-	}()
-
-	if t.spout != nil {
-		for err == nil && !e.stop.Load() {
-			err = e.stepSpout(t, c)
-		}
-		return
-	}
-	for err == nil {
-		// Wake at the earliest processing-time deadline even if no input
-		// flows: that is what bounds the linger latency. With no deadline
-		// pending it stays zero, which waits for input alone.
-		var deadline time.Time
-		if at := t.nextDeadline(); at != 0 {
-			deadline = time.Unix(0, at)
-		}
-		j, ok, gerr := t.in.GetUntil(deadline)
-		switch {
-		case gerr != nil: // closed and drained
-			if err = e.drainAlignment(t, c); err == nil {
-				err = errTaskDone
-			}
-		case ok:
-			err = e.stepTask(t, c, j)
-		default:
-			err = e.fireDueTimers(t, c)
-		}
-	}
-}
 
 // stepSpout makes one Next call on the task's spout and handles what
 // follows it: EOF ends the task, between calls is the checkpoint
@@ -1247,14 +1244,14 @@ func (e *Engine) admit(t *task, c *collector, j tuple.Jumbo) error {
 // failTask handles a task-fatal routing or operator error: a routing
 // failure (e.g. RouteError) is recorded and aborts the run; ErrStopped
 // only means a downstream queue closed during shutdown, so the task
-// simply exits. Either way all queues are closed so no peer blocks on a
-// task that is gone.
+// simply exits. Either way all queues are closed, so no overflow waits
+// on a task that is gone, and every parked worker wakes to see it.
 func (e *Engine) failTask(err error) {
 	if !errors.Is(err, ErrStopped) {
 		e.recordErr(err)
 	}
-	e.stop.Store(true)
 	e.closeAllQueues()
+	e.halt()
 }
 
 // finishProducing closes this task's private ring into each consumer it
@@ -1264,6 +1261,7 @@ func (e *Engine) failTask(err error) {
 func (e *Engine) finishProducing(t *task) {
 	for _, oe := range t.outList {
 		oe.ring.Close()
+		oe.consumer.grp.wake()
 	}
 }
 

@@ -8,6 +8,7 @@ package engine
 
 import (
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -16,8 +17,8 @@ import (
 )
 
 // benchEmit emits b.N one-integer rows from an operator task into
-// `consumers` no-op batch sink replicas, each drained by the engine's
-// own task driver. emit "send" fills borrowed rows and Sends them; "out"
+// `consumers` no-op batch sink replicas, each stepped by the engine's
+// own visit on a goroutine of its own. emit "send" fills borrowed rows and Sends them; "out"
 // puts them through Out. Either way the task settles every 64 rows, as
 // the engine does after each ProcessBatch call. emit "forward" feeds
 // the task full 64-row input batches through consumeJumbo, and the
@@ -51,9 +52,14 @@ func benchEmit(b *testing.B, consumers int, part graph.Partitioning, emit string
 	var wg sync.WaitGroup
 	for _, ct := range e.byOp["sink"] {
 		wg.Add(1)
+		ct.c = &collector{e: e, t: ct}
 		go func(ct *task) {
 			defer wg.Done()
-			e.runTask(ct)
+			for !ct.st.done.Load() {
+				if !e.visit(ct) {
+					runtime.Gosched()
+				}
+			}
 		}(ct)
 	}
 	// The measured loop is the emit path itself (fill typed
@@ -86,6 +92,7 @@ func benchEmit(b *testing.B, consumers int, part graph.Partitioning, emit string
 					b.Fatal(err)
 				}
 				fill = nil
+				drainOverflow(e, producer)
 			}
 			continue
 		}
@@ -100,6 +107,7 @@ func benchEmit(b *testing.B, consumers int, part graph.Partitioning, emit string
 		}
 		if i&63 == 63 {
 			c.settle()
+			drainOverflow(e, producer)
 		}
 	}
 	c.settle()
@@ -107,6 +115,7 @@ func benchEmit(b *testing.B, consumers int, part graph.Partitioning, emit string
 		b.Fatal(c.fail)
 	}
 	e.flushAll(producer)
+	drainOverflow(e, producer)
 	e.finishProducing(producer)
 	wg.Wait()
 	if len(e.errs) != 0 {
@@ -114,6 +123,19 @@ func benchEmit(b *testing.B, consumers int, part graph.Partitioning, emit string
 	}
 	if got := e.sink.Load(); got != uint64(b.N) {
 		b.Fatalf("%d of %d rows reached the sinks", got, b.N)
+	}
+}
+
+// drainOverflow moves a task's overflow onto its rings, yielding to the
+// consumers until they made room: what a worker does before it steps
+// the task again.
+func drainOverflow(e *Engine, t *task) {
+	for t.over > 0 {
+		if moved, err := e.drain(t); err != nil {
+			panic(err)
+		} else if !moved {
+			runtime.Gosched()
+		}
 	}
 }
 

@@ -27,7 +27,7 @@ func (e *Engine) RegisterObs(g *obs.Group, jr *obs.Journal) {
 	g.Counter("brisk_runs_total", "Engine Run invocations.", nil, e.runSeq.Load)
 	g.Counter("brisk_sink_tuples_total", "Tuples received by sink tasks this run.", nil, e.sink.Load)
 	g.Counter("brisk_align_timeouts_total", "Checkpoint alignment attempts abandoned by AlignTimeout this run.", nil, e.alignTimeouts.Load)
-	g.Gauge("brisk_pinned_tasks", "Task threads currently pinned to their socket's CPUs.", nil, func() float64 {
+	g.Gauge("brisk_pinned_tasks", "Tasks stepped by workers pinned to their socket's CPUs this run.", nil, func() float64 {
 		return float64(e.pinned.Load())
 	})
 	g.Counter("brisk_queue_puts_total", "Jumbo batches inserted across all task inboxes (engine lifetime).", nil, func() uint64 {

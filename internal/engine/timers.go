@@ -34,9 +34,9 @@ const (
 )
 
 // TimerHandler is implemented by operators (or spouts) that want OnTimer
-// callbacks. OnTimer runs on the task's execution goroutine, so handlers
-// may touch operator state without synchronization and emit through the
-// collector like Process does.
+// callbacks. OnTimer runs in the task's own steps, which one worker at a
+// time takes, so handlers may touch operator state without
+// synchronization and emit through the collector like Process does.
 //
 // The per-task timer service is shared (operator fusion composes
 // handlers, and registrations are not deduplicated), so OnTimer may be invoked for a
@@ -109,12 +109,11 @@ func (h *timeHeap) popDue(bound int64) (int64, bool) {
 // Timers is the per-task timer service: a min-heap of timestamps per
 // time domain (event time driven by watermarks, processing time driven
 // by the wall clock) plus the task's current event-time watermark. The
-// engine owns one per task and fires due timers on the task's execution
-// goroutine, one at a time; operators reach it by implementing
-// TimerAware.
+// engine owns one per task and fires due timers in the task's own
+// steps, one at a time; operators reach it by implementing TimerAware.
 //
 // Timers is not safe for concurrent use — like operator state, it
-// belongs to the task goroutine.
+// belongs to the worker stepping the task.
 type Timers struct {
 	wm    int64
 	idle  bool // the task's merged input went all-idle

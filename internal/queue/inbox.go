@@ -1,7 +1,5 @@
 package queue
 
-import "time"
-
 // Inbox is the consumer-side fan-in over per-producer SPSC rings. The
 // engine gives every task one Inbox and binds one Ring per distinct
 // producer task, so each (producer, consumer) edge is a private
@@ -10,8 +8,8 @@ import "time"
 // would serialize them (Section 5.2's queue-access overhead).
 //
 // The single consumer calls Get/TryGet; it scans the member rings
-// round-robin for fairness and parks on a waiter shared by all rings
-// when every ring is empty. The Inbox as a whole keeps the single
+// round-robin for fairness, and Get parks on a waiter shared by all
+// rings when every ring is empty. The Inbox as a whole keeps the single
 // queue's contract: it reports ErrClosed only after every bound ring is
 // closed AND drained, so "last producer closes the queue" falls out of each
 // producer closing its own ring.
@@ -65,33 +63,18 @@ func (ib *Inbox[T]) Len() int {
 // closed and drained. An inbox with no bound rings is permanently
 // empty-and-closed.
 func (ib *Inbox[T]) Get() (T, error) {
-	v, _, err := ib.GetUntil(time.Time{})
-	return v, err
-}
-
-// GetUntil behaves like Get but gives up at the deadline: it returns
-// (zero, false, nil) if no element arrives before then. A zero deadline
-// means no deadline: GetUntil then blocks like Get. The engine passes
-// its earliest processing-time timer — the task must wake to fire it
-// even if no input is flowing. The clock is read only after a scan
-// came up empty, and the timer needed for parking only on the park
-// path, so a busy consumer pays nothing for the deadline.
-func (ib *Inbox[T]) GetUntil(deadline time.Time) (T, bool, error) {
 	for round := 0; ; {
-		v, ok, err := ib.TryGet()
-		if ok || err != nil {
-			return v, ok, err
+		if v, ok, err := ib.TryGet(); ok || err != nil {
+			return v, err
 		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return v, false, nil
-		}
-		round = ib.cons.wait(round, ib.ready, deadline)
+		round = ib.cons.wait(round, ib.Ready)
 	}
 }
 
-// ready reports whether a parked consumer has something to retry: some
-// ring holds an element, or every ring is closed.
-func (ib *Inbox[T]) ready() bool {
+// Ready reports whether TryGet has something to return: some ring holds
+// an element, or every ring is closed. It reads only the rings' atomic
+// cursors and flags, so any goroutine may call it.
+func (ib *Inbox[T]) Ready() bool {
 	open := false
 	for _, r := range ib.rings {
 		if r.Len() > 0 {

@@ -1,16 +1,19 @@
 // Package queue provides the bounded communication queues that connect
 // BriskStream tasks. A queue carries jumbo tuples (or any payload) from
-// producers to a single consumer, blocks producers when full — this is
-// the engine's back-pressure mechanism, which eventually slows the spout
-// so the system runs at its best achievable stable throughput (Section
-// 6.1, footnote 2) — and blocks the consumer when empty.
+// producers to a single consumer. Being bounded is the engine's
+// back-pressure mechanism, which eventually slows the spout so the
+// system runs at its best achievable stable throughput (Section 6.1,
+// footnote 2). The engine uses only the nonblocking calls (TryPut,
+// TryGet, Ready): its workers step tasks and never wait inside a queue.
+// Put and Get block — spin, yield, then park — for callers that run one
+// goroutine per side.
 //
 // Ring is a lock-free single-producer/single-consumer ring (atomic
-// cursors on separate cache lines, power-of-two capacity,
-// spin-then-park waiting); Inbox fans in one Ring per producer on the
-// consumer side, so per-edge rings remove all producer-side contention
-// (Section 5.2). FreeRing is the nonblocking reverse channel drained
-// batches travel back to their producer on.
+// cursors on separate cache lines, power-of-two capacity); Inbox fans
+// in one Ring per producer on the consumer side, so per-edge rings
+// remove all producer-side contention (Section 5.2). FreeRing is the
+// nonblocking reverse channel drained batches travel back to their
+// producer on.
 //
 // A Ring.Put racing a Close from a third goroutine can succeed for an
 // element the consumer never sees (it stays in the ring). Close a ring
@@ -24,7 +27,6 @@ import (
 	"errors"
 	"runtime"
 	"sync/atomic"
-	"time"
 )
 
 // ErrClosed is returned by Put after Close, and by Get after Close once
@@ -71,26 +73,15 @@ func (w *waiter) wake() {
 // first spinLimit rounds it only yields. Past them it parks: publish
 // the flag, then re-check ready — the waking side checks the flag after
 // its own store, so one of the two sides must see the other's — and
-// sleep until woken, or until the deadline if it is non-zero. The
-// caller retries its attempt (and checks its deadline) after every
-// return.
-func (w *waiter) wait(round int, ready func() bool, deadline time.Time) int {
+// sleep until woken. The caller retries its attempt after every return.
+func (w *waiter) wait(round int, ready func() bool) int {
 	if round < spinLimit {
 		runtime.Gosched()
 		return round + 1
 	}
 	w.parked.Store(true)
 	if !ready() {
-		if deadline.IsZero() {
-			<-w.ch
-		} else {
-			t := time.NewTimer(time.Until(deadline))
-			select {
-			case <-w.ch:
-			case <-t.C:
-			}
-			t.Stop()
-		}
+		<-w.ch
 	}
 	w.parked.Store(false)
 	return 0
@@ -179,7 +170,7 @@ func (q *Ring[T]) Put(v T) error {
 		if ok, err := q.TryPut(v); ok || err != nil {
 			return err
 		}
-		round = q.prod.wait(round, q.putReady, time.Time{})
+		round = q.prod.wait(round, q.putReady)
 	}
 }
 
@@ -216,7 +207,7 @@ func (q *Ring[T]) Get() (T, error) {
 		if v, ok, err := q.TryGet(); ok || err != nil {
 			return v, err
 		}
-		round = q.cons.wait(round, q.getReady, time.Time{})
+		round = q.cons.wait(round, q.getReady)
 	}
 }
 

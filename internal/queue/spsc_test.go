@@ -265,6 +265,32 @@ func TestInboxTryGetAndLen(t *testing.T) {
 	}
 }
 
+// TestInboxReady: Ready is what a worker reads before it claims a task,
+// so it must say "TryGet has something" exactly when TryGet would
+// return an element or ErrClosed.
+func TestInboxReady(t *testing.T) {
+	ib := NewInbox[int](4)
+	a, b := ib.Bind(), ib.Bind()
+	if ib.Ready() {
+		t.Fatal("Ready on an empty open inbox")
+	}
+	b.TryPut(7)
+	if !ib.Ready() {
+		t.Fatal("not Ready with an element queued")
+	}
+	if v, ok, _ := ib.TryGet(); !ok || v != 7 {
+		t.Fatalf("TryGet = %d, %v", v, ok)
+	}
+	a.Close()
+	if ib.Ready() {
+		t.Fatal("Ready with one ring still open and nothing queued")
+	}
+	b.Close()
+	if !ib.Ready() {
+		t.Fatal("not Ready once every ring is closed (TryGet reports ErrClosed)")
+	}
+}
+
 func TestInboxNoRingsIsClosed(t *testing.T) {
 	ib := NewInbox[int](4)
 	if _, err := ib.Get(); err != ErrClosed {
