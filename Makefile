@@ -17,8 +17,12 @@ test:
 # symbol table, the queue waiters, the engine's tasks) twice in one
 # process, so a test that only passes on a fresh process — say, one
 # that interns a fixed name and expects the table to grow — fails here.
+# It then runs the workers' park and wake tests 50 times under the race
+# detector: a lost wake-up is a hang, and the 120 s timeout turns it
+# into a failure well before the CI runner's own limit.
 test-repeat:
 	$(GO) test -count=2 -short ./internal/tuple/ ./internal/queue/ ./internal/engine/
+	$(GO) test -race -count=50 -timeout 120s -run 'Wake|Park' ./internal/engine/
 
 # test-briskcheck runs the engine, the apps and the Linear Road example
 # under the race detector with the briskcheck build tag: the last
@@ -26,7 +30,8 @@ test-repeat:
 # a consumer that still reads a batch after dropping its hold — a shared
 # batch another consumer already recycled, which the race detector
 # cannot see across the ring's happens-before edge — reads garbage and
-# the exact-output tests fail.
+# the exact-output tests fail. The same tag makes every engine Run end
+# by checking that its workers left no wake token and no parked count.
 test-briskcheck:
 	$(GO) test -race -tags briskcheck ./internal/engine ./internal/apps ./examples/linearroad
 

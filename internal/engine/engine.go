@@ -1115,6 +1115,9 @@ func (e *Engine) Run(d time.Duration) (*Result, error) {
 		defer timer.Stop()
 	}
 	wg.Wait()
+	if wakeCheck {
+		e.checkWakes()
+	}
 	close(quit)
 	ticker.Wait()
 	elapsed := time.Since(start)

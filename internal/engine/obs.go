@@ -30,6 +30,20 @@ func (e *Engine) RegisterObs(g *obs.Group, jr *obs.Journal) {
 	g.Gauge("brisk_pinned_tasks", "Tasks stepped by workers pinned to their socket's CPUs this run.", nil, func() float64 {
 		return float64(e.pinned.Load())
 	})
+	g.Counter("brisk_worker_parks_total", "Calls to park by workers that ran out of work this run, including those that found work on the recheck and returned at once; a wake claims each call at most once.", nil, func() uint64 {
+		var n uint64
+		for _, gr := range e.groups {
+			n += gr.parks.Load()
+		}
+		return n
+	})
+	g.Counter("brisk_worker_wakes_total", "Parked workers a put, a close or a stop woke this run (at most one wake per park).", nil, func() uint64 {
+		var n uint64
+		for _, gr := range e.groups {
+			n += gr.wakes.Load()
+		}
+		return n
+	})
 	g.Counter("brisk_queue_puts_total", "Jumbo batches inserted across all task inboxes (engine lifetime).", nil, func() uint64 {
 		puts, _ := e.QueueStats()
 		return puts

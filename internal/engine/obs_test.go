@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -182,5 +183,46 @@ func TestObsRegisterReplacesSeries(t *testing.T) {
 	}
 	if n := strings.Count(b.String(), "# TYPE brisk_sink_tuples_total"); n != 1 {
 		t.Fatalf("expected exactly one brisk_sink_tuples_total family after re-registration, got %d\n%s", n, b.String())
+	}
+}
+
+// TestObsWorkerParkWakeCounters: /metrics shows how often the workers
+// parked and were woken, and a wake is owed to one park, so after a run
+// the wakes never exceed the parks.
+func TestObsWorkerParkWakeCounters(t *testing.T) {
+	topo := Topology{
+		App:       pipelineGraph(t),
+		Spouts:    map[string]func() Spout{"spout": pacedRows(100, 200*time.Microsecond)},
+		Operators: map[string]func() Operator{"double": doubler, "sink": sinkOp},
+	}
+	e, err := New(topo, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry(0)
+	e.RegisterObs(reg.Group("engine"), obs.NewJournal(0))
+	if _, err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	var prom strings.Builder
+	if err := reg.WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	value := func(name string) uint64 {
+		for _, line := range strings.Split(prom.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				n, err := strconv.ParseUint(v, 10, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("/metrics has no %s series", name)
+		return 0
+	}
+	parks, wakes := value("brisk_worker_parks_total"), value("brisk_worker_wakes_total")
+	if parks == 0 || wakes > parks {
+		t.Fatalf("parks %d, wakes %d: want parks > 0 on a paced spout and wakes <= parks", parks, wakes)
 	}
 }

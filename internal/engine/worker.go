@@ -18,7 +18,10 @@ package engine
 // steps nothing until the overflow drains, which bounds it by one
 // step's output. A worker that finds nothing to do spins for idleSpin,
 // then parks on its group's waiter until a put, a close or a stop wakes
-// it, or until the earliest deadline of its tasks.
+// it, or until the earliest deadline of its tasks. A wake claims one
+// parked worker before it sends its token, so the group's tokens plus
+// its parked count always equal the workers inside park: no token is
+// left over to end a later park at once, and after a run both are 0.
 //
 // With Config.Pin or Config.Placement (and thread affinity supported)
 // each socket gets a group of workers in proportion to its CPUs. Each
@@ -91,39 +94,58 @@ type taskState struct {
 // with pinning the tasks placed on one socket.
 type group struct {
 	_ [cacheLine]byte
-	// parked counts the group's parked workers; a put loads it once.
+	// parked counts the group's workers inside park that no wake has
+	// claimed yet; a put loads it once.
 	parked atomic.Int32
 	_      [cacheLine - 4]byte
 	// tasks in topological order; cpus is the CPU set the workers pin
 	// to (nil: unpinned).
 	tasks []*task
 	cpus  []int
-	// ch is the group's one waiter. A wake sends a token without
-	// blocking; it holds one token per task, so a broadcast reaches
-	// every worker (a group never runs more workers than tasks).
+	// ch is the group's one waiter. Each token in it is owed to one
+	// worker inside park, so tokens + parked = workers inside park, and
+	// a send never blocks: it holds one token per task, and a group
+	// never runs more workers than tasks.
 	ch chan struct{}
 	// pinned is set by the first worker that pinned its thread this run.
 	pinned atomic.Bool
+	// parks counts this run's calls to park, wakes the wakes that
+	// claimed a worker; each call is claimed at most once, so wakes never
+	// exceed parks.
+	_     [cacheLine]byte
+	parks atomic.Uint64
+	wakes atomic.Uint64
 }
 
-// wake unparks one of the group's workers, if any is parked.
-func (g *group) wake() {
-	if g.parked.Load() > 0 {
-		select {
-		case g.ch <- struct{}{}:
-		default:
+// claim takes one worker off parked, if any is counted there, and
+// reports whether it did.
+func (g *group) claim() bool {
+	for {
+		n := g.parked.Load()
+		if n <= 0 {
+			return false
+		}
+		if g.parked.CompareAndSwap(n, n-1) {
+			return true
 		}
 	}
 }
 
+// wake unparks one of the group's workers, if any is parked, and
+// reports whether it did. It claims the worker, then sends the one
+// token that worker is owed.
+func (g *group) wake() bool {
+	if !g.claim() {
+		return false
+	}
+	g.wakes.Add(1)
+	g.ch <- struct{}{}
+	return true
+}
+
 // wakeAll unparks every parked worker of the group.
 func (g *group) wakeAll() {
-	for range cap(g.ch) {
-		select {
-		case g.ch <- struct{}{}:
-		default:
-			return
-		}
+	for g.wake() {
 	}
 }
 
@@ -133,8 +155,8 @@ type worker struct {
 	g *group
 	// tm is the park timer, reused so a park allocates nothing.
 	tm *time.Timer
-	// parks counts how often the worker parked this run; parked is set
-	// while it is parked, for other workers to read.
+	// parks counts how often the worker really blocked in park this
+	// run; parked is set while it is parked, for other workers to read.
 	parks  uint64
 	_      [cacheLine]byte
 	parked atomic.Bool
@@ -182,6 +204,8 @@ func (e *Engine) startWorkers(wg *sync.WaitGroup) {
 	e.workers = e.workers[:0]
 	for _, g := range e.groups {
 		g.pinned.Store(false)
+		g.parks.Store(0)
+		g.wakes.Store(0)
 		n := procs
 		if cpus > 0 {
 			n = (procs*len(g.cpus) + cpus/2) / cpus
@@ -212,6 +236,16 @@ func (e *Engine) wakeAll() {
 	}
 }
 
+// checkWakes panics unless every group is back to no token and no
+// parked count, as it must be once no worker is inside park.
+func (e *Engine) checkWakes() {
+	for i, g := range e.groups {
+		if n, p := len(g.ch), g.parked.Load(); n != 0 || p != 0 {
+			panic(fmt.Sprintf("engine: group %d left %d wake tokens and %d parked workers after its run", i, n, p))
+		}
+	}
+}
+
 // run scans until every task of the engine is done, parking when a scan
 // and idleSpin more found nothing to do.
 func (w *worker) run() {
@@ -228,11 +262,14 @@ func (w *worker) run() {
 	w.tm.Stop()
 	var idleFrom int64
 	for w.e.live.Load() > 0 {
-		if w.scan() {
+		var now int64 // one clock read per scan, shared with its deadlines
+		if w.scan(&now) {
 			idleFrom = 0
 			continue
 		}
-		now := time.Now().UnixNano()
+		if now == 0 {
+			now = time.Now().UnixNano()
+		}
 		if idleFrom == 0 {
 			idleFrom = now
 			continue
@@ -249,20 +286,20 @@ func (w *worker) run() {
 // task stays with the worker that stepped it last, so its state stays
 // in that core's cache: the first pass skips the tasks of other workers
 // that are not parked, and only a worker that found nothing of its own
-// to do takes them over in a second pass.
-func (w *worker) scan() bool {
-	return w.pass(false) || w.pass(true)
+// to do takes them over in a second pass. Both passes check deadlines
+// against one clock read, *now, made only if a deadline needs it.
+func (w *worker) scan(now *int64) bool {
+	return w.pass(false, now) || w.pass(true, now)
 }
 
-func (w *worker) pass(steal bool) bool {
+func (w *worker) pass(steal bool, now *int64) bool {
 	progress := false
-	var now int64 // read once, and only if a deadline needs it
 	for _, t := range w.g.tasks {
 		owner := t.st.owner.Load()
 		if !steal && owner != nil && owner != w && !owner.parked.Load() {
 			continue
 		}
-		if !t.hasWork(&now, false) || !t.st.claim.CompareAndSwap(0, 1) {
+		if !t.hasWork(now, false) || !t.st.claim.CompareAndSwap(0, 1) {
 			continue
 		}
 		// Another worker may have stepped the task to its end between
@@ -282,8 +319,8 @@ func (w *worker) pass(steal bool) bool {
 // would find something to do: overflow its ring has room for (a task
 // with overflow has nothing else to do), a spout to call, input or a
 // closed inbox, or a deadline that passed. When parking, an idle spout
-// counts only once its poll is due, and a claimed task not at all: its
-// stepper is running and scans again.
+// counts only once its poll is due or the run stops, and a claimed task
+// not at all: its stepper is running and scans again.
 func (t *task) hasWork(now *int64, parking bool) bool {
 	st := &t.st
 	if st.done.Load() || parking && st.claim.Load() != 0 {
@@ -293,7 +330,7 @@ func (t *task) hasWork(now *int64, parking bool) bool {
 		return r.Len() < r.Cap() || r.Closed()
 	}
 	if t.spout != nil {
-		if !parking || !st.idle.Load() {
+		if !parking || !st.idle.Load() || t.c.e.stop.Load() {
 			return true
 		}
 	} else if t.in.Ready() {
@@ -310,16 +347,20 @@ func (t *task) hasWork(now *int64, parking bool) bool {
 }
 
 // park sleeps until a wake, or until the earliest deadline of the
-// group's tasks. The parked count is published before the tasks are
-// checked once more, and a put checks it after its own store, so one of
+// group's tasks. A worker inside park is counted either in parked or by
+// one token in the group's channel, never both: a wake moves it from
+// the one to the other, and every exit without a token goes through
+// unpark. The parked count is raised before the tasks are checked once
+// more, and a put (or a stop) checks it after its own store, so one of
 // the two sides sees the other: no wake-up is lost.
 func (w *worker) park() {
 	g := w.g
 	g.parked.Add(1)
-	defer g.parked.Add(-1)
+	g.parks.Add(1)
 	var now, deadline int64
 	for _, t := range g.tasks {
 		if t.hasWork(&now, true) {
+			w.unpark()
 			return
 		}
 		if t.st.claim.Load() == 0 {
@@ -327,12 +368,14 @@ func (w *worker) park() {
 		}
 	}
 	if w.e.live.Load() == 0 {
+		w.unpark()
 		return
 	}
 	if now == 0 && deadline != 0 {
 		now = time.Now().UnixNano()
 	}
 	if deadline != 0 && deadline <= now {
+		w.unpark()
 		return
 	}
 	w.parks++
@@ -346,8 +389,17 @@ func (w *worker) park() {
 	select {
 	case <-g.ch:
 	case <-w.tm.C:
+		w.unpark()
 	}
 	w.tm.Stop()
+}
+
+// unpark leaves park without a wake: it takes the worker off parked, or,
+// if a wake already claimed it, takes the token that wake sends.
+func (w *worker) unpark() {
+	if !w.g.claim() {
+		<-w.g.ch
+	}
 }
 
 // visit steps a claimed task once and reports whether it made progress.

@@ -2,11 +2,16 @@ package engine
 
 // Tests for the worker driver: a step never blocks (output that does
 // not fit waits in the edge's overflow), an idle engine parks its
-// workers, the overflow path allocates nothing in steady state, and a
-// kill while overflow is pending leaves the engine recoverable.
+// workers, every wake token is owed to one parked worker and none is
+// left after a run, the overflow path allocates nothing in steady
+// state, and a kill while overflow is pending leaves the engine
+// recoverable.
 
 import (
+	"math/rand/v2"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -223,5 +228,162 @@ func TestKillWithOverflowRecovers(t *testing.T) {
 	}
 	if agg.perOrigin[0] != 10*limit {
 		t.Fatalf("recovered row count = %d, want %d: rows lost or duplicated across recovery", agg.perOrigin[0], 10*limit)
+	}
+}
+
+// TestWakeClaimsOneParkedWorker: wakes beyond the parked workers send
+// nothing, so a worker's next park does not return on a stale token.
+func TestWakeClaimsOneParkedWorker(t *testing.T) {
+	g := &group{ch: make(chan struct{}, 4)}
+	g.parked.Store(1)
+	for range 5 {
+		g.wake()
+	}
+	if n, p := len(g.ch), g.parked.Load(); n != 1 || p != 0 {
+		t.Fatalf("five wakes of one parked worker left %d tokens and parked %d, want 1 and 0", n, p)
+	}
+	if w := g.wakes.Load(); w != 1 {
+		t.Fatalf("wakes counted %d claims, want 1", w)
+	}
+}
+
+// TestParkExitTakesClaimedWake: a worker that leaves park on its own
+// after a wake claimed it takes that wake's token with it.
+func TestParkExitTakesClaimedWake(t *testing.T) {
+	g := &group{ch: make(chan struct{}, 2)}
+	w := &worker{g: g}
+	g.parked.Store(1)
+	if !g.wake() {
+		t.Fatal("wake found no parked worker")
+	}
+	w.unpark()
+	if n, p := len(g.ch), g.parked.Load(); n != 0 || p != 0 {
+		t.Fatalf("unpark after a claimed wake left %d tokens and parked %d, want 0 and 0", n, p)
+	}
+	// Unclaimed, it only takes itself off parked.
+	g.parked.Store(1)
+	w.unpark()
+	if n, p := len(g.ch), g.parked.Load(); n != 0 || p != 0 {
+		t.Fatalf("unclaimed unpark left %d tokens and parked %d, want 0 and 0", n, p)
+	}
+}
+
+// TestParkWakeStress runs park's protocol — raise parked, recheck,
+// then leave at once, block for a wake, or block until a timeout —
+// on 8 parkers against 4 wakers. A lost wake-up hangs a parker that
+// blocks without a timeout; a stale token outlives the run.
+func TestParkWakeStress(t *testing.T) {
+	const parkers, wakers, cycles = 8, 4, 2000
+	g := &group{ch: make(chan struct{}, parkers)}
+	var stop atomic.Bool
+	var wakes sync.WaitGroup
+	for range wakers {
+		wakes.Add(1)
+		go func() {
+			defer wakes.Done()
+			for !stop.Load() {
+				g.wake()
+				runtime.Gosched()
+			}
+		}()
+	}
+	var parks sync.WaitGroup
+	for i := range parkers {
+		parks.Add(1)
+		go func() {
+			defer parks.Done()
+			w := &worker{g: g}
+			tm := time.NewTimer(time.Hour)
+			tm.Stop()
+			rng := rand.New(rand.NewPCG(uint64(i), 1))
+			for range cycles {
+				g.parked.Add(1)
+				switch rng.IntN(3) {
+				case 0: // the recheck found work
+					w.unpark()
+				case 1: // no deadline
+					<-g.ch
+				default: // a deadline
+					tm.Reset(time.Duration(rng.IntN(20)) * time.Microsecond)
+					select {
+					case <-g.ch:
+					case <-tm.C:
+						w.unpark()
+					}
+					tm.Stop()
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { parks.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("parkers still blocked after 30s: a wake-up was lost (parked %d, tokens %d)", g.parked.Load(), len(g.ch))
+	}
+	stop.Store(true)
+	wakes.Wait()
+	if n, p := len(g.ch), g.parked.Load(); n != 0 || p != 0 {
+		t.Fatalf("at quiescence %d tokens and parked %d, want 0 and 0", n, p)
+	}
+	if w, p := g.wakes.Load(), uint64(parkers*cycles); w > p {
+		t.Fatalf("%d wakes claimed %d parks", w, p)
+	}
+}
+
+// pacedRows returns a spout that emits n rows at most one per gap and
+// then ends; between rows its Next emits nothing, so the workers park.
+func pacedRows(n int, gap time.Duration) func() Spout {
+	return func() Spout {
+		i := 0
+		var last time.Time
+		return SpoutFunc(func(c Collector) error {
+			if i >= n {
+				return ioEOF
+			}
+			if time.Since(last) < gap {
+				return nil
+			}
+			last = time.Now()
+			sendInt(c, int64(i))
+			i++
+			return nil
+		})
+	}
+}
+
+// TestRunLeavesNoWakeToken: after a run in which two workers parked and
+// woke many times, and after a re-run on the same engine, no group
+// holds a token or a parked count — the next run's first park blocks.
+func TestRunLeavesNoWakeToken(t *testing.T) {
+	noGoroutineLeak(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	topo := Topology{
+		App:       pipelineGraph(t),
+		Spouts:    map[string]func() Spout{"spout": pacedRows(1<<30, 200*time.Microsecond)},
+		Operators: map[string]func() Operator{"double": doubler, "sink": sinkOp},
+	}
+	e, err := New(topo, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := range 2 {
+		res, err := e.Run(50 * time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Errors) != 0 || res.SinkTuples == 0 {
+			t.Fatalf("run %d: errors %v, %d sink tuples", run, res.Errors, res.SinkTuples)
+		}
+		if len(e.workers) != 2 {
+			t.Fatalf("%d workers under GOMAXPROCS(2), want 2", len(e.workers))
+		}
+		e.checkWakes() // panics on a leftover token or parked count
+		for i, g := range e.groups {
+			if g.parks.Load() == 0 {
+				t.Fatalf("run %d: group %d never parked on a paced spout", run, i)
+			}
+		}
 	}
 }
