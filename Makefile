@@ -14,7 +14,7 @@ test:
 	$(GO) test ./...
 
 # test-repeat runs the packages that keep process-global state (the
-# symbol table, the queue waiters, the engine's tasks) twice in one
+# symbol table, the engine's tasks) twice in one
 # process, so a test that only passes on a fresh process — say, one
 # that interns a fixed name and expects the table to grow — fails here.
 # It then runs the workers' park and wake tests 50 times under the race
@@ -54,7 +54,8 @@ race-all:
 	BRISK_VALIDATE_EVERY=1 $(GO) test -race ./...
 
 # bench runs the queue/emit microbenchmarks: per-edge SPSC rings
-# fanned into an inbox, the uncontended ring, and the emit path.
+# fanned into an inbox and the uncontended ring, both through the
+# nonblocking TryPut/TryGet the engine calls, and the emit path.
 bench:
 	$(GO) test -bench 'PutGet|EngineEmit' -benchtime 1s -run xxx ./internal/queue/ ./internal/engine/
 
@@ -127,8 +128,8 @@ bench-json:
 	mv $(BENCH_JSON).tmp $(BENCH_JSON)
 
 # bench-multicore runs the parallel-sensitive microbenchmarks (SPSC
-# ring + reverse free ring + engine emit) at GOMAXPROCS=4,
-# the setting the multicore bench matrix rows use.
+# ring and inbox through TryPut/TryGet, reverse free ring, engine emit)
+# at GOMAXPROCS=4, the setting the multicore bench matrix rows use.
 .PHONY: bench-multicore
 bench-multicore:
 	GOMAXPROCS=4 $(GO) test -bench 'PutGet|FreeRing|EngineEmit' -benchtime 1s -run xxx ./internal/queue/ ./internal/engine/

@@ -1,10 +1,10 @@
 package briskstream
 
-// ablation_bench_test.go measures the design choices DESIGN.md calls
-// out, beyond the paper's own figures: the branch-and-bound heuristics
-// (redundant sub-problem elimination, warm start), operator fusion, and
-// the jumbo-tuple batch size. Each benchmark reports a comparative
-// metric so `go test -bench=Ablation` reads as a small ablation study.
+// ablation_bench_test.go measures this implementation's design choices,
+// beyond the paper's own figures: the branch-and-bound heuristics
+// (redundant sub-problem elimination, warm start) and the jumbo-tuple
+// batch size. Each benchmark reports a comparative metric so
+// `go test -bench=Ablation` reads as a small ablation study.
 
 import (
 	"fmt"
@@ -15,7 +15,6 @@ import (
 	"briskstream/internal/apps"
 	"briskstream/internal/bnb"
 	"briskstream/internal/engine"
-	"briskstream/internal/fuse"
 	"briskstream/internal/model"
 	"briskstream/internal/numa"
 	"briskstream/internal/plan"
@@ -82,69 +81,6 @@ func BenchmarkAblationBnBWarmStart(b *testing.B) {
 		}
 	}
 }
-
-// fusionPipeline runs the (optionally fused) WC pipeline on the real
-// engine for b.N sentences and reports the sink rate.
-func fusionPipeline(b *testing.B, fused bool) {
-	b.Helper()
-	wc := apps.ByName("WC")
-	app, ops := wc.Graph, wc.Operators
-	if fused {
-		res, err := fuse.Apply(wc.Graph, wc.Stats, wc.Operators,
-			[]fuse.Pair{{Producer: "parser", Consumer: "splitter"}, {Producer: "counter", Consumer: "sink"}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		app, ops = res.Graph, res.Operators
-	}
-	n := b.N
-	spout := func() engine.Spout {
-		i := 0
-		return engine.SpoutFunc(func(c engine.Collector) error {
-			if i >= n {
-				return io.EOF
-			}
-			i++
-			out := c.Borrow()
-			out.AppendStr("alpha beta gamma delta epsilon zeta eta theta iota kappa")
-			out.Event = int64(i)
-			c.Send(out)
-			if i%64 == 0 {
-				c.EmitWatermark(int64(i))
-			}
-			return nil
-		})
-	}
-	e, err := engine.New(engine.Topology{
-		App:       app,
-		Spouts:    map[string]func() engine.Spout{"spout": spout},
-		Operators: ops,
-	}, engine.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	start := time.Now()
-	res, err := e.Run(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(res.Errors) != 0 {
-		b.Fatal(res.Errors)
-	}
-	// The counter aggregates windows, so the sink sees window closes;
-	// sentences/s at the spout compares the shapes on equal terms.
-	b.ReportMetric(float64(res.Processed["spout"])/time.Since(start).Seconds(), "sentences/s")
-}
-
-// BenchmarkAblationFusionOff runs WC with every stage as its own task.
-func BenchmarkAblationFusionOff(b *testing.B) { fusionPipeline(b, false) }
-
-// BenchmarkAblationFusionOn fuses parser+splitter and counter+sink: on a
-// host with few cores, trading pipeline parallelism for fewer queue hops
-// usually wins — the opposite call the optimizer makes on a 144-core
-// box, which is exactly the trade-off Appendix D describes.
-func BenchmarkAblationFusionOn(b *testing.B) { fusionPipeline(b, true) }
 
 // BenchmarkAblationBatchSize sweeps the jumbo-tuple size on the real
 // engine (Section 5.2's communication amortization).

@@ -114,15 +114,20 @@ func BenchmarkFig16_FactorAnalysis(b *testing.B)      { benchExperiment(b, "fig1
 
 // BenchmarkQueueSPSCPutGet measures the communication-queue hot path at
 // jumbo-tuple granularity on the lock-free single-producer/
-// single-consumer ring the engine uses per edge. Producer-count scaling
+// single-consumer ring the engine uses per edge, through the
+// nonblocking TryPut/TryGet the engine calls. Producer-count scaling
 // lives in internal/queue/bench_test.go.
 func BenchmarkQueueSPSCPutGet(b *testing.B) {
 	q := queue.NewRing[*tuple.Jumbo](64)
 	j := &tuple.Jumbo{Producer: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.Put(j)
-		q.Get()
+		if ok, _ := q.TryPut(j); !ok {
+			b.Fatal("TryPut on a non-full ring failed")
+		}
+		if _, ok, _ := q.TryGet(); !ok {
+			b.Fatal("TryGet on a non-empty ring failed")
+		}
 	}
 }
 

@@ -173,9 +173,9 @@ func (f OperatorFunc) Process(c Collector, t *tuple.Tuple) error { return f(c, t
 //
 // ProcessBatch is the operator's one body. Process is its one-row
 // face, OneRow.Process: decorators that drive an operator a tuple at a
-// time (the Storm-like baseline, fused pairs, isolated profiling) reach
-// ProcessBatch through it. Traced batches take ProcessBatch like any
-// other; the engine records their per-row spans.
+// time (the Storm-like baseline, isolated profiling) reach ProcessBatch
+// through it. Traced batches take ProcessBatch like any other; the
+// engine records their per-row spans.
 type BatchOperator interface {
 	Operator
 	ProcessBatch(c Collector, b *tuple.Batch) error
@@ -203,7 +203,7 @@ func (o *OneRow) Process(op BatchOperator, c Collector, t *tuple.Tuple) error {
 }
 
 // RowOut is Collector.Out for a collector that takes rows one tuple at
-// a time (a fused pair's chain, isolated profiling, test collectors):
+// a time (isolated profiling, test collectors):
 // a one-row batch whose committed row it hands, materialised, to Sink.
 // Embedding it gives a collector its Out; the collector calls Drain in
 // Send, before its own row, and after each operator call it makes, so

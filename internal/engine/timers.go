@@ -38,10 +38,9 @@ const (
 // time takes, so handlers may touch operator state without
 // synchronization and emit through the collector like Process does.
 //
-// The per-task timer service is shared (operator fusion composes
-// handlers, and registrations are not deduplicated), so OnTimer may be invoked for a
-// timestamp the handler did not register; handlers must treat unknown
-// timestamps as no-ops.
+// Registrations are not deduplicated: a timestamp registered twice
+// fires twice, so OnTimer may be invoked for a timestamp whose work the
+// handler already did; handlers must treat unknown timestamps as no-ops.
 type TimerHandler interface {
 	OnTimer(c Collector, kind TimerKind, at int64) error
 }

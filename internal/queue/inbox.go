@@ -1,5 +1,7 @@
 package queue
 
+import "runtime"
+
 // Inbox is the consumer-side fan-in over per-producer SPSC rings. The
 // engine gives every task one Inbox and binds one Ring per distinct
 // producer task, so each (producer, consumer) edge is a private
@@ -8,22 +10,21 @@ package queue
 // would serialize them (Section 5.2's queue-access overhead).
 //
 // The single consumer calls Get/TryGet; it scans the member rings
-// round-robin for fairness, and Get parks on a waiter shared by all
-// rings when every ring is empty. The Inbox as a whole keeps the single
-// queue's contract: it reports ErrClosed only after every bound ring is
-// closed AND drained, so "last producer closes the queue" falls out of each
+// round-robin for fairness, and Get yields between scans while every
+// ring is empty. The Inbox as a whole keeps the single queue's
+// contract: it reports ErrClosed only after every bound ring is closed
+// AND drained, so "last producer closes the queue" falls out of each
 // producer closing its own ring.
 type Inbox[T any] struct {
 	rings   []*Ring[T]
 	ringCap int
 	cursor  int // round-robin scan start; consumer-owned
-	cons    *waiter
 }
 
 // NewInbox creates an empty inbox whose member rings each hold ringCap
 // elements (rounded up to a power of two).
 func NewInbox[T any](ringCap int) *Inbox[T] {
-	return &Inbox[T]{ringCap: ringCap, cons: newWaiter()}
+	return &Inbox[T]{ringCap: ringCap}
 }
 
 // SetRingCap changes the per-ring capacity used by subsequent Bind
@@ -40,7 +41,7 @@ func (ib *Inbox[T]) SetRingCap(c int) {
 // safe for concurrent use: wire all producers before the consumer (or
 // any producer) starts, as the engine does at construction time.
 func (ib *Inbox[T]) Bind() *Ring[T] {
-	r := newRing[T](ib.ringCap, ib.cons)
+	r := NewRing[T](ib.ringCap)
 	ib.rings = append(ib.rings, r)
 	return r
 }
@@ -63,11 +64,11 @@ func (ib *Inbox[T]) Len() int {
 // closed and drained. An inbox with no bound rings is permanently
 // empty-and-closed.
 func (ib *Inbox[T]) Get() (T, error) {
-	for round := 0; ; {
+	for {
 		if v, ok, err := ib.TryGet(); ok || err != nil {
 			return v, err
 		}
-		round = ib.cons.wait(round, ib.Ready)
+		runtime.Gosched()
 	}
 }
 

@@ -4,8 +4,8 @@ package queue
 // inbox under the race detector: concurrent Put/TryPut/Get
 // racing a Close must never lose an enqueued element, deliver one
 // twice, or report anything other than ErrClosed after shutdown. The
-// suite is the regression net for the lock-free ring's park/wake
-// handshake; run it with `go test -race ./internal/queue/` (the `race`
+// suite is the regression net for the lock-free ring's close/drain
+// contract; run it with `go test -race ./internal/queue/` (the `race`
 // Makefile target).
 //
 // Conservation is checked as received + leftover == enqueued: an

@@ -5,8 +5,8 @@
 // system runs at its best achievable stable throughput (Section 6.1,
 // footnote 2). The engine uses only the nonblocking calls (TryPut,
 // TryGet, Ready): its workers step tasks and never wait inside a queue.
-// Put and Get block — spin, yield, then park — for callers that run one
-// goroutine per side.
+// Put and Get block, yielding the processor between attempts, for
+// callers that run one goroutine per side.
 //
 // Ring is a lock-free single-producer/single-consumer ring (atomic
 // cursors on separate cache lines, power-of-two capacity); Inbox fans
@@ -33,59 +33,10 @@ import (
 // the queue has drained.
 var ErrClosed = errors.New("queue: closed")
 
-const (
-	// cacheLine separates the producer- and consumer-owned cursors so a
-	// Put never invalidates the cache line a concurrent Get is spinning
-	// on (false sharing is the dominant cost of a naive atomic ring).
-	cacheLine = 64
-	// spinLimit bounds the busy-wait phase before a blocked side parks.
-	// Spinning covers the common case where the peer is actively running
-	// on another core; parking keeps an idle pipeline from burning CPU.
-	spinLimit = 128
-)
-
-// waiter is the park/wake rendezvous for one blocked goroutine. The
-// waking side only touches the channel when the parked flag is visible,
-// so the wake path costs a single atomic load while the peer is running.
-// The buffered channel tolerates a spurious token: the sleeper re-checks
-// the ring state after every wakeup.
-type waiter struct {
-	parked atomic.Bool
-	ch     chan struct{}
-}
-
-func newWaiter() *waiter { return &waiter{ch: make(chan struct{}, 1)} }
-
-// wake unparks the waiter if it is parked (or mid-park: the sleeper
-// re-validates state after setting the flag, which closes the race).
-func (w *waiter) wake() {
-	if w.parked.Load() {
-		select {
-		case w.ch <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// wait is the one blocking strategy every blocking call shares, run
-// after a failed nonblocking attempt. round counts the caller's failed
-// attempts since it last parked; wait returns the next round. For the
-// first spinLimit rounds it only yields. Past them it parks: publish
-// the flag, then re-check ready — the waking side checks the flag after
-// its own store, so one of the two sides must see the other's — and
-// sleep until woken. The caller retries its attempt after every return.
-func (w *waiter) wait(round int, ready func() bool) int {
-	if round < spinLimit {
-		runtime.Gosched()
-		return round + 1
-	}
-	w.parked.Store(true)
-	if !ready() {
-		<-w.ch
-	}
-	w.parked.Store(false)
-	return 0
-}
+// cacheLine separates the producer- and consumer-owned cursors so a Put
+// never invalidates the cache line a concurrent Get is spinning on
+// (false sharing is the dominant cost of a naive atomic ring).
+const cacheLine = 64
 
 // Ring is a bounded single-producer/single-consumer FIFO implemented as
 // a lock-free ring buffer: one goroutine may call Put/TryPut and one
@@ -93,9 +44,11 @@ func (w *waiter) wait(round int, ready func() bool) int {
 // may be called from any goroutine. The capacity is rounded up to a
 // power of two so index wrapping is a mask instead of a division.
 //
-// Both sides spin briefly, then park on a per-side waiter; this is the
-// spin-then-park handoff Section 5.2 of the paper assumes when it prices
-// a queue insertion at nanoseconds rather than a syscall.
+// The blocking calls, Put and Get, retry their nonblocking twin and
+// yield the processor between attempts, so a goroutine waiting in one
+// keeps using its CPU until the other side moves. The engine never
+// waits in a ring: the spin-then-park handoff Section 5.2 of the paper
+// prices lives in its workers' park and wake (internal/engine/worker.go).
 //
 // The Close/drain contract: Put fails with ErrClosed once closed, Get
 // drains remaining elements and then returns ErrClosed, and
@@ -110,9 +63,6 @@ type Ring[T any] struct {
 	mask uint64
 
 	closed atomic.Bool
-
-	prod *waiter
-	cons *waiter
 
 	// Consumer-owned cache line: the read cursor plus the consumer's
 	// stale copy of tail. While cachedTail says elements remain, a Get
@@ -130,23 +80,11 @@ type Ring[T any] struct {
 // NewRing creates an SPSC ring with at least the given capacity
 // (rounded up to a power of two, minimum 1).
 func NewRing[T any](capacity int) *Ring[T] {
-	return newRing[T](capacity, newWaiter())
-}
-
-// newRing builds a ring with the supplied consumer-side waiter; an
-// Inbox shares one waiter across all its member rings so any producer
-// can unpark the single fan-in consumer.
-func newRing[T any](capacity int, cons *waiter) *Ring[T] {
 	n := 1
 	for n < capacity {
 		n <<= 1
 	}
-	return &Ring[T]{
-		buf:  make([]T, n),
-		mask: uint64(n - 1),
-		prod: newWaiter(),
-		cons: cons,
-	}
+	return &Ring[T]{buf: make([]T, n), mask: uint64(n - 1)}
 }
 
 // Cap returns the ring capacity.
@@ -166,18 +104,12 @@ func (q *Ring[T]) Closed() bool { return q.closed.Load() }
 // Put appends v, blocking while the ring is full. It returns ErrClosed
 // if the ring is closed before space becomes available.
 func (q *Ring[T]) Put(v T) error {
-	for round := 0; ; {
+	for {
 		if ok, err := q.TryPut(v); ok || err != nil {
 			return err
 		}
-		round = q.prod.wait(round, q.putReady)
+		runtime.Gosched()
 	}
-}
-
-// putReady reports whether a parked producer has something to retry:
-// free space, or a close to report.
-func (q *Ring[T]) putReady() bool {
-	return q.tail.Load()-q.head.Load() < uint64(len(q.buf)) || q.closed.Load()
 }
 
 // TryPut appends v without blocking. It reports whether the element was
@@ -195,7 +127,6 @@ func (q *Ring[T]) TryPut(v T) (bool, error) {
 	}
 	q.buf[tail&q.mask] = v
 	q.tail.Store(tail + 1)
-	q.cons.wake()
 	return true, nil
 }
 
@@ -203,18 +134,12 @@ func (q *Ring[T]) TryPut(v T) (bool, error) {
 // is empty. After Close, Get keeps returning queued elements until the
 // ring drains and then returns ErrClosed.
 func (q *Ring[T]) Get() (T, error) {
-	for round := 0; ; {
+	for {
 		if v, ok, err := q.TryGet(); ok || err != nil {
 			return v, err
 		}
-		round = q.cons.wait(round, q.getReady)
+		runtime.Gosched()
 	}
-}
-
-// getReady reports whether a parked consumer has something to retry:
-// an element, or a close to report.
-func (q *Ring[T]) getReady() bool {
-	return q.tail.Load() != q.head.Load() || q.closed.Load()
 }
 
 // TryGet removes the oldest element without blocking. The boolean
@@ -240,18 +165,13 @@ func (q *Ring[T]) TryGet() (T, bool, error) {
 	v := q.buf[head&q.mask]
 	q.buf[head&q.mask] = zero
 	q.head.Store(head + 1)
-	q.prod.wake()
 	return v, true, nil
 }
 
 // Close marks the ring closed. A blocked producer fails with ErrClosed;
 // the consumer drains remaining elements and then receives ErrClosed.
 // Close is idempotent and may be called from any goroutine.
-func (q *Ring[T]) Close() {
-	q.closed.Store(true)
-	q.prod.wake()
-	q.cons.wake()
-}
+func (q *Ring[T]) Close() { q.closed.Store(true) }
 
 // Reopen discards any undelivered elements and clears the closed flag
 // so the ring can carry another run. It must only be called while no

@@ -1,6 +1,8 @@
 package queue
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -123,6 +125,49 @@ func TestRingCloseUnblocksWaiters(t *testing.T) {
 	}
 	if err := <-getErr; err != ErrClosed {
 		t.Errorf("blocked Get after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestRingBlockingCallsYieldOnOneP pins that Put and Get give up the
+// processor while they wait: on one P, a producer blocked on a full
+// capacity-1 ring and a consumer blocked on an empty one must hand
+// every element over promptly. A busy wait would progress only when
+// the runtime preempts it, about 10 ms per handoff.
+func TestRingBlockingCallsYieldOnOneP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n = 10_000
+	q := NewRing[int](1)
+	go func() {
+		for i := 0; i < n; i++ {
+			if err := q.Put(i); err != nil {
+				t.Errorf("Put %d: %v", i, err)
+				return
+			}
+		}
+		q.Close()
+	}()
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			v, err := q.Get()
+			if err != nil || v != i {
+				done <- fmt.Errorf("Get = %d, %v; want %d", v, err, i)
+				return
+			}
+		}
+		if _, err := q.Get(); err != ErrClosed {
+			done <- fmt.Errorf("Get after drain = %v, want ErrClosed", err)
+			return
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%d handoffs on one P did not finish in 30 s", n)
 	}
 }
 

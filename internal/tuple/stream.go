@@ -71,12 +71,6 @@ func Intern(name string) StreamID {
 	return id
 }
 
-// LookupStream returns the StreamID for a name without registering it.
-func LookupStream(name string) (StreamID, bool) {
-	id, ok := streams.Load().byName[name]
-	return id, ok
-}
-
 // String returns the interned stream name.
 func (id StreamID) String() string {
 	t := streams.Load()
